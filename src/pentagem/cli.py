@@ -5,7 +5,8 @@ Subcommands wrap the public operations: ``color`` (the headline solver),
 
 Exit codes: 0 success; 2 parse error; 3 input is not (P5, gem)-free;
 4 maximum degree below 9; 5 clique number at least the maximum degree;
-6 internal inconsistency; 1 for other precondition or usage failures.
+6 internal inconsistency, or an input deep enough to exhaust Python's
+recursion limit; 1 for other precondition or usage failures.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CLIQUE
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except RecursionError:
+        print("internal inconsistency: recursion limit exceeded", file=sys.stderr)
         return EXIT_INTERNAL
     except (PentagemError, OracleCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

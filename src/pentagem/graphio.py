@@ -141,9 +141,9 @@ def sniff_format(text: str) -> str:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith(("c", "p")):
-            return "dimacs"
         first = line.split()[0]
+        if first in ("c", "p"):
+            return "dimacs"
         try:
             int(first)
             return "edgelist"

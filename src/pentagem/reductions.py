@@ -268,16 +268,42 @@ def hitting_mis(g: Graph) -> tuple[int, ...]:
     maximum independent set qualifies.  Existence in the tight case is a
     known theorem; the set is found by search and verified, and a fruitless
     search is reported as an internal inconsistency rather than papered over.
+
+    The search runs on each connected component separately, always with the
+    whole graph's Delta-1 as the target clique size: a component whose own
+    maximum degree is lower can still hold such a clique.  This is exact
+    because a maximum independent set of a disjoint union is a union of
+    maximum independent sets of its components, and every clique lies
+    inside one component.  A connected graph is searched as it is.
     """
-    delta = g.max_degree()
     omega, _ = clique_number(g)
+    return _hitting_mis(g, omega)
+
+
+def _hitting_mis(g: Graph, omega: int) -> tuple[int, ...]:
+    """``hitting_mis`` for a graph whose clique number is already known."""
+    delta = g.max_degree()
     if omega > delta - 1:
         raise PreconditionError(f"clique number {omega} exceeds {delta - 1}")
+    tight = omega == delta - 1
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return _hitting_component(g, delta - 1, tight)
+    out: list[int] = []
+    for comp in comps:
+        sub, ids = induced_subgraph(g, comp)
+        out.extend(ids[v] for v in _hitting_component(sub, delta - 1, tight))
+    return tuple(sorted(out))
+
+
+def _hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
+    """Maximum independent set of ``g`` meeting every clique of ``size``
+    vertices; ``tight`` says whether the whole graph has such cliques."""
     mis = maximum_independent_set(g)
-    if omega < delta - 1:
+    if not tight:
         return mis
     alpha = len(mis)
-    targets = [mask_of(c) for c in _maximal_cliques(g) if len(c) == delta - 1]
+    targets = [mask_of(c) for c in _maximal_cliques(g) if len(c) == size]
 
     def phase1(chosen: list[int], avail: int, unhit: list[int]) -> tuple[int, ...] | None:
         if len(chosen) + avail.bit_count() < alpha:
@@ -443,17 +469,20 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
     omega, _ = clique_number(g)
     if omega > delta - 1:
         raise PreconditionError(f"clique number {omega} exceeds Delta-1")
-    colors = _delta_reduce(g, tuple(range(g.n)), color_base, trace)
+    colors = _delta_reduce(g, tuple(range(g.n)), omega, color_base, trace)
     return Coloring(colors, delta - 1)
 
 
-def _delta_reduce(g: Graph, ids: tuple[int, ...], color_base,
+def _delta_reduce(g: Graph, ids: tuple[int, ...], omega: int, color_base,
                   trace: list | None) -> dict[int, int]:
+    """One level of ``delta_reduce``; ``omega`` is the clique number of ``g``,
+    so a caller that has it (``solve``) does not compute it again."""
     from .trace import TraceEvent
 
     delta = g.max_degree()
-    i_local = hitting_mis(g)
-    rest = [v for v in range(g.n) if v not in set(i_local)]
+    i_local = _hitting_mis(g, omega)
+    peeled = set(i_local)
+    rest = [v for v in range(g.n) if v not in peeled]
     sub, local = induced_subgraph(g, rest)
     sub_ids = tuple(ids[i] for i in local)
     d_sub = sub.max_degree()
@@ -472,7 +501,8 @@ def _delta_reduce(g: Graph, ids: tuple[int, ...], color_base,
     elif d_sub == 9:
         colors = color_base(sub, sub_ids)
     else:
-        colors = _delta_reduce(sub, sub_ids, color_base, trace)
+        colors = _delta_reduce(sub, sub_ids, clique_number(sub)[0],
+                               color_base, trace)
     i_set = tuple(ids[v] for v in i_local)
     for v in i_set:
         colors[v] = delta - 1

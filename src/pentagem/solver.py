@@ -18,7 +18,7 @@ from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
 from .graph import Graph, bits, connected_components, induced_subgraph
 from .oracle import colorable_with
 from .patterns import clique_number, is_p5_gem_free
-from .reductions import (brooks_color, copycat_extend, delta_reduce,
+from .reductions import (_delta_reduce, brooks_color, copycat_extend,
                          extend_list_coloring, find_copycat, find_d1_catalog,
                          find_low_degree)
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
@@ -231,7 +231,8 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
         def base(sub: Graph, sub_ids: tuple[int, ...]) -> dict[int, int]:
             return _color8(sub, sub_ids, events)
 
-        coloring = delta_reduce(g, base, trace=events)
+        colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)
+        coloring = Coloring(colors, delta - 1)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("solver produced an improper coloring")
     n, m, hist = fingerprint(g)

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: subset scans
 and definition-checks that share no pruning logic with the library, so the
-two sides can disagree when one of them is wrong.
+two sides can disagree when one of them is wrong.  ``delta_family`` builds
+the Delta 10..12 instances that criterion 3 and the solver tests share.
 """
 
 from __future__ import annotations
@@ -10,13 +11,31 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+from pentagem.errors import PentagemError
 from pentagem.graph import Graph, build_graph, induced_subgraph
+from pentagem.instances import gallery_g2, gen_class_instance, gen_target_delta
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def delta_family() -> list[Graph]:
+    """gallery_g2(10..12), then generated members with target Delta 10..12."""
+    instances = [gallery_g2(t) for t in (10, 11, 12)]
+    seed = 0
+    while len(instances) < 50 and seed < 60:
+        for cid in ("G1", "G2", "G5", "G6", "G9", "H"):
+            for target in (10, 11, 12):
+                try:
+                    spec = gen_target_delta(cid, target, seed=seed * 53 + 2)
+                except PentagemError:
+                    continue
+                instances.append(gen_class_instance(spec)[0])
+        seed += 1
+    return instances
 
 
 def brute_chromatic(g: Graph) -> int:

@@ -30,7 +30,7 @@ from pentagem.strategies import CASE_STRATEGIES, apply_case_strategy, published_
 from pentagem.structure import TEMPLATES, clique_reduce, lift_coloring
 
 from helpers import (brute_chromatic, brute_d1_catalog_present,
-                     brute_find_induced, random_graph)
+                     brute_find_induced, delta_family, random_graph)
 from irreducible_enum import degree9_members, irreducible_members
 
 ALL_CLASSES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9", "G10", "H")
@@ -117,18 +117,7 @@ def test_criterion_9_trace_replay(main_suite):
 # -- criterion 3: degree reduction ------------------------------------------------
 
 def test_criterion_3_delta_reduction():
-    instances = [gallery_g2(t) for t in (10, 11, 12)]
-    seed = 0
-    while len(instances) < 50 and seed < 60:
-        for cid in ("G1", "G2", "G5", "G6", "G9", "H"):
-            for target in (10, 11, 12):
-                try:
-                    spec = gen_target_delta(cid, target, seed=seed * 53 + 2)
-                except PentagemError:
-                    continue
-                g, _ = gen_class_instance(spec)
-                instances.append(g)
-        seed += 1
+    instances = delta_family()
     bad = 0
     for g in instances:
         delta = g.max_degree()

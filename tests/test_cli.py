@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from pentagem import cli
 from pentagem.cli import main
-from pentagem.graph import complete_graph, path_graph
-from pentagem.graphio import parse_graph, write_edgelist
+from pentagem.graph import complete_graph, disjoint_union, empty_graph, path_graph
+from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 
 
@@ -153,6 +154,27 @@ def test_tampered_trace_reports_inconsistency(tmp_path, capsys):
     tampered = str(tmp_path / "bad.txt")
     Path(tampered).write_text("\n".join(broken) + "\n")
     assert main(["replay", path, tampered]) == 6
+
+
+@pytest.mark.parametrize("n", [36, 49])
+def test_color_sniffs_graph6_starting_with_a_dimacs_letter(tmp_path, capsys, n):
+    g = gallery_g2(9)
+    while g.n + 10 <= n:
+        g = disjoint_union(g, gallery_g2(9))
+    g = disjoint_union(g, empty_graph(n - g.n))
+    path = write(tmp_path, "g.g6", write_graph6(g))
+    assert main(["color", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "palette 8"
+
+
+def test_recursion_error_is_an_internal_failure(tmp_path, capsys, monkeypatch):
+    def too_deep(g):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "solve", too_deep)
+    path = write(tmp_path, "g2.el", write_edgelist(gallery_g2(9)))
+    assert main(["color", path]) == 6
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "recursion limit" in err
 
 
 def test_500_spec_round_trip(tmp_path, capsys):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem.errors import GraphFormatError
-from pentagem.graph import complete_graph, cycle_graph, path_graph
+from pentagem.graph import complete_graph, cycle_graph, empty_graph, path_graph
 from pentagem.graphio import (parse_dimacs, parse_edgelist, parse_graph,
                               parse_graph6, sniff_format, write_dimacs,
                               write_edgelist, write_graph6)
@@ -54,8 +54,17 @@ def test_graph6_header_variant():
 
 def test_sniffing():
     assert sniff_format("p edge 2 1\ne 1 2\n") == "dimacs"
+    assert sniff_format("c\np edge 2 1\ne 1 2\n") == "dimacs"
     assert sniff_format("2 1\n0 1\n") == "edgelist"
     assert sniff_format("Bw\n") == "graph6"
+
+
+@pytest.mark.parametrize("n", [36, 49])
+def test_sniffing_graph6_whose_first_byte_is_a_dimacs_letter(n):
+    # 63 + 36 is "c" and 63 + 49 is "p", the DIMACS comment and problem letters
+    text = write_graph6(empty_graph(n))
+    assert text[0] in "cp" and sniff_format(text) == "graph6"
+    assert parse_graph(text) == empty_graph(n)
 
 
 @given(st.integers(0, 500), st.integers(0, 12))

@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pentagem.coloring import Coloring, verify_coloring
-from pentagem.errors import PreconditionError
+from pentagem.errors import InternalInconsistencyError, PreconditionError
 from pentagem.graph import (build_graph, complete_graph, cycle_graph,
                             disjoint_union, join, path_graph)
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
@@ -13,7 +16,8 @@ from pentagem.reductions import (brooks_color, copycat_extend, delta_reduce,
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
-from helpers import brute_d1_catalog_present, random_graph
+from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
+                     random_graph)
 
 
 def three_k2():
@@ -186,6 +190,55 @@ def test_hitting_with_tight_cliques():
     assert len(got) == len(maximum_independent_set(g))
     big = set(bags["Q3"]) | set(bags["Q4"]) | set(bags["Q6"])
     assert set(got) & big
+
+
+def test_hitting_uses_the_global_clique_size():
+    # This G1 member has Delta = omega = 8, and its plain maximum independent
+    # set misses its 8-clique.  Beside gallery_g2(9) the union has Delta 9, so
+    # the 8-clique is a (Delta-1)-clique that the set must meet, even though
+    # its own component has maximum degree 8.
+    sizes = {"Q1": 4, "Q2": 4, "Q3": 1, "Q4": 4, "Q5": 1}
+    one, _ = gen_class_instance(GenSpec("G1", sizes))
+    assert one.n == 14 and one.max_degree() == 8 and clique_number(one)[0] == 8
+    eight = [c for c in combinations(range(one.n), 8) if one.is_clique(c)]
+    assert any(not set(c) & set(maximum_independent_set(one)) for c in eight)
+    with pytest.raises(PreconditionError):
+        hitting_mis(one)
+    other = gallery_g2(9)
+    g = disjoint_union(one, other)
+    assert g.max_degree() == 9
+    got = hitting_mis(g)
+    assert g.is_independent(got)
+    assert len(got) == (brute_max_independent_set_size(one)
+                        + brute_max_independent_set_size(other))
+    for c in eight:
+        assert set(c) & set(got)
+
+
+@given(st.lists(st.tuples(st.integers(1, 7), st.sampled_from((0.3, 0.5, 0.7, 0.9)),
+                          st.integers(0, 10_000)), min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_hitting_matches_brute_force_on_unions(parts):
+    # Outside the theorem's range a maximum independent set meeting every
+    # (Delta-1)-clique need not exist; the search must then say so.
+    assume(sum(n for n, _, _ in parts) <= 14)
+    g = random_graph(*parts[0])
+    for n, p, seed in parts[1:]:
+        g = disjoint_union(g, random_graph(n, p, seed))
+    size = g.max_degree() - 1
+    assume(size >= 1 and clique_number(g)[0] <= size)
+    alpha = brute_max_independent_set_size(g)
+    cliques = [set(c) for c in combinations(range(g.n), size) if g.is_clique(c)]
+    if not any(g.is_independent(s) and all(c & set(s) for c in cliques)
+               for s in combinations(range(g.n), alpha)):
+        with pytest.raises(InternalInconsistencyError):
+            hitting_mis(g)
+        return
+    got = hitting_mis(g)
+    assert g.is_independent(got)
+    assert len(got) == alpha
+    for c in cliques:
+        assert c & set(got)
 
 
 # -- Brooks ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pentagem.coloring import verify_coloring
@@ -9,6 +11,8 @@ from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.trace import dumps_trace, loads_trace
+
+from helpers import delta_family
 
 
 def test_color8_c5_uses_three():
@@ -101,6 +105,38 @@ def test_trace_document_round_trip():
     assert (back.palette, back.n, back.m) == (trace.palette, trace.n, trace.m)
     rep = replay_trace(g, back)
     assert rep.colors == col.colors
+
+
+def _copies(g, k):
+    out = g
+    for _ in range(k - 1):
+        out = disjoint_union(out, g)
+    return out
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_solve_gallery_unions_color_each_copy_alike(k):
+    one = gallery_g2(10)
+    single, _ = solve(one)
+    g = _copies(one, k)
+    col, trace = solve(g)
+    assert col.k == 9 and verify_coloring(g, col)
+    assert replay_trace(g, trace).colors == col.colors
+    for i in range(k):
+        assert {v: col.colors[i * one.n + v] for v in range(one.n)} == single.colors
+
+
+# sha256 over the solve traces below, recorded before degree reduction
+# searched each connected component on its own
+DELTA_TRACES_SHA256 = "fae816a41df80c0994c3b148430187cd52798150520f5323534549c271c0d95e"
+
+
+def test_degree_reduction_traces_are_pinned():
+    unions = [_copies(gallery_g2(10), k) for k in range(2, 7)]
+    digest = hashlib.sha256()
+    for g in delta_family() + unions:
+        digest.update(dumps_trace(solve(g)[1]).encode())
+    assert digest.hexdigest() == DELTA_TRACES_SHA256
 
 
 def test_replay_rejects_wrong_graph():
