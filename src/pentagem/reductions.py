@@ -142,33 +142,37 @@ def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
 
     Shapes: the 9-vertex K3 v 3K2, else the 8-vertex K4 v H with H on four
     vertices carrying two disjoint non-edges.  Anchored on triangles/K4s,
-    whose common neighborhoods stay tiny under a degree bound.
+    whose common neighborhoods stay tiny under a degree bound.  The anchor
+    is complete to the rest, so the shape tests reduce to the rest alone:
+    six vertices that each have exactly one neighbor among the six, or four
+    vertices that split into two non-adjacent pairs.  On such candidates
+    these tests agree with ``is_k3_join_3k2`` and
+    ``is_k4_join_two_nonedges``.
     """
     for u, v, w in _triangles(g):
         common = g.adj[u] & g.adj[v] & g.adj[w]
-        cvs = tuple(bits(common))
-        if len(cvs) < 6:
+        if common.bit_count() < 6:
             continue
-        # need three pairwise anticomplete edges inside the common part
-        inner, ids = induced_subgraph(g, cvs)
-        edges = list(inner.edges())
+        # three pairwise anticomplete edges inside the common part, taken
+        # in lexicographic order
+        edges = [1 << a | 1 << b for a in bits(common)
+                 for b in bits(g.adj[a] & common & (~0 << (a + 1)))]
         for e1, e2, e3 in combinations(edges, 3):
-            six = {*e1, *e2, *e3}
-            if len(six) != 6:
-                continue
-            cand = (u, v, w) + tuple(sorted(ids[x] for x in six))
-            if is_k3_join_3k2(g, cand):
-                return tuple(sorted(cand))
+            six = e1 | e2 | e3
+            if six.bit_count() == 6 and all(
+                    (g.adj[x] & six).bit_count() == 1 for x in bits(six)):
+                return tuple(sorted((u, v, w, *bits(six))))
     for u, v, w in _triangles(g):
-        for x in bits(g.adj[u] & g.adj[v] & g.adj[w] & (~0 << (w + 1))):
-            common = g.adj[u] & g.adj[v] & g.adj[w] & g.adj[x]
-            cvs = tuple(bits(common))
-            if len(cvs) < 4:
+        tri = g.adj[u] & g.adj[v] & g.adj[w]
+        for x in bits(tri & (~0 << (w + 1))):
+            common = tri & g.adj[x]
+            if common.bit_count() < 4:
                 continue
-            for four in combinations(cvs, 4):
-                cand = (u, v, w, x) + four
-                if is_k4_join_two_nonedges(g, cand):
-                    return tuple(sorted(cand))
+            for a, b, c, d in combinations(bits(common), 4):
+                if any(not g.has_edge(p, q) and not g.has_edge(r, s)
+                       for p, q, r, s in ((a, b, c, d), (a, c, b, d),
+                                          (a, d, b, c))):
+                    return tuple(sorted((u, v, w, x, a, b, c, d)))
     return None
 
 
@@ -179,6 +183,12 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
     Requires |L(v)| >= d(v)-1 and h to be one of the catalog shapes, for
     which a coloring is guaranteed to exist; exhausting the search therefore
     signals a bug or a non-catalog input, not an unlucky assignment.
+
+    Lists and the colors each vertex's assigned neighbors hold are color
+    bitmasks (colors are non-negative integers).  Each step colors the
+    vertex with the fewest free colors, ties to the higher degree, then the
+    lower index, and tries its free colors in increasing order; the first
+    complete assignment is returned in the order it was made.
     """
     all_vs = tuple(range(h.n))
     if not (is_k3_join_3k2(h, all_vs) if h.n == 9
@@ -188,37 +198,31 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
         if len(lists.get(v, ())) < h.degree(v) - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
 
+    allowed = [mask_of(lists[v]) for v in range(h.n)]
+    neg_deg = [-h.degree(v) for v in range(h.n)]
     assigned: dict[int, int] = {}
 
-    def pick() -> int | None:
-        best, key = None, None
-        for v in range(h.n):
-            if v in assigned:
-                continue
-            free = [c for c in lists[v]
-                    if all(assigned.get(u) != c for u in bits(h.adj[v]))]
-            cand = (len(free), -h.degree(v), v)
-            if key is None or cand < key:
-                best, key = v, cand
-        return best
-
-    def solve() -> bool:
-        v = pick()
-        if v is None:
+    def solve(left: int, taken: list[int]) -> bool:
+        if not left:
             return True
-        for c in sorted(lists[v]):
-            if any(assigned.get(u) == c for u in bits(h.adj[v])):
-                continue
+        v = min(bits(left), key=lambda u: (
+            (allowed[u] & ~taken[u]).bit_count(), neg_deg[u], u))
+        rest = left & ~(1 << v)
+        nbrs = tuple(bits(h.adj[v] & rest))
+        for c in bits(allowed[v] & ~taken[v]):
+            below = taken[:]
+            for u in nbrs:
+                below[u] |= 1 << c
             assigned[v] = c
-            if solve():
+            if solve(rest, below):
                 return True
             del assigned[v]
         return False
 
-    if not solve():
+    if not solve(h.full_mask(), [0] * h.n):
         raise InternalInconsistencyError(
             "catalog graph refused a d1-style list assignment")
-    return dict(assigned)
+    return assigned
 
 
 # -- hitting independent set and Brooks ---------------------------------------
@@ -265,9 +269,13 @@ def hitting_mis(g: Graph) -> tuple[int, ...]:
     """Maximum independent set that meets every clique of size Delta-1.
 
     When the clique number is below Delta-1 there is nothing to hit and any
-    maximum independent set qualifies.  Existence in the tight case is a
-    known theorem; the set is found by search and verified, and a fruitless
-    search is reported as an internal inconsistency rather than papered over.
+    maximum independent set qualifies.  In the tight case King's theorem
+    (omega > 2(Delta+1)/3) gives a stable set meeting every maximum clique,
+    not a maximum one, so existence is not guaranteed: K9 plus one new
+    vertex on each pair of cyclically consecutive clique vertices (a graph
+    with a gem) has none.  The set is found by search and verified, and a
+    fruitless search is reported as an internal inconsistency rather than
+    papered over.
 
     The search runs on each connected component separately, always with the
     whole graph's Delta-1 as the target clique size: a component whose own

@@ -171,6 +171,14 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
     return {ids[u]: c for u, c in outcome.colors.items()}
 
 
+def _raise_if_not_free(g: Graph) -> None:
+    free, witness = is_p5_gem_free(g)
+    if not free:
+        raise ForbiddenPatternError(
+            f"graph contains an induced {witness.pattern} "
+            f"{witness.vertices}", witness)
+
+
 def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
                      omega: int, omega_bound: int, clique: tuple[int, ...]) -> None:
     """Shared precondition policy.
@@ -185,11 +193,7 @@ def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
     """
     if degree_ok and omega <= omega_bound:
         return
-    free, witness = is_p5_gem_free(g)
-    if not free:
-        raise ForbiddenPatternError(
-            f"graph contains an induced {witness.pattern} "
-            f"{witness.vertices}", witness)
+    _raise_if_not_free(g)
     if not degree_ok:
         raise DegreeRangeError(degree_msg)
     raise CliqueBoundError(
@@ -231,7 +235,13 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
         def base(sub: Graph, sub_ids: tuple[int, ...]) -> dict[int, int]:
             return _color8(sub, sub_ids, events)
 
-        colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)
+        try:
+            colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)
+        except InternalInconsistencyError:
+            # the lazy gate let the input through: a fruitless search on a
+            # graph outside the class reports the forbidden pattern
+            _raise_if_not_free(g)
+            raise
         coloring = Coloring(colors, delta - 1)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("solver produced an improper coloring")

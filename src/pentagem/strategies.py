@@ -175,7 +175,8 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
                 raise InternalInconsistencyError(
                     f"case {case_id}: graph is not even {k}-colorable")
             if trace is not None:
-                trace.append(TraceEvent("oracle", {"vs": tuple(range(g.n)), "k": k}))
+                trace.append(TraceEvent("oracle", {"vs": tuple(range(g.n)), "k": k,
+                                                   "case": case_id, "branch": branch}))
             return Coloring(witness, k)
     coloring = color_with_independent_sets(g, sets, k, order=order)
     if trace is not None:

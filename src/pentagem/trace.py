@@ -90,7 +90,10 @@ def _event_to_line(e: TraceEvent) -> str:
     if e.kind == "brooks":
         return f"color brooks vs={_fmt_vs(d['vs'])} delta={d['delta']}"
     if e.kind == "oracle":
-        return f"color oracle vs={_fmt_vs(d['vs'])} k={d['k']}"
+        # case and branch are set only when a per-class strategy fell back
+        where = (f" case={d['case']} branch={d['branch']}"
+                 if "case" in d else "")
+        return f"color oracle vs={_fmt_vs(d['vs'])} k={d['k']}{where}"
     if e.kind == "lemma1":
         return (f"color lemma1 vs={_fmt_vs(d['vs'])} sets={_fmt_sets(d['sets'])} "
                 f"order={_fmt_vs(d['order'])} k={d['k']} case={d.get('case', '-')} "
@@ -128,7 +131,10 @@ def _line_to_event(line: str) -> TraceEvent:
         if kind == "brooks":
             return TraceEvent(kind, {"vs": _parse_vs(kv["vs"]), "delta": int(kv["delta"])})
         if kind == "oracle":
-            return TraceEvent(kind, {"vs": _parse_vs(kv["vs"]), "k": int(kv["k"])})
+            data = {"vs": _parse_vs(kv["vs"]), "k": int(kv["k"])}
+            if "case" in kv:
+                data.update(case=kv["case"], branch=kv["branch"])
+            return TraceEvent(kind, data)
         if kind == "lemma1":
             return TraceEvent(kind, {
                 "vs": _parse_vs(kv["vs"]),

@@ -38,6 +38,17 @@ def delta_family() -> list[Graph]:
     return instances
 
 
+def k9_with_ears() -> Graph:
+    """K9 on v0..v8 (vertices 0..8) plus w0..w8 (vertices 9..17), where wi
+    is adjacent to vi and v(i+1 mod 9).  Delta is 10 and omega 9, so the
+    lazy freeness gate lets it through, but it has a gem and no maximum
+    independent set (the w's) meets the K9."""
+    edges = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+    edges += [(i, 9 + i) for i in range(9)]
+    edges += [((i + 1) % 9, 9 + i) for i in range(9)]
+    return build_graph(18, edges)
+
+
 def brute_chromatic(g: Graph) -> int:
     """Smallest k admitting a proper coloring, by plain backtracking."""
     if g.n == 0:

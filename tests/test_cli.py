@@ -8,6 +8,8 @@ from pentagem.graph import complete_graph, disjoint_union, empty_graph, path_gra
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 
+from helpers import k9_with_ears
+
 
 def write(tmp_path: Path, name: str, text: str) -> str:
     p = tmp_path / name
@@ -36,6 +38,12 @@ def test_color_rejects_p5(tmp_path, capsys):
     path = write(tmp_path, "p5.el", write_edgelist(path_graph(5)))
     assert main(["color", path]) == 3
     assert "P5" in capsys.readouterr().err
+
+
+def test_color_rejects_a_gem_found_by_degree_reduction(tmp_path, capsys):
+    path = write(tmp_path, "ears.el", write_edgelist(k9_with_ears()))
+    assert main(["color", path]) == 3
+    assert "GEM" in capsys.readouterr().err
 
 
 def test_color_rejects_low_degree(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -163,6 +164,71 @@ def test_list_extension_random_minimum_lists():
             got = extend_list_coloring(h, lists)
             assert all(got[v] in lists[v] for v in range(h.n))
             assert verify_coloring(h, Coloring(got, 8))
+
+
+# -- pinned outputs of the catalog rule ----------------------------------------------
+# sha256 digests recorded before detection and list extension moved to
+# bitmasks; the rewrite must keep every return value, byte for byte.
+
+LIST_EXTENSION_SHA256 = "1adcaaf0b2b9c6a9214eeea5b76d704a73654d88e4ae521272ed9625e963cfe1"
+CATALOG_DETECTION_SHA256 = "93590e81d254a79d09a0505c6c85a7ff632e76490bfee16884c5387755bc6883"
+
+
+def catalog_shapes():
+    """K3 v 3K2, then K4 joined to each of the 16 spanning subgraphs of C4:
+    every one keeps the two disjoint non-edges 0-2 and 1-3."""
+    c4_edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    shapes = [join(complete_graph(3), three_k2())]
+    for r in range(len(c4_edges) + 1):
+        for keep in combinations(c4_edges, r):
+            shapes.append(join(complete_graph(4), build_graph(4, keep)))
+    return shapes
+
+
+def test_list_extension_assignments_are_pinned():
+    # even rounds draw minimum-size lists, odd rounds sizes up to 8
+    rng = random.Random(5151)
+    digest = hashlib.sha256()
+    for h in catalog_shapes():
+        for i in range(120):
+            lists = {}
+            for v in range(h.n):
+                size = h.degree(v) - 1 if i % 2 == 0 else rng.randint(h.degree(v) - 1, 8)
+                lists[v] = frozenset(rng.sample(range(1, 9), size))
+            got = extend_list_coloring(h, lists)
+            digest.update(repr(list(got.items())).encode())
+    assert digest.hexdigest() == LIST_EXTENSION_SHA256
+
+
+def catalog_corpus():
+    """Seeded random graphs, n 8..13, density 0.5..0.85; every third one with
+    n >= 9 has a K3 v 3K2 planted on nine random vertices."""
+    rng = random.Random(2006)
+    k3_shape = join(complete_graph(3), three_k2())
+    out = []
+    for i in range(240):
+        n = rng.randint(8, 13)
+        g = random_graph(n, rng.uniform(0.5, 0.85), rng.randrange(10**6))
+        if i % 3 == 0 and n >= 9:
+            nine = rng.sample(range(n), 9)
+            inside = set(nine)
+            edges = [(u, v) for u, v in g.edges()
+                     if not (u in inside and v in inside)]
+            edges += [(nine[a], nine[b]) for a, b in k3_shape.edges()]
+            g = build_graph(n, edges)
+        out.append(g)
+    return out
+
+
+def test_catalog_detection_is_pinned():
+    digest = hashlib.sha256()
+    sizes = []
+    for g in catalog_corpus():
+        got = find_d1_catalog(g)
+        digest.update(repr(got).encode())
+        sizes.append(None if got is None else len(got))
+    assert {None, 8, 9} <= set(sizes)
+    assert digest.hexdigest() == CATALOG_DETECTION_SHA256
 
 
 # -- hitting independent set ---------------------------------------------------------

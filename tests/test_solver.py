@@ -2,17 +2,20 @@ import hashlib
 
 import pytest
 
+from pentagem import solver
 from pentagem.coloring import verify_coloring
 from pentagem.errors import (CliqueBoundError, DegreeRangeError,
-                             ForbiddenPatternError, PreconditionError)
+                             ForbiddenPatternError, InternalInconsistencyError,
+                             PreconditionError)
 from pentagem.graph import (build_graph, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, join, path_graph)
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
+from pentagem.reductions import hitting_mis
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.trace import dumps_trace, loads_trace
 
-from helpers import delta_family
+from helpers import delta_family, k9_with_ears
 
 
 def test_color8_c5_uses_three():
@@ -57,6 +60,25 @@ def test_solve_rejects_p5_with_witness():
     with pytest.raises(ForbiddenPatternError) as err:
         solve(path_graph(5))
     assert err.value.witness.pattern == "P5"
+
+
+def test_solve_reports_the_gem_that_stops_degree_reduction():
+    g = k9_with_ears()
+    with pytest.raises(InternalInconsistencyError):
+        hitting_mis(g)
+    with pytest.raises(ForbiddenPatternError) as err:
+        solve(g)
+    assert err.value.witness.pattern == "GEM"
+    assert err.value.witness.check(g)
+
+
+def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
+    def fruitless(*args):
+        raise InternalInconsistencyError("no set found")
+    monkeypatch.setattr(solver, "_delta_reduce", fruitless)
+    g = join(complete_graph(8), empty_graph(4))  # a cograph with Delta 11
+    with pytest.raises(InternalInconsistencyError, match="no set found"):
+        solve(g)
 
 
 def test_solve_rejects_clique_at_delta():

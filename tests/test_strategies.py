@@ -1,11 +1,14 @@
 import pytest
 
+from pentagem import strategies
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PreconditionError
 from pentagem.instances import GenSpec, gen_class_instance
-from pentagem.solver import color8
+from pentagem.solver import color8, replay_trace
 from pentagem.strategies import (CASE_STRATEGIES, ReducibleFound, Unreachable,
                                  apply_case_strategy, published_plan)
+from pentagem.trace import (ReductionTrace, TraceEvent, dumps_trace,
+                            fingerprint, loads_trace)
 
 
 def recurse(sub, ids):
@@ -148,6 +151,29 @@ def test_g10_all_twos_falls_back():
     g, out, events = run("G10", sizes_of("G10", *([2] * 9)))
     assert isinstance(out, Coloring) and verify_coloring(g, out)
     assert not events[0].data["fallback"]
+
+
+def test_oracle_fallback_names_its_case_and_branch(monkeypatch):
+    # neither the published nor the smallest-last order meets the bound
+    monkeypatch.setattr(strategies, "back_degree_profile", lambda g, order: 99)
+    g, out, events = run("G2", sizes_of("G2", 2, 3, 1, 1, 3, 2))
+    assert isinstance(out, Coloring) and verify_coloring(g, out)
+    assert [e.kind for e in events] == ["oracle"]
+    assert events[0].data["case"] == "G2"
+    assert events[0].data["branch"] == "two_sets"
+    n, m, hist = fingerprint(g)
+    text = dumps_trace(ReductionTrace(events, 8, n, m, hist))
+    assert " case=G2 branch=two_sets\n" in text
+    back = loads_trace(text)
+    assert back.events == events
+    assert replay_trace(g, back).colors == out.colors
+
+
+def test_oracle_line_without_a_case_is_unchanged():
+    plain = TraceEvent("oracle", {"vs": (0, 1, 2), "k": 3})
+    text = dumps_trace(ReductionTrace([plain], 3, 3, 3, ((2, 3),)))
+    assert "\ncolor oracle vs=0,1,2 k=3\n" in text
+    assert loads_trace(text).events == [plain]
 
 
 def test_h_clique_copy_branch():
