@@ -4,7 +4,8 @@ A connected (P5, gem)-free graph containing an induced C5 is an expansion of
 one of the eleven shipped templates; one containing no induced C5 is perfect
 (no odd hole or antihole fits without creating a P5 or a gem), which the
 pipeline uses purely as a license to color it exactly.  Classes may overlap;
-the first match in the fixed order G1..G10, H is returned.
+the first match in the fixed order G1..G7, G9, G10, H is returned.  G8 is
+not tried: it is G6 with Q6 and Q8 swapped, so G6 always matches first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class ClassLabel:
     """Classification outcome: the class kind and, for template classes,
     the matched bag partition."""
 
-    kind: str  # "G1".."G10", "H", or "Perfect"
+    kind: str  # a CLASS_ORDER entry (never "G8") or "Perfect"
     bags: dict[str, tuple[int, ...]] | None = None
 
 

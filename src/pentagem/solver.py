@@ -6,7 +6,9 @@ the constructive form of the theorem the package mechanizes.  Degrees above
 9 are peeled down by hitting independent sets; the base case runs a loop of
 reductions (low degree, copycat, removable catalog subgraphs) and, once the
 graph is irreducible, either colors it exactly (perfect case) or classifies
-it and runs the published per-class strategy on its clique-expansion core.
+it and runs the published per-class strategy on it as is: a reducible bag
+is a module, so a non-clique one holds two false-twin cliques, a copycat
+pair.  With none left every such bag is a clique, as the strategy checks.
 """
 
 from __future__ import annotations
@@ -22,26 +24,22 @@ from .reductions import (_delta_reduce, brooks_color, copycat_extend,
                          extend_list_coloring, find_copycat, find_d1_catalog,
                          find_low_degree)
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
-from .structure import CliqueReduction, TEMPLATES, clique_reduce, lift_coloring
+from .structure import CliqueReduction, lift_coloring
 from .trace import ReductionTrace, TraceEvent, fingerprint
 
 __all__ = ["color8", "solve", "replay_trace"]
 
-_VERTEX_FIELDS = ("a", "b", "w", "removed", "donor", "i_set", "vs", "order")
+# vertex fields of apply_case_strategy's lemma1, oracle, clique_copy, a7_peel
+_VERTEX_FIELDS = ("vs", "order", "removed", "donor")
 
 
 def _remap_event(e: TraceEvent, ids: tuple[int, ...]) -> TraceEvent:
     data = dict(e.data)
-    if "v" in data:
-        data["v"] = ids[data["v"]]
     for f in _VERTEX_FIELDS:
         if f in data:
             data[f] = tuple(ids[x] for x in data[f])
     if "sets" in data:
         data["sets"] = tuple(tuple(ids[x] for x in s) for s in data["sets"])
-    if "units" in data:
-        data["units"] = tuple((tuple(ids[x] for x in u), tuple(ids[x] for x in k))
-                              for u, k in data["units"])
     return TraceEvent(e.kind, data)
 
 
@@ -140,27 +138,20 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
         events.append(TraceEvent("oracle", {"vs": ids, "k": omega}))
         return {ids[u]: c for u, c in assign.items()}
 
-    bags = label.bags
-    reduction = clique_reduce(g, TEMPLATES[label.kind], bags)
-    if len(reduction.kept) < g.n:
-        sub, local = induced_subgraph(g, reduction.kept)
-        colors = _color8(sub, tuple(ids[i] for i in local), events)
-        star_local = {u: colors[ids[u]] for u in reduction.kept}
-        full = lift_coloring(g, reduction, star_local)
-        for u, c in full.items():
-            colors[ids[u]] = c
-        events.append(TraceEvent("lift", {
-            "units": tuple((tuple(ids[x] for x in u), tuple(ids[x] for x in k))
-                           for u, k in reduction.units)}))
-        return colors
-
     def recurse(sub: Graph, sub_local_ids: tuple[int, ...]) -> dict[int, int]:
         abs_ids = tuple(ids[i] for i in sub_local_ids)
         child = _color8(sub, abs_ids, events)
         return {sub_local_ids[i]: child[abs_ids[i]] for i in range(len(abs_ids))}
 
-    outcome = apply_case_strategy(g, label.kind, bags, k=8, recurse=recurse,
-                                  trace=_RemappedEvents(events, ids))
+    try:
+        outcome = apply_case_strategy(g, label.kind, label.bags, k=8, recurse=recurse,
+                                      trace=_RemappedEvents(events, ids))
+    except ForbiddenPatternError:
+        raise  # from a nested classify inside H's recursion
+    except PreconditionError as exc:  # the starred check: a bag not in clique form
+        raise InternalInconsistencyError(
+            f"strategy for {label.kind} rejected the classified core ({exc}); with "
+            "no copycat pair left, every reducible bag must be a clique") from exc
     if isinstance(outcome, ReducibleFound):
         raise InternalInconsistencyError(
             f"strategy for {label.kind} saw a reducible configuration after the "

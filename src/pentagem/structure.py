@@ -9,7 +9,8 @@ edges all land in A6.
 The clique-expansion reduction keeps one maximum clique per reducible bag,
 preserving both the clique number and the chromatic number; the companion
 lift rebuilds a full coloring from a coloring of the reduced graph without
-recoloring the retained cliques.
+recoloring the retained cliques.  The solver needs neither: its copycat
+rule leaves every reducible bag a clique.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ TEMPLATES: dict[str, Template] = {
                    pendant="A7", anchor="A6"),
 }
 
-CLASS_ORDER = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9", "G10", "H")
+# G8 is G6 with Q6 and Q8 swapped, so G6 always matches first; the G8
+# template stays, as G9 and G10 extend it
+CLASS_ORDER = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G9", "G10", "H")
 
 
 def _assert_no_adjacent_twins(t: Template) -> None:

@@ -13,7 +13,8 @@ from itertools import combinations, permutations
 
 from pentagem.errors import PentagemError
 from pentagem.graph import Graph, build_graph, induced_subgraph
-from pentagem.instances import gallery_g2, gen_class_instance, gen_target_delta
+from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
+                                gen_target_delta)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -47,6 +48,15 @@ def k9_with_ears() -> Graph:
     edges += [(i, 9 + i) for i in range(9)]
     edges += [((i + 1) % 9, 9 + i) for i in range(9)]
     return build_graph(18, edges)
+
+
+def non_clique_core() -> Graph:
+    """A G2 member with cograph bags, minimum degree 8 and no catalog
+    subgraph: only the copycat rule can reduce it, and its bags are not
+    cliques, so with that rule disabled it reaches the strategy as is."""
+    return gen_class_instance(GenSpec(
+        "G2", {"Q1": 5, "Q2": 3, "Q3": 2, "Q4": 2, "Q5": 3, "Q6": 3},
+        (), "cograph", 908))[0]
 
 
 def brute_chromatic(g: Graph) -> int:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pentagem.classify import classify
@@ -48,6 +50,17 @@ def test_round_trip_over_generators(cid, mode):
         label = classify(g)
         assert label.kind != "Perfect"
         assert not check_bag_partition(g, TEMPLATES[label.kind], label.bags)
+
+
+@pytest.mark.parametrize("mode", ["clique", "cograph"])
+def test_g8_members_classify_as_g6(mode):
+    # G8 is G6 with Q6 and Q8 swapped, and G6 comes first in the order
+    for seed in range(10):
+        spec = gen_target_delta("G8", 9, seed=seed, mode=mode)
+        g, _ = gen_class_instance(spec)
+        label = classify(g)
+        assert label.kind == "G6", spec
+        assert not check_bag_partition(g, TEMPLATES["G6"], label.bags)
 
 
 def test_perfect_label_means_chi_equals_omega():
@@ -103,3 +116,24 @@ def test_classify_is_robust_under_edge_perturbation():
             assert not check_bag_partition(h, TEMPLATES[label.kind], label.bags)
         ok += 1
     assert ok >= 50
+
+
+# sha256 over classify's kind and sorted bags for generated members of every
+# class (G8 included), Delta 9 and 10, both bag modes, seeds 0..5; recorded
+# while G8 was still tried between G7 and G9
+CLASSIFY_SHA256 = "9017d1c8868deeda456b935c5de77100627c22173eee9dfc46d15b3c464ba97b"
+
+
+def test_classify_labels_are_pinned():
+    digest = hashlib.sha256()
+    members = 0
+    for cid in TEMPLATES:
+        for target in (9, 10):
+            for mode in ("clique", "cograph"):
+                for seed in range(6):
+                    spec = gen_target_delta(cid, target, seed=seed, mode=mode)
+                    label = classify(gen_class_instance(spec)[0])
+                    members += cid == "G8"
+                    digest.update(repr((label.kind, sorted(label.bags.items()))).encode())
+    assert members == 24
+    assert digest.hexdigest() == CLASSIFY_SHA256

@@ -2,13 +2,13 @@ from pathlib import Path
 
 import pytest
 
-from pentagem import cli
+from pentagem import cli, solver
 from pentagem.cli import main
 from pentagem.graph import complete_graph, disjoint_union, empty_graph, path_graph
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 
-from helpers import k9_with_ears
+from helpers import k9_with_ears, non_clique_core
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -183,6 +183,14 @@ def test_recursion_error_is_an_internal_failure(tmp_path, capsys, monkeypatch):
     assert main(["color", path]) == 6
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "recursion limit" in err
+
+
+def test_a_non_clique_bag_at_classify_exits_6(tmp_path, capsys, monkeypatch):
+    # with the copycat rule disabled a non-clique bag reaches the strategy
+    monkeypatch.setattr(solver, "find_copycat", lambda g: None)
+    path = write(tmp_path, "core.el", write_edgelist(non_clique_core()))
+    assert main(["color", path]) == 6
+    assert "no copycat pair left" in capsys.readouterr().err
 
 
 def test_500_spec_round_trip(tmp_path, capsys):

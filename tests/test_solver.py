@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -11,11 +12,14 @@ from pentagem.graph import (build_graph, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, join, path_graph)
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
+from pentagem.patterns import clique_number
 from pentagem.reductions import hitting_mis
 from pentagem.solver import color8, replay_trace, solve
+from pentagem.structure import TEMPLATES
 from pentagem.trace import dumps_trace, loads_trace
 
-from helpers import delta_family, k9_with_ears
+from helpers import delta_family, k9_with_ears, non_clique_core
+from irreducible_enum import _members
 
 
 def test_color8_c5_uses_three():
@@ -79,6 +83,24 @@ def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
     g = join(complete_graph(8), empty_graph(4))  # a cograph with Delta 11
     with pytest.raises(InternalInconsistencyError, match="no set found"):
         solve(g)
+
+
+def test_a_non_clique_bag_at_classify_is_an_inconsistency(monkeypatch):
+    monkeypatch.setattr(solver, "find_copycat", lambda g: None)
+    with pytest.raises(InternalInconsistencyError,
+                       match="no copycat pair left, every reducible bag must be a clique"):
+        solve(non_clique_core())
+
+
+def test_a_forbidden_pattern_inside_the_strategy_passes_through(monkeypatch):
+    # stands in for a nested classify in H's recursion meeting a gem; the
+    # error is a PreconditionError, but it must not become an inconsistency
+    def nested_gem(*args, **kwargs):
+        raise ForbiddenPatternError("graph contains an induced GEM")
+    monkeypatch.setattr(solver, "apply_case_strategy", nested_gem)
+    core2 = GenSpec("G2", {"Q1": 3, "Q2": 3, "Q3": 3, "Q4": 3, "Q5": 3, "Q6": 1})
+    with pytest.raises(ForbiddenPatternError):
+        solve(gen_class_instance(core2)[0])
 
 
 def test_solve_rejects_clique_at_delta():
@@ -159,6 +181,32 @@ def test_degree_reduction_traces_are_pinned():
     for g in delta_family() + unions:
         digest.update(dumps_trace(solve(g)[1]).encode())
     assert digest.hexdigest() == DELTA_TRACES_SHA256
+
+
+# sha256 over the solve traces of every Delta = 9 clique expansion with
+# minimum degree 8 and clique number at most 8, each in its natural vertex
+# order and in one seeded relabelling; recorded while the solver still ran
+# the clique-expansion reduction on every classified core
+CORE_TRACES_SHA256 = "00908db0f04db71149ab6be46282dc3cda566e15c537357de7eb2c24033eea65"
+
+
+def test_classified_core_traces_are_pinned():
+    hosts = [g for tid in TEMPLATES for _, g, _ in _members(tid, 8)
+             if clique_number(g)[0] <= 8]
+    assert len(hosts) == 61
+    rng = random.Random(2006)
+    digest = hashlib.sha256()
+    lemma1 = 0
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for h in (g, relabelled):
+            trace = solve(h)[1]
+            lemma1 += any(e.kind == "lemma1" for e in trace.events)
+            digest.update(dumps_trace(trace).encode())
+    assert lemma1 > 0
+    assert digest.hexdigest() == CORE_TRACES_SHA256
 
 
 def test_replay_rejects_wrong_graph():

@@ -2,11 +2,12 @@ import pytest
 
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PreconditionError
-from pentagem.graph import (complete_graph, cycle_graph, induced_subgraph,
-                            path_graph)
-from pentagem.instances import GenSpec, gen_class_instance
+from pentagem.graph import (complete_graph, connected_components, cycle_graph,
+                            induced_subgraph, path_graph)
+from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number, find_induced, is_p5_gem_free
+from pentagem.reductions import copycat_extend, find_copycat
 from pentagem.structure import (CLASS_ORDER, TEMPLATES, check_bag_partition,
                                 clique_reduce, lift_coloring, match_expansion,
                                 maximal_homogeneous_cliques)
@@ -24,10 +25,22 @@ def g1_sizes(*s):
 
 def test_templates_are_class_members():
     # every template must itself be (P5, gem)-free and contain an induced C5
-    for cid in CLASS_ORDER:
+    for cid in TEMPLATES:
         t = TEMPLATES[cid]
         assert is_p5_gem_free(t.graph)[0], cid
         assert find_induced(t.graph, "C5") is not None, cid
+
+
+def test_g8_is_g6_with_q6_and_q8_swapped():
+    # so every G8 member is a G6 member, and classification skips G8
+    swap = {"Q6": "Q8", "Q8": "Q6"}
+
+    def named_edges(cid, rename=lambda x: x):
+        t = TEMPLATES[cid]
+        return {frozenset(rename(t.nodes[v]) for v in e) for e in t.graph.edges()}
+
+    assert named_edges("G8") == named_edges("G6", lambda x: swap.get(x, x))
+    assert sorted(CLASS_ORDER) == sorted(set(TEMPLATES) - {"G8"})
 
 
 # -- homogeneous cliques ---------------------------------------------------------
@@ -94,6 +107,44 @@ def test_ground_truth_bags_pass_checker_for_h():
     g, bags = expansion("H", {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 2, "A6": 2},
                         a7=(2, 3))
     assert not check_bag_partition(g, TEMPLATES["H"], bags)
+
+
+# -- the twin lemma -----------------------------------------------------------------
+
+def _reducible_units(g, t, bags):
+    """Every bag but the anchor, the pendant bag split into its components."""
+    for name in t.nodes:
+        if name == t.anchor:
+            continue
+        sub, ids = induced_subgraph(g, bags[name])
+        comps = connected_components(sub) if name == t.pendant else [range(sub.n)]
+        for comp in comps:
+            yield tuple(ids[v] for v in comp)
+
+
+def test_a_non_clique_reducible_bag_leaves_a_copycat_pair():
+    # a reducible bag is a module, so a non-clique one holds two false-twin
+    # cliques (children of the deepest node of its cotree), which form a
+    # copycat pair; so the reduction loop never hands classify such a bag
+    found = dict.fromkeys(TEMPLATES, 0)
+    for cid, t in TEMPLATES.items():
+        for target in (9, 10):
+            for seed in range(8):
+                spec = gen_target_delta(cid, target, seed=seed, mode="cograph")
+                g, bags = gen_class_instance(spec)
+                if all(g.is_clique(u) for u in _reducible_units(g, t, bags)):
+                    continue
+                pair = find_copycat(g)
+                assert pair is not None, spec
+                a, b = pair
+                # distinct colors outside A: proper, and any extension that
+                # raises no PreconditionError must stay proper
+                partial = {v: i + 1 for i, v in enumerate(u for u in range(g.n)
+                                                          if u not in a)}
+                full = copycat_extend(g, a, b, partial)
+                assert verify_coloring(g, Coloring(full, g.n)), spec
+                found[cid] += 1
+    assert min(found.values()) >= 8, found
 
 
 # -- clique reduction and lift ----------------------------------------------------
