@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import Graph, bits, induced_subgraph, mask_of
+from .graph import Graph, bits, component_masks, induced_subgraph, mask_of
 
 __all__ = [
     "CotreeNode",
@@ -52,24 +52,6 @@ class CographCertificate:
         return self.tree is not None
 
 
-def _components(adj: list[int], mask: int) -> list[int]:
-    comps = []
-    rest = mask
-    while rest:
-        s = rest & -rest
-        comp = s
-        frontier = s
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def _find_p4(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
     for v1 in bits(mask):
         c1 = g.closed(v1)
@@ -90,13 +72,13 @@ def is_cograph(g: Graph) -> CographCertificate:
     def build(mask: int) -> CotreeNode | None:
         if mask.bit_count() == 1:
             return CotreeNode("leaf", vertex=mask.bit_length() - 1)
-        comps = _components(list(g.adj), mask)
+        comps = component_masks(g.adj, mask)
         if len(comps) > 1:
             kids = [build(c) for c in comps]
             if any(k is None for k in kids):
                 return None
             return CotreeNode("union", children=tuple(kids))
-        cocomps = _components(coadj, mask)
+        cocomps = component_masks(coadj, mask)
         if len(cocomps) > 1:
             kids = [build(c) for c in cocomps]
             if any(k is None for k in kids):

@@ -20,6 +20,7 @@ __all__ = [
     "verify_coloring",
     "back_degree_profile",
     "degeneracy_order",
+    "first_fit",
     "greedy_color",
     "color_with_independent_sets",
 ]
@@ -76,21 +77,24 @@ def degeneracy_order(g: Graph) -> list[int]:
     return peeled
 
 
-def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,
-                 initial: dict[int, int] | None = None,
-                 forbidden_extra: dict[int, set[int]] | None = None) -> dict[int, int]:
-    """Greedy coloring along ``order`` using the smallest free color <= k."""
-    colors = dict(initial) if initial else {}
+def first_fit(g: Graph, order, k: int, colors: dict[int, int]) -> None:
+    """Give each vertex of ``order`` in turn the smallest color in 1..k that
+    none of its neighbors already holds in ``colors``, writing into it."""
     for v in order:
         used = {colors[u] for u in bits(g.adj[v]) if u in colors}
-        if forbidden_extra and v in forbidden_extra:
-            used |= forbidden_extra[v]
         c = 1
         while c in used:
             c += 1
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
         colors[v] = c
+
+
+def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,
+                 initial: dict[int, int] | None = None) -> dict[int, int]:
+    """Greedy coloring along ``order`` using the smallest free color <= k."""
+    colors = dict(initial) if initial else {}
+    first_fit(g, order, k, colors)
     return colors
 
 
@@ -133,5 +137,5 @@ def color_with_independent_sets(g: Graph, sets: list[tuple[int, ...]], k: int,
         for v in s:
             colors[v] = k - j
     # Reserved colors sit above k-t, so greedy cannot collide with them.
-    out = greedy_color(g, order, k - t, initial=colors)
-    return Coloring(out, k)
+    first_fit(g, order, k - t, colors)
+    return Coloring(colors, k)

@@ -25,6 +25,7 @@ __all__ = [
     "path_graph",
     "bits",
     "mask_of",
+    "component_masks",
     "connected_components",
     "is_connected",
 ]
@@ -214,24 +215,28 @@ def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest member."""
-    seen = 0
+def component_masks(adj, mask: int) -> list[int]:
+    """Connected components of the graph ``adj`` induces on ``mask``, as
+    bitmasks ordered by smallest member; ``adj`` is any per-vertex list of
+    neighborhood masks (a graph's, or its complement's)."""
     comps = []
-    for s in range(g.n):
-        if seen & (1 << s):
-            continue
-        comp = 1 << s
-        frontier = 1 << s
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
             for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
+                nxt |= adj[v]
+            frontier = nxt & mask & ~comp
             comp |= frontier
-        seen |= comp
-        comps.append(tuple(bits(comp)))
+        comps.append(comp)
+        rest &= ~comp
     return comps
+
+
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    """Components as sorted vertex tuples, ordered by smallest member."""
+    return [tuple(bits(c)) for c in component_masks(g.adj, g.full_mask())]
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,14 +13,16 @@ from itertools import combinations
 
 from .coloring import Coloring, greedy_color
 from .errors import (InternalInconsistencyError, PreconditionError)
-from .graph import (Graph, bits, connected_components, induced_subgraph,
-                    mask_of)
+from .graph import (Graph, bits, component_masks, connected_components,
+                    induced_subgraph, mask_of)
 from .patterns import clique_number, maximum_independent_set
 from .structure import maximal_homogeneous_cliques
 
 __all__ = [
     "find_low_degree",
     "find_copycat",
+    "check_copycat",
+    "copy_colors",
     "copycat_extend",
     "find_d1_catalog",
     "is_k3_join_3k2",
@@ -67,31 +69,40 @@ def find_copycat(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return None
 
 
-def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
-                   partial: dict[int, int]) -> dict[int, int]:
-    """Extend a coloring of G-A by coloring A with colors used on B.
-
-    Valid because every neighbor of A is adjacent to all of B, hence its
-    color differs from every color on B.  A gets the |A| smallest B-colors.
-    """
+def check_copycat(g: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Raise PreconditionError unless coloring A with colors used on B extends
+    every coloring of G-A: A and B are anticomplete cliques, |A| <= |B|,
+    and every neighbor of A is adjacent to all of B, so its color differs
+    from every color on B."""
     if len(a) > len(b):
         raise PreconditionError("copycat extension needs |A| <= |B|")
     if not g.is_clique(b) or not g.is_clique(a):
         raise PreconditionError("copycat sides must be cliques")
     am = mask_of(a)
-    if any(g.adj[v] & am for v in b):
-        raise PreconditionError("copycat sides must be anticomplete")
+    bm = mask_of(b)
+    if am & bm or any(g.adj[v] & am for v in b):
+        raise PreconditionError("copycat sides must be disjoint and anticomplete")
     outside = 0
     for v in a:
         outside |= g.adj[v] & ~am
-    bm = mask_of(b)
     for u in bits(outside):
         if g.adj[u] & bm != bm:
             raise PreconditionError("N(A) must be complete to B")
-    donor = sorted(partial[v] for v in b)
+
+
+def copy_colors(a: tuple[int, ...], b: tuple[int, ...], colors: dict[int, int]) -> None:
+    """Give A, ascending, the |A| smallest colors ``colors`` holds on B, in place."""
+    for v, c in zip(sorted(a), sorted(colors[u] for u in b)):
+        colors[v] = c
+
+
+def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
+                   partial: dict[int, int]) -> dict[int, int]:
+    """Extend a coloring of G-A by coloring A with colors used on B
+    (checked by ``check_copycat``); A gets the |A| smallest B-colors."""
+    check_copycat(g, a, b)
     out = dict(partial)
-    for v, c in zip(sorted(a), donor):
-        out[v] = c
+    copy_colors(a, b, out)
     return out
 
 
@@ -342,18 +353,7 @@ def _hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
 
 
 def _connected_without(g: Graph, removed: int) -> bool:
-    rest = g.full_mask() & ~removed
-    if not rest:
-        return True
-    start = rest & -rest
-    comp, frontier = start, start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & rest & ~comp
-        comp |= frontier
-    return comp == rest
+    return len(component_masks(g.adj, g.full_mask() & ~removed)) <= 1
 
 
 def _order_toward_root(g: Graph, root: int, skip: int = 0) -> list[int]:
@@ -391,10 +391,9 @@ def _brooks_component(g: Graph, delta: int) -> dict[int, int]:
         return colors
     cut = next((v for v in range(g.n) if not _connected_without(g, 1 << v)), None)
     if cut is not None:
-        sides = connected_components_without(g, cut)
         merged: dict[int, int] = {}
-        for side in sides:
-            sub, ids = induced_subgraph(g, side + (cut,))
+        for side in component_masks(g.adj, g.full_mask() & ~(1 << cut)):
+            sub, ids = induced_subgraph(g, (*bits(side), cut))
             local = greedy_color(sub, _order_toward_root(sub, ids.index(cut)), delta)
             want = merged.get(cut, local[ids.index(cut)])
             have = local[ids.index(cut)]
@@ -425,23 +424,6 @@ def _cycle_order(g: Graph) -> list[int]:
         prev = v
         order.append(nxt[0])
     return order
-
-
-def connected_components_without(g: Graph, cut: int) -> list[tuple[int, ...]]:
-    rest = g.full_mask() & ~(1 << cut)
-    comps = []
-    while rest:
-        s = rest & -rest
-        comp, frontier = s, s
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & rest & ~comp
-            comp |= frontier
-        comps.append(tuple(bits(comp)))
-        rest &= ~comp
-    return comps
 
 
 def brooks_color(g: Graph) -> Coloring:
@@ -485,7 +467,7 @@ def _delta_reduce(g: Graph, ids: tuple[int, ...], omega: int, color_base,
                   trace: list | None) -> dict[int, int]:
     """One level of ``delta_reduce``; ``omega`` is the clique number of ``g``,
     so a caller that has it (``solve``) does not compute it again."""
-    from .trace import TraceEvent
+    from .trace import TraceEvent, run_step
 
     delta = g.max_degree()
     i_local = _hitting_mis(g, omega)
@@ -511,9 +493,7 @@ def _delta_reduce(g: Graph, ids: tuple[int, ...], omega: int, color_base,
     else:
         colors = _delta_reduce(sub, sub_ids, clique_number(sub)[0],
                                color_base, trace)
-    i_set = tuple(ids[v] for v in i_local)
-    for v in i_set:
-        colors[v] = delta - 1
-    if trace is not None:
-        trace.append(TraceEvent("delta_set", {"i_set": i_set, "color": delta - 1}))
+    # a delta_set reads no graph, so none is passed
+    run_step("delta_set", {"i_set": tuple(ids[v] for v in i_local), "color": delta - 1},
+             None, colors, trace)
     return colors

@@ -14,54 +14,40 @@ pair.  With none left every such bag is a clique, as the strategy checks.
 from __future__ import annotations
 
 from .classify import classify
-from .coloring import Coloring, color_with_independent_sets, greedy_color, verify_coloring
+from .coloring import Coloring, greedy_color, verify_coloring
 from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
-                     InternalInconsistencyError, PreconditionError)
-from .graph import Graph, bits, connected_components, induced_subgraph
+                     GraphFormatError, InternalInconsistencyError, PreconditionError)
+from .graph import Graph, connected_components, induced_subgraph
 from .oracle import colorable_with
 from .patterns import clique_number, is_p5_gem_free
-from .reductions import (_delta_reduce, brooks_color, copycat_extend,
-                         extend_list_coloring, find_copycat, find_d1_catalog,
-                         find_low_degree)
+from .reductions import (_delta_reduce, brooks_color, check_copycat, find_copycat,
+                         find_d1_catalog, find_low_degree)
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
-from .structure import CliqueReduction, lift_coloring
-from .trace import ReductionTrace, TraceEvent, fingerprint
+from .trace import STEPS, ReductionTrace, TraceEvent, fingerprint, run_step
 
 __all__ = ["color8", "solve", "replay_trace"]
 
-# vertex fields of apply_case_strategy's lemma1, oracle, clique_copy, a7_peel
-_VERTEX_FIELDS = ("vs", "order", "removed", "donor")
+
+def _reduction(g: Graph, ids: tuple[int, ...]):
+    """The first reduction rule that applies to ``g``: the piece it removes,
+    and the kind and host-numbered data of the step that extends back."""
+    v = find_low_degree(g, 8)
+    if v is not None:
+        return (v,), "low_degree", {"v": ids[v], "k": 8}
+    pair = find_copycat(g)
+    if pair is not None:
+        a, b = pair
+        check_copycat(g, a, b)
+        return a, "copycat", {"a": tuple(ids[u] for u in a), "b": tuple(ids[u] for u in b)}
+    w = find_d1_catalog(g)
+    if w is not None:
+        return w, "d1_extend", {"w": tuple(ids[u] for u in w), "k": 8}
+    return None
 
 
-def _remap_event(e: TraceEvent, ids: tuple[int, ...]) -> TraceEvent:
-    data = dict(e.data)
-    for f in _VERTEX_FIELDS:
-        if f in data:
-            data[f] = tuple(ids[x] for x in data[f])
-    if "sets" in data:
-        data["sets"] = tuple(tuple(ids[x] for x in s) for s in data["sets"])
-    return TraceEvent(e.kind, data)
-
-
-class _RemappedEvents(list):
-    """List facade translating sub-problem vertex ids on append."""
-
-    def __init__(self, target: list, ids: tuple[int, ...]):
-        super().__init__()
-        self._target = target
-        self._ids = ids
-
-    def append(self, event: TraceEvent) -> None:
-        self._target.append(_remap_event(event, self._ids))
-
-
-def _brooks_into(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
-    local = brooks_color(g).colors
-    events.append(TraceEvent("brooks", {"vs": ids, "delta": g.max_degree()}))
-    return {ids[v]: c for v, c in local.items()}
-
-
-def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
+def _color8(host: Graph, g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
+    """8-color ``g``, whose vertex i is ``ids[i]`` of ``host``; the coloring
+    and the events are in host vertices."""
     if g.n == 0:
         return {}
     comps = connected_components(g)
@@ -69,7 +55,7 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
         colors: dict[int, int] = {}
         for comp in comps:
             sub, local = induced_subgraph(g, comp)
-            colors.update(_color8(sub, tuple(ids[i] for i in local), events))
+            colors.update(_color8(host, sub, tuple(ids[i] for i in local), events))
         return colors
     delta = g.max_degree()
     if delta <= 7:
@@ -77,54 +63,21 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
         events.append(TraceEvent("greedy", {"vs": ids, "k": 8}))
         return {ids[v]: c for v, c in local.items()}
     if delta == 8:
-        return _brooks_into(g, ids, events)
+        local = brooks_color(g).colors
+        events.append(TraceEvent("brooks", {"vs": ids, "delta": 8}))
+        return {ids[v]: c for v, c in local.items()}
     if delta > 9:
         raise DegreeRangeError("base-case engine expects maximum degree <= 9")
 
-    v = find_low_degree(g, 8)
-    if v is not None:
-        rest = [u for u in range(g.n) if u != v]
-        sub, local = induced_subgraph(g, rest)
-        colors = _color8(sub, tuple(ids[i] for i in local), events)
-        used = {colors[ids[u]] for u in bits(g.adj[v])}
-        c = 1
-        while c in used:
-            c += 1
-        if c > 8:
-            raise InternalInconsistencyError("low-degree extension ran out of colors")
-        colors[ids[v]] = c
-        events.append(TraceEvent("low_degree", {"v": ids[v], "k": 8}))
-        return colors
-
-    pair = find_copycat(g)
-    if pair is not None:
-        a, b = pair
-        rest = [u for u in range(g.n) if u not in set(a)]
-        sub, local = induced_subgraph(g, rest)
-        colors = _color8(sub, tuple(ids[i] for i in local), events)
-        partial = {u: colors[ids[u]] for u in rest}
-        full = copycat_extend(g, a, b, partial)
-        for u in a:
-            colors[ids[u]] = full[u]
-        events.append(TraceEvent("copycat", {"a": tuple(ids[u] for u in a),
-                                             "b": tuple(ids[u] for u in b)}))
-        return colors
-
-    w = find_d1_catalog(g)
-    if w is not None:
-        rest = [u for u in range(g.n) if u not in set(w)]
-        sub, local = induced_subgraph(g, rest)
-        colors = _color8(sub, tuple(ids[i] for i in local), events)
-        wset = set(w)
-        h_sub, h_ids = induced_subgraph(g, w)
-        lists = {}
-        for i, u in enumerate(h_ids):
-            seen = {colors[ids[x]] for x in bits(g.adj[u]) if x not in wset}
-            lists[i] = frozenset(range(1, 9)) - seen
-        assign = extend_list_coloring(h_sub, lists)
-        for i, c in assign.items():
-            colors[ids[h_ids[i]]] = c
-        events.append(TraceEvent("d1_extend", {"w": tuple(ids[u] for u in w), "k": 8}))
+    # remove the piece, color the rest, then extend with the step's apply
+    # on the host, the same one replay runs
+    reduction = _reduction(g, ids)
+    if reduction is not None:
+        piece, kind, data = reduction
+        drop = set(piece)
+        sub, local = induced_subgraph(g, [u for u in range(g.n) if u not in drop])
+        colors = _color8(host, sub, tuple(ids[i] for i in local), events)
+        run_step(kind, data, host, colors, events)
         return colors
 
     # irreducible: classify and run the structure pipeline
@@ -140,12 +93,13 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
 
     def recurse(sub: Graph, sub_local_ids: tuple[int, ...]) -> dict[int, int]:
         abs_ids = tuple(ids[i] for i in sub_local_ids)
-        child = _color8(sub, abs_ids, events)
+        child = _color8(host, sub, abs_ids, events)
         return {sub_local_ids[i]: child[abs_ids[i]] for i in range(len(abs_ids))}
 
+    steps: list[TraceEvent] = []
     try:
         outcome = apply_case_strategy(g, label.kind, label.bags, k=8, recurse=recurse,
-                                      trace=_RemappedEvents(events, ids))
+                                      trace=steps)
     except ForbiddenPatternError:
         raise  # from a nested classify inside H's recursion
     except PreconditionError as exc:  # the starred check: a bag not in clique form
@@ -159,6 +113,10 @@ def _color8(g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
     if isinstance(outcome, Unreachable):
         raise InternalInconsistencyError(
             f"contradiction branch reached in {label.kind}: {outcome.reason}")
+    # the strategy logs its steps after any recursion it makes, so they follow
+    # the recursion's events, in host vertices
+    events.extend(TraceEvent(e.kind, STEPS[e.kind].map_ids(e.data, ids.__getitem__))
+                  for e in steps)
     return {ids[u]: c for u, c in outcome.colors.items()}
 
 
@@ -199,7 +157,7 @@ def color8(g: Graph) -> tuple[Coloring, ReductionTrace]:
     _structural_gate(g, delta <= 9, f"maximum degree {delta} exceeds 9",
                      omega, 8, clique)
     events: list[TraceEvent] = []
-    colors = _color8(g, tuple(range(g.n)), events)
+    colors = _color8(g, g, tuple(range(g.n)), events)
     coloring = Coloring(colors, 8)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("engine produced an improper coloring")
@@ -220,11 +178,11 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
                      omega, delta - 1, clique)
     events: list[TraceEvent] = []
     if delta == 9:
-        colors = _color8(g, tuple(range(g.n)), events)
+        colors = _color8(g, g, tuple(range(g.n)), events)
         coloring = Coloring(colors, 8)
     else:
         def base(sub: Graph, sub_ids: tuple[int, ...]) -> dict[int, int]:
-            return _color8(sub, sub_ids, events)
+            return _color8(g, sub, sub_ids, events)
 
         try:
             colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)
@@ -242,13 +200,6 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
 
 # -- replay -------------------------------------------------------------------
 
-def _replay_copy(removed: tuple[int, ...], donor: tuple[int, ...],
-                 colors: dict[int, int]) -> None:
-    pool = sorted(colors[v] for v in donor)
-    for v, c in zip(sorted(removed), pool):
-        colors[v] = c
-
-
 def replay_trace(g: Graph, trace: ReductionTrace) -> Coloring:
     """Re-execute a trace in commit order; returns the rebuilt coloring.
 
@@ -260,71 +211,17 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Coloring:
     n, m, hist = fingerprint(g)
     if (n, m, hist) != (trace.n, trace.m, trace.degree_histogram):
         raise PreconditionError("trace fingerprint does not match the graph")
+
     colors: dict[int, int] = {}
     for e in trace.events:
-        d = e.data
-        if e.kind == "greedy":
-            sub, ids = induced_subgraph(g, d["vs"])
-            local = greedy_color(sub, list(range(sub.n)), d["k"])
-            for i, c in local.items():
-                colors[ids[i]] = c
-        elif e.kind == "brooks":
-            sub, ids = induced_subgraph(g, d["vs"])
-            for i, c in brooks_color(sub).colors.items():
-                colors[ids[i]] = c
-        elif e.kind == "oracle":
-            sub, ids = induced_subgraph(g, d["vs"])
-            assign = colorable_with(sub, d["k"])
-            if assign is None:
-                raise InternalInconsistencyError("oracle replay failed to color")
-            for i, c in assign.items():
-                colors[ids[i]] = c
-        elif e.kind == "lemma1":
-            sub, ids = induced_subgraph(g, d["vs"])
-            pos = {v: i for i, v in enumerate(ids)}
-            sets = [tuple(pos[v] for v in s) for s in d["sets"]]
-            order = [pos[v] for v in d["order"]]
-            local = color_with_independent_sets(sub, sets, d["k"], order=order)
-            for i, c in local.colors.items():
-                colors[ids[i]] = c
-        elif e.kind == "low_degree":
-            v = d["v"]
-            used = {colors[u] for u in bits(g.adj[v]) if u in colors}
-            c = 1
-            while c in used:
-                c += 1
-            if c > d["k"]:
-                raise InternalInconsistencyError("low-degree replay overflowed")
-            colors[v] = c
-        elif e.kind in ("copycat", "clique_copy"):
-            removed = d["a"] if e.kind == "copycat" else d["removed"]
-            donor = d["b"] if e.kind == "copycat" else d["donor"]
-            _replay_copy(removed, donor, colors)
-        elif e.kind == "d1_extend":
-            wset = set(d["w"])
-            sub, ids = induced_subgraph(g, d["w"])
-            lists = {}
-            for i, u in enumerate(ids):
-                seen = {colors[x] for x in bits(g.adj[u])
-                        if x not in wset and x in colors}
-                lists[i] = frozenset(range(1, d["k"] + 1)) - seen
-            for i, c in extend_list_coloring(sub, lists).items():
-                colors[ids[i]] = c
-        elif e.kind == "a7_peel":
-            for v in sorted(d["removed"]):
-                used = {colors[u] for u in bits(g.adj[v]) if u in colors}
-                c = 1
-                while c in used:
-                    c += 1
-                if c > d["k"]:
-                    raise InternalInconsistencyError("pendant replay overflowed")
-                colors[v] = c
-        elif e.kind == "delta_set":
-            for v in d["i_set"]:
-                colors[v] = d["color"]
-        elif e.kind == "lift":
-            reduction = CliqueReduction((), {}, d["units"])
-            colors.update(lift_coloring(g, reduction, dict(colors)))
-        else:
+        step = STEPS.get(e.kind)
+        if step is None:
             raise PreconditionError(f"unknown event kind {e.kind!r} in trace")
+        try:  # a vertex outside the graph, or one read before it has a color
+            step.apply(g, e.data, colors)
+        except (IndexError, KeyError):
+            raise GraphFormatError(f"{e.kind} {e.data} does not fit the graph of order "
+                                   f"{n} and the colors placed before it") from None
+    if colors and (min(colors) < 0 or max(colors) >= n):
+        raise GraphFormatError(f"trace colors a vertex outside the graph of order {n}")
     return Coloring(colors, trace.palette)

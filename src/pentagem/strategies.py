@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import (Coloring, back_degree_profile, color_with_independent_sets,
-                       degeneracy_order, greedy_color)
+                       degeneracy_order)
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import Graph, bits, induced_subgraph, mask_of
+from .graph import Graph, induced_subgraph
 from .oracle import colorable_with
 from .patterns import clique_number
+from .reductions import check_copycat
 from .structure import TEMPLATES, check_bag_partition
-from .trace import TraceEvent
+from .trace import TraceEvent, run_step
 
 __all__ = [
     "ReducibleFound",
@@ -186,32 +187,9 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
     return coloring
 
 
-def _copy_clique_extend(g: Graph, removed: tuple[int, ...], donor: tuple[int, ...],
-                        partial: dict[int, int]) -> dict[int, int]:
-    """Color ``removed`` with colors used on ``donor`` (smallest first).
-
-    Sound whenever the outside neighborhood of ``removed`` is complete to
-    ``donor`` and the two sets are anticomplete; checked defensively.
-    """
-    if len(removed) > len(donor):
-        raise PreconditionError("donor clique smaller than the removed set")
-    if not g.is_clique(donor) or not g.is_clique(removed):
-        raise PreconditionError("copy extension needs two cliques")
-    rm = mask_of(removed)
-    dm = mask_of(donor)
-    if rm & dm or any(g.adj[v] & rm for v in donor):
-        raise PreconditionError("removed set and donor must be anticomplete")
-    outside = 0
-    for v in removed:
-        outside |= g.adj[v] & ~rm
-    for u in bits(outside):
-        if g.adj[u] & dm != dm:
-            raise PreconditionError("a neighbor of the removed set misses the donor")
-    colors = sorted(partial[v] for v in donor)
-    out = dict(partial)
-    for v, c in zip(sorted(removed), colors):
-        out[v] = c
-    return out
+def _color_without(g: Graph, piece: tuple[int, ...], recurse) -> dict[int, int]:
+    sub, ids = induced_subgraph(g, sorted(set(range(g.n)) - set(piece)))
+    return recurse(sub, tuple(ids))
 
 
 def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], k: int,
@@ -222,24 +200,17 @@ def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], k: int,
     donor = tuple(a6_ids[i] for i in w6)
     for side in ("A5", "A2"):
         if len(bags[side]) <= omega6:
-            rest = sorted(set(range(g.n)) - set(bags[side]))
-            sub, ids = induced_subgraph(g, rest)
-            partial = recurse(sub, tuple(ids))
-            colors = _copy_clique_extend(g, bags[side], donor, partial)
-            if trace is not None:
-                trace.append(TraceEvent("clique_copy",
-                                        {"removed": tuple(bags[side]), "donor": donor}))
+            removed = tuple(bags[side])
+            check_copycat(g, removed, donor)
+            colors = _color_without(g, removed, recurse)
+            run_step("clique_copy", {"removed": removed, "donor": donor}, g, colors, trace)
             return Coloring(colors, k)
     if len(bags["A6"]) >= 2:
         return _lemma1(g, "H", "anchor_two", bags, k, trace)
     # pendant peel: color the rest, then fill each pendant clique greedily
-    a7 = bags["A7"]
-    rest = sorted(set(range(g.n)) - set(a7))
-    sub, ids = induced_subgraph(g, rest)
-    colors = recurse(sub, tuple(ids))
-    colors = greedy_color(g, sorted(a7), k, initial=colors)
-    if trace is not None:
-        trace.append(TraceEvent("a7_peel", {"removed": tuple(a7), "k": k}))
+    a7 = tuple(bags["A7"])
+    colors = _color_without(g, a7, recurse)
+    run_step("a7_peel", {"removed": a7, "k": k}, g, colors, trace)
     return Coloring(colors, k)
 
 

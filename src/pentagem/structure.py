@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .cographs import (CographCertificate, cograph_coloring_with_palette,
                        is_cograph)
 from .errors import PreconditionError
-from .graph import Graph, bits, build_graph, induced_subgraph, is_connected, mask_of
+from .graph import (Graph, bits, build_graph, component_masks, induced_subgraph,
+                    is_connected, mask_of)
 from .patterns import clique_number
 
 __all__ = [
@@ -172,17 +173,17 @@ def check_bag_partition(g: Graph, template: Template,
             w = tuple(ids[v] for v in cert.p4)
             problems.append(f"bag {name} induces a P4 {w}")
         if starred and name != template.anchor:
-            units = ([tuple(bits(c)) for c in _mask_components(sub)]
-                     if name == template.pendant else [tuple(range(sub.n))])
+            whole = sub.full_mask()
+            units = component_masks(sub.adj, whole) if name == template.pendant else [whole]
             for unit in units:
-                if not sub.is_clique(unit):
+                if not sub.is_clique(bits(unit)):
                     problems.append(f"bag {name} is not in clique form")
                     break
 
     if template.pendant is not None:
         pm = masks[template.pendant]
         sub, ids = induced_subgraph(g, bags[template.pendant])
-        for comp in _mask_components(sub):
+        for comp in component_masks(sub.adj, sub.full_mask()):
             cm = mask_of(ids[v] for v in bits(comp))
             outside = 0
             for v in bits(cm):
@@ -200,23 +201,6 @@ def check_bag_partition(g: Graph, template: Template,
             problems.append(
                 f"edges leave {template.pendant} toward non-{template.anchor} vertices")
     return problems
-
-
-def _mask_components(g: Graph) -> list[int]:
-    comps = []
-    rest = g.full_mask()
-    while rest:
-        s = rest & -rest
-        comp, frontier = s, s
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] | None:
@@ -320,7 +304,7 @@ def clique_reduce(g: Graph, template: Template,
             continue
         sub, ids = induced_subgraph(g, bags[name])
         if name == template.pendant:
-            unit_masks = _mask_components(sub)
+            unit_masks = component_masks(sub.adj, sub.full_mask())
         else:
             unit_masks = [sub.full_mask()]
         for um in unit_masks:

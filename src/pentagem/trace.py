@@ -5,23 +5,30 @@ pass over the document recolors the graph deterministically: terminal events
 color a whole subproblem, extension events color removed pieces from data
 already on the board.  The text format is line-based, versioned, and
 round-trips losslessly.
+
+``STEPS`` defines each event kind once: the verb that starts its line, its
+fields with their text codecs (which also say which fields hold vertex
+ids), and the ``apply`` that colors from the board.  Dumping, parsing,
+remapping and replay read that table, and the solver records each
+extension and then calls the same ``apply`` that replay calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .errors import GraphFormatError
-from .graph import Graph
+from .coloring import color_with_independent_sets, first_fit, greedy_color
+from .errors import GraphFormatError, InternalInconsistencyError
+from .graph import Graph, bits, induced_subgraph, mask_of
+from .oracle import colorable_with
+from .reductions import brooks_color, copy_colors, extend_list_coloring
+from .structure import CliqueReduction, lift_coloring
 
-__all__ = ["TraceEvent", "ReductionTrace", "fingerprint", "dumps_trace", "loads_trace"]
+__all__ = ["TraceEvent", "ReductionTrace", "STEPS", "fingerprint", "run_step",
+           "dumps_trace", "loads_trace"]
 
 SCHEMA_VERSION = 1
-
-# kinds that color a fresh subproblem versus kinds that extend one
-TERMINAL_KINDS = {"greedy", "brooks", "oracle", "lemma1"}
-EXTEND_KINDS = {"low_degree", "copycat", "d1_extend", "clique_copy",
-                "a7_peel", "delta_set", "lift"}
 
 
 @dataclass(frozen=True)
@@ -47,134 +54,215 @@ def fingerprint(g: Graph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     return g.n, g.m, tuple(sorted(hist.items()))
 
 
+# -- field codecs ---------------------------------------------------------------
+
 def _fmt_vs(vs) -> str:
-    return ",".join(str(v) for v in vs) if vs else "-"
+    return ",".join(map(str, vs)) if vs else "-"
 
 
 def _parse_vs(tok: str) -> tuple[int, ...]:
-    if tok == "-":
-        return ()
-    return tuple(int(x) for x in tok.split(","))
+    return () if tok == "-" else tuple(map(int, tok.split(",")))
 
 
-def _fmt_sets(sets) -> str:
-    return ";".join(_fmt_vs(s) for s in sets) if sets else "-"
+class Codec(NamedTuple):
+    """How a field is written and read.  ``remap(value, f)`` rebuilds the
+    value with ``f`` applied to each vertex id; None for fields without."""
+
+    dump: Callable[[object], str]
+    load: Callable[[str], object]
+    remap: Callable | None = None
 
 
-def _parse_sets(tok: str) -> tuple[tuple[int, ...], ...]:
-    if tok == "-":
-        return ()
-    return tuple(_parse_vs(p) for p in tok.split(";"))
+VERTEX = Codec(str, int, lambda v, f: f(v))
+VERTICES = Codec(_fmt_vs, _parse_vs, lambda vs, f: tuple(map(f, vs)))
+SETS = Codec(lambda ss: ";".join(map(_fmt_vs, ss)) if ss else "-",
+             lambda tok: () if tok == "-" else tuple(map(_parse_vs, tok.split(";"))),
+             lambda ss, f: tuple(tuple(map(f, s)) for s in ss))
+UNITS = Codec(lambda us: "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in us),
+              lambda tok: tuple(tuple(map(_parse_vs, p.split(">"))) for p in tok.split("|")),
+              lambda us, f: tuple(tuple(tuple(map(f, h)) for h in u) for u in us))
+INT = Codec(str, int)
+BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(int(tok)))
+STR = Codec(str, str)
+HIST = Codec(lambda h: ",".join(f"{d}:{c}" for d, c in h) or "-",
+             lambda tok: () if tok == "-" else tuple(
+                 tuple(map(int, p.split(":"))) for p in tok.split(",")))
+
+_REQUIRED = object()
 
 
-def _event_to_line(e: TraceEvent) -> str:
-    d = e.data
-    if e.kind == "low_degree":
-        return f"step low_degree v={d['v']} k={d['k']}"
-    if e.kind == "copycat":
-        return f"step copycat a={_fmt_vs(d['a'])} b={_fmt_vs(d['b'])}"
-    if e.kind == "d1_extend":
-        return f"step d1_extend w={_fmt_vs(d['w'])} k={d['k']}"
-    if e.kind == "clique_copy":
-        return (f"step clique_copy removed={_fmt_vs(d['removed'])} "
-                f"donor={_fmt_vs(d['donor'])}")
-    if e.kind == "a7_peel":
-        return f"step a7_peel removed={_fmt_vs(d['removed'])} k={d['k']}"
-    if e.kind == "delta_set":
-        return f"step delta_set i={_fmt_vs(d['i_set'])} color={d['color']}"
-    if e.kind == "lift":
-        units = "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in d["units"])
-        return f"step lift units={units}"
-    if e.kind == "greedy":
-        return f"color greedy vs={_fmt_vs(d['vs'])} k={d['k']}"
-    if e.kind == "brooks":
-        return f"color brooks vs={_fmt_vs(d['vs'])} delta={d['delta']}"
-    if e.kind == "oracle":
-        # case and branch are set only when a per-class strategy fell back
-        where = (f" case={d['case']} branch={d['branch']}"
-                 if "case" in d else "")
-        return f"color oracle vs={_fmt_vs(d['vs'])} k={d['k']}{where}"
-    if e.kind == "lemma1":
-        return (f"color lemma1 vs={_fmt_vs(d['vs'])} sets={_fmt_sets(d['sets'])} "
-                f"order={_fmt_vs(d['order'])} k={d['k']} case={d.get('case', '-')} "
-                f"branch={d.get('branch', '-')} fallback={int(d.get('fallback', False))}")
-    raise GraphFormatError(f"unknown trace event kind {e.kind!r}")
+class Field(NamedTuple):
+    """One ``name=value`` token.  A field with no default must be present; one
+    absent from the data or the line takes ``default``, and a None default
+    leaves it out on both sides."""
+
+    key: str
+    codec: Codec
+    default: object = _REQUIRED
+    tag: str = ""  # the name on the line, when it is not ``key``
 
 
-def _line_to_event(line: str) -> TraceEvent:
-    toks = line.split()
-    kv = {}
-    for t in toks[2:]:
-        key, _, val = t.partition("=")
-        kv[key] = val
-    kind = toks[1]
-    try:
-        if kind == "low_degree":
-            return TraceEvent(kind, {"v": int(kv["v"]), "k": int(kv["k"])})
-        if kind == "copycat":
-            return TraceEvent(kind, {"a": _parse_vs(kv["a"]), "b": _parse_vs(kv["b"])})
-        if kind == "d1_extend":
-            return TraceEvent(kind, {"w": _parse_vs(kv["w"]), "k": int(kv["k"])})
-        if kind == "clique_copy":
-            return TraceEvent(kind, {"removed": _parse_vs(kv["removed"]),
-                                     "donor": _parse_vs(kv["donor"])})
-        if kind == "a7_peel":
-            return TraceEvent(kind, {"removed": _parse_vs(kv["removed"]), "k": int(kv["k"])})
-        if kind == "delta_set":
-            return TraceEvent(kind, {"i_set": _parse_vs(kv["i"]), "color": int(kv["color"])})
-        if kind == "lift":
-            units = tuple(tuple(_parse_vs(h) for h in part.split(">"))
-                          for part in kv["units"].split("|"))
-            return TraceEvent(kind, {"units": units})
-        if kind == "greedy":
-            return TraceEvent(kind, {"vs": _parse_vs(kv["vs"]), "k": int(kv["k"])})
-        if kind == "brooks":
-            return TraceEvent(kind, {"vs": _parse_vs(kv["vs"]), "delta": int(kv["delta"])})
-        if kind == "oracle":
-            data = {"vs": _parse_vs(kv["vs"]), "k": int(kv["k"])}
-            if "case" in kv:
-                data.update(case=kv["case"], branch=kv["branch"])
-            return TraceEvent(kind, data)
-        if kind == "lemma1":
-            return TraceEvent(kind, {
-                "vs": _parse_vs(kv["vs"]),
-                "sets": _parse_sets(kv["sets"]),
-                "order": _parse_vs(kv["order"]),
-                "k": int(kv["k"]),
-                "case": kv.get("case", "-"),
-                "branch": kv.get("branch", "-"),
-                "fallback": bool(int(kv.get("fallback", "0"))),
-            })
-    except (KeyError, ValueError) as exc:
-        raise GraphFormatError(f"malformed trace line: {line!r}") from exc
-    raise GraphFormatError(f"unknown trace event kind {kind!r}")
+class Step:
+    """One kind of line: its verb, its fields in order and, for an event,
+    ``apply(g, data, colors)``, which colors the event's vertices in place
+    from the colors already in ``colors``; all three share one numbering."""
 
+    def __init__(self, verb: str, fields: tuple[Field, ...], apply=None):
+        self.verb, self.fields, self.apply = verb, fields, apply
+        self._write = [(f"{f.tag or f.key}=", f.key, f.codec.dump, f.default)
+                       for f in fields]
+        self._read = {f.tag or f.key: (f.key, f.codec.load) for f in fields}
+        self._vertex = [(f.key, f.codec.remap) for f in fields if f.codec.remap]
+
+    def dump(self, head: str, data: dict) -> str:
+        parts = [head]
+        for name, key, dump, default in self._write:
+            value = data[key] if default is _REQUIRED else data.get(key, default)
+            if value is not None:
+                parts.append(name + dump(value))
+        return " ".join(parts)
+
+    def load(self, line: str, toks: list[str]) -> dict:
+        data = {}
+        try:
+            for tok in toks:
+                name, _, text = tok.partition("=")
+                if name in self._read:
+                    key, load = self._read[name]
+                    data[key] = load(text)
+            for f in self.fields:
+                if f.key not in data:
+                    if f.default is _REQUIRED:
+                        raise ValueError(f"no {f.tag or f.key}=")
+                    if f.default is not None:
+                        data[f.key] = f.default
+        except ValueError as exc:
+            raise GraphFormatError(f"malformed trace line: {line!r}") from exc
+        return data
+
+    def map_ids(self, data: dict, f) -> dict:
+        """``data`` with ``f`` applied to every vertex id."""
+        out = dict(data)
+        for key, remap in self._vertex:
+            if key in out:
+                out[key] = remap(out[key], f)
+        return out
+
+
+def _on_subgraph(color):
+    """An ``apply`` that colors the subgraph induced on ``vs`` with
+    ``color(sub, data, ids)``, a coloring keyed by ``sub``'s vertices."""
+    def apply(g: Graph, d: dict, colors: dict[int, int]) -> None:
+        sub, ids = induced_subgraph(g, d["vs"])
+        for i, c in color(sub, d, ids).items():
+            colors[ids[i]] = c
+    return apply
+
+
+def _oracle(sub: Graph, d: dict, ids) -> dict[int, int]:
+    assign = colorable_with(sub, d["k"])
+    if assign is None:
+        raise InternalInconsistencyError("oracle replay failed to color")
+    return assign
+
+
+def _lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
+    pos = {v: i for i, v in enumerate(ids)}
+    sets = [tuple(pos[v] for v in s) for s in d["sets"]]
+    order = [pos[v] for v in d["order"]]
+    return color_with_independent_sets(sub, sets, d["k"], order=order).colors
+
+
+def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """List-color the removed catalog graph W: each vertex may take any color
+    in 1..k that none of its colored neighbors outside W holds."""
+    wm = mask_of(d["w"])
+    sub, ids = induced_subgraph(g, d["w"])
+    palette = frozenset(range(1, d["k"] + 1))
+    lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
+             for i, u in enumerate(ids)}
+    for i, c in extend_list_coloring(sub, lists).items():
+        colors[ids[i]] = c
+
+
+_VS, _K = Field("vs", VERTICES), Field("k", INT)
+
+STEPS: dict[str, Step] = {
+    "greedy": Step("color", (_VS, _K), _on_subgraph(
+        lambda sub, d, ids: greedy_color(sub, range(sub.n), d["k"]))),
+    "brooks": Step("color", (_VS, Field("delta", INT)), _on_subgraph(
+        lambda sub, d, ids: brooks_color(sub).colors)),
+    # case and branch are set only when a per-class strategy fell back
+    "oracle": Step("color", (_VS, _K, Field("case", STR, None), Field("branch", STR, None)),
+                   _on_subgraph(_oracle)),
+    "lemma1": Step("color", (_VS, Field("sets", SETS), Field("order", VERTICES), _K,
+                             Field("case", STR, "-"), Field("branch", STR, "-"),
+                             Field("fallback", BOOL, False)), _on_subgraph(_lemma1)),
+    "low_degree": Step("step", (Field("v", VERTEX), _K),
+                       lambda g, d, colors: first_fit(g, (d["v"],), d["k"], colors)),
+    "copycat": Step("step", (Field("a", VERTICES), Field("b", VERTICES)),
+                    lambda g, d, colors: copy_colors(d["a"], d["b"], colors)),
+    "d1_extend": Step("step", (Field("w", VERTICES), _K), _d1_extend),
+    "clique_copy": Step("step", (Field("removed", VERTICES), Field("donor", VERTICES)),
+                        lambda g, d, colors: copy_colors(d["removed"], d["donor"], colors)),
+    "a7_peel": Step("step", (Field("removed", VERTICES), _K),
+                    lambda g, d, colors: first_fit(g, sorted(d["removed"]), d["k"], colors)),
+    "delta_set": Step("step", (Field("i_set", VERTICES, tag="i"), Field("color", INT)),
+                      lambda g, d, colors: colors.update(
+                          dict.fromkeys(d["i_set"], d["color"]))),
+    "lift": Step("step", (Field("units", UNITS),), lambda g, d, colors: colors.update(
+        lift_coloring(g, CliqueReduction((), {}, d["units"]), colors))),
+}
+
+# the header line is written and read like an event, with no apply
+_GRAPH = Step("graph", (Field("n", INT), Field("m", INT), Field("degrees", HIST, ())))
+
+
+def run_step(kind: str, data: dict, g: Graph, colors: dict[int, int],
+             events: list | None) -> None:
+    """Record the event in ``events`` (if given), then apply it to ``colors``."""
+    if events is not None:
+        events.append(TraceEvent(kind, data))
+    STEPS[kind].apply(g, data, colors)
+
+
+# -- the document ---------------------------------------------------------------
 
 def dumps_trace(trace: ReductionTrace) -> str:
-    hist = ",".join(f"{d}:{c}" for d, c in trace.degree_histogram)
     lines = [
         f"pentagem-trace {SCHEMA_VERSION}",
-        f"graph n={trace.n} m={trace.m} degrees={hist or '-'}",
+        _GRAPH.dump("graph", {"n": trace.n, "m": trace.m, "degrees": trace.degree_histogram}),
         f"palette {trace.palette}",
     ]
-    lines.extend(_event_to_line(e) for e in trace.events)
+    for e in trace.events:
+        step = STEPS.get(e.kind)
+        if step is None:
+            raise GraphFormatError(f"unknown trace event kind {e.kind!r}")
+        lines.append(step.dump(f"{step.verb} {e.kind}", e.data))
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+def _load_event(line: str) -> TraceEvent:
+    toks = line.split()
+    step = STEPS.get(toks[1]) if len(toks) > 1 else None
+    if step is None or step.verb != toks[0]:
+        raise GraphFormatError(f"unknown trace event: {line!r}")
+    return TraceEvent(toks[1], step.load(line, toks[2:]))
 
 
 def loads_trace(text: str) -> ReductionTrace:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("pentagem-trace"):
         raise GraphFormatError("not a trace document")
-    version = lines[0].split()[1]
-    if int(version) != SCHEMA_VERSION:
-        raise GraphFormatError(f"unsupported trace schema version {version}")
+    if lines[0].split()[1:2] != [str(SCHEMA_VERSION)]:
+        raise GraphFormatError(f"unsupported trace schema version: {lines[0]!r}")
     if len(lines) < 4 or lines[-1] != "end":
         raise GraphFormatError("truncated trace document")
-    gtoks = dict(t.partition("=")[::2] for t in lines[1].split()[1:])
-    hist_tok = gtoks.get("degrees", "-")
-    hist = (tuple(tuple(int(x) for x in p.split(":")) for p in hist_tok.split(","))
-            if hist_tok != "-" else ())
-    palette = int(lines[2].split()[1])
-    events = [_line_to_event(ln) for ln in lines[3:-1]]
-    return ReductionTrace(events, palette, int(gtoks["n"]), int(gtoks["m"]), hist)
+    graph = _GRAPH.load(lines[1], lines[1].split()[1:])
+    try:
+        palette = int(lines[2].split()[1])
+    except (IndexError, ValueError):
+        raise GraphFormatError(f"malformed trace line: {lines[2]!r}") from None
+    events = [_load_event(ln) for ln in lines[3:-1]]
+    return ReductionTrace(events, palette, graph["n"], graph["m"], graph["degrees"])

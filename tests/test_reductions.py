@@ -102,6 +102,14 @@ def test_copycat_extend_rejects_adjacent_sides():
         copycat_extend(g, (0,), (1,), {1: 1, 2: 2, 3: 3})
 
 
+def test_copycat_extend_rejects_overlapping_sides():
+    # a vertex is its own clique and anticomplete to itself, so only the
+    # disjointness check stops it from copying its own color
+    g = build_graph(3, [(0, 1), (0, 2)])
+    with pytest.raises(PreconditionError, match="disjoint"):
+        copycat_extend(g, (0,), (0,), {0: 1, 1: 2, 2: 3})
+
+
 # -- d1 catalog -------------------------------------------------------------------
 
 def test_catalog_whole_k3_3k2():

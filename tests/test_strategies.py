@@ -4,6 +4,7 @@ from pentagem import strategies
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PreconditionError
 from pentagem.instances import GenSpec, gen_class_instance
+from pentagem.oracle import colorable_with
 from pentagem.solver import color8, replay_trace
 from pentagem.strategies import (CASE_STRATEGIES, ReducibleFound, Unreachable,
                                  apply_case_strategy, published_plan)
@@ -192,6 +193,29 @@ def test_h_pendant_peel():
     g, out, events = run("H", sizes_of("H", 2, 3, 1, 1, 3, 1), a7=(2, 3))
     assert isinstance(out, Coloring) and verify_coloring(g, out)
     assert events[-1].kind == "a7_peel"
+
+
+def oracle_recurse(events):
+    """A recursion callback that logs each subproblem as one oracle event."""
+    def rec(sub, ids):
+        assign = colorable_with(sub, 8)
+        events.append(TraceEvent("oracle", {"vs": tuple(ids), "k": 8}))
+        return {ids[i]: c for i, c in assign.items()}
+    return rec
+
+
+@pytest.mark.parametrize("sizes, a7, last", [
+    ((2, 5, 1, 1, 1, 2), (2,), "clique_copy"),
+    ((2, 3, 1, 1, 3, 1), (2, 3), "a7_peel"),
+])
+def test_h_extensions_replay_from_text(sizes, a7, last):
+    g, bags = gen_class_instance(GenSpec("H", sizes_of("H", *sizes), a7, "clique", 0))
+    events = []
+    out = apply_case_strategy(g, "H", bags, recurse=oracle_recurse(events), trace=events)
+    assert [e.kind for e in events] == ["oracle", last]
+    n, m, hist = fingerprint(g)
+    text = dumps_trace(ReductionTrace(events, 8, n, m, hist))
+    assert replay_trace(g, loads_trace(text)).colors == out.colors
 
 
 def test_strategy_rejects_wrong_degree():
