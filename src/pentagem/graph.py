@@ -2,8 +2,13 @@
 
 Vertices are dense integer indices 0..n-1; labels are cosmetic.  Adjacency
 is stored as one Python-int bitmask per vertex, which makes neighborhood
-intersection, containment and popcount tests cheap at desk scale (n up to a
-few hundred).  Graphs are immutable after construction and safe to share.
+intersection, containment and popcount tests cheap.  A connected
+(P5, gem)-free graph of maximum degree 9 has at most 658 vertices; larger
+inputs (unions of such graphs, or graphs that peel away entirely, like a
+caterpillar of tens of thousands of vertices) are handled by searching
+only near each removed piece (``seeded_component_masks``), not by
+rebuilding subgraphs.  Graphs are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "bits",
     "mask_of",
     "component_masks",
+    "seeded_component_masks",
     "connected_components",
     "is_connected",
 ]
@@ -232,6 +238,47 @@ def component_masks(adj, mask: int) -> list[int]:
         comps.append(comp)
         rest &= ~comp
     return comps
+
+
+def seeded_component_masks(adj, mask: int, seeds: int) -> list[int]:
+    """``component_masks(adj, mask)`` for a ``mask`` each of whose components
+    holds a vertex of ``seeds``, as after removing a piece from a connected
+    graph with ``seeds`` the piece's neighbors.
+
+    One seed means one component, found with no search.  Otherwise a search
+    grows from each seed, one level a round; searches that meet merge, one
+    whose frontier empties is a component, and once a single search is left
+    open, its component is all of ``mask`` the others did not take, so the
+    largest component is never walked to its end.
+    """
+    if not seeds & (seeds - 1):
+        return [mask] if mask else []
+    open_ = [(s, s) for s in (1 << v for v in bits(seeds))]  # (reached, frontier)
+    done: list[int] = []
+    while len(open_) > 1:
+        merged: list[tuple[int, int]] = []
+        for reached, frontier in open_:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & mask & ~reached
+            reached |= frontier
+            keep = []
+            for r, f in merged:
+                if r & reached:
+                    reached |= r
+                    frontier |= f
+                else:
+                    keep.append((r, f))
+            keep.append((reached, frontier))
+            merged = keep
+        open_ = [(r, f) for r, f in merged if f]
+        done += [r for r, f in merged if not f]
+    if open_:
+        for c in done:
+            mask &= ~c
+        done.append(mask)
+    return sorted(done, key=lambda c: c & -c)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

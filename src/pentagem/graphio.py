@@ -7,6 +7,9 @@ upper-triangle encoding, one graph per line.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .errors import GraphFormatError
 from .graph import Graph, build_graph
 
@@ -23,6 +26,9 @@ __all__ = [
 ]
 
 FORMATS = ("dimacs", "edgelist", "graph6")
+
+_G6_OUT_OF_RANGE = re.compile(r"[^?-~]")  # graph6 uses chr(63) to chr(126)
+_G6_NONZERO = re.compile(r"[^?]")
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -82,34 +88,38 @@ def write_edgelist(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line.  Only the body characters other than ``?``
+    (six zero bits) are decoded, found by one scan in C, so the Python work
+    follows the edges rather than the n(n-1)/2 pairs."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in s]
-    if any(not 0 <= d <= 63 for d in data):
+    if _G6_OUT_OF_RANGE.search(s):
         raise GraphFormatError("graph6 characters out of range")
-    if data[0] < 63:
-        n, body = data[0], data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+    head = [ord(ch) - 63 for ch in s[:4]]
+    if head[0] < 63:
+        n, body = head[0], s[1:]
+    elif len(head) == 4 and head[1] < 63:
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
+        body = s[4:]
     else:
         raise GraphFormatError("graph6 orders above 2^18 are not supported")
-    need = (n * (n - 1) // 2 + 5) // 6
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
     if len(body) != need:
         raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
-    bits_flat = []
-    for d in body:
-        bits_flat.extend((d >> shift) & 1 for shift in range(5, -1, -1))
+    # bit k of the body is the pair (u, v) with k = v(v-1)/2 + u, u < v;
+    # bits past the last pair are padding
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits_flat[idx]:
-                edges.append((u, v))
-            idx += 1
+    for hit in _G6_NONZERO.finditer(body):
+        d, k0 = ord(hit.group()) - 63, 6 * hit.start()
+        for b in range(6):
+            k = k0 + b
+            if d >> (5 - b) & 1 and k < nbits:
+                v = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
     return build_graph(n, edges)
 
 

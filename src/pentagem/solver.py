@@ -1,86 +1,119 @@
-"""The recursive coloring engine and its replayable trace.
+"""The coloring engine and its replayable trace.
 
 ``solve`` colors any (P5, gem)-free graph with maximum degree at least 9 and
 clique number below the maximum degree using one color less than the degree,
 the constructive form of the theorem the package mechanizes.  Degrees above
-9 are peeled down by hitting independent sets; the base case runs a loop of
-reductions (low degree, copycat, removable catalog subgraphs) and, once the
-graph is irreducible, either colors it exactly (perfect case) or classifies
-it and runs the published per-class strategy on it as is: a reducible bag
-is a module, so a non-clique one holds two false-twin cliques, a copycat
-pair.  With none left every such bag is a clique, as the strategy checks.
+9 are peeled down by hitting independent sets; the base case runs one
+work-list of reductions (low degree, copycat, removable catalog subgraphs)
+over the host's vertex ids and, once a component is irreducible, either
+colors it exactly (perfect case) or classifies it and runs the published
+per-class strategy on it as is: a reducible bag is a module, so a
+non-clique one holds two false-twin cliques, a copycat pair.  With none
+left every such bag is a clique, as the strategy checks.
 """
 
 from __future__ import annotations
 
 from .classify import classify
-from .coloring import Coloring, greedy_color, verify_coloring
+from .coloring import Coloring, verify_coloring
 from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
                      GraphFormatError, InternalInconsistencyError, PreconditionError)
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
+                    seeded_component_masks)
 from .oracle import colorable_with
 from .patterns import clique_number, is_p5_gem_free
-from .reductions import (_delta_reduce, brooks_color, check_copycat, find_copycat,
-                         find_d1_catalog, find_low_degree)
+from .reductions import _delta_reduce, check_copycat, find_copycat, find_d1_catalog
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
 from .trace import STEPS, ReductionTrace, TraceEvent, fingerprint, run_step
 
 __all__ = ["color8", "solve", "replay_trace"]
 
 
-def _reduction(g: Graph, ids: tuple[int, ...]):
-    """The first reduction rule that applies to ``g``: the piece it removes,
-    and the kind and host-numbered data of the step that extends back."""
-    v = find_low_degree(g, 8)
-    if v is not None:
-        return (v,), "low_degree", {"v": ids[v], "k": 8}
+def _reduction(g: Graph, ids) -> tuple[int, tuple[str, dict]] | None:
+    """The copycat or catalog piece of ``g`` (vertex i is host vertex
+    ``ids[i]``) as a host bitmask, with the kind and host-numbered data of
+    the step that extends back; None when neither rule applies."""
     pair = find_copycat(g)
     if pair is not None:
         a, b = pair
         check_copycat(g, a, b)
-        return a, "copycat", {"a": tuple(ids[u] for u in a), "b": tuple(ids[u] for u in b)}
+        a, b = tuple(ids[u] for u in a), tuple(ids[u] for u in b)
+        return mask_of(a), ("copycat", {"a": a, "b": b})
     w = find_d1_catalog(g)
     if w is not None:
-        return w, "d1_extend", {"w": tuple(ids[u] for u in w), "k": 8}
+        w = tuple(ids[u] for u in w)
+        return mask_of(w), ("d1_extend", {"w": w, "k": 8})
     return None
 
 
-def _color8(host: Graph, g: Graph, ids: tuple[int, ...], events: list) -> dict[int, int]:
-    """8-color ``g``, whose vertex i is ``ids[i]`` of ``host``; the coloring
-    and the events are in host vertices."""
-    if g.n == 0:
-        return {}
-    comps = connected_components(g)
-    if len(comps) > 1:
-        colors: dict[int, int] = {}
-        for comp in comps:
-            sub, local = induced_subgraph(g, comp)
-            colors.update(_color8(host, sub, tuple(ids[i] for i in local), events))
-        return colors
-    delta = g.max_degree()
-    if delta <= 7:
-        local = greedy_color(g, list(range(g.n)), 8)
-        events.append(TraceEvent("greedy", {"vs": ids, "k": 8}))
-        return {ids[v]: c for v, c in local.items()}
-    if delta == 8:
-        local = brooks_color(g).colors
-        events.append(TraceEvent("brooks", {"vs": ids, "delta": 8}))
-        return {ids[v]: c for v, c in local.items()}
-    if delta > 9:
+def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
+    """8-color the subgraph of ``host`` induced on ``mask``; the coloring and
+    the events are in host vertices.
+
+    One work-list holds component bitmasks still to color and the extension
+    steps still to apply, so a removed piece is extended after everything
+    colored in its place, as a recursion would do it.  Degrees within the
+    current component are kept up to date as pieces come off, with masks of
+    the vertices of degree at most 7 and exactly 9: the low-degree rule and
+    the greedy and Brooks terminals are mask tests, and a ``Graph`` of the
+    component is built only for the copycat and catalog rules and the core.
+    All components share one coloring: anything colored before a piece is
+    extended lies in the rest of the piece's component or in a component
+    not adjacent to it, so each apply reads the colors it would read alone.
+    """
+    adj = host.adj
+    deg = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+    if max(deg.values(), default=0) > 9:
         raise DegreeRangeError("base-case engine expects maximum degree <= 9")
+    low = mask_of(v for v, d in deg.items() if d <= 7)
+    nine = mask_of(v for v, d in deg.items() if d == 9)
+    full = host.full_mask()
+    colors: dict[int, int] = {}
+    work: list = component_masks(adj, mask)[::-1]
+    while work:
+        comp = work.pop()
+        if not isinstance(comp, int):  # a pending (kind, data) extension
+            run_step(*comp, host, colors, events)
+            continue
+        if not comp & ~low:
+            run_step("greedy", {"vs": tuple(bits(comp)), "k": 8}, host, colors, events)
+            continue
+        if not comp & nine:
+            run_step("brooks", {"vs": tuple(bits(comp)), "delta": 8}, host, colors, events)
+            continue
+        lows = comp & low
+        if lows:
+            piece = lows & -lows
+            step = ("low_degree", {"v": piece.bit_length() - 1, "k": 8})
+        else:
+            g, ids = ((host, range(host.n)) if comp == full
+                      else induced_subgraph(host, bits(comp)))
+            reduction = _reduction(g, ids)
+            if reduction is None:
+                colors.update(_color_core(host, g, ids, events))
+                continue
+            piece, step = reduction
+        # remove the piece, color the rest, then extend with the step's apply
+        # on the host, the same one replay runs; only the piece's neighbors
+        # can start new components
+        rest = comp & ~piece
+        seeds = 0
+        for v in bits(piece):
+            for u in bits(adj[v] & rest):
+                deg[u] -= 1
+                if deg[u] == 8:
+                    nine &= ~(1 << u)
+                elif deg[u] == 7:
+                    low |= 1 << u
+            seeds |= adj[v]
+        work.append(step)
+        work.extend(reversed(seeded_component_masks(adj, rest, seeds & rest)))
+    return colors
 
-    # remove the piece, color the rest, then extend with the step's apply
-    # on the host, the same one replay runs
-    reduction = _reduction(g, ids)
-    if reduction is not None:
-        piece, kind, data = reduction
-        drop = set(piece)
-        sub, local = induced_subgraph(g, [u for u in range(g.n) if u not in drop])
-        colors = _color8(host, sub, tuple(ids[i] for i in local), events)
-        run_step(kind, data, host, colors, events)
-        return colors
 
-    # irreducible: classify and run the structure pipeline
+def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
+    """Color an irreducible connected core ``g``, whose vertex i is host
+    vertex ``ids[i]``: exactly when perfect, else by its class strategy."""
     label = classify(g)
     if label.kind == "Perfect":
         omega, witness_clique = clique_number(g)
@@ -88,13 +121,13 @@ def _color8(host: Graph, g: Graph, ids: tuple[int, ...], events: list) -> dict[i
         if assign is None:
             raise InternalInconsistencyError(
                 "C5-free irreducible graph refused a clique-number coloring")
-        events.append(TraceEvent("oracle", {"vs": ids, "k": omega}))
+        events.append(TraceEvent("oracle", {"vs": tuple(ids), "k": omega}))
         return {ids[u]: c for u, c in assign.items()}
 
     def recurse(sub: Graph, sub_local_ids: tuple[int, ...]) -> dict[int, int]:
-        abs_ids = tuple(ids[i] for i in sub_local_ids)
-        child = _color8(host, sub, abs_ids, events)
-        return {sub_local_ids[i]: child[abs_ids[i]] for i in range(len(abs_ids))}
+        abs_ids = [ids[i] for i in sub_local_ids]
+        child = _color8(host, mask_of(abs_ids), events)
+        return {sub_local_ids[i]: child[v] for i, v in enumerate(abs_ids)}
 
     steps: list[TraceEvent] = []
     try:
@@ -157,7 +190,7 @@ def color8(g: Graph) -> tuple[Coloring, ReductionTrace]:
     _structural_gate(g, delta <= 9, f"maximum degree {delta} exceeds 9",
                      omega, 8, clique)
     events: list[TraceEvent] = []
-    colors = _color8(g, g, tuple(range(g.n)), events)
+    colors = _color8(g, g.full_mask(), events)
     coloring = Coloring(colors, 8)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("engine produced an improper coloring")
@@ -178,11 +211,11 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
                      omega, delta - 1, clique)
     events: list[TraceEvent] = []
     if delta == 9:
-        colors = _color8(g, g, tuple(range(g.n)), events)
+        colors = _color8(g, g.full_mask(), events)
         coloring = Coloring(colors, 8)
     else:
         def base(sub: Graph, sub_ids: tuple[int, ...]) -> dict[int, int]:
-            return _color8(g, sub, sub_ids, events)
+            return _color8(g, mask_of(sub_ids), events)
 
         try:
             colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)

@@ -79,7 +79,8 @@ SETS = Codec(lambda ss: ";".join(map(_fmt_vs, ss)) if ss else "-",
              lambda tok: () if tok == "-" else tuple(map(_parse_vs, tok.split(";"))),
              lambda ss, f: tuple(tuple(map(f, s)) for s in ss))
 UNITS = Codec(lambda us: "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in us),
-              lambda tok: tuple(tuple(map(_parse_vs, p.split(">"))) for p in tok.split("|")),
+              lambda tok: tuple(tuple(map(_parse_vs, p.split(">"))) for p in tok.split("|"))
+              if tok else (),
               lambda us, f: tuple(tuple(tuple(map(f, h)) for h in u) for u in us))
 INT = Codec(str, int)
 BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(int(tok)))
@@ -127,9 +128,12 @@ class Step:
         try:
             for tok in toks:
                 name, _, text = tok.partition("=")
-                if name in self._read:
-                    key, load = self._read[name]
-                    data[key] = load(text)
+                if name not in self._read:
+                    raise ValueError(f"unknown field {name}=")
+                key, load = self._read[name]
+                if key in data:
+                    raise ValueError(f"repeated field {name}=")
+                data[key] = load(text)
             for f in self.fields:
                 if f.key not in data:
                     if f.default is _REQUIRED:

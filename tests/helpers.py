@@ -39,6 +39,33 @@ def delta_family() -> list[Graph]:
     return instances
 
 
+def delta9_members(count: int) -> list[Graph]:
+    """The first ``count`` graphs of the criterion-2 recipe: Delta = 9
+    members of all 11 classes in clique and cograph bag modes."""
+    out: list[Graph] = []
+    seed = 0
+    while True:
+        for mode in ("clique", "cograph"):
+            for cid in ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9", "G10", "H"):
+                try:
+                    spec = gen_target_delta(cid, 9, seed=seed * 37 + 11, mode=mode)
+                except PentagemError:
+                    continue
+                out.append(gen_class_instance(spec)[0])
+                if len(out) == count:
+                    return out
+        seed += 1
+
+
+def caterpillar(spine: int) -> Graph:
+    """A path on vertices 0..spine-1, each with 7 leaves numbered after the
+    spine: Delta = 9 and n = 8 * spine, not P5-free, and colored end to end
+    by peeling alone."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + 7 * i + j) for i in range(spine) for j in range(7)]
+    return build_graph(8 * spine, edges)
+
+
 def k9_with_ears() -> Graph:
     """K9 on v0..v8 (vertices 0..8) plus w0..w8 (vertices 9..17), where wi
     is adjacent to vi and v(i+1 mod 9).  Delta is 10 and omega 9, so the

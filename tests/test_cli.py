@@ -8,7 +8,7 @@ from pentagem.graph import complete_graph, disjoint_union, empty_graph, path_gra
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 
-from helpers import k9_with_ears, non_clique_core
+from helpers import caterpillar, k9_with_ears, non_clique_core
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -228,3 +228,12 @@ def test_500_spec_round_trip(tmp_path, capsys):
                 done += 1
         seed += 1
     assert done >= 500
+
+
+def test_color_peels_a_long_caterpillar_from_graph6(tmp_path, capsys):
+    # n = 3,200: once one recursion frame per peel, past the recursion limit
+    g = caterpillar(400)
+    path = write(tmp_path, "cater.g6", write_graph6(g))
+    assert main(["color", path, "--format", "graph6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "palette 8" and len(out) == 1 + g.n

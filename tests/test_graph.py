@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem.errors import GraphFormatError
-from pentagem.graph import (Graph, build_graph, complement, complete_graph,
-                            connected_components, cycle_graph, disjoint_union,
-                            empty_graph, induced_subgraph, is_connected, join,
-                            path_graph)
+from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
+                            component_masks, connected_components, cycle_graph,
+                            disjoint_union, empty_graph, induced_subgraph,
+                            is_connected, join, mask_of, path_graph,
+                            seeded_component_masks)
 from pentagem.instances import gallery_g1, gallery_g2
 
 from helpers import random_graph
@@ -123,3 +124,30 @@ def test_join_degree_law(seed, na, nb):
         assert g.degree(v) == a.degree(v) + nb
     for v in range(nb):
         assert g.degree(na + v) == b.degree(v) + na
+
+
+@given(st.integers(0, 10**6), st.integers(1, 16), st.floats(0.05, 0.6),
+       st.integers(0, 2**16 - 1))
+@settings(max_examples=300, deadline=None)
+def test_seeded_split_matches_connected_components(seed, n, p, pick):
+    # remove a random piece from each component; the piece's neighbors are
+    # the seeds, and the split must equal a full component search
+    g = random_graph(n, p, seed)
+    for comp in component_masks(g.adj, g.full_mask()):
+        piece = comp & pick
+        rest = comp & ~piece
+        seeds = 0
+        for v in bits(piece):
+            seeds |= g.adj[v]
+        got = seeded_component_masks(g.adj, rest, seeds & rest)
+        sub, ids = induced_subgraph(g, bits(rest))
+        want = [mask_of(ids[i] for i in c) for c in connected_components(sub)]
+        assert got == want
+
+
+def test_seeded_split_of_a_path_around_a_middle_vertex():
+    g = path_graph(9)
+    rest = g.full_mask() & ~(1 << 4)
+    assert seeded_component_masks(g.adj, rest, 1 << 3 | 1 << 5) == [0b1111, 0b111100000]
+    assert seeded_component_masks(g.adj, g.full_mask() & ~1, 1 << 1) == [g.full_mask() & ~1]
+    assert seeded_component_masks(g.adj, 0, 0) == []

@@ -8,7 +8,7 @@ from pentagem.graphio import (parse_dimacs, parse_edgelist, parse_graph,
                               parse_graph6, sniff_format, write_dimacs,
                               write_edgelist, write_graph6)
 
-from helpers import random_graph
+from helpers import caterpillar, random_graph
 
 
 def test_dimacs_round_trip():
@@ -90,3 +90,63 @@ def test_parsers_never_crash_on_garbage(blob):
             parse_graph(blob, fmt)
         except GraphFormatError:
             pass
+
+
+@pytest.mark.parametrize("n", range(71))
+def test_graph6_round_trips_across_the_header_boundary(n):
+    # orders up to 62 take a one-character header, 63 and up four characters
+    g = random_graph(n, 0.3, 1000 + n)
+    text = write_graph6(g)
+    assert len(text.strip()) - (n * (n - 1) // 2 + 5) // 6 == (1 if n <= 62 else 4)
+    assert parse_graph6(text) == g
+
+
+def test_graph6_round_trips_a_large_sparse_graph():
+    g = caterpillar(200)
+    assert g.n == 1600
+    assert parse_graph6(write_graph6(g)) == g
+
+
+@pytest.mark.parametrize("text, graph", [
+    ("A~", path_graph(2)),           # one pair, five padding bits set
+    ("B~", complete_graph(3)),        # three pairs, three padding bits set
+    ("Dhc", cycle_graph(5)),
+    ("Dhf", cycle_graph(5)),          # two padding bits set
+])
+def test_graph6_ignores_padding_bits(text, graph):
+    assert parse_graph6(text) == graph
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty graph6 string"),
+    (">>graph6<<", "empty graph6 string"),
+    ("B\x7f", "graph6 characters out of range"),
+    ("B w", "graph6 characters out of range"),
+    ("Bw\nBw", "graph6 characters out of range"),
+    ("~~??????", "graph6 orders above 2^18 are not supported"),
+    ("~??", "graph6 orders above 2^18 are not supported"),
+    ("Bww", "graph6 body length 2, expected 1"),
+    ("D", "graph6 body length 0, expected 2"),
+    ("~??~" + "?" * 10, "graph6 body length 10, expected 326"),
+])
+def test_graph6_errors_keep_their_messages(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph6(text)
+    assert str(info.value) == message
+
+
+def _graph6_by_every_bit(n: int, body: str) -> set[tuple[int, int]]:
+    """The edges of a graph6 body, read one bit at a time in column order."""
+    flat = [(ord(ch) - 63) >> shift & 1 for ch in body for shift in range(5, -1, -1)]
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return {p for p, bit in zip(pairs, flat) if bit}
+
+
+@given(st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_graph6_agrees_with_a_bitwise_reader(n, rng):
+    # any body of the right length, padding bits included
+    body = "".join(chr(63 + rng.choice((0, 0, rng.randrange(64))))
+                   for _ in range((n * (n - 1) // 2 + 5) // 6))
+    g = parse_graph6(chr(63 + n) + body)
+    assert set(g.edges()) == _graph6_by_every_bit(n, body)

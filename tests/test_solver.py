@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from pentagem.errors import (CliqueBoundError, DegreeRangeError,
                              PreconditionError)
 from pentagem.graph import (build_graph, complete_graph, cycle_graph,
                             disjoint_union, empty_graph, join, path_graph)
+from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.patterns import clique_number
@@ -18,7 +20,8 @@ from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import dumps_trace, loads_trace
 
-from helpers import delta_family, k9_with_ears, non_clique_core
+from helpers import (caterpillar, delta9_members, delta_family, k9_with_ears,
+                     non_clique_core)
 from irreducible_enum import _members
 
 
@@ -207,6 +210,54 @@ def test_classified_core_traces_are_pinned():
             digest.update(dumps_trace(trace).encode())
     assert lemma1 > 0
     assert digest.hexdigest() == CORE_TRACES_SHA256
+
+
+# sha256 over the solve traces and colors of the scale inputs (caterpillars
+# with n = 400, 800 and 1600, 64 copies of gallery_g2(9), and the first 32
+# criterion-2 graphs), each in its natural vertex order and in one seeded
+# relabelling; recorded while the base case still recursed once per peel
+SCALE_TRACES_SHA256 = "f487d9dc6e0f8ec8fb01565152895dcf3b2ed42408958e1a4439f1b4327ce245"
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _union(graphs):
+    out = graphs[0]
+    for g in graphs[1:]:
+        out = disjoint_union(out, g)
+    return out
+
+
+def test_scale_traces_are_pinned():
+    inputs = [caterpillar(s) for s in (50, 100, 200)]
+    inputs += [_copies(gallery_g2(9), 64), _union(delta9_members(32))]
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for g in inputs:
+        for h in (g, _relabelled(g, rng)):
+            col, trace = solve(h)
+            digest.update(dumps_trace(trace).encode())
+            digest.update(repr(sorted(col.colors.items())).encode())
+    assert digest.hexdigest() == SCALE_TRACES_SHA256
+
+
+def test_a_25600_vertex_caterpillar_peels_within_the_default_recursion_limit():
+    g = parse_edgelist(write_edgelist(caterpillar(3200)))
+    assert (g.n, g.max_degree()) == (25600, 9)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        col, trace = solve(g)
+        rep = replay_trace(g, loads_trace(dumps_trace(trace)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert col.k == 8 and verify_coloring(g, col)
+    assert rep.colors == col.colors
+    assert sum(e.kind == "low_degree" for e in trace.events) > 3200
 
 
 def test_replay_rejects_wrong_graph():

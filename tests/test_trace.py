@@ -58,6 +58,14 @@ def test_the_golden_text_loads_every_kind_back():
     assert back == GOLDEN_TRACE
 
 
+def test_a_lift_with_no_units_round_trips():
+    trace = ReductionTrace([TraceEvent("lift", {"units": ()})], 8, 0, 0, ())
+    text = dumps_trace(trace)
+    assert "step lift units=\n" in text
+    assert loads_trace(text) == trace
+    assert dumps_trace(loads_trace(text)) == text
+
+
 def test_lemma1_fills_in_its_defaults_on_load():
     text = GOLDEN_TEXT.replace(" case=G10 branch=main fallback=0", "")
     assert loads_trace(text).events[4].data == {
@@ -77,7 +85,15 @@ C10_GREEDY = "color greedy vs=0,1,2,3,4,5,6,7,8,9 k=8\n"
     "pentagem-trace 1\n" + C10_HEADER.replace("palette 8", "palette") + C10_GREEDY + "end\n",
     "pentagem-trace 1\n" + C10_HEADER + "step\nend\n",
     "pentagem-trace 1\n" + C10_HEADER.replace("n=10 ", "") + C10_GREEDY + "end\n",
-], ids=["no-version", "bad-version", "bare-palette", "bare-step", "graph-without-n"])
+    "pentagem-trace 1\n" + C10_HEADER + "step low_degree v=3 k=8 junk=1\nend\n",
+    "pentagem-trace 1\n" + C10_HEADER + "step low_degree v=3 k=8 v=5\nend\n",
+    "pentagem-trace 1\n" + C10_HEADER + "step low_degree v=3 k=8 junk\nend\n",
+    "pentagem-trace 1\n" + C10_HEADER + "step delta_set i_set=3 color=9\nend\n",
+    "pentagem-trace 1\n" + C10_HEADER + "color oracle vs=0,1 k=2 case=G2 case=G3\nend\n",
+    "pentagem-trace 1\n" + C10_HEADER.replace("m=10", "m=10 m=11") + C10_GREEDY + "end\n",
+], ids=["no-version", "bad-version", "bare-palette", "bare-step", "graph-without-n",
+        "unknown-field", "repeated-field", "bare-token", "key-for-tag",
+        "repeated-optional-field", "repeated-graph-field"])
 def test_malformed_documents_are_format_errors(text):
     with pytest.raises(GraphFormatError):
         loads_trace(text)
