@@ -16,7 +16,7 @@ from .errors import (ForbiddenPatternError, InternalInconsistencyError,
                      PreconditionError)
 from .graph import Graph, is_connected
 from .patterns import find_induced, is_p5_gem_free
-from .structure import CLASS_ORDER, TEMPLATES, match_expansion
+from .structure import CLASS_ORDER, TEMPLATES, _match_modules, maximal_modules
 
 __all__ = ["ClassLabel", "classify"]
 
@@ -46,8 +46,9 @@ def classify(g: Graph) -> ClassLabel:
             f"graph contains an induced {witness.pattern}", witness)
     if find_induced(g, "C5") is None:
         return ClassLabel("Perfect")
+    modules = maximal_modules(g)
     for cid in CLASS_ORDER:
-        bags = match_expansion(g, TEMPLATES[cid])
+        bags = _match_modules(g, TEMPLATES[cid], modules)
         if bags is not None:
             return ClassLabel(cid, bags)
     raise InternalInconsistencyError(

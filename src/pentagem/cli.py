@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=FORMATS, default=None,
                        help="input format (default: sniff)")
-        p.add_argument("--seed", type=int, default=0, help="seed for any generation")
 
     p = sub.add_parser("color", help="run the solver on a graph file")
     p.add_argument("graph")
@@ -207,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=9, help="parameter for gallery-g2")
     p.add_argument("--out", help="write the graph here (default stdout)")
     p.add_argument("--bags-out", help="write the ground-truth bags here")
+    p.add_argument("--seed", type=int, default=0, help="seed for cograph bags")
     common(p)
     p.set_defaults(fn=cmd_gen)
 

@@ -29,6 +29,7 @@ FORMATS = ("dimacs", "edgelist", "graph6")
 
 _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")  # graph6 uses chr(63) to chr(126)
 _G6_NONZERO = re.compile(r"[^?]")
+_G6_CHARS = bytes((63 + d) % 256 for d in range(256))  # a six-bit value's character
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -131,19 +132,13 @@ def write_graph6(g: Graph) -> str:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         raise GraphFormatError("graph6 orders above 2^18 are not supported")
-    flat = []
-    for v in range(1, n):
-        for u in range(v):
-            flat.append(1 if g.has_edge(u, v) else 0)
-    while len(flat) % 6:
-        flat.append(0)
-    body = []
-    for i in range(0, len(flat), 6):
-        val = 0
-        for b in flat[i:i + 6]:
-            val = (val << 1) | b
-        body.append(val)
-    return "".join(chr(63 + d) for d in head + body) + "\n"
+    # bit k of the body is the pair (u, v) with k = v(v-1)/2 + u, u < v,
+    # most significant bit of each six first
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges():
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> k % 6
+    return (bytes(head) + body).translate(_G6_CHARS).decode() + "\n"
 
 
 def sniff_format(text: str) -> str:

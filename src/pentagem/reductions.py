@@ -380,15 +380,7 @@ def _brooks_component(g: Graph, delta: int) -> dict[int, int]:
     low = [v for v in range(g.n) if g.degree(v) < delta]
     if low:
         return greedy_color(g, _order_toward_root(g, low[0]), delta)
-    # delta-regular from here on
-    if delta == 2:
-        colors = {}
-        cycle = _cycle_order(g)
-        for i, v in enumerate(cycle):
-            colors[v] = 1 + i % 2
-        if g.n % 2 == 1:
-            colors[cycle[-1]] = 3
-        return colors
+    # delta-regular from here on, and delta >= 3 (``brooks_color`` checks)
     cut = next((v for v in range(g.n) if not _connected_without(g, 1 << v)), None)
     if cut is not None:
         merged: dict[int, int] = {}
@@ -413,17 +405,6 @@ def _brooks_component(g: Graph, delta: int) -> dict[int, int]:
                 order = _order_toward_root(g, x, skip=(1 << u) | (1 << w))
                 return greedy_color(g, order, delta, initial={u: 1, w: 1})
     raise InternalInconsistencyError("Brooks case analysis fell through")
-
-
-def _cycle_order(g: Graph) -> list[int]:
-    order = [0]
-    prev = -1
-    while len(order) < g.n:
-        v = order[-1]
-        nxt = [u for u in bits(g.adj[v]) if u != prev]
-        prev = v
-        order.append(nxt[0])
-    return order
 
 
 def brooks_color(g: Graph) -> Coloring:
@@ -459,41 +440,43 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
     omega, _ = clique_number(g)
     if omega > delta - 1:
         raise PreconditionError(f"clique number {omega} exceeds Delta-1")
-    colors = _delta_reduce(g, tuple(range(g.n)), omega, color_base, trace)
+    colors = _delta_reduce(g, g.full_mask(), omega,
+                           lambda rest: color_base(*induced_subgraph(g, bits(rest))), trace)
     return Coloring(colors, delta - 1)
 
 
-def _delta_reduce(g: Graph, ids: tuple[int, ...], omega: int, color_base,
+def _delta_reduce(host: Graph, mask: int, omega: int | None, color_base,
                   trace: list | None) -> dict[int, int]:
-    """One level of ``delta_reduce``; ``omega`` is the clique number of ``g``,
-    so a caller that has it (``solve``) does not compute it again."""
-    from .trace import TraceEvent, run_step
+    """One level of ``delta_reduce`` on the subgraph of ``host`` induced on
+    ``mask``, in host vertices.  ``omega`` is that subgraph's clique number,
+    or None to compute it, so a caller that has it (``solve``) does not
+    compute it again; ``color_base(rest)`` colors a Delta = 9 level given
+    as a host bitmask.  The terminals color through ``trace.run_step``, the
+    apply replay runs.
+    """
+    from .trace import run_step
 
+    g, ids = ((host, range(host.n)) if mask == host.full_mask()
+              else induced_subgraph(host, bits(mask)))
+    if omega is None:
+        omega, _ = clique_number(g)
     delta = g.max_degree()
-    i_local = _hitting_mis(g, omega)
-    peeled = set(i_local)
-    rest = [v for v in range(g.n) if v not in peeled]
-    sub, local = induced_subgraph(g, rest)
-    sub_ids = tuple(ids[i] for i in local)
-    d_sub = sub.max_degree()
+    peeled = mask_of(ids[v] for v in _hitting_mis(g, omega))
+    rest = mask & ~peeled
+    d_sub = max(((host.adj[v] & rest).bit_count() for v in bits(rest)), default=0)
     if d_sub > delta - 1:
         raise InternalInconsistencyError("removing a maximum independent set "
                                          "failed to lower the maximum degree")
+    colors: dict[int, int] = {}
     if d_sub <= delta - 3:
-        colors = {sub_ids[i]: c
-                  for i, c in greedy_color(sub, list(range(sub.n)), delta - 2).items()}
-        if trace is not None:
-            trace.append(TraceEvent("greedy", {"vs": sub_ids, "k": delta - 2}))
+        run_step("greedy", {"vs": tuple(bits(rest)), "k": delta - 2}, host, colors, trace)
     elif d_sub == delta - 2:
-        colors = {sub_ids[i]: c for i, c in brooks_color(sub).colors.items()}
-        if trace is not None:
-            trace.append(TraceEvent("brooks", {"vs": sub_ids, "delta": d_sub}))
+        run_step("brooks", {"vs": tuple(bits(rest)), "delta": d_sub}, host, colors, trace)
     elif d_sub == 9:
-        colors = color_base(sub, sub_ids)
+        colors = color_base(rest)
     else:
-        colors = _delta_reduce(sub, sub_ids, clique_number(sub)[0],
-                               color_base, trace)
+        colors = _delta_reduce(host, rest, None, color_base, trace)
     # a delta_set reads no graph, so none is passed
-    run_step("delta_set", {"i_set": tuple(ids[v] for v in i_local), "color": delta - 1},
+    run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
              None, colors, trace)
     return colors

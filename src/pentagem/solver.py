@@ -20,7 +20,6 @@ from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
                      GraphFormatError, InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     seeded_component_masks)
-from .oracle import colorable_with
 from .patterns import clique_number, is_p5_gem_free
 from .reductions import _delta_reduce, check_copycat, find_copycat, find_d1_catalog
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
@@ -116,13 +115,9 @@ def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
     vertex ``ids[i]``: exactly when perfect, else by its class strategy."""
     label = classify(g)
     if label.kind == "Perfect":
-        omega, witness_clique = clique_number(g)
-        assign = colorable_with(g, omega, seed_clique=witness_clique)
-        if assign is None:
-            raise InternalInconsistencyError(
-                "C5-free irreducible graph refused a clique-number coloring")
-        events.append(TraceEvent("oracle", {"vs": tuple(ids), "k": omega}))
-        return {ids[u]: c for u, c in assign.items()}
+        colors: dict[int, int] = {}
+        run_step("oracle", {"vs": tuple(ids), "k": clique_number(g)[0]}, host, colors, events)
+        return colors
 
     def recurse(sub: Graph, sub_local_ids: tuple[int, ...]) -> dict[int, int]:
         abs_ids = [ids[i] for i in sub_local_ids]
@@ -214,11 +209,9 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
         colors = _color8(g, g.full_mask(), events)
         coloring = Coloring(colors, 8)
     else:
-        def base(sub: Graph, sub_ids: tuple[int, ...]) -> dict[int, int]:
-            return _color8(g, mask_of(sub_ids), events)
-
         try:
-            colors = _delta_reduce(g, tuple(range(g.n)), omega, base, events)
+            colors = _delta_reduce(g, g.full_mask(), omega,
+                                   lambda rest: _color8(g, rest, events), events)
         except InternalInconsistencyError:
             # the lazy gate let the input through: a fruitless search on a
             # graph outside the class reports the forbidden pattern

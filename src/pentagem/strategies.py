@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import (Coloring, back_degree_profile, color_with_independent_sets,
-                       degeneracy_order)
-from .errors import InternalInconsistencyError, PreconditionError
+from .coloring import Coloring, back_degree_profile, degeneracy_order
+from .errors import PreconditionError
 from .graph import Graph, induced_subgraph
-from .oracle import colorable_with
 from .patterns import clique_number
 from .reductions import check_copycat
 from .structure import TEMPLATES, check_bag_partition
-from .trace import TraceEvent, run_step
+from .trace import run_step
 
 __all__ = [
     "ReducibleFound",
@@ -158,7 +156,8 @@ def _sizes(bags: dict[str, tuple[int, ...]]) -> dict[str, int]:
 
 def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]],
             k: int, trace: list | None) -> Coloring:
-    """Reserve the branch's sets, then color; checked bound with fallbacks."""
+    """Reserve the branch's sets, then color through the ``lemma1`` step, or
+    the ``oracle`` step when no checked order meets the bound."""
     sets, order = published_plan(case_id, branch, bags)
     t = len(sets)
     bound = k - t - 1
@@ -167,24 +166,18 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
     sub, ids = induced_subgraph(g, remainder)
     pos = {v: i for i, v in enumerate(ids)}
     fallback = False
+    colors: dict[int, int] = {}
     if back_degree_profile(sub, [pos[v] for v in order]) > bound:
         fallback = True
         order = [ids[i] for i in degeneracy_order(sub)]
         if back_degree_profile(sub, [pos[v] for v in order]) > bound:
-            witness = colorable_with(g, k)
-            if witness is None:
-                raise InternalInconsistencyError(
-                    f"case {case_id}: graph is not even {k}-colorable")
-            if trace is not None:
-                trace.append(TraceEvent("oracle", {"vs": tuple(range(g.n)), "k": k,
-                                                   "case": case_id, "branch": branch}))
-            return Coloring(witness, k)
-    coloring = color_with_independent_sets(g, sets, k, order=order)
-    if trace is not None:
-        trace.append(TraceEvent("lemma1", {
-            "vs": tuple(range(g.n)), "sets": tuple(sets), "order": tuple(order),
-            "k": k, "case": case_id, "branch": branch, "fallback": fallback}))
-    return coloring
+            run_step("oracle", {"vs": tuple(range(g.n)), "k": k, "case": case_id,
+                                "branch": branch}, g, colors, trace)
+            return Coloring(colors, k)
+    run_step("lemma1", {"vs": tuple(range(g.n)), "sets": tuple(sets), "order": tuple(order),
+                        "k": k, "case": case_id, "branch": branch, "fallback": fallback},
+             g, colors, trace)
+    return Coloring(colors, k)
 
 
 def _color_without(g: Graph, piece: tuple[int, ...], recurse) -> dict[int, int]:

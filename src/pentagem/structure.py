@@ -6,6 +6,10 @@ complete bipartite connections, non-edges become empty ones), plus H, whose
 seventh part A7 is special: its components are homogeneous sets whose outside
 edges all land in A6.
 
+Matching assigns the graph's maximal proper modules (vertex sets that each
+outside vertex sees all or none of) to template nodes, since every bag is a
+union of them, and ``check_bag_partition`` verifies the result.
+
 The clique-expansion reduction keeps one maximum clique per reducible bag,
 preserving both the clique number and the chromatic number; the companion
 lift rebuilds a full coloring from a coloring of the reduced graph without
@@ -16,9 +20,9 @@ rule leaves every reducible bag a clique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .cographs import (CographCertificate, cograph_coloring_with_palette,
-                       is_cograph)
+from .cographs import cograph_coloring_with_palette, is_cograph
 from .errors import PreconditionError
 from .graph import (Graph, bits, build_graph, component_masks, induced_subgraph,
                     is_connected, mask_of)
@@ -29,6 +33,7 @@ __all__ = [
     "TEMPLATES",
     "CLASS_ORDER",
     "maximal_homogeneous_cliques",
+    "maximal_modules",
     "match_expansion",
     "check_bag_partition",
     "CliqueReduction",
@@ -99,21 +104,6 @@ TEMPLATES: dict[str, Template] = {
 CLASS_ORDER = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G9", "G10", "H")
 
 
-def _assert_no_adjacent_twins(t: Template) -> None:
-    # Matching assigns whole homogeneous cliques to bags, which is complete
-    # exactly because no template has two adjacent nodes with equal closed
-    # neighborhoods (such twins would let one clique straddle two bags).
-    g = t.graph
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) and g.closed(u) == g.closed(v):
-                raise AssertionError(f"template {t.id} has adjacent twins {u},{v}")
-
-
-for _t in TEMPLATES.values():
-    _assert_no_adjacent_twins(_t)
-
-
 def maximal_homogeneous_cliques(g: Graph) -> list[tuple[int, ...]]:
     """Partition the vertices into maximal homogeneous cliques.
 
@@ -127,6 +117,50 @@ def maximal_homogeneous_cliques(g: Graph) -> list[tuple[int, ...]]:
     return sorted((tuple(vs) for vs in groups.values()), key=lambda t: t[0])
 
 
+def _closure(adj, s: int) -> int:
+    """The smallest module holding the vertex set ``s``: add every vertex
+    that splits it (sees some but not all of it) until none does."""
+    some, every, new = 0, -1, s
+    while new:
+        for x in bits(new):
+            some |= adj[x]
+            every &= adj[x]
+        new = some & ~every & ~s
+        s |= new
+    return s
+
+
+# a prime quotient is what makes each bag of G1..G10 one maximal module
+for _t in TEMPLATES.values():
+    _g = _t.graph
+    if _t.pendant is None and any(_closure(_g.adj, 1 << u | 1 << v) != _g.full_mask()
+                                  for u in range(_g.n) for v in range(u)):
+        raise AssertionError(f"template {_t.id} is not prime")
+
+
+def maximal_modules(g: Graph) -> list[tuple[int, ...]]:
+    """The maximal proper modules of ``g``, in matching order: by each one's
+    largest homogeneous clique, larger first, ties to the smaller vertex.
+
+    Vertex u joins v's module when the smallest module holding both is not
+    the whole graph.  That finds the maximal proper modules whenever they
+    are disjoint, as when ``g`` and its complement are both connected;
+    otherwise each set found is still a proper module.
+    """
+    full = left = g.full_mask()
+    found = []
+    while left:
+        m = left & -left
+        for u in bits(left & ~m):
+            if not m >> u & 1 and (grown := _closure(g.adj, m | 1 << u)) != full:
+                m = grown
+        found.append(m)
+        left &= ~m
+    pieces = sorted(maximal_homogeneous_cliques(g), key=lambda p: (-len(p), p[0]))
+    rank = {v: i for i, p in enumerate(pieces) for v in p}
+    return [tuple(bits(m)) for m in sorted(found, key=lambda m: min(map(rank.get, bits(m))))]
+
+
 def check_bag_partition(g: Graph, template: Template,
                         bags: dict[str, tuple[int, ...]],
                         starred: bool = False) -> list[str]:
@@ -138,10 +172,9 @@ def check_bag_partition(g: Graph, template: Template,
     masks = {}
     covered = 0
     for name in names:
-        vs = bags[name]
-        if not vs:
+        if not bags[name]:
             problems.append(f"bag {name} is empty")
-        m = mask_of(vs)
+        m = mask_of(bags[name])
         if m & covered:
             problems.append(f"bag {name} overlaps another bag")
         covered |= m
@@ -175,102 +208,81 @@ def check_bag_partition(g: Graph, template: Template,
         if starred and name != template.anchor:
             whole = sub.full_mask()
             units = component_masks(sub.adj, whole) if name == template.pendant else [whole]
-            for unit in units:
-                if not sub.is_clique(bits(unit)):
-                    problems.append(f"bag {name} is not in clique form")
-                    break
+            if not all(sub.is_clique(bits(unit)) for unit in units):
+                problems.append(f"bag {name} is not in clique form")
 
     if template.pendant is not None:
         pm = masks[template.pendant]
-        sub, ids = induced_subgraph(g, bags[template.pendant])
-        for comp in component_masks(sub.adj, sub.full_mask()):
-            cm = mask_of(ids[v] for v in bits(comp))
-            outside = 0
-            for v in bits(cm):
-                outside |= g.adj[v] & ~cm
-            for u in bits(outside):
-                if g.adj[u] & cm != cm:
-                    problems.append(
-                        f"{template.pendant} component {tuple(bits(cm))} is not homogeneous")
-                    break
-        anchor_mask = masks[template.anchor]
-        leak = 0
-        for v in bits(pm):
-            leak |= g.adj[v] & ~pm & ~anchor_mask
-        if leak:
+        for cm in component_masks(g.adj, pm):
+            outside = reduce(int.__or__, (g.adj[v] for v in bits(cm)), 0) & ~cm
+            if any(g.adj[u] & cm != cm for u in bits(outside)):
+                problems.append(
+                    f"{template.pendant} component {tuple(bits(cm))} is not homogeneous")
+        if any(g.adj[v] & ~pm & ~masks[template.anchor] for v in bits(pm)):
             problems.append(
                 f"edges leave {template.pendant} toward non-{template.anchor} vertices")
     return problems
 
 
 def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] | None:
-    """Match ``g`` as an expansion of ``template``; exhaustive at desk scale.
+    """Match ``g`` as an expansion of ``template``; None when it is not one.
 
-    Backtracking assigns each maximal homogeneous clique to one template
-    node (sound and complete: no such clique can straddle two bags).  The
-    first solution of the fixed search order is returned, which makes the
-    result deterministic; this is a documented stand-in for the global
-    lexicographic minimum, which would require full enumeration.
+    Every bag is a module, and no proper module meets two bags.  For
+    G1..G10 the quotient is prime (checked at import): the bags a module
+    meets form a module of it, so a module meeting two meets all, and a
+    vertex of a bag it misses in part would see all or none of the rest.
+    In H a module meeting A7 and another bag meets a second bag of A1..A6
+    (that bag's vertices have neighbors in A1..A5, which A7 misses), and
+    one meeting two bags of A1..A6 (a G2 expansion) holds them all and
+    then each A7 vertex, which sees A6 but not A1.  So each bag of
+    G1..G10, and A1..A5 of H, is one maximal proper module, and A6 and A7
+    take any number of them.
+
+    A search assigns nodes to modules, taking modules in the order of
+    their largest homogeneous clique and nodes in ascending order.  It
+    prunes only assignments that no partition ``check_bag_partition``
+    accepts can extend, and returns the first partition that check
+    accepts.  Each maximal homogeneous clique lies in one module, so a
+    search over those cliques in the same order would return the same one.
     """
     if not is_connected(g):
         raise PreconditionError("expansion matching expects a connected graph")
-    k = len(template.nodes)
-    if g.n < k:
+    return _match_modules(g, template, maximal_modules(g))
+
+
+def _match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
+                   ) -> dict[str, tuple[int, ...]] | None:
+    """``match_expansion`` given ``maximal_modules(g)`` of a connected ``g``."""
+    k, full = len(template.nodes), (1 << len(template.nodes)) - 1
+    spare = mask_of(template.nodes.index(x) for x in (template.anchor, template.pendant) if x)
+    if len(modules) < k or (len(modules) > k and not spare):
         return None
-    pieces = maximal_homogeneous_cliques(g)
-    if len(pieces) < k:
+    # nodes a module may take beside one at node t that it sees or misses;
+    # one vertex stands for each module, and only A6 and A7 take several
+    ok = {see: [mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
+                                                template.relation(s, t) in (see, FREE)))
+                for t in range(k)] for see in (COMPLETE, ANTI)}
+    reps = [m[0] for m in modules]
+
+    def search(assign: list[int], nodes: list[int], empty: int):
+        """Give module ``len(assign)`` onward nodes, module j one of the mask
+        ``nodes[j - len(assign)]``; ``empty`` masks the nodes still bare."""
+        i = len(assign)
+        if i == len(modules):
+            bags = {name: tuple(sorted(v for m, s in zip(modules, assign) if s == t
+                                       for v in m)) for t, name in enumerate(template.nodes)}
+            return None if check_bag_partition(g, template, bags) else bags
+        for s in bits(nodes[0]):
+            rest = [d & ok[COMPLETE if g.has_edge(reps[i], reps[j]) else ANTI][s]
+                    for j, d in enumerate(nodes[1:], i + 1)]
+            bare = empty & ~(1 << s)
+            if all(rest) and not bare & ~reduce(int.__or__, rest, 0):
+                found = search(assign + [s], rest, bare)
+                if found is not None:
+                    return found
         return None
-    order = sorted(range(len(pieces)), key=lambda i: (-len(pieces[i]), pieces[i][0]))
-    reps = [p[0] for p in pieces]
-    rel = [[template.relation(s, t) if s != t else -1 for t in range(k)] for s in range(k)]
 
-    assign: list[int | None] = [None] * len(pieces)
-    slot_count = [0] * k
-    result: dict[str, tuple[int, ...]] | None = None
-
-    def compatible(i: int, s: int) -> bool:
-        ri = reps[i]
-        for j, t in enumerate(assign):
-            if t is None or j == i:
-                continue
-            if t == s:
-                continue
-            r = rel[s][t]
-            if r == FREE:
-                continue
-            adj = g.has_edge(ri, reps[j])
-            if (r == COMPLETE) != adj:
-                return False
-        return True
-
-    def backtrack(idx: int) -> bool:
-        nonlocal result
-        if idx == len(order):
-            bags = {name: [] for name in template.nodes}
-            for j, t in enumerate(assign):
-                bags[template.nodes[t]].extend(pieces[j])
-            cand = {name: tuple(sorted(vs)) for name, vs in bags.items()}
-            if check_bag_partition(g, template, cand):
-                return False
-            result = cand
-            return True
-        remaining = len(order) - idx
-        if remaining < slot_count.count(0):
-            return False
-        i = order[idx]
-        for s in range(k):
-            if not compatible(i, s):
-                continue
-            assign[i] = s
-            slot_count[s] += 1
-            if backtrack(idx + 1):
-                return True
-            slot_count[s] -= 1
-            assign[i] = None
-        return False
-
-    backtrack(0)
-    return result
+    return search([], [full] * len(modules), full)
 
 
 @dataclass(frozen=True)
@@ -302,28 +314,15 @@ def clique_reduce(g: Graph, template: Template,
     for name in template.nodes:
         if name == template.anchor:
             continue
-        sub, ids = induced_subgraph(g, bags[name])
-        if name == template.pendant:
-            unit_masks = component_masks(sub.adj, sub.full_mask())
-        else:
-            unit_masks = [sub.full_mask()]
-        for um in unit_masks:
-            unit = tuple(ids[v] for v in bits(um))
-            usub, uids = induced_subgraph(g, unit)
-            cert = is_cograph(usub)
-            if not cert.is_cograph:
-                raise PreconditionError(f"bag {name} fails the cograph check")
+        m = mask_of(bags[name])
+        # a unit is a bag or a pendant component, a cograph as checked above
+        for um in component_masks(g.adj, m) if name == template.pendant else [m]:
+            usub, unit = induced_subgraph(g, bits(um))
             _, witness = clique_number(usub)
-            kept = tuple(uids[v] for v in witness)
-            units.append((unit, kept))
-    kept_all = set()
-    for _, kc in units:
-        kept_all.update(kc)
-    if template.anchor is not None:
-        kept_all.update(bags[template.anchor])
-    star_bags = {}
-    for name in template.nodes:
-        star_bags[name] = tuple(v for v in bags[name] if v in kept_all)
+            units.append((unit, tuple(unit[v] for v in witness)))
+    kept_all = {v for _, kc in units for v in kc} | set(bags.get(template.anchor, ()))
+    star_bags = {name: tuple(v for v in bags[name] if v in kept_all)
+                 for name in template.nodes}
     return CliqueReduction(tuple(sorted(kept_all)), star_bags, tuple(units))
 
 

@@ -166,7 +166,7 @@ def _on_subgraph(color):
 def _oracle(sub: Graph, d: dict, ids) -> dict[int, int]:
     assign = colorable_with(sub, d["k"])
     if assign is None:
-        raise InternalInconsistencyError("oracle replay failed to color")
+        raise InternalInconsistencyError(f"the oracle found no {d['k']}-coloring")
     return assign
 
 

@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way on purpose: subset scans
 and definition-checks that share no pruning logic with the library, so the
 two sides can disagree when one of them is wrong.  ``delta_family`` builds
-the Delta 10..12 instances that criterion 3 and the solver tests share.
+the Delta 10..12 instances that criterion 3 and the solver tests share, and
+``reference_match_expansion`` is the clique-level template matcher the
+module-level one replaced.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from pentagem.errors import PentagemError
-from pentagem.graph import Graph, build_graph, induced_subgraph
+from pentagem.errors import PentagemError, PreconditionError
+from pentagem.graph import Graph, build_graph, induced_subgraph, is_connected
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
+from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
+                                maximal_homogeneous_cliques)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -186,3 +190,89 @@ def brute_is_cograph(g: Graph) -> bool:
             if _induces(g, perm, {(0, 1), (1, 2), (2, 3)}):
                 return False
     return True
+
+
+
+def brute_maximal_proper_modules(g: Graph) -> set[frozenset[int]]:
+    """Every nonempty proper vertex set that each outside vertex sees all
+    or none of, kept when no other such set contains it."""
+    def is_module(s: tuple[int, ...]) -> bool:
+        return all(len({g.has_edge(w, x) for x in s}) == 1
+                   for w in range(g.n) if w not in s)
+
+    modules = [frozenset(s) for r in range(1, g.n)
+               for s in combinations(range(g.n), r) if is_module(s)]
+    return {s for s in modules if not any(s < t for t in modules)}
+
+def reference_match_expansion(g: Graph, template: Template
+                              ) -> dict[str, tuple[int, ...]] | None:
+    """The clique-level matcher ``match_expansion`` replaced, kept verbatim
+    as the reference for the module-level one.
+
+    Match ``g`` as an expansion of ``template``; exhaustive at desk scale.
+
+    Backtracking assigns each maximal homogeneous clique to one template
+    node (sound and complete: no such clique can straddle two bags).  The
+    first solution of the fixed search order is returned, which makes the
+    result deterministic; this is a documented stand-in for the global
+    lexicographic minimum, which would require full enumeration.
+    """
+    if not is_connected(g):
+        raise PreconditionError("expansion matching expects a connected graph")
+    k = len(template.nodes)
+    if g.n < k:
+        return None
+    pieces = maximal_homogeneous_cliques(g)
+    if len(pieces) < k:
+        return None
+    order = sorted(range(len(pieces)), key=lambda i: (-len(pieces[i]), pieces[i][0]))
+    reps = [p[0] for p in pieces]
+    rel = [[template.relation(s, t) if s != t else -1 for t in range(k)] for s in range(k)]
+
+    assign: list[int | None] = [None] * len(pieces)
+    slot_count = [0] * k
+    result: dict[str, tuple[int, ...]] | None = None
+
+    def compatible(i: int, s: int) -> bool:
+        ri = reps[i]
+        for j, t in enumerate(assign):
+            if t is None or j == i:
+                continue
+            if t == s:
+                continue
+            r = rel[s][t]
+            if r == FREE:
+                continue
+            adj = g.has_edge(ri, reps[j])
+            if (r == COMPLETE) != adj:
+                return False
+        return True
+
+    def backtrack(idx: int) -> bool:
+        nonlocal result
+        if idx == len(order):
+            bags = {name: [] for name in template.nodes}
+            for j, t in enumerate(assign):
+                bags[template.nodes[t]].extend(pieces[j])
+            cand = {name: tuple(sorted(vs)) for name, vs in bags.items()}
+            if check_bag_partition(g, template, cand):
+                return False
+            result = cand
+            return True
+        remaining = len(order) - idx
+        if remaining < slot_count.count(0):
+            return False
+        i = order[idx]
+        for s in range(k):
+            if not compatible(i, s):
+                continue
+            assign[i] = s
+            slot_count[s] += 1
+            if backtrack(idx + 1):
+                return True
+            slot_count[s] -= 1
+            assign[i] = None
+        return False
+
+    backtrack(0)
+    return result

@@ -147,6 +147,17 @@ def test_gen_cograph_mode_seeded(tmp_path, capsys):
     assert Path(out1).read_text() == Path(out2).read_text()
 
 
+@pytest.mark.parametrize("command", ["color", "detect", "classify", "oracle",
+                                     "verify", "replay"])
+def test_seed_is_a_usage_error_outside_gen(tmp_path, capsys, command):
+    path = write(tmp_path, "g2.el", write_edgelist(gallery_g2(9)))
+    paths = [path, path] if command in ("verify", "replay") else [path]
+    with pytest.raises(SystemExit) as info:
+        main([command, *paths, "--seed", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_parse_error(capsys):
     assert main(["color", "/nonexistent/graph.el"]) == 2
 

@@ -150,3 +150,26 @@ def test_graph6_agrees_with_a_bitwise_reader(n, rng):
                    for _ in range((n * (n - 1) // 2 + 5) // 6))
     g = parse_graph6(chr(63 + n) + body)
     assert set(g.edges()) == _graph6_by_every_bit(n, body)
+
+
+def _graph6_bit_by_bit(g) -> str:
+    """graph6 text built from a string of the n(n-1)/2 pair bits, column by
+    column, padded with zeros and cut six bits a character."""
+    n = g.n
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    flat = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    flat += "0" * (-len(flat) % 6)
+    body = [int(flat[i:i + 6], 2) for i in range(0, len(flat), 6)]
+    return "".join(chr(63 + d) for d in head + body) + "\n"
+
+
+@pytest.mark.parametrize("n", range(71))
+def test_graph6_writer_matches_a_bit_by_bit_encoder(n):
+    g = random_graph(n, 0.3, 3000 + n)
+    assert write_graph6(g) == _graph6_bit_by_bit(g)
+
+
+@pytest.mark.parametrize("spine", [200, 400])
+def test_graph6_writer_matches_a_bit_by_bit_encoder_on_caterpillars(spine):
+    g = caterpillar(spine)  # n = 1,600 and 3,200
+    assert write_graph6(g) == _graph6_bit_by_bit(g)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from pentagem import solver
-from pentagem.coloring import verify_coloring
+from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import (CliqueBoundError, DegreeRangeError,
                              ForbiddenPatternError, InternalInconsistencyError,
                              PreconditionError)
@@ -18,7 +18,7 @@ from pentagem.patterns import clique_number
 from pentagem.reductions import hitting_mis
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
-from pentagem.trace import dumps_trace, loads_trace
+from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
 from helpers import (caterpillar, delta9_members, delta_family, k9_with_ears,
                      non_clique_core)
@@ -86,6 +86,17 @@ def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
     g = join(complete_graph(8), empty_graph(4))  # a cograph with Delta 11
     with pytest.raises(InternalInconsistencyError, match="no set found"):
         solve(g)
+
+
+def test_the_perfect_branch_colors_through_the_step_replay_runs():
+    # no input reaches the branch end to end, so the core is handed over
+    g = join(complete_graph(3), empty_graph(4))  # a cograph: no C5, so Perfect
+    events = []
+    colors = solver._color_core(g, g, range(g.n), events)
+    assert [(e.kind, e.data) for e in events] == [("oracle", {"vs": tuple(range(7)), "k": 4})]
+    assert verify_coloring(g, Coloring(colors, 4))
+    text = dumps_trace(ReductionTrace(events, 4, *fingerprint(g)))
+    assert replay_trace(g, loads_trace(text)).colors == colors
 
 
 def test_a_non_clique_bag_at_classify_is_an_inconsistency(monkeypatch):

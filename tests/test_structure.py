@@ -1,16 +1,24 @@
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentagem.coloring import Coloring, verify_coloring
-from pentagem.errors import PreconditionError
-from pentagem.graph import (complete_graph, connected_components, cycle_graph,
-                            induced_subgraph, path_graph)
+from pentagem.errors import PentagemError, PreconditionError
+from pentagem.graph import (bits, build_graph, complete_graph, component_masks,
+                            connected_components, cycle_graph, induced_subgraph,
+                            path_graph)
 from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number, find_induced, is_p5_gem_free
 from pentagem.reductions import copycat_extend, find_copycat
 from pentagem.structure import (CLASS_ORDER, TEMPLATES, check_bag_partition,
                                 clique_reduce, lift_coloring, match_expansion,
-                                maximal_homogeneous_cliques)
+                                maximal_homogeneous_cliques, maximal_modules)
+
+from helpers import brute_maximal_proper_modules, reference_match_expansion
 
 
 def expansion(cid, sizes, a7=(), mode="clique", seed=0):
@@ -94,6 +102,72 @@ def test_match_rejects_disconnected():
     with pytest.raises(PreconditionError):
         match_expansion(disjoint_union(cycle_graph(5), complete_graph(1)),
                         TEMPLATES["G1"])
+
+
+@given(st.integers(2, 7), st.lists(st.booleans(), min_size=21, max_size=21))
+@settings(max_examples=300, deadline=None)
+def test_maximal_modules_are_the_inclusion_maximal_proper_modules(n, coins):
+    pairs = list(combinations(range(n), 2))
+    g = build_graph(n, [p for p, c in zip(pairs, coins) if c])
+    got = {frozenset(m) for m in maximal_modules(g)}
+    brute = brute_maximal_proper_modules(g)
+    # every returned set is a proper module, so it lies in a maximal one
+    assert all(any(m <= b for b in brute) for m in got)
+    if all(not a & b for a, b in combinations(brute, 2)):
+        assert got == brute
+
+
+def _split_a6(g, bags, rng):
+    """``g`` with each A7 component joined to a random nonempty part of A6
+    only, so that A6 need not be one module."""
+    a6, a7 = bags["A6"], bags["A7"]
+    sub, ids = induced_subgraph(g, a7)
+    edges = set(g.edges())
+    for comp in component_masks(sub.adj, sub.full_mask()):
+        cut = set(a6) - set(rng.sample(a6, rng.randint(1, len(a6))))
+        edges -= {(min(x, y), max(x, y)) for x in (ids[v] for v in bits(comp)) for y in cut}
+    return build_graph(g.n, sorted(edges))
+
+
+def _matcher_inputs():
+    """Members of all 11 classes in both bag modes at Delta 9 and 10, three
+    A6 splits of each H member, and one one-edge change of each member at
+    Delta 9."""
+    rng = random.Random(5)
+    for mode in ("clique", "cograph"):
+        for delta in (9, 10):
+            for cid in TEMPLATES:
+                try:
+                    spec = gen_target_delta(cid, delta, seed=11, mode=mode)
+                except PentagemError:
+                    continue
+                g, bags = gen_class_instance(spec)
+                yield g
+                if cid == "H":
+                    yield from (_split_a6(g, bags, rng) for _ in range(3))
+                if delta == 9:
+                    u, v = sorted(rng.sample(range(g.n), 2))
+                    yield build_graph(g.n, sorted(set(g.edges()) ^ {(u, v)}))
+
+
+def _outcome(match, g, t):
+    try:
+        return match(g, t)
+    except PentagemError as exc:
+        return type(exc)
+
+
+def test_module_matcher_agrees_with_the_clique_level_matcher():
+    pairs = split = 0
+    for g in _matcher_inputs():
+        modules = maximal_modules(g)
+        for cid, t in TEMPLATES.items():
+            got = _outcome(match_expansion, g, t)
+            assert got == _outcome(reference_match_expansion, g, t), (cid, g.n, g.adj)
+            pairs += 1
+            if cid == "H" and isinstance(got, dict):
+                split += sum(set(m) <= set(got["A6"]) for m in modules) > 1
+    assert pairs > 800 and split > 0
 
 
 def test_checker_flags_bad_partition():
