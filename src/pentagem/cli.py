@@ -12,6 +12,7 @@ recursion limit; 1 for other precondition or usage failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .graph import Graph
 from .graphio import FORMATS, parse_graph, write_graph
 from .instances import GenSpec, gallery_g1, gallery_g2, gen_class_instance
 from .oracle import DEFAULT_ORACLE_CAP, exact_chromatic
-from .patterns import find_induced, is_p5_gem_free
+from .patterns import find_induced
 from .solver import replay_trace, solve
 from .structure import TEMPLATES
 from .trace import dumps_trace, loads_trace
@@ -42,8 +43,26 @@ EXIT_CLIQUE = 5
 EXIT_INTERNAL = 6
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; one that cannot be read as UTF-8 text is a
+    parse error, like a malformed one."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise GraphFormatError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_graph(path: str, fmt: str | None) -> Graph:
-    return parse_graph(Path(path).read_text(), fmt)
+    return parse_graph(_read_text(path), fmt)
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PentagemError(f"{what} expects integers, got {text!r}") from None
 
 
 def _print_coloring(coloring: Coloring) -> None:
@@ -56,7 +75,7 @@ def _oracle_cap(args) -> int:
     if args.max_oracle_n is not None:
         return args.max_oracle_n
     env = os.environ.get(ENV_ORACLE_CAP)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    return _int(env, ENV_ORACLE_CAP) if env else DEFAULT_ORACLE_CAP
 
 
 def cmd_color(args) -> int:
@@ -103,15 +122,18 @@ def cmd_verify(args) -> int:
     g = _read_graph(args.graph, args.format)
     colors: dict[int, int] = {}
     k = None
-    for raw in Path(args.coloring).read_text().splitlines():
+    for raw in _read_text(args.coloring).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        if toks[0] == "palette":
-            k = int(toks[1])
-        else:
-            colors[int(toks[0])] = int(toks[1])
+        try:
+            key, value = line.split()
+            if key == "palette":
+                k = int(value)
+            else:
+                colors[int(key)] = int(value)
+        except ValueError:
+            raise GraphFormatError(f"bad coloring line: {line!r}") from None
     if k is None:
         k = max(colors.values(), default=0)
     ok = verify_coloring(g, Coloring(colors, k))
@@ -125,13 +147,13 @@ def cmd_gen(args) -> int:
     elif args.cls == "gallery-g2":
         g, bags = gallery_g2(args.t), None
     else:
-        sizes_list = [int(x) for x in args.sizes.split(",")] if args.sizes else []
+        sizes_list = [_int(x, "--sizes") for x in args.sizes.split(",")] if args.sizes else []
         t = TEMPLATES[args.cls]
         body = [n for n in t.nodes if n != t.pendant]
         if len(sizes_list) != len(body):
             raise PentagemError(
                 f"class {args.cls} needs {len(body)} bag sizes, got {len(sizes_list)}")
-        a7 = tuple(int(x) for x in args.a7.split(",")) if args.a7 else ()
+        a7 = tuple(_int(x, "--a7") for x in args.a7.split(",")) if args.a7 else ()
         spec = GenSpec(args.cls, dict(zip(body, sizes_list)), a7, args.mode, args.seed)
         g, bags = gen_class_instance(spec)
     text = write_graph(g, args.format or "edgelist")
@@ -147,7 +169,7 @@ def cmd_gen(args) -> int:
 
 def cmd_replay(args) -> int:
     g = _read_graph(args.graph, args.format)
-    trace = loads_trace(Path(args.trace).read_text())
+    trace = loads_trace(_read_text(args.trace))
     coloring = replay_trace(g, trace)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("replayed coloring failed verification")
@@ -155,8 +177,16 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage error, on the usage exit code rather than 2."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache  # parsing leaves the parser as it was; building it costs ~2 ms
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pentagem",
         description="Color (P5, gem)-free graphs with one less color than "
                     "the maximum degree.")
@@ -222,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ForbiddenPatternError as exc:

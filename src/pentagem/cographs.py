@@ -4,14 +4,17 @@ A cograph (P4-free graph) decomposes recursively: a graph on >= 2 vertices
 is a cograph iff it or its complement is disconnected, unions/joins of the
 parts being the tree operations.  Cographs are perfect, so the cotree yields
 an optimal coloring directly (union = reuse colors, join = disjoint colors).
+The P4 witness of a non-cograph comes from ``patterns.induced_p4``, which
+callers that only ask whether a vertex set is P4-free use directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import Graph, bits, component_masks, induced_subgraph, mask_of
+from .graph import Graph, bits, component_masks
+from .patterns import induced_p4
 
 __all__ = [
     "CotreeNode",
@@ -52,19 +55,6 @@ class CographCertificate:
         return self.tree is not None
 
 
-def _find_p4(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
-    for v1 in bits(mask):
-        c1 = g.closed(v1)
-        for v2 in bits(g.adj[v1] & mask):
-            c2 = g.closed(v2)
-            for v3 in bits(g.adj[v2] & mask & ~c1):
-                m4 = g.adj[v3] & mask & ~c1 & ~c2
-                if m4:
-                    v4 = (m4 & -m4).bit_length() - 1
-                    return (v1, v2, v3, v4)
-    return None
-
-
 def is_cograph(g: Graph) -> CographCertificate:
     """Recognize P4-freeness; returns a cotree or an induced-P4 witness."""
     coadj = [(g.full_mask() & ~m) & ~(1 << v) for v, m in enumerate(g.adj)]
@@ -91,7 +81,7 @@ def is_cograph(g: Graph) -> CographCertificate:
     tree = build(g.full_mask())
     if tree is not None:
         return CographCertificate(tree=tree)
-    p4 = _find_p4(g, g.full_mask())
+    p4 = induced_p4(g, g.full_mask())
     if p4 is None:
         raise InternalInconsistencyError(
             "graph is connected and co-connected yet no induced P4 found")

@@ -40,19 +40,21 @@ def parse_dimacs(text: str) -> Graph:
         if not line or line.startswith("c"):
             continue
         toks = line.split()
-        if toks[0] == "p":
-            if len(toks) != 4 or toks[1].lower() not in ("edge", "edges", "col"):
-                raise GraphFormatError(f"bad problem line: {line!r}")
-            n = int(toks[2])
-        elif toks[0] == "e":
-            if n is None:
-                raise GraphFormatError("edge line before the problem line")
-            if len(toks) != 3:
-                raise GraphFormatError(f"bad edge line: {line!r}")
-            u, v = int(toks[1]) - 1, int(toks[2]) - 1
-            edges.append((u, v))
-        else:
-            raise GraphFormatError(f"unknown DIMACS line: {line!r}")
+        try:
+            if toks[0] == "p":
+                if len(toks) != 4 or toks[1].lower() not in ("edge", "edges", "col"):
+                    raise GraphFormatError(f"bad problem line: {line!r}")
+                n = int(toks[2])
+            elif toks[0] == "e":
+                if n is None:
+                    raise GraphFormatError("edge line before the problem line")
+                if len(toks) != 3:
+                    raise GraphFormatError(f"bad edge line: {line!r}")
+                edges.append((int(toks[1]) - 1, int(toks[2]) - 1))
+            else:
+                raise GraphFormatError(f"unknown DIMACS line: {line!r}")
+        except ValueError:
+            raise GraphFormatError(f"non-integer token in DIMACS line: {line!r}") from None
     if n is None:
         raise GraphFormatError("missing problem line")
     try:

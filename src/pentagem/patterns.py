@@ -1,8 +1,11 @@
-"""Exact detection of the small induced patterns the pipeline relies on.
+"""Exact detection of the small induced shapes the pipeline relies on.
 
-The searches enumerate ordered candidate tuples in lexicographic order with
-adjacency-driven pruning, so the first hit is the lexicographically smallest
-witness; exhausting the search is an exhaustive-absence guarantee.
+Every shape searched for is an induced P4 v1-v2-v3-v4 plus at most one
+vertex: the P4 itself (a cograph is P4-free), and P5, gem and C5, whose
+fifth vertex's adjacency to v1..v4 is one row of ``FIFTH``.  One walk,
+``induced_p4``, enumerates the P4s inside a host bitmask in lexicographic
+order, so the first hit is the lexicographically smallest witness and an
+exhausted walk is an exhaustive-absence guarantee.
 """
 
 from __future__ import annotations
@@ -13,125 +16,78 @@ from .graph import Graph, bits
 
 __all__ = [
     "PatternWitness",
+    "induced_p4",
     "find_induced",
     "is_p5_gem_free",
     "clique_number",
     "maximum_independent_set",
 ]
 
-PATTERNS = ("P5", "GEM", "C5")
+# adjacency of the fifth vertex to v1..v4 of an induced P4
+FIFTH = {"P5": (0, 0, 0, 1), "GEM": (1, 1, 1, 1), "C5": (1, 0, 0, 1)}
 
 
 @dataclass(frozen=True)
 class PatternWitness:
-    """An ordered vertex tuple realizing a pattern.
-
-    Order convention: path order for P5; P4 order then apex for GEM; cyclic
-    order for C5; arbitrary (sorted) for Kt.
-    """
+    """An ordered vertex tuple realizing a pattern: the P4 v1..v4 in path
+    order, then the fifth vertex (path order for P5, P4 then apex for GEM,
+    cyclic order for C5)."""
 
     pattern: str
     vertices: tuple[int, ...]
 
     def check(self, g: Graph) -> bool:
         """Verify the witness by direct edge comparison against the pattern."""
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
+        vs, fifth = self.vertices, FIFTH.get(self.pattern)
+        if fifth is None or len(vs) != 5 or len(set(vs)) != 5:
             return False
-        if self.pattern == "P5":
-            need = {(0, 1), (1, 2), (2, 3), (3, 4)}
-            k = 5
-        elif self.pattern == "GEM":
-            need = {(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
-            k = 5
-        elif self.pattern == "C5":
-            need = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
-            k = 5
-        elif self.pattern.startswith("K"):
-            k = len(vs)
-            need = {(i, j) for i in range(k) for j in range(i + 1, k)}
-        else:
-            return False
-        if len(vs) != k:
-            return False
-        for i in range(k):
-            for j in range(i + 1, k):
-                if g.has_edge(vs[i], vs[j]) != ((i, j) in need):
-                    return False
-        return True
+        return all(g.has_edge(vs[i], vs[j]) == bool(fifth[i] if j == 4 else j == i + 1)
+                   for i in range(5) for j in range(i + 1, 5))
 
 
-def _find_p5(g: Graph) -> tuple[int, ...] | None:
+def induced_p4(g: Graph, mask: int,
+               fifth: tuple[int, int, int, int] | None = None) -> tuple[int, ...] | None:
+    """The lex-least induced P4 (v1, v2, v3, v4) inside ``mask``; None if none.
+
+    Given ``fifth`` (a row of ``FIFTH``), the lex-least such P4 that some
+    vertex of ``mask`` extends with that adjacency to v1..v4, followed by
+    the least such vertex.  A vertex adjacent to vi is not vi, and one kept
+    out of vi's closed neighborhood is not vi either, so the fifth vertex
+    is always distinct from the four.
+    """
     adj = g.adj
-    for v1 in range(g.n):
+    a1, a2, a3, a4 = fifth or (0, 0, 0, 0)
+    for v1 in bits(mask):
         c1 = g.closed(v1)
-        for v2 in bits(adj[v1]):
+        s1 = mask & (adj[v1] if a1 else ~c1)
+        for v2 in bits(adj[v1] & mask):
             c2 = g.closed(v2)
-            for v3 in bits(adj[v2] & ~c1):
-                c3 = g.closed(v3)
-                for v4 in bits(adj[v3] & ~c1 & ~c2):
-                    m5 = adj[v4] & ~c1 & ~c2 & ~c3
+            s2 = s1 & (adj[v2] if a2 else ~c2)
+            for v3 in bits(adj[v2] & mask & ~c1):
+                s3 = s2 & (adj[v3] if a3 else ~g.closed(v3))
+                for v4 in bits(adj[v3] & mask & ~c1 & ~c2):
+                    if fifth is None:
+                        return v1, v2, v3, v4
+                    m5 = s3 & (adj[v4] if a4 else ~g.closed(v4))
                     if m5:
-                        v5 = (m5 & -m5).bit_length() - 1
-                        return (v1, v2, v3, v4, v5)
-    return None
-
-
-def _find_gem(g: Graph) -> tuple[int, ...] | None:
-    # Ordered as (p1, p2, p3, p4, apex): induced P4 plus a common neighbor.
-    adj = g.adj
-    for v1 in range(g.n):
-        c1 = g.closed(v1)
-        for v2 in bits(adj[v1]):
-            c2 = g.closed(v2)
-            for v3 in bits(adj[v2] & ~c1):
-                c3 = g.closed(v3)
-                for v4 in bits(adj[v3] & ~c1 & ~c2):
-                    apex = adj[v1] & adj[v2] & adj[v3] & adj[v4]
-                    if apex:
-                        a = (apex & -apex).bit_length() - 1
-                        return (v1, v2, v3, v4, a)
-    return None
-
-
-def _find_c5(g: Graph) -> tuple[int, ...] | None:
-    adj = g.adj
-    for v1 in range(g.n):
-        c1 = g.closed(v1)
-        b1 = 1 << v1
-        for v2 in bits(adj[v1]):
-            c2 = g.closed(v2)
-            for v3 in bits(adj[v2] & ~c1):
-                c3 = g.closed(v3)
-                for v4 in bits(adj[v3] & ~c1 & ~c2):
-                    m5 = adj[v4] & adj[v1] & ~c2 & ~c3 & ~b1
-                    if m5:
-                        v5 = (m5 & -m5).bit_length() - 1
-                        return (v1, v2, v3, v4, v5)
+                        return v1, v2, v3, v4, (m5 & -m5).bit_length() - 1
     return None
 
 
 def find_induced(g: Graph, pattern: str) -> PatternWitness | None:
     """Find an induced P5, GEM or C5; None is an exhaustive-absence guarantee."""
-    if pattern == "P5":
-        hit = _find_p5(g)
-    elif pattern == "GEM":
-        hit = _find_gem(g)
-    elif pattern == "C5":
-        hit = _find_c5(g)
-    else:
+    if pattern not in FIFTH:
         raise ValueError(f"unknown pattern {pattern!r}")
+    hit = induced_p4(g, g.full_mask(), FIFTH[pattern])
     return PatternWitness(pattern, hit) if hit else None
 
 
 def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     """True iff the graph has neither an induced P5 nor an induced gem."""
-    w = find_induced(g, "P5")
-    if w is not None:
-        return False, w
-    w = find_induced(g, "GEM")
-    if w is not None:
-        return False, w
+    for pattern in ("P5", "GEM"):
+        w = find_induced(g, pattern)
+        if w is not None:
+            return False, w
     return True, None
 
 

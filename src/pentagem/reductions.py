@@ -110,34 +110,27 @@ def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
 
 def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
-    if len(vs) != 9 or len(set(vs)) != 9:
+    m = mask_of(vs)
+    if len(vs) != 9 or m.bit_count() != 9:
         return False
-    sub, _ = induced_subgraph(g, vs)
-    hubs = [v for v in range(9) if sub.degree(v) == 8]
-    if len(hubs) != 3:
-        return False
-    rest = [v for v in range(9) if v not in hubs]
-    if any(sub.degree(v) != 4 for v in rest):
-        return False
-    inner, _ = induced_subgraph(sub, rest)
-    return inner.m == 3 and all(inner.degree(v) == 1 for v in range(6))
+    # the hubs see all 8 others, so each other vertex has degree 4 exactly
+    # when it has one neighbor among the six non-hubs
+    rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 8)
+    return rest.bit_count() == 6 and all((g.adj[v] & rest).bit_count() == 1
+                                         for v in bits(rest))
 
 
 def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
-    if len(vs) != 8 or len(set(vs)) != 8:
+    m = mask_of(vs)
+    if len(vs) != 8 or m.bit_count() != 8:
         return False
-    sub, _ = induced_subgraph(g, vs)
-    hubs = [v for v in range(8) if sub.degree(v) == 7]
-    if len(hubs) != 4:
+    rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 7)
+    if rest.bit_count() != 4:
         return False
-    rest = [v for v in range(8) if v not in hubs]
-    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    for (a, b), (c, d) in pairings:
-        if (not sub.has_edge(rest[a], rest[b])
-                and not sub.has_edge(rest[c], rest[d])):
-            return True
-    return False
+    a, b, c, d = bits(rest)
+    return any(not g.has_edge(p, q) and not g.has_edge(r, s)
+               for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c)))
 
 
 def _triangles(g: Graph):

@@ -26,7 +26,7 @@ from .cographs import cograph_coloring_with_palette, is_cograph
 from .errors import PreconditionError
 from .graph import (Graph, bits, build_graph, component_masks, induced_subgraph,
                     is_connected, mask_of)
-from .patterns import clique_number
+from .patterns import clique_number, induced_p4
 
 __all__ = [
     "Template",
@@ -200,15 +200,12 @@ def check_bag_partition(g: Graph, template: Template,
                     break
 
     for name in names:
-        sub, ids = induced_subgraph(g, bags[name])
-        cert = is_cograph(sub)
-        if not cert.is_cograph:
-            w = tuple(ids[v] for v in cert.p4)
-            problems.append(f"bag {name} induces a P4 {w}")
+        m = masks[name]
+        if (p4 := induced_p4(g, m)) is not None:
+            problems.append(f"bag {name} induces a P4 {p4}")
         if starred and name != template.anchor:
-            whole = sub.full_mask()
-            units = component_masks(sub.adj, whole) if name == template.pendant else [whole]
-            if not all(sub.is_clique(bits(unit)) for unit in units):
+            units = component_masks(g.adj, m) if name == template.pendant else [m]
+            if any(g.adj[v] & u != u ^ (1 << v) for u in units for v in bits(u)):
                 problems.append(f"bag {name} is not in clique form")
 
     if template.pendant is not None:

@@ -3,9 +3,12 @@
 Everything here is written the slow, obvious way on purpose: subset scans
 and definition-checks that share no pruning logic with the library, so the
 two sides can disagree when one of them is wrong.  ``delta_family`` builds
-the Delta 10..12 instances that criterion 3 and the solver tests share, and
+the Delta 10..12 instances that criterion 3 and the solver tests share,
 ``reference_match_expansion`` is the clique-level template matcher the
-module-level one replaced.
+module-level one replaced, the ``reference_find_*`` functions are the
+four hand-written induced-P4 walks that ``patterns.induced_p4`` replaced,
+and the ``reference_is_*`` functions the catalog shape tests that built
+induced copies.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from itertools import combinations, permutations
 
 from pentagem.errors import PentagemError, PreconditionError
-from pentagem.graph import Graph, build_graph, induced_subgraph, is_connected
+from pentagem.graph import Graph, bits, build_graph, induced_subgraph, is_connected
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
 from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
@@ -151,6 +154,107 @@ def brute_has_induced(g: Graph, pattern: str) -> bool:
         for perm in permutations(combo):
             if _induces(g, perm, pe):
                 return True
+    return False
+
+
+# The four P4 walks ``patterns.induced_p4`` replaced, kept verbatim as its
+# reference: P5, gem and C5 over the whole graph, P4 inside a mask.
+
+def reference_find_p5(g: Graph) -> tuple[int, ...] | None:
+    adj = g.adj
+    for v1 in range(g.n):
+        c1 = g.closed(v1)
+        for v2 in bits(adj[v1]):
+            c2 = g.closed(v2)
+            for v3 in bits(adj[v2] & ~c1):
+                c3 = g.closed(v3)
+                for v4 in bits(adj[v3] & ~c1 & ~c2):
+                    m5 = adj[v4] & ~c1 & ~c2 & ~c3
+                    if m5:
+                        v5 = (m5 & -m5).bit_length() - 1
+                        return (v1, v2, v3, v4, v5)
+    return None
+
+
+def reference_find_gem(g: Graph) -> tuple[int, ...] | None:
+    # Ordered as (p1, p2, p3, p4, apex): induced P4 plus a common neighbor.
+    adj = g.adj
+    for v1 in range(g.n):
+        c1 = g.closed(v1)
+        for v2 in bits(adj[v1]):
+            c2 = g.closed(v2)
+            for v3 in bits(adj[v2] & ~c1):
+                c3 = g.closed(v3)
+                for v4 in bits(adj[v3] & ~c1 & ~c2):
+                    apex = adj[v1] & adj[v2] & adj[v3] & adj[v4]
+                    if apex:
+                        a = (apex & -apex).bit_length() - 1
+                        return (v1, v2, v3, v4, a)
+    return None
+
+
+def reference_find_c5(g: Graph) -> tuple[int, ...] | None:
+    adj = g.adj
+    for v1 in range(g.n):
+        c1 = g.closed(v1)
+        b1 = 1 << v1
+        for v2 in bits(adj[v1]):
+            c2 = g.closed(v2)
+            for v3 in bits(adj[v2] & ~c1):
+                c3 = g.closed(v3)
+                for v4 in bits(adj[v3] & ~c1 & ~c2):
+                    m5 = adj[v4] & adj[v1] & ~c2 & ~c3 & ~b1
+                    if m5:
+                        v5 = (m5 & -m5).bit_length() - 1
+                        return (v1, v2, v3, v4, v5)
+    return None
+
+
+def reference_find_p4(g: Graph, mask: int) -> tuple[int, int, int, int] | None:
+    for v1 in bits(mask):
+        c1 = g.closed(v1)
+        for v2 in bits(g.adj[v1] & mask):
+            c2 = g.closed(v2)
+            for v3 in bits(g.adj[v2] & mask & ~c1):
+                m4 = g.adj[v3] & mask & ~c1 & ~c2
+                if m4:
+                    v4 = (m4 & -m4).bit_length() - 1
+                    return (v1, v2, v3, v4)
+    return None
+
+
+# The catalog shape tests before they read the host through a mask, kept
+# verbatim as the reference for the mask versions.
+
+def reference_is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
+    """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
+    if len(vs) != 9 or len(set(vs)) != 9:
+        return False
+    sub, _ = induced_subgraph(g, vs)
+    hubs = [v for v in range(9) if sub.degree(v) == 8]
+    if len(hubs) != 3:
+        return False
+    rest = [v for v in range(9) if v not in hubs]
+    if any(sub.degree(v) != 4 for v in rest):
+        return False
+    inner, _ = induced_subgraph(sub, rest)
+    return inner.m == 3 and all(inner.degree(v) == 1 for v in range(6))
+
+
+def reference_is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
+    """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
+    if len(vs) != 8 or len(set(vs)) != 8:
+        return False
+    sub, _ = induced_subgraph(g, vs)
+    hubs = [v for v in range(8) if sub.degree(v) == 7]
+    if len(hubs) != 4:
+        return False
+    rest = [v for v in range(8) if v not in hubs]
+    pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    for (a, b), (c, d) in pairings:
+        if (not sub.has_edge(rest[a], rest[b])
+                and not sub.has_edge(rest[c], rest[d])):
+            return True
     return False
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from pentagem import cli, solver
 from pentagem.cli import main
-from pentagem.graph import complete_graph, disjoint_union, empty_graph, path_graph
+from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_graph,
+                            path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 
@@ -154,12 +155,85 @@ def test_seed_is_a_usage_error_outside_gen(tmp_path, capsys, command):
     paths = [path, path] if command in ("verify", "replay") else [path]
     with pytest.raises(SystemExit) as info:
         main([command, *paths, "--seed", "5"])
-    assert info.value.code == 2
+    assert info.value.code == 1
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_parse_error(capsys):
     assert main(["color", "/nonexistent/graph.el"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "pentagem: error: the following arguments are required: command"),
+    (["paint"], "pentagem: error: argument command: invalid choice: 'paint'"),
+    (["color"], "pentagem color: error: the following arguments are required: graph"),
+    (["color", "g.el", "--frobnicate"], "pentagem: error: unrecognized arguments: --frobnicate"),
+])
+def test_usage_errors_exit_1_with_argparse_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pentagem") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["color", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("text", ["p edge x 3\n", "p edge 3 1\ne 1 z\n"])
+def test_a_non_integer_dimacs_token_is_a_parse_error(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.col", text)
+    assert main(["color", path]) == 2
+    assert "non-integer token in DIMACS line" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("role", ["graph", "coloring", "trace"])
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_an_unreadable_input_file_is_a_parse_error(tmp_path, capsys, role, kind):
+    good = write(tmp_path, "g2.el", write_edgelist(gallery_g2(9)))
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"3 1\n0 1\xff\n")
+    argv = {"graph": ["color", str(bad)], "coloring": ["verify", good, str(bad)],
+            "trace": ["replay", good, str(bad)]}[role]
+    assert main(argv) == 2
+    one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line", ["0 x", "0", "0 1 2", "palette"])
+def test_a_coloring_line_that_is_not_two_integers_is_a_parse_error(tmp_path, capsys, line):
+    path = write(tmp_path, "c5.el", write_edgelist(cycle_graph(5)))
+    colors = write(tmp_path, "c5.colors", f"palette 3\n{line}\n")
+    assert main(["verify", path, colors]) == 2
+    assert repr(line) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["gen", "G1", "--sizes", "1,x,1,1,1"],
+                                  ["gen", "H", "--sizes", "1,1,1,1,1,1", "--a7", "2,y"]])
+def test_a_non_integer_gen_list_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "g.el")]) == 1
+    one_error_line(capsys)
+
+
+def test_a_non_integer_oracle_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c5.el", write_edgelist(cycle_graph(5)))
+    monkeypatch.setenv("PENTAGEM_ORACLE_CAP", "abc")
+    assert main(["oracle", path]) == 1
+    assert "PENTAGEM_ORACLE_CAP" in one_error_line(capsys)
 
 
 def test_tampered_trace_reports_inconsistency(tmp_path, capsys):

@@ -1,15 +1,21 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, join,
-                            path_graph)
+from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
+                            induced_subgraph, join, path_graph)
 from pentagem.instances import gallery_g1, gallery_g2
-from pentagem.patterns import (PatternWitness, clique_number, find_induced,
-                               is_p5_gem_free, maximum_independent_set)
+from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_induced,
+                               induced_p4, is_p5_gem_free, maximum_independent_set)
 
-from helpers import (brute_clique_number, brute_find_induced,
-                     brute_max_independent_set_size, random_graph)
+from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
+                     brute_max_independent_set_size, random_graph, reference_find_c5,
+                     reference_find_gem, reference_find_p4, reference_find_p5)
+
+REFERENCE = {"P5": reference_find_p5, "GEM": reference_find_gem, "C5": reference_find_c5}
 
 
 def gem():
@@ -127,3 +133,36 @@ def test_maximum_independent_set_brute(seed):
 def test_pattern_witness_rejects_wrong_order():
     w = PatternWitness("C5", (0, 1, 2, 4, 3))
     assert not w.check(cycle_graph(5))
+
+
+def test_witness_check_agrees_with_the_edge_sets_on_ordered_5_tuples():
+    hits = dict.fromkeys(PATTERN_EDGES, 0)
+    graphs = [random_graph(7, 0.5, seed) for seed in range(3)]
+    for g in graphs + [join(complete_graph(1), disjoint_union(cycle_graph(5), path_graph(1)))]:
+        for vs in permutations(range(7), 5):
+            for pattern, edges in PATTERN_EDGES.items():
+                want = _induces(g, vs, edges)
+                assert PatternWitness(pattern, vs).check(g) == want, (g.adj, pattern, vs)
+                hits[pattern] += want
+    assert all(hits.values()), hits
+    assert not PatternWitness("P5", (0, 1, 2, 3, 3)).check(path_graph(5))
+    assert not PatternWitness("P5", (0, 1, 2, 3)).check(path_graph(5))
+    assert not PatternWitness("K3", (0, 1, 2)).check(complete_graph(3))  # no clique form
+
+
+@given(st.integers(0, 10**6), st.integers(4, 11), st.floats(0.1, 0.9))
+@settings(max_examples=150, deadline=None)
+def test_walker_matches_the_reference_walks(seed, n, p):
+    g = random_graph(n, p, seed)
+    full = g.full_mask()
+    assert induced_p4(g, full) == reference_find_p4(g, full)
+    for pattern, find in REFERENCE.items():
+        assert induced_p4(g, full, FIFTH[pattern]) == find(g)
+    # inside a mask: the reference P4 walk takes the mask, the other three
+    # run on the induced copy, whose sorted ids keep the lexicographic order
+    mask = random.Random(seed).getrandbits(n)
+    assert induced_p4(g, mask) == reference_find_p4(g, mask)
+    sub, ids = induced_subgraph(g, bits(mask))
+    for pattern, find in REFERENCE.items():
+        hit = find(sub)
+        assert induced_p4(g, mask, FIFTH[pattern]) == (hit and tuple(ids[v] for v in hit))

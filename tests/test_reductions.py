@@ -18,7 +18,8 @@ from pentagem.reductions import (brooks_color, copycat_extend, delta_reduce,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
 from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
-                     random_graph)
+                     random_graph, reference_is_k3_join_3k2,
+                     reference_is_k4_join_two_nonedges)
 
 
 def three_k2():
@@ -135,6 +136,28 @@ def test_catalog_matches_brute_force(seed):
     assert (found is not None) == brute_d1_catalog_present(g)
     if found is not None:
         assert is_k3_join_3k2(g, found) or is_k4_join_two_nonedges(g, found)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(3, 6), (4, 4)]), st.integers(0, 2),
+       st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_catalog_shape_tests_match_the_reference(seed, shape, flips, cuts):
+    # a hub clique joined to a perfect matching, then up to two pairs of the
+    # matching side toggled and up to two edges cut anywhere
+    hubs, rest = shape
+    rng = random.Random(seed)
+    perm = rng.sample(range(rest), rest)
+    inner = {(min(perm[i], perm[i + 1]), max(perm[i], perm[i + 1]))
+             for i in range(0, rest, 2)}
+    inner ^= set(rng.sample(list(combinations(range(rest), 2)), flips))
+    edges = list(join(complete_graph(hubs), build_graph(rest, inner)).edges())
+    for _ in range(cuts):
+        edges.remove(rng.choice(edges))
+    g = build_graph(hubs + rest, edges)
+    vs = tuple(rng.sample(range(g.n), g.n))
+    for vs in (vs, vs[:-1] + vs[:1]):
+        assert is_k3_join_3k2(g, vs) == reference_is_k3_join_3k2(g, vs)
+        assert is_k4_join_two_nonedges(g, vs) == reference_is_k4_join_two_nonedges(g, vs)
 
 
 # -- list extension ----------------------------------------------------------------

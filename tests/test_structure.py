@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,8 @@ from pentagem.structure import (CLASS_ORDER, TEMPLATES, check_bag_partition,
                                 clique_reduce, lift_coloring, match_expansion,
                                 maximal_homogeneous_cliques, maximal_modules)
 
-from helpers import brute_maximal_proper_modules, reference_match_expansion
+from helpers import (_induces, brute_maximal_proper_modules, reference_find_p4,
+                     reference_match_expansion)
 
 
 def expansion(cid, sizes, a7=(), mode="clique", seed=0):
@@ -181,6 +182,47 @@ def test_ground_truth_bags_pass_checker_for_h():
     g, bags = expansion("H", {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 2, "A6": 2},
                         a7=(2, 3))
     assert not check_bag_partition(g, TEMPLATES["H"], bags)
+
+
+def _c5_expansion(q1_edges, q1_size, seed):
+    """G1 with a Q1 bag of ``q1_size`` vertices, in a seeded vertex order."""
+    k = q1_size
+    edges = list(q1_edges) + [(v, k) for v in range(k)] + [(v, k + 3) for v in range(k)]
+    edges += [(k, k + 1), (k + 1, k + 2), (k + 2, k + 3)]
+    perm = list(range(k + 4))
+    random.Random(seed).shuffle(perm)
+    g = build_graph(k + 4, [(perm[u], perm[v]) for u, v in edges])
+    parts = [range(k)] + [[k + i] for i in range(4)]
+    return g, {f"Q{i + 1}": tuple(sorted(perm[v] for v in vs)) for i, vs in enumerate(parts)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_bag_holding_a_p4_is_named_by_its_lex_least_p4_in_host_ids(seed):
+    # Q1 is a P5: it holds two P4s, each in two directions
+    g, bags = _c5_expansion([(0, 1), (1, 2), (2, 3), (3, 4)], 5, seed)
+    lex_least = min(vs for vs in permutations(bags["Q1"], 4)
+                    if _induces(g, vs, {(0, 1), (1, 2), (2, 3)}))
+    # the message the induced copy and its cotree gave
+    sub, ids = induced_subgraph(g, bags["Q1"])
+    old = tuple(ids[v] for v in reference_find_p4(sub, sub.full_mask()))
+    assert old == lex_least
+    assert check_bag_partition(g, TEMPLATES["G1"], bags) == [f"bag Q1 induces a P4 {old}"]
+
+
+def test_starred_check_wants_each_bag_but_the_anchor_in_clique_form():
+    g, bags = _c5_expansion([], 2, 0)
+    assert not check_bag_partition(g, TEMPLATES["G1"], bags)
+    assert check_bag_partition(g, TEMPLATES["G1"], bags, starred=True) == [
+        "bag Q1 is not in clique form"]
+    g, bags = _c5_expansion([(0, 1)], 2, 0)
+    assert not check_bag_partition(g, TEMPLATES["G1"], bags, starred=True)
+    # H: A7 (two cliques, not one) is checked per component, the anchor not
+    # at all, so dropping the edge inside A6 changes nothing
+    g, bags = expansion("H", {"A1": 1, "A2": 1, "A3": 1, "A4": 1, "A5": 1, "A6": 2},
+                        a7=(2, 3))
+    a, b = bags["A6"]
+    g = build_graph(g.n, [e for e in g.edges() if set(e) != {a, b}])
+    assert not check_bag_partition(g, TEMPLATES["H"], bags, starred=True)
 
 
 # -- the twin lemma -----------------------------------------------------------------
