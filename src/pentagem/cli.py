@@ -54,6 +54,14 @@ def _read_text(path: str) -> str:
         raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is a usage failure."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise PentagemError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _read_graph(path: str, fmt: str | None) -> Graph:
     return parse_graph(_read_text(path), fmt)
 
@@ -83,7 +91,7 @@ def cmd_color(args) -> int:
     coloring, trace = solve(g)
     _print_coloring(coloring)
     if args.trace:
-        Path(args.trace).write_text(dumps_trace(trace))
+        _write_text(args.trace, dumps_trace(trace))
     return EXIT_OK
 
 
@@ -158,12 +166,12 @@ def cmd_gen(args) -> int:
         g, bags = gen_class_instance(spec)
     text = write_graph(g, args.format or "edgelist")
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if bags is not None and args.bags_out:
         lines = [f"{name}: " + " ".join(str(v) for v in vs) for name, vs in bags.items()]
-        Path(args.bags_out).write_text("\n".join(lines) + "\n")
+        _write_text(args.bags_out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

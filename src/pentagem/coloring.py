@@ -77,11 +77,12 @@ def degeneracy_order(g: Graph) -> list[int]:
     return peeled
 
 
-def first_fit(g: Graph, order, k: int, colors: dict[int, int]) -> None:
+def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
     """Give each vertex of ``order`` in turn the smallest color in 1..k that
-    none of its neighbors already holds in ``colors``, writing into it."""
+    none of its neighbors already holds in ``colors``, writing into it;
+    ``adj`` is a per-vertex list of neighborhood masks, a graph's ``adj``."""
     for v in order:
-        used = {colors[u] for u in bits(g.adj[v]) if u in colors}
+        used = {colors[u] for u in bits(adj[v]) if u in colors}
         c = 1
         while c in used:
             c += 1
@@ -94,7 +95,7 @@ def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,
                  initial: dict[int, int] | None = None) -> dict[int, int]:
     """Greedy coloring along ``order`` using the smallest free color <= k."""
     colors = dict(initial) if initial else {}
-    first_fit(g, order, k, colors)
+    first_fit(g.adj, order, k, colors)
     return colors
 
 
@@ -137,5 +138,5 @@ def color_with_independent_sets(g: Graph, sets: list[tuple[int, ...]], k: int,
         for v in s:
             colors[v] = k - j
     # Reserved colors sit above k-t, so greedy cannot collide with them.
-    first_fit(g, order, k - t, colors)
+    first_fit(g.adj, order, k - t, colors)
     return Coloring(colors, k)

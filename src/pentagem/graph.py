@@ -30,6 +30,7 @@ __all__ = [
     "path_graph",
     "bits",
     "mask_of",
+    "max_degree_in",
     "component_masks",
     "seeded_component_masks",
     "connected_components",
@@ -219,6 +220,11 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def max_degree_in(adj, mask: int) -> int:
+    """Maximum degree of the graph ``adj`` induces on ``mask`` (0 if empty)."""
+    return max(((adj[v] & mask).bit_count() for v in bits(mask)), default=0)
 
 
 def component_masks(adj, mask: int) -> list[int]:

@@ -4,17 +4,19 @@ Each rule pairs a detector with an extension procedure: remove a configured
 piece, color the rest (recursively, by the caller), then extend the coloring
 back deterministically.  Also hosts the constructive Brooks coloring, the
 hitting independent set, and the reduction from large maximum degree down to
-the base case of 9.
+the base case of 9.  Brooks colors the subgraph a host's adjacency masks
+induce on a vertex mask, with no induced copy, so the ``brooks`` trace step
+runs it on the host graph directly.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import Coloring, greedy_color
+from .coloring import Coloring, first_fit
 from .errors import (InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, connected_components,
-                    induced_subgraph, mask_of)
+                    induced_subgraph, mask_of, max_degree_in)
 from .patterns import clique_number, maximum_independent_set
 from .structure import maximal_homogeneous_cliques
 
@@ -29,6 +31,7 @@ __all__ = [
     "is_k4_join_two_nonedges",
     "extend_list_coloring",
     "hitting_mis",
+    "brooks_mask",
     "brooks_color",
     "delta_reduce",
 ]
@@ -345,74 +348,89 @@ def _hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
     return got
 
 
-def _connected_without(g: Graph, removed: int) -> bool:
-    return len(component_masks(g.adj, g.full_mask() & ~removed)) <= 1
+def _connected_without(adj, mask: int, removed: int) -> bool:
+    return len(component_masks(adj, mask & ~removed)) <= 1
 
 
-def _order_toward_root(g: Graph, root: int, skip: int = 0) -> list[int]:
-    """Vertices by decreasing BFS distance from root (root last), skipping
-    masked vertices; every non-root vertex keeps one neighbor later on."""
-    dist = {root: 0}
-    frontier = [root]
-    d = 0
+def _order_toward_root(adj, mask: int, root: int) -> list[int]:
+    """The vertices of ``mask`` reached from ``root`` inside it, by decreasing
+    BFS distance (ties to the lower id, root last); every non-root vertex
+    keeps one neighbor later on."""
+    layers = []
+    seen = frontier = 1 << root
     while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in bits(g.adj[v] & ~skip):
-                if u not in dist:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    order = sorted(dist, key=lambda v: (-dist[v], v))
-    return order
+        layers.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return [v for layer in reversed(layers) for v in bits(layer)]
 
 
-def _brooks_component(g: Graph, delta: int) -> dict[int, int]:
-    """Color one connected component with at most ``delta`` colors."""
-    low = [v for v in range(g.n) if g.degree(v) < delta]
-    if low:
-        return greedy_color(g, _order_toward_root(g, low[0]), delta)
-    # delta-regular from here on, and delta >= 3 (``brooks_color`` checks)
-    cut = next((v for v in range(g.n) if not _connected_without(g, 1 << v)), None)
+def _brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+    """Color the connected subgraph ``adj`` induces on ``comp`` with at most
+    ``delta`` colors."""
+    colors: dict[int, int] = {}
+    low = next((v for v in bits(comp) if (adj[v] & comp).bit_count() < delta), None)
+    if low is not None:
+        first_fit(adj, _order_toward_root(adj, comp, low), delta, colors)
+        return colors
+    # delta-regular from here on, and delta >= 3 (``brooks_mask`` checks)
+    cut = next((v for v in bits(comp) if not _connected_without(adj, comp, 1 << v)), None)
     if cut is not None:
-        merged: dict[int, int] = {}
-        for side in component_masks(g.adj, g.full_mask() & ~(1 << cut)):
-            sub, ids = induced_subgraph(g, (*bits(side), cut))
-            local = greedy_color(sub, _order_toward_root(sub, ids.index(cut)), delta)
-            want = merged.get(cut, local[ids.index(cut)])
-            have = local[ids.index(cut)]
-            swap = {have: want, want: have} if have != want else {}
-            for i, c in local.items():
-                merged[ids[i]] = swap.get(c, c)
-        return merged
+        # color each side with the cut, then swap two colors on later sides
+        # so the cut keeps the color the first side gave it
+        for side in component_masks(adj, comp & ~(1 << cut)):
+            part = side | 1 << cut
+            local: dict[int, int] = {}
+            first_fit(adj, _order_toward_root(adj, part, cut), delta, local)
+            have = local[cut]
+            want = colors.get(cut, have)
+            swap = {have: want, want: have}
+            for v, c in local.items():
+                colors[v] = swap.get(c, c)
+        return colors
     # 2-connected, regular, not complete: classic two-neighbor trick
-    for x in range(g.n):
-        nbrs = g.neighbors(x)
+    for x in bits(comp):
+        nbrs = tuple(bits(adj[x] & comp))
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1:]:
-                if g.has_edge(u, w):
+                pair = 1 << u | 1 << w
+                if adj[u] & pair or not _connected_without(adj, comp, pair):
                     continue
-                if not _connected_without(g, (1 << u) | (1 << w)):
-                    continue
-                order = _order_toward_root(g, x, skip=(1 << u) | (1 << w))
-                return greedy_color(g, order, delta, initial={u: 1, w: 1})
+                colors = {u: 1, w: 1}
+                first_fit(adj, _order_toward_root(adj, comp & ~pair, x), delta, colors)
+                return colors
     raise InternalInconsistencyError("Brooks case analysis fell through")
+
+
+def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
+    """Color the subgraph ``adj`` induces on ``mask`` with colors 1..delta,
+    keyed by the ids of ``adj``, where delta is its maximum degree; return
+    the coloring and delta.
+
+    Each component is colored on its own, always with the whole subgraph's
+    delta: first-fit toward a root of degree below delta; else, in a
+    delta-regular component, side by side around its first cut vertex;
+    else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
+    so the coloring of a copy numbered in the same order is the same.
+    """
+    delta = max_degree_in(adj, mask)
+    if delta < 3:
+        raise PreconditionError("Brooks coloring requires maximum degree >= 3")
+    colors: dict[int, int] = {}
+    for comp in component_masks(adj, mask):
+        if comp.bit_count() == delta + 1 and all(
+                (adj[v] & comp).bit_count() == delta for v in bits(comp)):
+            raise PreconditionError("component is the complete graph on Delta+1 vertices")
+        colors.update(_brooks_component(adj, comp, delta))
+    return colors, delta
 
 
 def brooks_color(g: Graph) -> Coloring:
     """Proper coloring with at most Delta colors (Delta >= 3, no K_{Delta+1})."""
-    delta = g.max_degree()
-    if delta < 3:
-        raise PreconditionError("Brooks coloring requires maximum degree >= 3")
-    colors: dict[int, int] = {}
-    for comp in connected_components(g):
-        sub, ids = induced_subgraph(g, comp)
-        if sub.n == delta + 1 and sub.min_degree() == delta:
-            raise PreconditionError("component is the complete graph on Delta+1 vertices")
-        for i, c in _brooks_component(sub, delta).items():
-            colors[ids[i]] = c
-    return Coloring(colors, delta)
+    return Coloring(*brooks_mask(g.adj, g.full_mask()))
 
 
 # -- reduction to maximum degree 9 --------------------------------------------
@@ -456,7 +474,7 @@ def _delta_reduce(host: Graph, mask: int, omega: int | None, color_base,
     delta = g.max_degree()
     peeled = mask_of(ids[v] for v in _hitting_mis(g, omega))
     rest = mask & ~peeled
-    d_sub = max(((host.adj[v] & rest).bit_count() for v in bits(rest)), default=0)
+    d_sub = max_degree_in(host.adj, rest)
     if d_sub > delta - 1:
         raise InternalInconsistencyError("removing a maximum independent set "
                                          "failed to lower the maximum degree")

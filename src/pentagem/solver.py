@@ -23,7 +23,8 @@ from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
 from .patterns import clique_number, is_p5_gem_free
 from .reductions import _delta_reduce, check_copycat, find_copycat, find_d1_catalog
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
-from .trace import STEPS, ReductionTrace, TraceEvent, fingerprint, run_step
+from .trace import (STEPS, ReductionTrace, TraceEvent, check_oracle_core, fingerprint,
+                    run_step)
 
 __all__ = ["color8", "solve", "replay_trace"]
 
@@ -115,6 +116,7 @@ def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
     vertex ``ids[i]``: exactly when perfect, else by its class strategy."""
     label = classify(g)
     if label.kind == "Perfect":
+        check_oracle_core(g.n)
         colors: dict[int, int] = {}
         run_step("oracle", {"vs": tuple(ids), "k": clique_number(g)[0]}, host, colors, events)
         return colors

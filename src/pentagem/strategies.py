@@ -28,7 +28,7 @@ from .graph import Graph, induced_subgraph
 from .patterns import clique_number
 from .reductions import check_copycat
 from .structure import TEMPLATES, check_bag_partition
-from .trace import run_step
+from .trace import check_oracle_core, run_step
 
 __all__ = [
     "ReducibleFound",
@@ -171,6 +171,7 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
         fallback = True
         order = [ids[i] for i in degeneracy_order(sub)]
         if back_degree_profile(sub, [pos[v] for v in order]) > bound:
+            check_oracle_core(g.n)
             run_step("oracle", {"vs": tuple(range(g.n)), "k": k, "case": case_id,
                                 "branch": branch}, g, colors, trace)
             return Coloring(colors, k)

@@ -11,6 +11,12 @@ fields with their text codecs (which also say which fields hold vertex
 ids), and the ``apply`` that colors from the board.  Dumping, parsing,
 remapping and replay read that table, and the solver records each
 extension and then calls the same ``apply`` that replay calls.
+
+The ``greedy`` and ``brooks`` terminals color on the host graph inside the
+bitmask of their ``vs``, as a copy of the subgraph would be colored; a
+``brooks`` line's ``delta`` must be that subgraph's maximum degree.  Only
+``oracle`` and ``lemma1`` build the subgraph, and an ``oracle`` line over
+more than ``ORACLE_CAP`` vertices is rejected before any search.
 """
 
 from __future__ import annotations
@@ -18,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .coloring import color_with_independent_sets, first_fit, greedy_color
+from .coloring import color_with_independent_sets, first_fit
 from .errors import GraphFormatError, InternalInconsistencyError
-from .graph import Graph, bits, induced_subgraph, mask_of
+from .graph import Graph, bits, induced_subgraph, mask_of, max_degree_in
 from .oracle import colorable_with
-from .reductions import brooks_color, copy_colors, extend_list_coloring
+from .reductions import brooks_mask, copy_colors, extend_list_coloring
 from .structure import CliqueReduction, lift_coloring
 
-__all__ = ["TraceEvent", "ReductionTrace", "STEPS", "fingerprint", "run_step",
-           "dumps_trace", "loads_trace"]
+__all__ = ["TraceEvent", "ReductionTrace", "STEPS", "ORACLE_CAP", "check_oracle_core",
+           "fingerprint", "run_step", "dumps_trace", "loads_trace"]
 
 SCHEMA_VERSION = 1
 
@@ -153,6 +159,32 @@ class Step:
         return out
 
 
+def _mask(g: Graph, vs) -> int:
+    """The bitmask of ``vs``, each of which must be a vertex of ``g``."""
+    if vs and not (0 <= min(vs) and max(vs) < g.n):
+        raise GraphFormatError(f"vertices {_fmt_vs(vs)} are not all in the graph "
+                               f"of order {g.n}")
+    return mask_of(vs)
+
+
+def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """First-fit over ``vs`` in increasing order, seeing only ``vs``."""
+    mask = _mask(g, d["vs"])
+    own: dict[int, int] = {}
+    first_fit(g.adj, bits(mask), d["k"], own)
+    colors.update(own)
+
+
+def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """Brooks-color ``vs`` with ``delta`` colors, its maximum degree."""
+    mask = _mask(g, d["vs"])
+    delta = max_degree_in(g.adj, mask)
+    if delta != d["delta"]:
+        raise GraphFormatError(f"brooks line says delta={d['delta']}, but its "
+                               f"vertices have maximum degree {delta}")
+    colors.update(brooks_mask(g.adj, mask)[0])
+
+
 def _on_subgraph(color):
     """An ``apply`` that colors the subgraph induced on ``vs`` with
     ``color(sub, data, ids)``, a coloring keyed by ``sub``'s vertices."""
@@ -163,7 +195,27 @@ def _on_subgraph(color):
     return apply
 
 
+# A connected P5-free graph with maximum degree 9 has a dominating clique of
+# some q vertices, so at most q(11 - q) <= 30 vertices, or a dominating
+# induced P3, so at most 26 (Bacsó & Tuza 1990).  A core that solve, or
+# apply_case_strategy (which requires Delta = 9), hands the oracle is never
+# larger.
+ORACLE_CAP = 30
+
+
+def check_oracle_core(n: int) -> None:
+    """Raise InternalInconsistencyError if a core of ``n`` vertices, about
+    to go to the oracle, is over ``ORACLE_CAP``."""
+    if n > ORACLE_CAP:
+        raise InternalInconsistencyError(
+            f"a {n}-vertex core reached the oracle, above its cap of {ORACLE_CAP} "
+            "vertices (the Bacso-Tuza bound for a connected P5-free graph of maximum "
+            "degree 9, as every core solve or apply_case_strategy colors is)")
+
+
 def _oracle(sub: Graph, d: dict, ids) -> dict[int, int]:
+    if sub.n > ORACLE_CAP:
+        raise GraphFormatError(f"oracle line over {sub.n} vertices; the cap is {ORACLE_CAP}")
     assign = colorable_with(sub, d["k"])
     if assign is None:
         raise InternalInconsistencyError(f"the oracle found no {d['k']}-coloring")
@@ -180,7 +232,7 @@ def _lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
 def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """List-color the removed catalog graph W: each vertex may take any color
     in 1..k that none of its colored neighbors outside W holds."""
-    wm = mask_of(d["w"])
+    wm = _mask(g, d["w"])
     sub, ids = induced_subgraph(g, d["w"])
     palette = frozenset(range(1, d["k"] + 1))
     lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
@@ -192,10 +244,8 @@ def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
 _VS, _K = Field("vs", VERTICES), Field("k", INT)
 
 STEPS: dict[str, Step] = {
-    "greedy": Step("color", (_VS, _K), _on_subgraph(
-        lambda sub, d, ids: greedy_color(sub, range(sub.n), d["k"]))),
-    "brooks": Step("color", (_VS, Field("delta", INT)), _on_subgraph(
-        lambda sub, d, ids: brooks_color(sub).colors)),
+    "greedy": Step("color", (_VS, _K), _greedy),
+    "brooks": Step("color", (_VS, Field("delta", INT)), _brooks),
     # case and branch are set only when a per-class strategy fell back
     "oracle": Step("color", (_VS, _K, Field("case", STR, None), Field("branch", STR, None)),
                    _on_subgraph(_oracle)),
@@ -203,14 +253,14 @@ STEPS: dict[str, Step] = {
                              Field("case", STR, "-"), Field("branch", STR, "-"),
                              Field("fallback", BOOL, False)), _on_subgraph(_lemma1)),
     "low_degree": Step("step", (Field("v", VERTEX), _K),
-                       lambda g, d, colors: first_fit(g, (d["v"],), d["k"], colors)),
+                       lambda g, d, colors: first_fit(g.adj, (d["v"],), d["k"], colors)),
     "copycat": Step("step", (Field("a", VERTICES), Field("b", VERTICES)),
                     lambda g, d, colors: copy_colors(d["a"], d["b"], colors)),
     "d1_extend": Step("step", (Field("w", VERTICES), _K), _d1_extend),
     "clique_copy": Step("step", (Field("removed", VERTICES), Field("donor", VERTICES)),
                         lambda g, d, colors: copy_colors(d["removed"], d["donor"], colors)),
     "a7_peel": Step("step", (Field("removed", VERTICES), _K),
-                    lambda g, d, colors: first_fit(g, sorted(d["removed"]), d["k"], colors)),
+                    lambda g, d, colors: first_fit(g.adj, sorted(d["removed"]), d["k"], colors)),
     "delta_set": Step("step", (Field("i_set", VERTICES, tag="i"), Field("color", INT)),
                       lambda g, d, colors: colors.update(
                           dict.fromkeys(d["i_set"], d["color"]))),

@@ -8,8 +8,9 @@ from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_g
                             path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
+from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
 
-from helpers import caterpillar, k9_with_ears, non_clique_core
+from helpers import caterpillar, k9_with_ears, non_clique_core, random_graph
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -322,3 +323,41 @@ def test_color_peels_a_long_caterpillar_from_graph6(tmp_path, capsys):
     assert main(["color", path, "--format", "graph6"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "palette 8" and len(out) == 1 + g.n
+
+
+@pytest.mark.parametrize("delta", [3, 7, 9])
+def test_replay_rejects_a_brooks_line_whose_delta_is_not_its_maximum_degree(
+        tmp_path, capsys, delta):
+    path = write(tmp_path, "g2.el", write_edgelist(gallery_g2(9)))
+    trace = str(tmp_path / "t.txt")
+    assert main(["color", path, "--trace", trace]) == 0
+    capsys.readouterr()
+    text = Path(trace).read_text()
+    assert text.count("color brooks ") == 1 and " delta=8\n" in text
+    tampered = write(tmp_path, "bad.txt", text.replace(" delta=8\n", f" delta={delta}\n"))
+    assert main(["replay", path, tampered]) == 2
+    assert f"delta={delta}" in one_error_line(capsys)
+
+
+def test_replay_rejects_an_oracle_line_over_the_cap_before_searching(tmp_path, capsys):
+    # the graph has triangles: searched, the line would end in exit 6, not 2
+    g = random_graph(40, 0.5, 3)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    n, m, hist = fingerprint(g)
+    vs = ",".join(map(str, range(40)))
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, n, m, hist)).replace(
+        "end\n", f"color oracle vs={vs} k=2\nend\n"))
+    assert main(["replay", path, trace]) == 2
+    assert "cap is 30" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, flag):
+    # the path is a directory
+    target = str(tmp_path)
+    argv = {"--trace": ["color", write(tmp_path, "g2.el", write_edgelist(gallery_g2(9))),
+                        "--trace", target],
+            "--out": ["gen", "gallery-g2", "--out", target],
+            "--bags-out": ["gen", "G2", "--sizes", "2,3,1,1,3,2", "--bags-out", target]}[flag]
+    assert main(argv) == 1
+    assert one_error_line(capsys).startswith(f"error: cannot write {target}: ")

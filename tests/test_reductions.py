@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import InternalInconsistencyError, PreconditionError
-from pentagem.graph import (build_graph, complete_graph, cycle_graph,
-                            disjoint_union, join, path_graph)
+from pentagem.graph import (Graph, build_graph, complete_graph, connected_components,
+                            cycle_graph, disjoint_union, induced_subgraph, is_connected,
+                            join, path_graph)
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import clique_number, maximum_independent_set
 from pentagem.reductions import (brooks_color, copycat_extend, delta_reduce,
@@ -404,6 +406,81 @@ def test_brooks_random(seed):
     assert col.k == delta and verify_coloring(g, col)
 
 
+# sha256 over brooks_color's colors on ``brooks_corpus()``, recorded while
+# Brooks still copied each component into its own Graph
+BROOKS_SHA256 = "f003263815fd4a66a34406c8524e912686c38390948466c5094346c993f15a35"
+
+
+def circulant(n: int, jumps) -> Graph:
+    return build_graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def glued_blocks(blocks) -> Graph:
+    """A hub glued to d/2 blocks, each a d-regular graph less its edge 0-1,
+    with the hub joined to both ends: d-regular, with the hub a cut vertex."""
+    hub = sum(b.n for b in blocks)
+    edges, base = [], 0
+    for b in blocks:
+        edges += [(base + u, base + v) for u, v in b.edges() if (u, v) != (0, 1)]
+        edges += [(base, hub), (base + 1, hub)]
+        base += b.n
+    return build_graph(hub + 1, edges)
+
+
+def brooks_corpus():
+    """Seeded random graphs (n 4..16, several densities), circulants, hubs
+    glued to circulant blocks, and unions of pairs of these, each also in
+    one seeded relabelling; graphs outside Brooks' hypotheses (Delta < 3, or
+    a complete component on Delta+1 vertices) are left out."""
+    rng = random.Random(2027)
+    graphs = [random_graph(rng.randint(4, 16), rng.choice((0.25, 0.4, 0.55, 0.7)),
+                           rng.randrange(10 ** 6)) for _ in range(240)]
+    graphs += [circulant(n, jumps) for n in range(7, 16)
+               for jumps in ((1, 2), (1, 3), (1, 2, 4), (2, 3, 5), (1, 2, 3, 4))]
+    for d in (4, 6, 8):
+        blocks = [circulant(n, range(1, d // 2 + 1)) for n in range(d + 2, d + 6)]
+        graphs += [glued_blocks([rng.choice(blocks) for _ in range(d // 2)])
+                   for _ in range(6)]
+    graphs += [disjoint_union(*rng.sample(graphs, 2)) for _ in range(60)]
+    graphs += [relabelled(g, rng) for g in graphs]
+    out = []
+    for g in graphs:
+        delta = g.max_degree()
+        if delta >= 3 and not any(len(c) == delta + 1 and g.is_clique(c)
+                                  for c in connected_components(g)):
+            out.append(g)
+    return out
+
+
+def brooks_branch(g: Graph, comp) -> str:
+    """Which of Brooks' three cases colors the component ``comp``."""
+    sub, _ = induced_subgraph(g, comp)
+    if sub.min_degree() < g.max_degree():
+        return "low degree"
+    if any(not is_connected(induced_subgraph(sub, set(range(sub.n)) - {v})[0])
+           for v in range(sub.n)):
+        return "cut vertex"
+    return "regular"
+
+
+def test_brooks_colors_are_pinned():
+    digest = hashlib.sha256()
+    branches = Counter()
+    for g in brooks_corpus():
+        col = brooks_color(g)
+        assert col.k == g.max_degree() and verify_coloring(g, col)
+        digest.update(repr((col.k, sorted(col.colors.items()))).encode())
+        branches.update(brooks_branch(g, c) for c in connected_components(g))
+    assert set(branches) == {"low degree", "cut vertex", "regular"}, branches
+    assert digest.hexdigest() == BROOKS_SHA256
+
+
 # -- degree reduction -----------------------------------------------------------------
 
 def test_delta_reduce_needs_degree_10():
@@ -452,6 +529,6 @@ def test_brooks_regular_graph_with_cut_vertex():
     g = build_graph(11, edges)
     assert g.max_degree() == 4 and g.min_degree() == 4
     from pentagem.reductions import _connected_without
-    assert not _connected_without(g, 1 << hub)
+    assert not _connected_without(g.adj, g.full_mask(), 1 << hub)
     col = brooks_color(g)
     assert col.k == 4 and verify_coloring(g, col)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -97,6 +98,13 @@ def test_the_perfect_branch_colors_through_the_step_replay_runs():
     assert verify_coloring(g, Coloring(colors, 4))
     text = dumps_trace(ReductionTrace(events, 4, *fingerprint(g)))
     assert replay_trace(g, loads_trace(text)).colors == colors
+
+
+def test_a_perfect_core_over_the_oracle_cap_is_an_internal_inconsistency():
+    # 31 vertices is more than a connected P5-free graph with Delta = 9 has
+    g = join(complete_graph(3), empty_graph(28))
+    with pytest.raises(InternalInconsistencyError, match="Bacso-Tuza"):
+        solver._color_core(g, g, range(g.n), [])
 
 
 def test_a_non_clique_bag_at_classify_is_an_inconsistency(monkeypatch):
@@ -310,3 +318,44 @@ def test_replay_handles_lift_events():
     n, m, hist = fingerprint(g)
     rep = replay_trace(g, ReductionTrace(events, 8, n, m, hist))
     assert verify_coloring(g, rep)
+
+
+def test_the_greedy_and_brooks_steps_copy_no_subgraph(monkeypatch):
+    # tally every induced_subgraph call by its caller and by the greedy or
+    # brooks step being applied when it was made, in solve and in replay
+    import pentagem
+    from pentagem import graph
+    from pentagem.trace import STEPS
+
+    original = graph.induced_subgraph
+    calls = Counter()
+    applied = Counter()
+    active = []
+
+    def tallied(*args):
+        code = sys._getframe(1).f_code
+        calls[(active[-1] if active else None, code.co_filename.rsplit("/", 1)[-1],
+               code.co_name)] += 1
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pentagem") and getattr(mod, "induced_subgraph", None) is original:
+            monkeypatch.setattr(mod, "induced_subgraph", tallied)
+    for kind in ("greedy", "brooks"):
+        def apply(g, d, colors, kind=kind, inner=STEPS[kind].apply):
+            applied[kind] += 1
+            active.append(kind)
+            try:
+                inner(g, d, colors)
+            finally:
+                active.pop()
+        monkeypatch.setattr(STEPS[kind], "apply", apply)
+
+    for g in (_copies(gallery_g2(9), 16), caterpillar(50)):
+        col, trace = solve(g)
+        assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
+    assert applied["greedy"] and applied["brooks"], applied
+    assert graph.induced_subgraph is tallied and pentagem.induced_subgraph is tallied
+    from_terminals = {key: n for key, n in calls.items()
+                      if key[0] is not None or "brooks" in key[2]}
+    assert from_terminals == {}, calls

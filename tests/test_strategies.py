@@ -2,7 +2,7 @@ import pytest
 
 from pentagem import strategies
 from pentagem.coloring import Coloring, verify_coloring
-from pentagem.errors import PreconditionError
+from pentagem.errors import InternalInconsistencyError, PreconditionError
 from pentagem.instances import GenSpec, gen_class_instance
 from pentagem.oracle import colorable_with
 from pentagem.solver import color8, replay_trace
@@ -168,6 +168,17 @@ def test_oracle_fallback_names_its_case_and_branch(monkeypatch):
     back = loads_trace(text)
     assert back.events == events
     assert replay_trace(g, back).colors == out.colors
+
+
+def test_an_oracle_fallback_over_the_cap_is_an_internal_inconsistency(monkeypatch):
+    # a 36-vertex member on the fallback path, called directly: Delta is 23,
+    # so neither solve nor apply_case_strategy (which requires Delta = 9)
+    # would hand it over; the oracle is not run on it
+    monkeypatch.setattr(strategies, "back_degree_profile", lambda g, order: 99)
+    monkeypatch.setattr(strategies, "run_step", None)
+    g, bags = gen_class_instance(GenSpec("G2", sizes_of("G2", 6, 6, 6, 6, 6, 6)))
+    with pytest.raises(InternalInconsistencyError, match="36-vertex core"):
+        strategies._lemma1(g, "G2", "two_sets", bags, 8, [])
 
 
 def test_oracle_line_without_a_case_is_unchanged():

@@ -104,6 +104,11 @@ def test_malformed_documents_are_format_errors(text):
     "step low_degree v=-1 k=8",
     "step delta_set i=3,10 color=9",
     "color greedy vs=9999 k=8",
+    "color greedy vs=-1,0 k=8",
+    "color brooks vs=-1,0,1 delta=2",
+    "step d1_extend w=-1,0,1,2,3,4,5,6 k=8",
+    # a cycle's maximum degree is 2
+    "color brooks vs=0,1,2,3,4,5,6,7,8,9 delta=3",
     # in range, but read before they have a color or outside the subgraph
     "step copycat a=0 b=1",
     "color lemma1 vs=0,1,2 sets=5 order=1,2 k=8",
