@@ -54,21 +54,47 @@ def induced_p4(g: Graph, mask: int,
     the least such vertex.  A vertex adjacent to vi is not vi, and one kept
     out of vi's closed neighborhood is not vi either, so the fifth vertex
     is always distinct from the four.
+
+    The fifth-vertex candidates are narrowed as the prefix grows: s1 after
+    v1, s2 after v2, s3 after v3.  Each only shrinks, so once one is empty
+    no extension of that prefix yields a hit and the walk skips to the
+    next prefix; the first hit found is unchanged.
     """
     adj = g.adj
-    a1, a2, a3, a4 = fifth or (0, 0, 0, 0)
-    for v1 in bits(mask):
-        c1 = g.closed(v1)
-        s1 = mask & (adj[v1] if a1 else ~c1)
-        for v2 in bits(adj[v1] & mask):
-            c2 = g.closed(v2)
-            s2 = s1 & (adj[v2] if a2 else ~c2)
-            for v3 in bits(adj[v2] & mask & ~c1):
-                s3 = s2 & (adj[v3] if a3 else ~g.closed(v3))
-                for v4 in bits(adj[v3] & mask & ~c1 & ~c2):
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    # ri[v]: where the fifth vertex may lie, given v as the P4's i-th vertex
+    if fifth is None:
+        r1 = r2 = r3 = r4 = [-1] * g.n
+    else:
+        r1, r2, r3, r4 = ([a if on else ~c for a, c in zip(adj, closed)] for on in fifth)
+    m1 = mask
+    while m1:
+        b = m1 & -m1
+        m1 ^= b
+        v1 = b.bit_length() - 1
+        c1 = closed[v1]
+        s1 = mask & r1[v1]
+        m2 = adj[v1] & mask if s1 else 0
+        while m2:
+            b = m2 & -m2
+            m2 ^= b
+            v2 = b.bit_length() - 1
+            c12 = c1 | closed[v2]
+            s2 = s1 & r2[v2]
+            m3 = adj[v2] & mask & ~c1 if s2 else 0
+            while m3:
+                b = m3 & -m3
+                m3 ^= b
+                v3 = b.bit_length() - 1
+                s3 = s2 & r3[v3]
+                m4 = adj[v3] & mask & ~c12 if s3 else 0
+                while m4:
+                    b = m4 & -m4
+                    m4 ^= b
+                    v4 = b.bit_length() - 1
                     if fifth is None:
                         return v1, v2, v3, v4
-                    m5 = s3 & (adj[v4] if a4 else ~g.closed(v4))
+                    m5 = s3 & r4[v4]
                     if m5:
                         return v1, v2, v3, v4, (m5 & -m5).bit_length() - 1
     return None

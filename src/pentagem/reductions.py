@@ -187,46 +187,81 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
                          ) -> dict[int, int]:
     """Color a catalog graph from per-vertex lists, by exhaustive backtracking.
 
-    Requires |L(v)| >= d(v)-1 and h to be one of the catalog shapes, for
-    which a coloring is guaranteed to exist; exhausting the search therefore
-    signals a bug or a non-catalog input, not an unlucky assignment.
+    Requires |L(v)| >= d(v)-1, colors that are non-negative integers, and h
+    to be one of the catalog shapes, for which a coloring is guaranteed to
+    exist; exhausting the search therefore signals a bug or a non-catalog
+    input, not an unlucky assignment.
 
-    Lists and the colors each vertex's assigned neighbors hold are color
-    bitmasks (colors are non-negative integers).  Each step colors the
-    vertex with the fewest free colors, ties to the higher degree, then the
-    lower index, and tries its free colors in increasing order; the first
-    complete assignment is returned in the order it was made.
+    Each vertex keeps a bitmask of its free colors: its list minus the
+    colors its assigned neighbors hold.  Coloring a vertex clears that
+    color from its uncolored neighbors' masks in place, and backtracking
+    sets it again.  Each step colors the vertex with the fewest free
+    colors, ties to the higher degree, then the lower index, and tries its
+    free colors in increasing order; the first complete assignment is
+    returned in the order it was made.
+
+    The search below a node depends only on the uncolored set and their
+    free masks, so a node whose key failed before fails again and is
+    skipped.  That skips no solution, so the first assignment found, and
+    its order, are the ones the search without the memo finds.
     """
     all_vs = tuple(range(h.n))
     if not (is_k3_join_3k2(h, all_vs) if h.n == 9
             else is_k4_join_two_nonedges(h, all_vs) if h.n == 8 else False):
         raise PreconditionError("graph is not one of the catalog shapes")
-    for v in range(h.n):
+    for v in all_vs:
         if len(lists.get(v, ())) < h.degree(v) - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
+        if min(lists[v], default=0) < 0:
+            raise PreconditionError(f"list of vertex {v} holds a negative color")
 
-    allowed = [mask_of(lists[v]) for v in range(h.n)]
-    neg_deg = [-h.degree(v) for v in range(h.n)]
+    adj = h.adj
+    free = [mask_of(lists[v]) for v in all_vs]
+    # the MRV rank below the free-color count: higher degree, then lower
+    # index (a catalog graph has 8 or 9 vertices, so each fits in 4 bits)
+    tie = [(15 - h.degree(v)) << 4 | v for v in all_vs]
     assigned: dict[int, int] = {}
+    dead: set[tuple[int, ...]] = set()
 
-    def solve(left: int, taken: list[int]) -> bool:
+    def solve(left: int) -> bool:
         if not left:
             return True
-        v = min(bits(left), key=lambda u: (
-            (allowed[u] & ~taken[u]).bit_count(), neg_deg[u], u))
+        # one pass over the uncolored vertices builds the state's key and
+        # picks the vertex to color
+        state = [left]
+        best = -1
+        m = left
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            f = free[u]
+            state.append(f)
+            rank = f.bit_count() << 8 | tie[u]
+            if best < 0 or rank < best:
+                best, v = rank, u
+        key = tuple(state)
+        if key in dead:
+            return False
         rest = left & ~(1 << v)
-        nbrs = tuple(bits(h.adj[v] & rest))
-        for c in bits(allowed[v] & ~taken[v]):
-            below = taken[:]
-            for u in nbrs:
-                below[u] |= 1 << c
-            assigned[v] = c
-            if solve(rest, below):
+        nbrs = tuple(bits(adj[v] & rest))
+        cs = free[v]
+        while cs:
+            low = cs & -cs
+            cs ^= low
+            hit = [u for u in nbrs if free[u] & low]
+            for u in hit:
+                free[u] ^= low
+            assigned[v] = low.bit_length() - 1
+            if solve(rest):
                 return True
             del assigned[v]
+            for u in hit:
+                free[u] |= low
+        dead.add(key)
         return False
 
-    if not solve(h.full_mask(), [0] * h.n):
+    if not solve(h.full_mask()):
         raise InternalInconsistencyError(
             "catalog graph refused a d1-style list assignment")
     return assigned

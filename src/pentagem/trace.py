@@ -231,7 +231,10 @@ def _lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
 
 def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """List-color the removed catalog graph W: each vertex may take any color
-    in 1..k that none of its colored neighbors outside W holds."""
+    in 1..k that none of its colored neighbors outside W holds.  A k outside
+    1..n, for a graph of order n, is rejected before any list is built."""
+    if not 1 <= d["k"] <= g.n:
+        raise GraphFormatError(f"d1_extend line says k={d['k']}, outside 1..{g.n}")
     wm = _mask(g, d["w"])
     sub, ids = induced_subgraph(g, d["w"])
     palette = frozenset(range(1, d["k"] + 1))

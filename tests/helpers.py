@@ -7,8 +7,9 @@ the Delta 10..12 instances that criterion 3 and the solver tests share,
 ``reference_match_expansion`` is the clique-level template matcher the
 module-level one replaced, the ``reference_find_*`` functions are the
 four hand-written induced-P4 walks that ``patterns.induced_p4`` replaced,
-and the ``reference_is_*`` functions the catalog shape tests that built
-induced copies.
+the ``reference_is_*`` functions the catalog shape tests that built
+induced copies, and ``reference_extend_list_coloring`` the list-coloring
+search before it kept free-color masks in place and memoized failures.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from pentagem.errors import PentagemError, PreconditionError
-from pentagem.graph import Graph, bits, build_graph, induced_subgraph, is_connected
+from pentagem.errors import (InternalInconsistencyError, PentagemError,
+                             PreconditionError)
+from pentagem.graph import (Graph, bits, build_graph, induced_subgraph, is_connected,
+                            mask_of)
+from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
 from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
@@ -256,6 +260,58 @@ def reference_is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
                 and not sub.has_edge(rest[c], rest[d])):
             return True
     return False
+
+
+# ``reductions.extend_list_coloring`` before it kept free-color masks in
+# place and memoized failed states, kept verbatim as its reference.
+
+def reference_extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
+                                   ) -> dict[int, int]:
+    """Color a catalog graph from per-vertex lists, by exhaustive backtracking.
+
+    Requires |L(v)| >= d(v)-1 and h to be one of the catalog shapes, for
+    which a coloring is guaranteed to exist; exhausting the search therefore
+    signals a bug or a non-catalog input, not an unlucky assignment.
+
+    Lists and the colors each vertex's assigned neighbors hold are color
+    bitmasks (colors are non-negative integers).  Each step colors the
+    vertex with the fewest free colors, ties to the higher degree, then the
+    lower index, and tries its free colors in increasing order; the first
+    complete assignment is returned in the order it was made.
+    """
+    all_vs = tuple(range(h.n))
+    if not (is_k3_join_3k2(h, all_vs) if h.n == 9
+            else is_k4_join_two_nonedges(h, all_vs) if h.n == 8 else False):
+        raise PreconditionError("graph is not one of the catalog shapes")
+    for v in range(h.n):
+        if len(lists.get(v, ())) < h.degree(v) - 1:
+            raise PreconditionError(f"list of vertex {v} below d(v)-1")
+
+    allowed = [mask_of(lists[v]) for v in range(h.n)]
+    neg_deg = [-h.degree(v) for v in range(h.n)]
+    assigned: dict[int, int] = {}
+
+    def solve(left: int, taken: list[int]) -> bool:
+        if not left:
+            return True
+        v = min(bits(left), key=lambda u: (
+            (allowed[u] & ~taken[u]).bit_count(), neg_deg[u], u))
+        rest = left & ~(1 << v)
+        nbrs = tuple(bits(h.adj[v] & rest))
+        for c in bits(allowed[v] & ~taken[v]):
+            below = taken[:]
+            for u in nbrs:
+                below[u] |= 1 << c
+            assigned[v] = c
+            if solve(rest, below):
+                return True
+            del assigned[v]
+        return False
+
+    if not solve(h.full_mask(), [0] * h.n):
+        raise InternalInconsistencyError(
+            "catalog graph refused a d1-style list assignment")
+    return assigned
 
 
 def brute_clique_number(g: Graph) -> int:

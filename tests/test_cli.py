@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from pentagem import cli, solver
 from pentagem.cli import main
 from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_graph,
-                            path_graph)
+                            join, path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
@@ -349,6 +350,21 @@ def test_replay_rejects_an_oracle_line_over_the_cap_before_searching(tmp_path, c
         "end\n", f"color oracle vs={vs} k=2\nend\n"))
     assert main(["replay", path, trace]) == 2
     assert "cap is 30" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("k", [0, 9, 1000000])
+def test_replay_rejects_a_d1_extend_palette_outside_the_graph_order(tmp_path, capsys, k):
+    # K4 joined to C4, a catalog graph of order 8; a palette of 10**6 colors
+    # once built 8 lists of that size before the search began
+    g = join(complete_graph(4), cycle_graph(4))
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    n, m, hist = fingerprint(g)
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 8, n, m, hist)).replace(
+        "end\n", f"step d1_extend w=0,1,2,3,4,5,6,7 k={k}\nend\n"))
+    start = time.perf_counter()
+    assert main(["replay", path, trace]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"k={k}, outside 1..8" in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])

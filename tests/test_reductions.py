@@ -20,8 +20,8 @@ from pentagem.reductions import (brooks_color, copycat_extend, delta_reduce,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
 from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
-                     random_graph, reference_is_k3_join_3k2,
-                     reference_is_k4_join_two_nonedges)
+                     random_graph, reference_extend_list_coloring,
+                     reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges)
 
 
 def three_k2():
@@ -186,6 +186,14 @@ def test_list_extension_k4_c4_minimum_lists():
     assert verify_coloring(h, Coloring(got, 8))
 
 
+def test_list_extension_rejects_a_negative_color():
+    h = join(complete_graph(4), c4())
+    lists = {v: set(range(1, 8)) for v in range(8)}
+    lists[5] = {-1, 1, 2, 3, 4}
+    with pytest.raises(PreconditionError, match="negative"):
+        extend_list_coloring(h, lists)
+
+
 def test_list_extension_random_minimum_lists():
     rng = random.Random(99)
     h1 = join(complete_graph(3), three_k2())
@@ -231,6 +239,31 @@ def test_list_extension_assignments_are_pinned():
             got = extend_list_coloring(h, lists)
             digest.update(repr(list(got.items())).encode())
     assert digest.hexdigest() == LIST_EXTENSION_SHA256
+
+
+CATALOG_SHAPES = catalog_shapes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_list_extension_matches_the_reference_search(data):
+    # The first assignment and its order, against the search without the
+    # in-place free masks and the failure memo.  Every list is drawn from
+    # one palette of 6 to 8 colors out of 0..11, which the hubs' lists
+    # nearly fill; a short list is topped up from the palette's front.
+    # Overlapping lists like these make the search backtrack, as the lists
+    # solve builds do.
+    h = data.draw(st.sampled_from(CATALOG_SHAPES))
+    top = h.max_degree() - 1
+    palette = data.draw(st.permutations(range(12)))[:top + data.draw(st.integers(0, 8 - top))]
+    lists = {}
+    for v in range(h.n):
+        keep = data.draw(st.integers(0, (1 << len(palette)) - 1))
+        kept = [c for i, c in enumerate(palette) if keep >> i & 1]
+        kept += [c for c in palette if c not in kept][:h.degree(v) - 1 - len(kept)]
+        lists[v] = frozenset(kept)
+    got = extend_list_coloring(h, lists)
+    assert list(got.items()) == list(reference_extend_list_coloring(h, lists).items())
 
 
 def catalog_corpus():

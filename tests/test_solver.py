@@ -212,23 +212,42 @@ def test_degree_reduction_traces_are_pinned():
 CORE_TRACES_SHA256 = "00908db0f04db71149ab6be46282dc3cda566e15c537357de7eb2c24033eea65"
 
 
-def test_classified_core_traces_are_pinned():
+def _classified_core_inputs():
+    """The 61 hosts above, each in its natural order and then relabelled."""
     hosts = [g for tid in TEMPLATES for _, g, _ in _members(tid, 8)
              if clique_number(g)[0] <= 8]
     assert len(hosts) == 61
     rng = random.Random(2006)
-    digest = hashlib.sha256()
-    lemma1 = 0
     for g in hosts:
         perm = list(range(g.n))
         rng.shuffle(perm)
-        relabelled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        for h in (g, relabelled):
-            trace = solve(h)[1]
-            lemma1 += any(e.kind == "lemma1" for e in trace.events)
-            digest.update(dumps_trace(trace).encode())
+        yield g
+        yield build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_classified_core_traces_are_pinned():
+    digest = hashlib.sha256()
+    lemma1 = 0
+    for h in _classified_core_inputs():
+        trace = solve(h)[1]
+        lemma1 += any(e.kind == "lemma1" for e in trace.events)
+        digest.update(dumps_trace(trace).encode())
     assert lemma1 > 0
     assert digest.hexdigest() == CORE_TRACES_SHA256
+
+
+# sha256 over the colors, in the order solve assigned them, of the same 122
+# solves; a d1_extend line records only w and k, so the trace pin above
+# cannot see a changed list coloring.  Recorded before the list-coloring
+# search kept free-color masks in place and memoized failed states.
+CORE_COLORS_SHA256 = "4e65e132680fc6652a2f9e51bcd472eded6805883f123e679f2c851b4351fbdd"
+
+
+def test_classified_core_colors_are_pinned():
+    digest = hashlib.sha256()
+    for h in _classified_core_inputs():
+        digest.update(repr(list(solve(h)[0].colors.items())).encode())
+    assert digest.hexdigest() == CORE_COLORS_SHA256
 
 
 # sha256 over the solve traces and colors of the scale inputs (caterpillars
