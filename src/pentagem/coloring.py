@@ -35,18 +35,18 @@ class Coloring:
 
 
 def verify_coloring(g: Graph, coloring: Coloring) -> bool:
-    """True iff total, within palette, and no edge is monochromatic."""
+    """True iff total, within palette, and no edge is monochromatic: no
+    vertex has a neighbor in its own color class's mask."""
     c = coloring.colors
     if len(c) != g.n:
         return False
+    classes: dict[int, int] = {}
     for v in range(g.n):
         cv = c.get(v)
         if cv is None or not 1 <= cv <= coloring.k:
             return False
-    for u, v in g.edges():
-        if c[u] == c[v]:
-            return False
-    return True
+        classes[cv] = classes.get(cv, 0) | 1 << v
+    return not any(a & classes[c[v]] for v, a in enumerate(g.adj))
 
 
 def back_degree_profile(g: Graph, order: list[int] | tuple[int, ...]) -> int:

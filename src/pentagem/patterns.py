@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 
 __all__ = [
     "PatternWitness",
@@ -20,6 +20,7 @@ __all__ = [
     "find_induced",
     "is_p5_gem_free",
     "clique_number",
+    "has_clique",
     "maximum_independent_set",
 ]
 
@@ -160,6 +161,30 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     expand([], g.full_mask())
     return best_size, tuple(best)
+
+
+def has_clique(g: Graph, mask: int, size: int) -> bool:
+    """True iff the subgraph induced on ``mask`` has a clique of ``size``
+    vertices; exact, and cheaper than ``clique_number`` when only the
+    answer is needed.
+
+    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
+    no such clique, so it is dropped first.  Cliques then grow in lex order,
+    each from the candidates adjacent to all of it and later than its last
+    vertex, and a branch is cut once those are fewer than it still needs.
+    """
+    adj = g.adj
+    keep = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
+
+    def grow(cand: int, need: int) -> bool:
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            if need == 1 or grow(cand & adj[b.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return size <= 0 or grow(keep, size)
 
 
 def maximum_independent_set(g: Graph) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from .coloring import Coloring, first_fit
 from .errors import (InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, connected_components,
                     induced_subgraph, mask_of, max_degree_in)
-from .patterns import clique_number, maximum_independent_set
+from .patterns import clique_number, has_clique, maximum_independent_set
 from .structure import maximal_homogeneous_cliques
 
 __all__ = [
@@ -310,7 +310,9 @@ def _independent_subset(g: Graph, avail: int, need: int) -> tuple[int, ...] | No
 def hitting_mis(g: Graph) -> tuple[int, ...]:
     """Maximum independent set that meets every clique of size Delta-1.
 
-    When the clique number is below Delta-1 there is nothing to hit and any
+    A clique of Delta vertices is a PreconditionError, worded with the exact
+    clique number.  Without one, a fixed-size test decides whether the
+    graph has a (Delta-1)-clique; if not, there is nothing to hit and any
     maximum independent set qualifies.  In the tight case King's theorem
     (omega > 2(Delta+1)/3) gives a stable set meeting every maximum clique,
     not a maximum one, so existence is not guaranteed: K9 plus one new
@@ -326,16 +328,10 @@ def hitting_mis(g: Graph) -> tuple[int, ...]:
     maximum independent sets of its components, and every clique lies
     inside one component.  A connected graph is searched as it is.
     """
-    omega, _ = clique_number(g)
-    return _hitting_mis(g, omega)
-
-
-def _hitting_mis(g: Graph, omega: int) -> tuple[int, ...]:
-    """``hitting_mis`` for a graph whose clique number is already known."""
-    delta = g.max_degree()
-    if omega > delta - 1:
-        raise PreconditionError(f"clique number {omega} exceeds {delta - 1}")
-    tight = omega == delta - 1
+    delta, full = g.max_degree(), g.full_mask()
+    if has_clique(g, full, delta):
+        raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds {delta - 1}")
+    tight = has_clique(g, full, delta - 1)
     comps = connected_components(g)
     if len(comps) == 1:
         return _hitting_component(g, delta - 1, tight)
@@ -483,31 +479,26 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
     delta = g.max_degree()
     if delta < 10:
         raise PreconditionError("degree reduction starts at maximum degree 10")
-    omega, _ = clique_number(g)
-    if omega > delta - 1:
-        raise PreconditionError(f"clique number {omega} exceeds Delta-1")
-    colors = _delta_reduce(g, g.full_mask(), omega,
+    if has_clique(g, g.full_mask(), delta):
+        raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds Delta-1")
+    colors = _delta_reduce(g, g.full_mask(),
                            lambda rest: color_base(*induced_subgraph(g, bits(rest))), trace)
     return Coloring(colors, delta - 1)
 
 
-def _delta_reduce(host: Graph, mask: int, omega: int | None, color_base,
-                  trace: list | None) -> dict[int, int]:
+def _delta_reduce(host: Graph, mask: int, color_base, trace: list | None) -> dict[int, int]:
     """One level of ``delta_reduce`` on the subgraph of ``host`` induced on
-    ``mask``, in host vertices.  ``omega`` is that subgraph's clique number,
-    or None to compute it, so a caller that has it (``solve``) does not
-    compute it again; ``color_base(rest)`` colors a Delta = 9 level given
-    as a host bitmask.  The terminals color through ``trace.run_step``, the
-    apply replay runs.
+    ``mask``, in host vertices; ``color_base(rest)`` colors a Delta = 9
+    level given as a host bitmask.  Each level's ``hitting_mis`` decides
+    whether it has a (Delta-1)-clique to hit.  The terminals color through
+    ``trace.run_step``, the apply replay runs.
     """
     from .trace import run_step
 
     g, ids = ((host, range(host.n)) if mask == host.full_mask()
               else induced_subgraph(host, bits(mask)))
-    if omega is None:
-        omega, _ = clique_number(g)
     delta = g.max_degree()
-    peeled = mask_of(ids[v] for v in _hitting_mis(g, omega))
+    peeled = mask_of(ids[v] for v in hitting_mis(g))
     rest = mask & ~peeled
     d_sub = max_degree_in(host.adj, rest)
     if d_sub > delta - 1:
@@ -521,7 +512,7 @@ def _delta_reduce(host: Graph, mask: int, omega: int | None, color_base,
     elif d_sub == 9:
         colors = color_base(rest)
     else:
-        colors = _delta_reduce(host, rest, None, color_base, trace)
+        colors = _delta_reduce(host, rest, color_base, trace)
     # a delta_set reads no graph, so none is passed
     run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
              None, colors, trace)

@@ -20,7 +20,7 @@ from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
                      GraphFormatError, InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     seeded_component_masks)
-from .patterns import clique_number, is_p5_gem_free
+from .patterns import clique_number, has_clique, is_p5_gem_free
 from .reductions import _delta_reduce, check_copycat, find_copycat, find_d1_catalog
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
 from .trace import (STEPS, ReductionTrace, TraceEvent, check_oracle_core, fingerprint,
@@ -159,7 +159,7 @@ def _raise_if_not_free(g: Graph) -> None:
 
 
 def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
-                     omega: int, omega_bound: int, clique: tuple[int, ...]) -> None:
+                     clique_ok: bool, omega_bound: int) -> None:
     """Shared precondition policy.
 
     Freeness is the headline class requirement, so when it fails alongside a
@@ -168,24 +168,25 @@ def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
     structure theorem only to classify an irreducible core, and classify
     re-raises the witness error at exactly that point.  (This keeps the
     second gallery family, which contains gems by construction, colorable
-    end to end, as the acceptance suite requires.)
+    end to end, as the acceptance suite requires.)  ``clique_ok`` says the
+    clique number is at most ``omega_bound``; the exact clique number and
+    its lex-least witness are computed only to report a violation.
     """
-    if degree_ok and omega <= omega_bound:
+    if degree_ok and clique_ok:
         return
     _raise_if_not_free(g)
     if not degree_ok:
         raise DegreeRangeError(degree_msg)
-    raise CliqueBoundError(
-        f"clique number {omega} exceeds {omega_bound}", clique)
+    omega, clique = clique_number(g)
+    raise CliqueBoundError(f"clique number {omega} exceeds {omega_bound}", clique)
 
 
 def color8(g: Graph) -> tuple[Coloring, ReductionTrace]:
     """8-color a (P5, gem)-free graph with maximum degree at most 9 and
     clique number at most 8; returns the coloring plus a replayable trace."""
     delta = g.max_degree()
-    omega, clique = clique_number(g)
     _structural_gate(g, delta <= 9, f"maximum degree {delta} exceeds 9",
-                     omega, 8, clique)
+                     not has_clique(g, g.full_mask(), 9), 8)
     events: list[TraceEvent] = []
     colors = _color8(g, g.full_mask(), events)
     coloring = Coloring(colors, 8)
@@ -203,16 +204,15 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
     freeness requirement is enforced lazily (see ``_structural_gate``).
     """
     delta = g.max_degree()
-    omega, clique = clique_number(g)
     _structural_gate(g, delta >= 9, f"maximum degree {delta} is below 9",
-                     omega, delta - 1, clique)
+                     not has_clique(g, g.full_mask(), delta), delta - 1)
     events: list[TraceEvent] = []
     if delta == 9:
         colors = _color8(g, g.full_mask(), events)
         coloring = Coloring(colors, 8)
     else:
         try:
-            colors = _delta_reduce(g, g.full_mask(), omega,
+            colors = _delta_reduce(g, g.full_mask(),
                                    lambda rest: _color8(g, rest, events), events)
         except InternalInconsistencyError:
             # the lazy gate let the input through: a fruitless search on a
@@ -250,6 +250,8 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Coloring:
         except (IndexError, KeyError):
             raise GraphFormatError(f"{e.kind} {e.data} does not fit the graph of order "
                                    f"{n} and the colors placed before it") from None
+        except PreconditionError as exc:  # data the step's own checks reject
+            raise GraphFormatError(f"{e.kind} {e.data} is rejected: {exc}") from exc
     if colors and (min(colors) < 0 or max(colors) >= n):
         raise GraphFormatError(f"trace colors a vertex outside the graph of order {n}")
     return Coloring(colors, trace.palette)

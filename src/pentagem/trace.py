@@ -232,10 +232,13 @@ def _lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
 def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """List-color the removed catalog graph W: each vertex may take any color
     in 1..k that none of its colored neighbors outside W holds.  A k outside
-    1..n, for a graph of order n, is rejected before any list is built."""
+    1..n, for a graph of order n, or a vertex listed twice in W is rejected
+    before any list is built."""
     if not 1 <= d["k"] <= g.n:
         raise GraphFormatError(f"d1_extend line says k={d['k']}, outside 1..{g.n}")
     wm = _mask(g, d["w"])
+    if wm.bit_count() != len(d["w"]):
+        raise GraphFormatError(f"d1_extend line repeats a vertex in w={_fmt_vs(d['w'])}")
     sub, ids = induced_subgraph(g, d["w"])
     palette = frozenset(range(1, d["k"] + 1))
     lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}

@@ -8,8 +8,10 @@ the Delta 10..12 instances that criterion 3 and the solver tests share,
 module-level one replaced, the ``reference_find_*`` functions are the
 four hand-written induced-P4 walks that ``patterns.induced_p4`` replaced,
 the ``reference_is_*`` functions the catalog shape tests that built
-induced copies, and ``reference_extend_list_coloring`` the list-coloring
-search before it kept free-color masks in place and memoized failures.
+induced copies, ``reference_extend_list_coloring`` the list-coloring
+search before it kept free-color masks in place and memoized failures, and
+``reference_verify_coloring`` the edge walk that ``verify_coloring`` ran
+before it tested color-class masks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from itertools import combinations, permutations
 
 from pentagem.errors import (InternalInconsistencyError, PentagemError,
                              PreconditionError)
-from pentagem.graph import (Graph, bits, build_graph, induced_subgraph, is_connected,
-                            mask_of)
+from pentagem.coloring import Coloring
+from pentagem.graph import (Graph, bits, build_graph, complete_graph, disjoint_union,
+                            empty_graph, induced_subgraph, is_connected, join, mask_of,
+                            path_graph)
 from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
@@ -86,6 +90,24 @@ def k9_with_ears() -> Graph:
     edges += [(i, 9 + i) for i in range(9)]
     edges += [((i + 1) % 9, 9 + i) for i in range(9)]
     return build_graph(18, edges)
+
+
+def k9_with_a_pendant() -> Graph:
+    """K9 on vertices 1..9 plus vertex 0 on vertex 5: Delta = omega = 9,
+    and the lex-least maximum clique is not the first nine vertices."""
+    edges = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
+    return build_graph(10, edges + [(0, 5)])
+
+
+def gate_pins() -> dict[str, Graph]:
+    """Inputs that fail the clique bound of ``solve``: K10, ``k9_with_a_pendant``,
+    omega = Delta = 11 with two maximum cliques, and a gem beside an omega =
+    Delta component (the gem is reported first)."""
+    gem = join(complete_graph(1), path_graph(4))
+    return {"K10": complete_graph(10),
+            "K9 with a pendant": k9_with_a_pendant(),
+            "2K1 joined to K10": join(empty_graph(2), complete_graph(10)),
+            "K9 with a pendant beside a gem": disjoint_union(k9_with_a_pendant(), gem)}
 
 
 def non_clique_core() -> Graph:
@@ -312,6 +334,21 @@ def reference_extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | s
         raise InternalInconsistencyError(
             "catalog graph refused a d1-style list assignment")
     return assigned
+
+
+def reference_verify_coloring(g: Graph, coloring: Coloring) -> bool:
+    """True iff total, within palette, and no edge is monochromatic."""
+    c = coloring.colors
+    if len(c) != g.n:
+        return False
+    for v in range(g.n):
+        cv = c.get(v)
+        if cv is None or not 1 <= cv <= coloring.k:
+            return False
+    for u, v in g.edges():
+        if c[u] == c[v]:
+            return False
+    return True
 
 
 def brute_clique_number(g: Graph) -> int:

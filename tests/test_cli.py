@@ -11,7 +11,7 @@ from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
 
-from helpers import caterpillar, k9_with_ears, non_clique_core, random_graph
+from helpers import caterpillar, gate_pins, k9_with_ears, non_clique_core, random_graph
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -57,6 +57,19 @@ def test_color_rejects_low_degree(tmp_path, capsys):
 def test_color_rejects_clique_at_delta(tmp_path, capsys):
     path = write(tmp_path, "k10.el", write_edgelist(complete_graph(10)))
     assert main(["color", path]) == 5
+
+
+@pytest.mark.parametrize("name, code, detail", [
+    ("K10", 5, "clique number 10 exceeds 8. clique: 0 1 2 3 4 5 6 7 8 9"),
+    ("K9 with a pendant", 5, "clique number 9 exceeds 8. clique: 1 2 3 4 5 6 7 8 9"),
+    ("2K1 joined to K10", 5, "clique number 11 exceeds 10. clique: 0 2 3 4 5 6 7 8 9 10 11"),
+    ("K9 with a pendant beside a gem", 3,
+     "graph contains an induced GEM (11, 12, 13, 14, 10). witness: 11 12 13 14 10"),
+])
+def test_color_reports_the_gate_witness(tmp_path, capsys, name, code, detail):
+    path = write(tmp_path, "g.el", write_edgelist(gate_pins()[name]))
+    assert main(["color", path]) == code
+    assert one_error_line(capsys) == f"error: {detail}\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -365,6 +378,25 @@ def test_replay_rejects_a_d1_extend_palette_outside_the_graph_order(tmp_path, ca
     assert main(["replay", path, trace]) == 2
     assert time.perf_counter() - start < 1.0
     assert f"k={k}, outside 1..8" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("w=0,1,2,3 k=8", "not one of the catalog shapes"),
+    ("w=0,1,2,3,4,5,6,7 k=3", "below d(v)-1"),
+    ("w=0,1,2,3,4,5,6,7,7 k=8", "repeats a vertex in w=0,1,2,3,4,5,6,7,7"),
+])
+def test_replay_rejects_a_d1_extend_line_that_does_not_fit_its_catalog_graph(
+        tmp_path, capsys, line, reason):
+    # K4 joined to C4, a catalog graph of order 8: its K4 alone is not one,
+    # 3 colors are too few for its lists, and a repeated vertex once
+    # collapsed and replayed with exit 0
+    g = join(complete_graph(4), cycle_graph(4))
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    n, m, hist = fingerprint(g)
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 8, n, m, hist)).replace(
+        "end\n", f"step d1_extend {line}\nend\n"))
+    assert main(["replay", path, trace]) == 2
+    assert reason in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from pentagem.coloring import (Coloring, back_degree_profile,
@@ -8,6 +11,8 @@ from pentagem.graph import (build_graph, complete_graph, cycle_graph,
                             path_graph)
 from pentagem.instances import GenSpec, gen_class_instance
 from pentagem.strategies import published_plan
+
+from helpers import random_graph, reference_verify_coloring
 
 
 def test_verify_accepts_proper():
@@ -21,6 +26,43 @@ def test_verify_rejects_monochromatic_edge():
 def test_verify_rejects_partial_and_out_of_palette():
     assert not verify_coloring(complete_graph(2), Coloring({0: 1}, 2))
     assert not verify_coloring(complete_graph(2), Coloring({0: 1, 1: 3}, 2))
+
+
+@pytest.mark.parametrize("colors, why", [
+    ({0: 1, 1: 2}, "vertex 2 is missing"),
+    ({0: 1, 1: 2, 3: 3}, "key 3 lies outside 0..2, with the right count"),
+    ({0: 1, 1: 2, 2: 3, 3: 1}, "key 3 lies outside 0..2, beside all of them"),
+    ({0: 1, 1: 2, 2: 0}, "color 0"),
+    ({0: 1, 1: 2, 2: 4}, "color k+1"),
+    ({0: 1, 1: 1, 2: 2}, "edge 0-1 is monochromatic"),
+])
+def test_verify_rejects_each_failure(colors, why):
+    g = path_graph(3)
+    assert verify_coloring(g, Coloring({0: 1, 1: 2, 2: 3}, 3))
+    assert not verify_coloring(g, Coloring(colors, 3)), why
+
+
+def test_verify_agrees_with_the_edge_walk():
+    # proper, improper, partial, off-palette and out-of-range colorings alike
+    verdicts = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.choice((0.1, 0.3, 0.5)), seed)
+        k = rng.randint(1, 6)
+        colors = {v: rng.randint(1, k) for v in range(n)}
+        if n and seed % 4 == 0:
+            v = rng.randrange(n)
+            colors[v] = rng.choice((0, k + 1, None))
+            if colors[v] is None:  # missing, and with every third seed replaced
+                del colors[v]
+                if seed % 3 == 0:
+                    colors[n] = 1
+        coloring = Coloring(colors, k)
+        verdict = verify_coloring(g, coloring)
+        assert verdict == reference_verify_coloring(g, coloring), seed
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) > 50, verdicts
 
 
 def test_back_degree_complete():

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,11 @@ from hypothesis import strategies as st
 
 from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
                             induced_subgraph, join, path_graph)
+from pentagem.graphio import parse_graph
 from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_induced,
-                               induced_p4, is_p5_gem_free, maximum_independent_set)
+                               has_clique, induced_p4, is_p5_gem_free,
+                               maximum_independent_set)
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
                      brute_max_independent_set_size, random_graph, reference_find_c5,
@@ -114,6 +119,32 @@ def test_clique_le_delta_plus_one(seed):
         from pentagem.graph import connected_components, induced_subgraph
         assert any(len(c) == omega and induced_subgraph(g, c)[0] == complete_graph(omega)
                    for c in connected_components(g))
+
+
+@given(st.integers(0, 14), st.sampled_from((0.3, 0.5, 0.7, 0.9)), st.integers(0, 10_000),
+       st.booleans())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_has_clique_agrees_with_the_clique_number(n, p, seed, full):
+    g = random_graph(n, p, seed)
+    mask = g.full_mask() if full else random.Random(seed).getrandbits(n)
+    omega = clique_number(induced_subgraph(g, bits(mask))[0])[0]
+    for size in range(n + 2):
+        assert has_clique(g, mask, size) == (omega >= size), (size, omega)
+
+
+def test_has_clique_decides_the_gate_on_every_benchmark_input(monkeypatch):
+    # the sweep9 and delta workloads, built as the benchmark builds them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    for name in ("sweep9", "delta"):
+        for inp in workloads.BUILDERS[name](7):
+            g = parse_graph(inp.g6, "graph6")
+            omega, delta, full = clique_number(g)[0], g.max_degree(), g.full_mask()
+            assert has_clique(g, full, delta) == (omega >= delta), inp.name
+            assert has_clique(g, full, delta - 1) == (omega >= delta - 1), inp.name
 
 
 def test_complete_component_reaches_delta_plus_one():

@@ -15,13 +15,13 @@ from pentagem.graph import (build_graph, complete_graph, cycle_graph,
 from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
-from pentagem.patterns import clique_number
+from pentagem.patterns import PatternWitness, clique_number
 from pentagem.reductions import hitting_mis
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
-from helpers import (caterpillar, delta9_members, delta_family, k9_with_ears,
+from helpers import (caterpillar, delta9_members, delta_family, gate_pins, k9_with_ears,
                      non_clique_core)
 from irreducible_enum import _members
 
@@ -128,6 +128,61 @@ def test_a_forbidden_pattern_inside_the_strategy_passes_through(monkeypatch):
 def test_solve_rejects_clique_at_delta():
     with pytest.raises(CliqueBoundError):
         solve(complete_graph(10))
+
+
+# (solve's error, color8's error): class, message, and the clique witness
+# (the lex-least maximum clique) or the pattern witness
+GATE_PINS = {
+    "K10": ((CliqueBoundError, "clique number 10 exceeds 8", tuple(range(10))),) * 2,
+    "K9 with a pendant": (
+        (CliqueBoundError, "clique number 9 exceeds 8", tuple(range(1, 10))),) * 2,
+    "2K1 joined to K10": (
+        (CliqueBoundError, "clique number 11 exceeds 10", (0, *range(2, 12))),
+        (DegreeRangeError, "maximum degree 11 exceeds 9", None)),
+    "K9 with a pendant beside a gem": (
+        (ForbiddenPatternError, "graph contains an induced GEM (11, 12, 13, 14, 10)",
+         ("GEM", (11, 12, 13, 14, 10))),) * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_PINS))
+def test_the_gate_reports_the_pinned_error_and_witness(name):
+    g = gate_pins()[name]
+    for run, (cls, message, witness) in zip((solve, color8), GATE_PINS[name]):
+        with pytest.raises(PreconditionError) as err:
+            run(g)
+        got = getattr(err.value, "witness", None)
+        if isinstance(got, PatternWitness):
+            got = (got.pattern, got.vertices)
+        assert (type(err.value), str(err.value), got) == (cls, message, witness), run
+        if cls is CliqueBoundError:
+            assert clique_number(g) == (len(witness), witness)
+
+
+def test_solve_runs_no_exact_clique_search_on_in_class_inputs(monkeypatch):
+    # the gate and each degree-reduction level answer with has_clique; the
+    # exact clique number is computed only to word a failure
+    from pentagem import patterns
+
+    inputs = delta9_members(506) + [_copies(gallery_g2(10), 4)]
+    original = patterns.clique_number
+    calls = Counter()
+
+    def tallied(*args):
+        code = sys._getframe(1).f_code
+        calls[(code.co_filename.rsplit("/", 1)[-1], code.co_name)] += 1
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pentagem") and getattr(mod, "clique_number", None) is original:
+            monkeypatch.setattr(mod, "clique_number", tallied)
+    for g in inputs:
+        col, _ = solve(g)
+        assert verify_coloring(g, col)
+    assert calls == {}
+    with pytest.raises(CliqueBoundError):
+        solve(complete_graph(10))
+    assert calls == {("solver.py", "_structural_gate"): 1}
 
 
 def test_solve_disconnected_components():
