@@ -80,12 +80,23 @@ def degeneracy_order(g: Graph) -> list[int]:
 def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
     """Give each vertex of ``order`` in turn the smallest color in 1..k that
     none of its neighbors already holds in ``colors``, writing into it;
-    ``adj`` is a per-vertex list of neighborhood masks, a graph's ``adj``."""
+    ``adj`` is a per-vertex list of neighborhood masks, a graph's ``adj``.
+
+    Neighbor colors are bits of a used-color mask.  A vertex of degree d
+    gets a color of at most d + 1, so a color outside 1..min(k, d + 1)
+    cannot block it and is left out, which keeps a huge color or k cheap."""
+    get = colors.get
     for v in order:
-        used = {colors[u] for u in bits(adj[v]) if u in colors}
-        c = 1
-        while c in used:
-            c += 1
+        a = adj[v]
+        top = min(k, a.bit_count() + 1)
+        used = 1  # bit 0 stands for color 0, never given
+        while a:
+            low = a & -a
+            c = get(low.bit_length() - 1, 0)
+            if 0 < c <= top:
+                used |= 1 << c
+            a ^= low
+        c = (~used & (used + 1)).bit_length() - 1
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
         colors[v] = c

@@ -53,12 +53,34 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _mirrored_from_below(n: int, adj: tuple[int, ...]) -> bool:
+    """True iff no mask has a loop or a vertex >= n, each neighbor u above v
+    lists v, and those pairs account for half of all adjacency bits."""
+    full = (1 << n) - 1
+    upper = 0
+    for v, m in enumerate(adj):
+        if m & (1 << v) or m & ~full:
+            return False
+        bit = 1 << v
+        m >>= v + 1
+        while m:
+            low = m & -m
+            if not adj[v + low.bit_length()] & bit:
+                return False
+            upper += 1
+            m ^= low
+    return 2 * upper == sum(map(int.bit_count, adj))
+
+
 class Graph:
     """Immutable simple graph.
 
     ``adj[v]`` is the open-neighborhood bitmask of ``v``.  The constructor
     asserts symmetry and irreflexivity, so every ``Graph`` in the system
-    satisfies the core invariants by construction.
+    satisfies the core invariants by construction.  Symmetry is checked from
+    each pair's lower end: each neighbor u above v must list v, and these
+    pairs must be half of all adjacency bits; as each has its own mirror
+    below, no entry below is then left unmirrored.
     """
 
     __slots__ = ("n", "adj", "labels")
@@ -67,15 +89,17 @@ class Graph:
         adj = tuple(adj)
         if n < 0 or len(adj) != n:
             raise GraphFormatError(f"adjacency length {len(adj)} does not match n={n}")
-        full = (1 << n) - 1
-        for v, m in enumerate(adj):
-            if m & (1 << v):
-                raise GraphFormatError(f"loop at vertex {v}")
-            if m & ~full:
-                raise GraphFormatError(f"adjacency of {v} mentions vertices >= {n}")
-            for u in bits(m):
-                if not adj[u] & (1 << v):
-                    raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
+        if not _mirrored_from_below(n, adj):
+            # walk every entry in order, to name the first fault
+            full = (1 << n) - 1
+            for v, m in enumerate(adj):
+                if m & (1 << v):
+                    raise GraphFormatError(f"loop at vertex {v}")
+                if m & ~full:
+                    raise GraphFormatError(f"adjacency of {v} mentions vertices >= {n}")
+                for u in bits(m):
+                    if not adj[u] & (1 << v):
+                        raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = adj
         self.labels = labels

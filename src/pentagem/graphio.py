@@ -8,7 +8,7 @@ upper-triangle encoding, one graph per line.
 from __future__ import annotations
 
 import re
-from math import isqrt
+from binascii import a2b_base64
 
 from .errors import GraphFormatError
 from .graph import Graph, build_graph
@@ -28,8 +28,11 @@ __all__ = [
 FORMATS = ("dimacs", "edgelist", "graph6")
 
 _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")  # graph6 uses chr(63) to chr(126)
-_G6_NONZERO = re.compile(r"[^?]")
 _G6_CHARS = bytes((63 + d) % 256 for d in range(256))  # a six-bit value's character
+_G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same value
+    bytes(range(63, 127)),
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
+_BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -91,9 +94,9 @@ def write_edgelist(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line.  Only the body characters other than ``?``
-    (six zero bits) are decoded, found by one scan in C, so the Python work
-    follows the edges rather than the n(n-1)/2 pairs."""
+    """Decode one graph6 line.  The body is decoded in C, and each vertex's
+    lower neighbors are one slice of the result, so the Python work follows
+    the rows and the edges rather than the n(n-1)/2 pairs."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -103,27 +106,37 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError("graph6 characters out of range")
     head = [ord(ch) - 63 for ch in s[:4]]
     if head[0] < 63:
-        n, body = head[0], s[1:]
+        n, start = head[0], 1
     elif len(head) == 4 and head[1] < 63:
         n = (head[1] << 12) | (head[2] << 6) | head[3]
-        body = s[4:]
+        start = 4
     else:
         raise GraphFormatError("graph6 orders above 2^18 are not supported")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(body) != need:
-        raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
-    # bit k of the body is the pair (u, v) with k = v(v-1)/2 + u, u < v;
-    # bits past the last pair are padding
-    edges = []
-    for hit in _G6_NONZERO.finditer(body):
-        d, k0 = ord(hit.group()) - 63, 6 * hit.start()
-        for b in range(6):
-            k = k0 + b
-            if d >> (5 - b) & 1 and k < nbits:
-                v = (1 + isqrt(8 * k + 1)) // 2
-                edges.append((k - v * (v - 1) // 2, v))
-    return build_graph(n, edges)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - start != need:
+        raise GraphFormatError(f"graph6 body length {len(s) - start}, expected {need}")
+    # graph6 is base64's six-bit grouping under a shifted alphabet: pad the
+    # body in place to whole quads, decode it, and reverse each byte's bits,
+    # so that body bit k = v(v-1)/2 + u, for the pair u < v, is bit k of the
+    # bytes read little-endian; padding bits past the last pair are never read
+    data = bytearray(s, "ascii").translate(_G6_BASE64)
+    data += b"A" * (-need % 4)
+    raw = a2b_base64(memoryview(data)[start:])
+    del data  # not held while the reversed copy is made
+    raw = raw.translate(_BITS_REVERSED)
+    adj = [0] * n
+    k = 0
+    for v in range(1, n):
+        row = int.from_bytes(raw[k >> 3:(k + v + 7) >> 3], "little") >> (k & 7) & ((1 << v) - 1)
+        k += v
+        if row:
+            adj[v] = row
+            bit = 1 << v
+            while row:
+                low = row & -row
+                adj[low.bit_length() - 1] |= bit
+                row ^= low
+    return Graph(n, adj)
 
 
 def write_graph6(g: Graph) -> str:

@@ -254,4 +254,6 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> Coloring:
             raise GraphFormatError(f"{e.kind} {e.data} is rejected: {exc}") from exc
     if colors and (min(colors) < 0 or max(colors) >= n):
         raise GraphFormatError(f"trace colors a vertex outside the graph of order {n}")
+    if colors and not (1 <= min(colors.values()) and max(colors.values()) <= trace.palette):
+        raise GraphFormatError(f"trace gives a color outside its palette 1..{trace.palette}")
     return Coloring(colors, trace.palette)

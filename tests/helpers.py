@@ -11,15 +11,22 @@ the ``reference_is_*`` functions the catalog shape tests that built
 induced copies, ``reference_extend_list_coloring`` the list-coloring
 search before it kept free-color masks in place and memoized failures, and
 ``reference_verify_coloring`` the edge walk that ``verify_coloring`` ran
-before it tested color-class masks.
+before it tested color-class masks, ``reference_parse_graph6`` the graph6
+reader that decoded one edge at a time before ``parse_graph6`` read whole
+rows, ``reference_adjacency_fault`` the walk over every adjacency entry
+that ``Graph`` ran before it checked each pair from its lower end, and
+``reference_first_fit`` the first-fit loop that gathered neighbor
+colors in a set before ``first_fit`` kept a used-color mask.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
+from math import isqrt
 
-from pentagem.errors import (InternalInconsistencyError, PentagemError,
+from pentagem.errors import (GraphFormatError, InternalInconsistencyError, PentagemError,
                              PreconditionError)
 from pentagem.coloring import Coloring
 from pentagem.graph import (Graph, bits, build_graph, complete_graph, disjoint_union,
@@ -349,6 +356,72 @@ def reference_verify_coloring(g: Graph, coloring: Coloring) -> bool:
         if c[u] == c[v]:
             return False
     return True
+
+
+_G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(r"[^?]")
+
+
+def reference_adjacency_fault(n: int, adj) -> str | None:
+    """The message of the first fault in ``adj`` walked vertex by vertex and
+    neighbor by neighbor, or None when it is a simple graph's adjacency."""
+    if n < 0 or len(adj) != n:
+        return f"adjacency length {len(adj)} does not match n={n}"
+    full = (1 << n) - 1
+    for v, m in enumerate(adj):
+        if m & (1 << v):
+            return f"loop at vertex {v}"
+        if m & ~full:
+            return f"adjacency of {v} mentions vertices >= {n}"
+        for u in bits(m):
+            if not adj[u] & (1 << v):
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line, one edge at a time from the body characters
+    other than ``?``."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    if _G6_OUT_OF_RANGE.search(s):
+        raise GraphFormatError("graph6 characters out of range")
+    head = [ord(ch) - 63 for ch in s[:4]]
+    if head[0] < 63:
+        n, body = head[0], s[1:]
+    elif len(head) == 4 and head[1] < 63:
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
+        body = s[4:]
+    else:
+        raise GraphFormatError("graph6 orders above 2^18 are not supported")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) != need:
+        raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
+    edges = []
+    for hit in _G6_NONZERO.finditer(body):
+        d, k0 = ord(hit.group()) - 63, 6 * hit.start()
+        for b in range(6):
+            k = k0 + b
+            if d >> (5 - b) & 1 and k < nbits:
+                v = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
+    return build_graph(n, edges)
+
+
+def reference_first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
+    """First-fit along ``order`` into ``colors``, from the set of neighbor colors."""
+    for v in order:
+        used = {colors[u] for u in bits(adj[v]) if u in colors}
+        c = 1
+        while c in used:
+            c += 1
+        if c > k:
+            raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
+        colors[v] = c
 
 
 def brute_clique_number(g: Graph) -> int:

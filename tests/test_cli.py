@@ -399,6 +399,25 @@ def test_replay_rejects_a_d1_extend_line_that_does_not_fit_its_catalog_graph(
     assert reason in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("lines", [
+    ["step delta_set i=0 color=-1", "step low_degree v=1 k=2"],
+    ["step delta_set i=0 color=1000000000000", "step low_degree v=1 k=2"],
+    # the first-fit at vertex 1 never turns either number into a mask
+    ["step delta_set i=0 color=1000000000000", "step low_degree v=1 k=10000000000000"],
+])
+def test_replay_rejects_a_color_outside_the_palette(tmp_path, capsys, lines):
+    # the path 0-1: once replayed to a coloring that failed verification, exit 6
+    g = path_graph(2)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    n, m, hist = fingerprint(g)
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, n, m, hist)).replace(
+        "end\n", "\n".join(lines) + "\nend\n"))
+    start = time.perf_counter()
+    assert main(["replay", path, trace]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert one_error_line(capsys) == "error: trace gives a color outside its palette 1..2\n"
+
+
 @pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])
 def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, flag):
     # the path is a directory

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from pentagem.coloring import (Coloring, back_degree_profile,
+from pentagem.coloring import (Coloring, back_degree_profile, first_fit,
                                color_with_independent_sets, degeneracy_order,
                                greedy_color, verify_coloring)
 from pentagem.errors import PreconditionError
@@ -12,7 +12,7 @@ from pentagem.graph import (build_graph, complete_graph, cycle_graph,
 from pentagem.instances import GenSpec, gen_class_instance
 from pentagem.strategies import published_plan
 
-from helpers import random_graph, reference_verify_coloring
+from helpers import random_graph, reference_first_fit, reference_verify_coloring
 
 
 def test_verify_accepts_proper():
@@ -63,6 +63,35 @@ def test_verify_agrees_with_the_edge_walk():
         assert verdict == reference_verify_coloring(g, coloring), seed
         verdicts[verdict] += 1
     assert min(verdicts[True], verdicts[False]) > 50, verdicts
+
+
+def test_first_fit_agrees_with_the_set_of_neighbor_colors():
+    # pre-placed colors inside and outside the palette, vertices colored
+    # twice, and palettes too small: the same colors in the same insertion
+    # order, or the same error after the same partial writes
+    outcomes = Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        g = random_graph(n, rng.choice((0.2, 0.4, 0.7)), seed)
+        k = rng.randint(1, 12)
+        odd = (0, -1, -7, k + 1, k + 5, 10**12)
+        placed = {v: rng.choice(odd) if rng.random() < 0.3 else rng.randint(1, k)
+                  for v in rng.sample(range(n), rng.randint(0, n))}
+        order = rng.sample(range(n), rng.randint(0, n))
+        mine, ref = dict(placed), dict(placed)
+        try:
+            reference_first_fit(g.adj, order, k, ref)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as info:
+                first_fit(g.adj, order, k, mine)
+            assert str(info.value) == str(exc), seed
+            outcomes["error"] += 1
+        else:
+            first_fit(g.adj, order, k, mine)
+            outcomes["colored"] += 1
+        assert list(mine.items()) == list(ref.items()), seed
+    assert min(outcomes.values()) > 40, outcomes
 
 
 def test_back_degree_complete():

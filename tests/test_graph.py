@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,10 @@ from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph,
                             is_connected, join, mask_of, path_graph,
-                            seeded_component_masks)
+                            seeded_component_masks, _mirrored_from_below)
 from pentagem.instances import gallery_g1, gallery_g2
 
-from helpers import random_graph
+from helpers import random_graph, reference_adjacency_fault
 
 
 def test_build_cycle_degrees():
@@ -37,6 +39,45 @@ def test_build_rejects_bad_edges():
         build_graph(3, [(0, 3)])
     with pytest.raises(GraphFormatError):
         build_graph(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (3, [0, 0], "adjacency length 2 does not match n=3"),
+    (3, [0, 0b010, 0], "loop at vertex 1"),
+    (2, [0b100, 0], "adjacency of 0 mentions vertices >= 2"),
+    (2, [0, -4], "adjacency of 1 mentions vertices >= 2"),
+    # the first fault in vertex order, then neighbor order: a walk over the
+    # neighbors above each vertex alone would name 3 and 2, or the loop
+    (4, [0, 0, 0b1001, 0], "asymmetric adjacency between 0 and 2"),
+    (3, [0, 0b001, 0b100], "asymmetric adjacency between 0 and 1"),
+    # every neighbor above its vertex is mirrored; one below is not
+    (3, [0b010, 0b001, 0b001], "asymmetric adjacency between 0 and 2"),
+])
+def test_graph_rejects_a_bad_adjacency_with_its_first_fault(n, adj, message):
+    with pytest.raises(GraphFormatError) as info:
+        Graph(n, adj)
+    assert str(info.value) == message
+
+
+@given(st.integers(0, 7), st.integers(0, 2**32))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_graph_checks_adjacency_like_a_walk_over_every_entry(n, seed):
+    # a symmetric graph, then a few bits flipped, loops and high bits included
+    rng = random.Random(seed)
+    g = random_graph(n, rng.random(), rng.randrange(10**6))
+    adj = list(g.adj)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        if n:
+            adj[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
+    fault = reference_adjacency_fault(n, adj)
+    # the check from below decides alone; the full walk only words a fault
+    assert _mirrored_from_below(n, tuple(adj)) == (fault is None)
+    if fault is None:
+        assert Graph(n, adj).adj == tuple(adj)
+    else:
+        with pytest.raises(GraphFormatError) as info:
+            Graph(n, adj)
+        assert str(info.value) == fault
 
 
 def test_duplicate_edges_collapse():

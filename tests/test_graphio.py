@@ -1,14 +1,19 @@
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem.errors import GraphFormatError
-from pentagem.graph import complete_graph, cycle_graph, empty_graph, path_graph
+from pentagem.graph import build_graph, complete_graph, cycle_graph, empty_graph, path_graph
 from pentagem.graphio import (parse_dimacs, parse_edgelist, parse_graph,
                               parse_graph6, sniff_format, write_dimacs,
                               write_edgelist, write_graph6)
 
-from helpers import caterpillar, random_graph
+from helpers import caterpillar, random_graph, reference_parse_graph6
 
 
 def test_dimacs_round_trip():
@@ -173,3 +178,43 @@ def test_graph6_writer_matches_a_bit_by_bit_encoder(n):
 def test_graph6_writer_matches_a_bit_by_bit_encoder_on_caterpillars(spine):
     g = caterpillar(spine)  # n = 1,600 and 3,200
     assert write_graph6(g) == _graph6_bit_by_bit(g)
+
+
+@given(st.integers(0, 130), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_graph6_agrees_with_the_edge_by_edge_reader(n, seed):
+    # any density, padding bits set at random, the optional prefix, and now
+    # and then a body one character short or long or a character out of range
+    rng = random.Random(seed)
+    density = rng.random()
+    body = [chr(63 + sum(32 >> b for b in range(6) if rng.random() < density))
+            for _ in range((n * (n - 1) // 2 + 5) // 6)]
+    fault = rng.choice((None,) * 6 + ("short", "long", "range"))
+    if fault == "short" and body:
+        body.pop(rng.randrange(len(body)))
+    elif fault == "long":
+        body.insert(rng.randrange(len(body) + 1), "~")
+    elif fault == "range" and body:
+        body[rng.randrange(len(body))] = rng.choice((" ", "\x7f", "\xe9", "0"))
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    text = rng.choice(("", ">>graph6<<")) + head + "".join(body) + rng.choice(("", "\n"))
+    try:
+        expected = reference_parse_graph6(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph6(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_graph6(text) == expected
+
+
+def test_graph6_reads_every_benchmark_input_as_its_edge_list(monkeypatch):
+    # the four workloads at seed 7, encoded by the benchmark's own writer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    for name in ("sweep9", "core9", "delta", "scale"):
+        for inp in getattr(workloads, name)(7):
+            assert parse_graph6(inp.g6) == build_graph(inp.n, inp.edges), inp.name
