@@ -1,8 +1,8 @@
 """Simple undirected graphs with bitmask adjacency.
 
-Vertices are dense integer indices 0..n-1; labels are cosmetic.  Adjacency
-is stored as one Python-int bitmask per vertex, which makes neighborhood
-intersection, containment and popcount tests cheap.  A connected
+Vertices are dense integer indices 0..n-1.  Adjacency is stored as one
+Python-int bitmask per vertex, which makes neighborhood intersection,
+containment and popcount tests cheap.  A connected
 (P5, gem)-free graph of maximum degree 9 has at most 658 vertices; larger
 inputs (unions of such graphs, or graphs that peel away entirely, like a
 caterpillar of tens of thousands of vertices) are handled by searching
@@ -83,9 +83,9 @@ class Graph:
     below, no entry below is then left unmirrored.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: Iterable[int], labels: tuple[str, ...] | None = None):
+    def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
         if n < 0 or len(adj) != n:
             raise GraphFormatError(f"adjacency length {len(adj)} does not match n={n}")
@@ -102,7 +102,6 @@ class Graph:
                         raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = adj
-        self.labels = labels
 
     # -- elementary queries -------------------------------------------------
 
@@ -165,8 +164,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]],
-                labels: tuple[str, ...] | None = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
     Raises :class:`GraphFormatError` on out-of-range indices or loops.
@@ -181,7 +179,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
             raise GraphFormatError(f"loop edge at {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj, labels)
+    return Graph(n, adj)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

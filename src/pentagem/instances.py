@@ -145,7 +145,7 @@ def gen_target_delta(class_id: str, target_delta: int, seed: int,
     """
     if not 8 <= target_delta <= 12:
         raise PreconditionError("supported target degrees are 8..12")
-    from .patterns import clique_number
+    from .patterns import has_clique
 
     t = TEMPLATES[class_id]
     body = [n for n in t.nodes if n != t.pendant]
@@ -166,8 +166,7 @@ def gen_target_delta(class_id: str, target_delta: int, seed: int,
             spec, g = build(sizes, a7, gseed)
             delta = g.max_degree()
             if delta == target_delta and g.n <= max_vertices:
-                omega, _ = clique_number(g)
-                if omega <= target_delta - 1:
+                if not has_clique(g, g.full_mask(), target_delta):
                     return spec
                 break
             if delta > target_delta or g.n > max_vertices:

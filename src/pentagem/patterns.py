@@ -6,6 +6,11 @@ fifth vertex's adjacency to v1..v4 is one row of ``FIFTH``.  One walk,
 ``induced_p4``, enumerates the P4s inside a host bitmask in lexicographic
 order, so the first hit is the lexicographically smallest witness and an
 exhausted walk is an exhaustive-absence guarantee.
+
+Cliques come from one iterative search, ``find_clique``, which likewise
+returns the lexicographically least clique of a given size inside a mask:
+``has_clique`` asks whether it finds one, and ``clique_number`` grows the
+size until it fails.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ __all__ = [
     "induced_p4",
     "find_induced",
     "is_p5_gem_free",
-    "clique_number",
+    "find_clique",
     "has_clique",
+    "clique_number",
     "maximum_independent_set",
 ]
 
@@ -118,73 +124,56 @@ def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     return True, None
 
 
-def _greedy_color_bound(g: Graph, cand: int) -> int:
-    """Number of colors greedy needs on the candidate set; bounds its clique."""
-    classes: list[int] = []
-    for v in bits(cand):
-        av = g.adj[v]
-        for i, cls in enumerate(classes):
-            if not av & cls:
-                classes[i] = cls | (1 << v)
-                break
+def find_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
+    """The lexicographically least clique of ``size`` vertices inside
+    ``mask``; None if there is none.
+
+    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
+    no such clique, so it is dropped first.  Cliques then grow in lex order
+    on an explicit stack: each level takes its candidates (adjacent to the
+    whole clique so far and later than its last vertex) lowest first, and
+    goes back up once fewer are left than the clique still needs.  That cut
+    never skips a clique, so the first one completed is the lex-least
+    (Carraghan & Pardalos, Oper. Res. Lett. 1990).
+    """
+    if size <= 0:
+        return ()
+    adj = g.adj
+    cand = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
+    clique: list[int] = []
+    left: list[int] = []  # the candidates still to try at each level above
+    while True:
+        if cand.bit_count() >= size - len(clique):
+            b = cand & -cand
+            v = b.bit_length() - 1
+            if len(clique) == size - 1:
+                return (*clique, v)
+            clique.append(v)
+            left.append(cand ^ b)
+            cand = (cand ^ b) & adj[v]
+        elif clique:
+            clique.pop()
+            cand = left.pop()
         else:
-            classes.append(1 << v)
-    return len(classes)
+            return None
+
+
+def has_clique(g: Graph, mask: int, size: int) -> bool:
+    """True iff the subgraph induced on ``mask`` has a clique of ``size``
+    vertices."""
+    return find_clique(g, mask, size) is not None
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with the lexicographically least maximum witness.
 
-    Branch and bound over lexicographically ordered extensions; the greedy
-    coloring bound prunes subtrees that cannot beat the incumbent, which never
-    skips a strictly larger clique, so the first clique of maximum size found
-    in lex order is the lex-least one.
+    Tries sizes 1, 2, ... until ``find_clique`` fails; the last clique found
+    is the lex-least of the largest size.
     """
-    best: list[int] = []
-    best_size = 0
-
-    def expand(current: list[int], cand: int) -> None:
-        nonlocal best, best_size
-        if not cand:
-            if len(current) > best_size:
-                best_size = len(current)
-                best = list(current)
-            return
-        if len(current) + _greedy_color_bound(g, cand) <= best_size:
-            return
-        for v in bits(cand):
-            if len(current) + (cand >> v).bit_count() <= best_size:
-                return
-            current.append(v)
-            expand(current, cand & g.adj[v] & (~0 << v))
-            current.pop()
-
-    expand([], g.full_mask())
-    return best_size, tuple(best)
-
-
-def has_clique(g: Graph, mask: int, size: int) -> bool:
-    """True iff the subgraph induced on ``mask`` has a clique of ``size``
-    vertices; exact, and cheaper than ``clique_number`` when only the
-    answer is needed.
-
-    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
-    no such clique, so it is dropped first.  Cliques then grow in lex order,
-    each from the candidates adjacent to all of it and later than its last
-    vertex, and a branch is cut once those are fewer than it still needs.
-    """
-    adj = g.adj
-    keep = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
-
-    def grow(cand: int, need: int) -> bool:
-        while cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            if need == 1 or grow(cand & adj[b.bit_length() - 1], need - 1):
-                return True
-        return False
-
-    return size <= 0 or grow(keep, size)
+    full, best = g.full_mask(), ()
+    while (found := find_clique(g, full, len(best) + 1)) is not None:
+        best = found
+    return len(best), best
 
 
 def maximum_independent_set(g: Graph) -> tuple[int, ...]:

@@ -9,7 +9,9 @@ over the host's vertex ids and, once a component is irreducible, either
 colors it exactly (perfect case) or classifies it and runs the published
 per-class strategy on it as is: a reducible bag is a module, so a
 non-clique one holds two false-twin cliques, a copycat pair.  With none
-left every such bag is a clique, as the strategy checks.
+left every such bag is a clique, as the strategy checks.  No irreducible
+core is labelled H (its degree window leaves no room for a pendant
+clique), so such a label is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
 
 def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
     """Color an irreducible connected core ``g``, whose vertex i is host
-    vertex ``ids[i]``: exactly when perfect, else by its class strategy."""
+    vertex ``ids[i]``: exactly when perfect, else by its class strategy
+    (never H's, which would color a nested core)."""
     label = classify(g)
     if label.kind == "Perfect":
         check_oracle_core(g.n)
@@ -121,17 +124,14 @@ def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
         run_step("oracle", {"vs": tuple(ids), "k": clique_number(g)[0]}, host, colors, events)
         return colors
 
-    def recurse(sub: Graph, sub_local_ids: tuple[int, ...]) -> dict[int, int]:
-        abs_ids = [ids[i] for i in sub_local_ids]
-        child = _color8(host, mask_of(abs_ids), events)
-        return {sub_local_ids[i]: child[v] for i, v in enumerate(abs_ids)}
-
+    if label.kind == "H":
+        raise InternalInconsistencyError(
+            "an irreducible core cannot be labelled H: A1..A5 and each A7 component "
+            "are cliques, and of the 21 size vectors of A1..A6 that keep their "
+            "degrees in 8..9, none leaves room for an A7 clique whose degrees do too")
     steps: list[TraceEvent] = []
     try:
-        outcome = apply_case_strategy(g, label.kind, label.bags, k=8, recurse=recurse,
-                                      trace=steps)
-    except ForbiddenPatternError:
-        raise  # from a nested classify inside H's recursion
+        outcome = apply_case_strategy(g, label.kind, label.bags, k=8, trace=steps)
     except PreconditionError as exc:  # the starred check: a bag not in clique form
         raise InternalInconsistencyError(
             f"strategy for {label.kind} rejected the classified core ({exc}); with "
@@ -143,8 +143,6 @@ def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
     if isinstance(outcome, Unreachable):
         raise InternalInconsistencyError(
             f"contradiction branch reached in {label.kind}: {outcome.reason}")
-    # the strategy logs its steps after any recursion it makes, so they follow
-    # the recursion's events, in host vertices
     events.extend(TraceEvent(e.kind, STEPS[e.kind].map_ids(e.data, ids.__getitem__))
                   for e in steps)
     return {ids[u]: c for u, c in outcome.colors.items()}

@@ -219,7 +219,8 @@ def apply_case_strategy(gstar: Graph, case_id: str,
     inputs; surfaced so the caller can fail loudly).
 
     ``recurse`` colors a subgraph (graph, ids) -> {id: color} and is needed
-    only for the pendant class H; the solver passes its own engine.
+    only for the pendant class H.  The solver never passes it: no
+    irreducible core is labelled H, so only a direct caller reaches H.
     """
     template = TEMPLATES[case_id]
     problems = check_bag_partition(gstar, template, bags, starred=True)

@@ -16,7 +16,10 @@ reader that decoded one edge at a time before ``parse_graph6`` read whole
 rows, ``reference_adjacency_fault`` the walk over every adjacency entry
 that ``Graph`` ran before it checked each pair from its lower end, and
 ``reference_first_fit`` the first-fit loop that gathered neighbor
-colors in a set before ``first_fit`` kept a used-color mask.
+colors in a set before ``first_fit`` kept a used-color mask, and
+``reference_clique_number`` and ``reference_has_clique`` the recursive
+branch and bound (with a greedy-coloring bound) and fixed-size test that
+``patterns.find_clique`` replaced.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from math import isqrt
 from pentagem.errors import (GraphFormatError, InternalInconsistencyError, PentagemError,
                              PreconditionError)
 from pentagem.coloring import Coloring
-from pentagem.graph import (Graph, bits, build_graph, complete_graph, disjoint_union,
-                            empty_graph, induced_subgraph, is_connected, join, mask_of,
-                            path_graph)
+from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
+                            cycle_graph, disjoint_union, empty_graph, induced_subgraph,
+                            is_connected, join, mask_of, path_graph)
 from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
@@ -124,6 +127,27 @@ def non_clique_core() -> Graph:
     return gen_class_instance(GenSpec(
         "G2", {"Q1": 5, "Q2": 3, "Q3": 2, "Q4": 2, "Q5": 3, "Q6": 3},
         (), "cograph", 908))[0]
+
+
+def prism_cores() -> list[Graph]:
+    """The triangular prism (the complement of C6) with each vertex blown up
+    into a clique bag, the sizes on each triangle a permutation of
+    (2, 2, 3): nine connected graphs with n = 14, Delta = 9, minimum degree
+    8 and omega = 7, free of P5, gem and C5, with no copycat pair and no
+    catalog graph, so each reaches ``solve`` as one perfect core."""
+    prism = complement(cycle_graph(6))  # triangles 0, 2, 4 and 1, 3, 5
+    orders = sorted(set(permutations((2, 2, 3))))
+    out = []
+    for p in orders:
+        for q in orders:
+            sizes = (p[0], q[0], p[1], q[1], p[2], q[2])
+            start = [sum(sizes[:i]) for i in range(7)]
+            bag = [range(start[i], start[i + 1]) for i in range(6)]
+            out.append(build_graph(14, [
+                (u, v) for i in range(6) for j in range(i, 6)
+                if i == j or prism.has_edge(i, j)
+                for u in bag[i] for v in bag[j] if u < v]))
+    return out
 
 
 def brute_chromatic(g: Graph) -> int:
@@ -422,6 +446,75 @@ def reference_first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
         colors[v] = c
+
+
+def _reference_greedy_color_bound(g: Graph, cand: int) -> int:
+    """Number of colors greedy needs on the candidate set; bounds its clique."""
+    classes: list[int] = []
+    for v in bits(cand):
+        av = g.adj[v]
+        for i, cls in enumerate(classes):
+            if not av & cls:
+                classes[i] = cls | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def reference_clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Exact clique number with the lexicographically least maximum witness.
+
+    Branch and bound over lexicographically ordered extensions; the greedy
+    coloring bound prunes subtrees that cannot beat the incumbent, which never
+    skips a strictly larger clique, so the first clique of maximum size found
+    in lex order is the lex-least one.
+    """
+    best: list[int] = []
+    best_size = 0
+
+    def expand(current: list[int], cand: int) -> None:
+        nonlocal best, best_size
+        if not cand:
+            if len(current) > best_size:
+                best_size = len(current)
+                best = list(current)
+            return
+        if len(current) + _reference_greedy_color_bound(g, cand) <= best_size:
+            return
+        for v in bits(cand):
+            if len(current) + (cand >> v).bit_count() <= best_size:
+                return
+            current.append(v)
+            expand(current, cand & g.adj[v] & (~0 << v))
+            current.pop()
+
+    expand([], g.full_mask())
+    return best_size, tuple(best)
+
+
+def reference_has_clique(g: Graph, mask: int, size: int) -> bool:
+    """True iff the subgraph induced on ``mask`` has a clique of ``size``
+    vertices; exact, and cheaper than ``clique_number`` when only the
+    answer is needed.
+
+    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
+    no such clique, so it is dropped first.  Cliques then grow in lex order,
+    each from the candidates adjacent to all of it and later than its last
+    vertex, and a branch is cut once those are fewer than it still needs.
+    """
+    adj = g.adj
+    keep = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
+
+    def grow(cand: int, need: int) -> bool:
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            if need == 1 or grow(cand & adj[b.bit_length() - 1], need - 1):
+                return True
+        return False
+
+    return size <= 0 or grow(keep, size)
 
 
 def brute_clique_number(g: Graph) -> int:

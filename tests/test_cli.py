@@ -11,7 +11,8 @@ from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
 
-from helpers import caterpillar, gate_pins, k9_with_ears, non_clique_core, random_graph
+from helpers import (caterpillar, gate_pins, k9_with_ears, non_clique_core, prism_cores,
+                     random_graph)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -70,6 +71,26 @@ def test_color_reports_the_gate_witness(tmp_path, capsys, name, code, detail):
     path = write(tmp_path, "g.el", write_edgelist(gate_pins()[name]))
     assert main(["color", path]) == code
     assert one_error_line(capsys) == f"error: {detail}\n"
+
+
+def test_color_reports_a_1100_vertex_clique(tmp_path, capsys):
+    path = write(tmp_path, "k1100.g6", write_graph6(complete_graph(1100)))
+    assert main(["color", path]) == 5
+    assert one_error_line(capsys) == ("error: clique number 1100 exceeds 1098. clique: "
+                                      + " ".join(map(str, range(1100))) + "\n")
+
+
+def test_color_and_replay_a_perfect_core(tmp_path, capsys):
+    for i, g in enumerate(prism_cores()):
+        path = write(tmp_path, f"prism{i}.el", write_edgelist(g))
+        trace = tmp_path / f"prism{i}.trace"
+        assert main(["color", path, "--trace", str(trace)]) == 0
+        colored = capsys.readouterr().out
+        assert colored.splitlines()[0] == "palette 8"
+        assert trace.read_text().splitlines()[3:] == [
+            "color oracle vs=" + ",".join(map(str, range(14))) + " k=7", "end"]
+        assert main(["replay", path, str(trace)]) == 0
+        assert capsys.readouterr().out == colored
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
-                            induced_subgraph, join, path_graph)
+                            induced_subgraph, join, mask_of, path_graph)
 from pentagem.graphio import parse_graph
 from pentagem.instances import gallery_g1, gallery_g2
-from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_induced,
-                               has_clique, induced_p4, is_p5_gem_free,
+from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique,
+                               find_induced, has_clique, induced_p4, is_p5_gem_free,
                                maximum_independent_set)
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
-                     brute_max_independent_set_size, random_graph, reference_find_c5,
-                     reference_find_gem, reference_find_p4, reference_find_p5)
+                     brute_max_independent_set_size, random_graph, reference_clique_number,
+                     reference_find_c5, reference_find_gem, reference_find_p4,
+                     reference_find_p5, reference_has_clique)
 
 REFERENCE = {"P5": reference_find_p5, "GEM": reference_find_gem, "C5": reference_find_c5}
 
@@ -130,6 +131,24 @@ def test_has_clique_agrees_with_the_clique_number(n, p, seed, full):
     omega = clique_number(induced_subgraph(g, bits(mask))[0])[0]
     for size in range(n + 2):
         assert has_clique(g, mask, size) == (omega >= size), (size, omega)
+
+
+@given(st.integers(0, 22), st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95)),
+       st.integers(0, 10_000))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_the_clique_search_agrees_with_the_recursive_references(n, p, seed):
+    g = random_graph(n, p, seed)
+    assert clique_number(g) == reference_clique_number(g)
+    for mask in (g.full_mask(), random.Random(seed).getrandbits(n)):
+        sub, ids = induced_subgraph(g, bits(mask))
+        omega, witness = reference_clique_number(sub)
+        assert find_clique(g, mask, omega) == tuple(ids[v] for v in witness)
+        for size in range(n + 2):
+            assert has_clique(g, mask, size) == reference_has_clique(g, mask, size), size
+            found = find_clique(g, mask, size)
+            assert (found is not None) == (size <= omega), size
+            assert found is None or (len(found) == size and g.is_clique(found)
+                                     and not mask_of(found) & ~mask)
 
 
 def test_has_clique_decides_the_gate_on_every_benchmark_input(monkeypatch):

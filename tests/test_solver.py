@@ -2,10 +2,12 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from pentagem import solver
+from pentagem.classify import ClassLabel
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import (CliqueBoundError, DegreeRangeError,
                              ForbiddenPatternError, InternalInconsistencyError,
@@ -15,14 +17,14 @@ from pentagem.graph import (build_graph, complete_graph, cycle_graph,
 from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
-from pentagem.patterns import PatternWitness, clique_number
-from pentagem.reductions import hitting_mis
+from pentagem.patterns import PatternWitness, clique_number, find_induced
+from pentagem.reductions import find_copycat, find_d1_catalog, hitting_mis
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
 from helpers import (caterpillar, delta9_members, delta_family, gate_pins, k9_with_ears,
-                     non_clique_core)
+                     non_clique_core, prism_cores)
 from irreducible_enum import _members
 
 
@@ -90,7 +92,7 @@ def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
 
 
 def test_the_perfect_branch_colors_through_the_step_replay_runs():
-    # no input reaches the branch end to end, so the core is handed over
+    # a small core handed over directly; the prism cores reach it through solve
     g = join(complete_graph(3), empty_graph(4))  # a cograph: no C5, so Perfect
     events = []
     colors = solver._color_core(g, g, range(g.n), events)
@@ -114,15 +116,55 @@ def test_a_non_clique_bag_at_classify_is_an_inconsistency(monkeypatch):
         solve(non_clique_core())
 
 
-def test_a_forbidden_pattern_inside_the_strategy_passes_through(monkeypatch):
-    # stands in for a nested classify in H's recursion meeting a gem; the
-    # error is a PreconditionError, but it must not become an inconsistency
-    def nested_gem(*args, **kwargs):
-        raise ForbiddenPatternError("graph contains an induced GEM")
-    monkeypatch.setattr(solver, "apply_case_strategy", nested_gem)
+def test_the_perfect_branch_is_reached_end_to_end():
+    for g in prism_cores():
+        assert (g.n, g.max_degree(), g.min_degree(), clique_number(g)[0]) == (14, 9, 8, 7)
+        assert [find_induced(g, p) for p in ("P5", "GEM", "C5")] == [None] * 3
+        assert find_copycat(g) is None and find_d1_catalog(g) is None
+        col, trace = solve(g)
+        assert [(e.kind, e.data) for e in trace.events] == [
+            ("oracle", {"vs": tuple(range(14)), "k": 7})]
+        assert trace.palette == 8 and verify_coloring(g, col)
+        assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
+
+
+def test_no_irreducible_core_is_labelled_h():
+    # In an irreducible core every degree is 8 or 9, and A1..A5 and each A7
+    # component are modules, so cliques (the twin lemma).  An A7 clique of c
+    # vertices sees s of A6's k vertices: its vertices have degree c - 1 + s,
+    # and each of those s has at least c plus the anchor's body bags as
+    # neighbours.  Over every size vector no (c, s) fits.
+    t = TEMPLATES["H"]
+    pend, anchor = t.nodes.index(t.pendant), t.nodes.index(t.anchor)
+    cliques = [i for i in range(t.graph.n) if i not in (pend, anchor)]
+    closed = [({i} | set(t.graph.neighbors(i))) - {pend} for i in cliques]
+    beside_anchor = set(t.graph.neighbors(anchor)) - {pend}
+    windows = 0
+    for sizes in product(range(1, 9), repeat=len(cliques) + 1):
+        size = dict(zip(cliques + [anchor], sizes))
+        if not all(9 <= sum(size[j] for j in c) <= 10 for c in closed):
+            continue
+        windows += 1
+        k, seen = size[anchor], sum(size[j] for j in beside_anchor)
+        assert not [(c, s) for s in range(1, k + 1) for c in range(1, 11)
+                    if 8 <= c - 1 + s <= 9 and seen + c <= 9], size
+    assert windows == 21
+
+
+def test_a_core_labelled_h_is_an_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(solver, "classify", lambda g: ClassLabel("H", {}))
     core2 = GenSpec("G2", {"Q1": 3, "Q2": 3, "Q3": 3, "Q4": 3, "Q5": 3, "Q6": 1})
-    with pytest.raises(ForbiddenPatternError):
+    with pytest.raises(InternalInconsistencyError,
+                       match="cannot be labelled H: .* 21 size vectors"):
         solve(gen_class_instance(core2)[0])
+
+
+def test_a_1100_vertex_clique_is_reported_with_its_witness():
+    # the clique searches keep their own stack, so no recursion limit is met
+    with pytest.raises(CliqueBoundError) as err:
+        solve(complete_graph(1100))
+    assert str(err.value) == "clique number 1100 exceeds 1098"
+    assert err.value.witness == tuple(range(1100))
 
 
 def test_solve_rejects_clique_at_delta():
