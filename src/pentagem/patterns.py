@@ -7,14 +7,15 @@ fifth vertex's adjacency to v1..v4 is one row of ``FIFTH``.  One walk,
 order, so the first hit is the lexicographically smallest witness and an
 exhausted walk is an exhaustive-absence guarantee.
 
-Cliques come from one iterative search, ``find_clique``, which likewise
-returns the lexicographically least clique of a given size inside a mask:
-``has_clique`` asks whether it finds one, and ``clique_number`` grows the
-size until it fails.
+Cliques come from one iterative search, ``_lex_cliques``, which likewise
+yields the lexicographically least clique of a given size inside a mask,
+then of each larger size while one exists: ``find_clique`` and
+``has_clique`` take its first answer, and ``clique_number`` its last.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
@@ -124,38 +125,68 @@ def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     return True, None
 
 
-def find_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
-    """The lexicographically least clique of ``size`` vertices inside
-    ``mask``; None if there is none.
+def _colors_at_least(adj: list[int], cand: int, need: int) -> bool:
+    """True iff coloring ``cand`` greedily, one maximal independent class
+    at a time lowest vertex first, takes ``need`` classes or more.  Fewer
+    classes bound every clique inside ``cand`` below ``need``."""
+    for _ in range(need):
+        if not cand:
+            return False
+        free = cand
+        while free:
+            b = free & -free
+            cand ^= b
+            free = (free ^ b) & ~adj[b.bit_length() - 1]
+    return True
+
+
+def _lex_cliques(g: Graph, mask: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Yield the lexicographically least clique of ``size`` vertices inside
+    ``mask``, then of ``size + 1``, and so on, up to the largest there is.
 
     A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
     no such clique, so it is dropped first.  Cliques then grow in lex order
     on an explicit stack: each level takes its candidates (adjacent to the
-    whole clique so far and later than its last vertex) lowest first, and
-    goes back up once fewer are left than the clique still needs.  That cut
-    never skips a clique, so the first one completed is the lex-least
-    (Carraghan & Pardalos, Oper. Res. Lett. 1990).
+    whole clique so far and later than its last vertex) lowest first and
+    goes back up once fewer are left than the clique still needs, and a
+    vertex is not entered when a greedy coloring of the candidates it
+    leaves has fewer classes than the clique would still need after it
+    (Carraghan & Pardalos, Oper. Res. Lett. 1990, with a coloring bound).
+    Neither cut skips a clique of the size sought, so the first completed
+    is the lex-least.  Everything passed over before it holds no clique of
+    that size, hence none larger, so the walk goes on from it for the next
+    size and one search finds them all.
     """
-    if size <= 0:
-        return ()
     adj = g.adj
     cand = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
     clique: list[int] = []
     left: list[int] = []  # the candidates still to try at each level above
     while True:
-        if cand.bit_count() >= size - len(clique):
+        if len(clique) >= size:
+            yield tuple(clique)
+            size = len(clique) + 1
+        need = size - len(clique)
+        if cand.bit_count() >= need:
             b = cand & -cand
+            cand ^= b
             v = b.bit_length() - 1
-            if len(clique) == size - 1:
-                return (*clique, v)
-            clique.append(v)
-            left.append(cand ^ b)
-            cand = (cand ^ b) & adj[v]
+            nxt = cand & adj[v]
+            if need < 3 or (nxt.bit_count() >= need - 1
+                           and _colors_at_least(adj, nxt, need - 1)):
+                clique.append(v)
+                left.append(cand)
+                cand = nxt
         elif clique:
             clique.pop()
             cand = left.pop()
         else:
-            return None
+            return
+
+
+def find_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
+    """The lexicographically least clique of ``size`` vertices inside
+    ``mask``; None if there is none."""
+    return next(_lex_cliques(g, mask, size), None)
 
 
 def has_clique(g: Graph, mask: int, size: int) -> bool:
@@ -165,14 +196,11 @@ def has_clique(g: Graph, mask: int, size: int) -> bool:
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number with the lexicographically least maximum witness.
-
-    Tries sizes 1, 2, ... until ``find_clique`` fails; the last clique found
-    is the lex-least of the largest size.
-    """
-    full, best = g.full_mask(), ()
-    while (found := find_clique(g, full, len(best) + 1)) is not None:
-        best = found
+    """Exact clique number with the lexicographically least maximum witness:
+    the last clique ``_lex_cliques`` yields."""
+    best: tuple[int, ...] = ()
+    for best in _lex_cliques(g, g.full_mask(), 0):
+        pass
     return len(best), best
 
 

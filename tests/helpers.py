@@ -19,7 +19,9 @@ that ``Graph`` ran before it checked each pair from its lower end, and
 colors in a set before ``first_fit`` kept a used-color mask, and
 ``reference_clique_number`` and ``reference_has_clique`` the recursive
 branch and bound (with a greedy-coloring bound) and fixed-size test that
-``patterns.find_clique`` replaced.
+the iterative ``patterns`` clique search replaced.  ``cocktail_party`` and
+``random_cograph`` build the cographs whose many maximum cliques
+defeat a clique search without a coloring bound.
 """
 
 from __future__ import annotations
@@ -127,6 +129,27 @@ def non_clique_core() -> Graph:
     return gen_class_instance(GenSpec(
         "G2", {"Q1": 5, "Q2": 3, "Q3": 2, "Q4": 2, "Q5": 3, "Q6": 3},
         (), "cograph", 908))[0]
+
+
+def cocktail_party(k: int) -> Graph:
+    """K_{2,...,2} on 2k vertices, the pairs (2i, 2i + 1) the only non-edges:
+    a cograph with omega = k and 2^k maximum cliques."""
+    return complement(build_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))
+
+
+def random_cograph(n: int, seed: int) -> Graph:
+    """A cograph on n >= 1 vertices, built by random joins and disjoint
+    unions down a random split of the vertex count."""
+    rng = random.Random(seed)
+
+    def build(n: int) -> Graph:
+        if n == 1:
+            return empty_graph(1)
+        k = rng.randint(1, n - 1)
+        a, b = build(k), build(n - k)
+        return join(a, b) if rng.random() < 0.5 else disjoint_union(a, b)
+
+    return build(n)
 
 
 def prism_cores() -> list[Graph]:

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagem.cographs import cotree_clique_number, is_cograph
 from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
                             induced_subgraph, join, mask_of, path_graph)
 from pentagem.graphio import parse_graph
@@ -17,7 +19,8 @@ from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique
                                maximum_independent_set)
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
-                     brute_max_independent_set_size, random_graph, reference_clique_number,
+                     brute_max_independent_set_size, cocktail_party, random_cograph,
+                     random_graph, reference_clique_number,
                      reference_find_c5, reference_find_gem, reference_find_p4,
                      reference_find_p5, reference_has_clique)
 
@@ -149,6 +152,34 @@ def test_the_clique_search_agrees_with_the_recursive_references(n, p, seed):
             assert (found is not None) == (size <= omega), size
             assert found is None or (len(found) == size and g.is_clique(found)
                                      and not mask_of(found) & ~mask)
+
+
+@given(st.integers(1, 60), st.integers(0, 10_000))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_the_clique_search_agrees_with_the_cotree_on_cographs(n, seed):
+    g = random_cograph(n, seed)
+    omega, witness = clique_number(g)
+    assert omega == cotree_clique_number(is_cograph(g).tree)
+    assert len(witness) == omega and g.is_clique(witness)
+    full = g.full_mask()
+    assert find_clique(g, full, omega) == witness
+    assert has_clique(g, full, omega) and not has_clique(g, full, omega + 1)
+    if n <= 16:  # the reference fixed-size test is exponential on cographs
+        assert clique_number(g) == reference_clique_number(g)
+        for size in range(n + 2):
+            assert has_clique(g, full, size) == reference_has_clique(g, full, size), size
+
+
+def test_a_cocktail_party_is_searched_in_polynomial_time():
+    # 2^20 maximum cliques; without the coloring cut these calls take minutes
+    start = time.perf_counter()
+    g = disjoint_union(cocktail_party(20), complete_graph(40))
+    assert clique_number(g) == (40, tuple(range(40, 80)))
+    party = mask_of(range(40))
+    assert find_clique(g, party, 20) == tuple(range(0, 40, 2))
+    assert not has_clique(g, party, 21)
+    assert clique_number(cocktail_party(20)) == (20, tuple(range(0, 40, 2)))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_has_clique_decides_the_gate_on_every_benchmark_input(monkeypatch):

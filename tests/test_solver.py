@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import time
 from collections import Counter
 from itertools import product
 
@@ -23,8 +24,8 @@ from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
-from helpers import (caterpillar, delta9_members, delta_family, gate_pins, k9_with_ears,
-                     non_clique_core, prism_cores)
+from helpers import (caterpillar, cocktail_party, delta9_members, delta_family, gate_pins,
+                     k9_with_ears, non_clique_core, prism_cores)
 from irreducible_enum import _members
 
 
@@ -165,6 +166,18 @@ def test_a_1100_vertex_clique_is_reported_with_its_witness():
         solve(complete_graph(1100))
     assert str(err.value) == "clique number 1100 exceeds 1098"
     assert err.value.witness == tuple(range(1100))
+
+
+def test_a_cocktail_party_beside_a_larger_clique_is_rejected_quickly():
+    # (P5, gem)-free with Delta 39 and omega 40; the witness search passes
+    # the 2^20 maximum cliques of the party by its coloring cut
+    g = disjoint_union(cocktail_party(20), complete_graph(40))
+    start = time.perf_counter()
+    with pytest.raises(CliqueBoundError) as err:
+        solve(g)
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == "clique number 40 exceeds 38"
+    assert err.value.witness == tuple(range(40, 80))
 
 
 def test_solve_rejects_clique_at_delta():
