@@ -11,6 +11,8 @@ Cliques come from one iterative search, ``_lex_cliques``, which likewise
 yields the lexicographically least clique of a given size inside a mask,
 then of each larger size while one exists: ``find_clique`` and
 ``has_clique`` take its first answer, and ``clique_number`` its last.
+Maximum independent sets come from ``mis_mask``, a branch and bound on an
+explicit stack over a host's adjacency masks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "find_clique",
     "has_clique",
     "clique_number",
+    "mis_mask",
     "maximum_independent_set",
 ]
 
@@ -195,53 +198,85 @@ def has_clique(g: Graph, mask: int, size: int) -> bool:
     return find_clique(g, mask, size) is not None
 
 
-def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact clique number with the lexicographically least maximum witness:
-    the last clique ``_lex_cliques`` yields."""
+def clique_number(g: Graph, mask: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """Exact clique number with the lexicographically least maximum witness,
+    of ``g`` or of the subgraph it induces on ``mask``: the last clique
+    ``_lex_cliques`` yields."""
     best: tuple[int, ...] = ()
-    for best in _lex_cliques(g, g.full_mask(), 0):
+    for best in _lex_cliques(g, g.full_mask() if mask is None else mask, 0):
         pass
     return len(best), best
 
 
-def maximum_independent_set(g: Graph) -> tuple[int, ...]:
-    """A maximum independent set, by deterministic branch and bound.
+def _clique_cover_exceeds(adj, avail: int, limit: int) -> bool:
+    """True iff a greedy partition of ``avail`` into cliques (each grown
+    from the lowest vertex left, adding the lowest common neighbor) takes
+    more than ``limit`` parts.  An independent set meets each part at most
+    once, so otherwise ``limit`` bounds it."""
+    count = 0
+    while avail:
+        if count >= limit:
+            return True
+        b = avail & -avail
+        cand = adj[b.bit_length() - 1] & avail
+        avail ^= b
+        while cand:
+            b = cand & -cand
+            cand &= adj[b.bit_length() - 1]
+            avail ^= b
+        count += 1
+    return False
 
-    Branches on the highest-degree remaining vertex: either it is included
-    and its closed neighborhood discarded, or it is excluded.
+
+def mis_mask(adj, mask: int) -> int:
+    """A maximum independent set of the subgraph ``adj`` induces on
+    ``mask``, as a bitmask, by deterministic branch and bound on an
+    explicit stack.
+
+    Each node branches on the vertex of highest degree inside its available
+    set, ties to the higher id: first included, with its closed
+    neighborhood discarded, then excluded.  The answer is the first largest
+    leaf in that order, and a node is cut only when no leaf below it beats
+    the best so far, so the cuts never drop that leaf.  A node whose
+    available vertices are pairwise non-adjacent ends at once with all of
+    them, the first and the only largest leaf below it.
+
+    Once the include branch of v is done, a leaf that holds a true twin u
+    of v (same closed neighborhood in the available set) is no larger than
+    the best so far: swapping u for v gives a set the include branch
+    covered.  Such twins are kept as ``spent`` below the exclude branch,
+    and the cut bounds the rest of the available set by a greedy clique
+    partition.  On a clique blow-up this ends the search at its first
+    leaf, where a bound that counted the twins would walk every bag.
     """
-    best: tuple[int, ...] = ()
-
-    def bound(avail: int) -> int:
-        # Greedy clique partition of the available set: every independent
-        # set meets each clique at most once, so the part count bounds it.
-        count = 0
-        rest = avail
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            cand = g.adj[v] & rest
-            rest &= ~(1 << v)
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= g.adj[u]
-                rest &= ~(1 << u)
-            count += 1
-        return count
-
-    def search(chosen: list[int], avail: int) -> None:
-        nonlocal best
-        if not avail:
-            if len(chosen) > len(best):
-                best = tuple(sorted(chosen))
-            return
-        if len(chosen) + bound(avail) <= len(best):
-            return
-        v = max(bits(avail), key=lambda u: ((g.adj[u] & avail).bit_count(), u))
-        # Include v first: tends to reach large sets quickly.
-        chosen.append(v)
-        search(chosen, avail & ~g.closed(v))
-        chosen.pop()
-        search(chosen, avail & ~(1 << v))
-
-    search([], g.full_mask())
+    best = best_size = 0
+    stack = [(0, 0, mask, 0)]  # (chosen, its size, available, spent) per node
+    while stack:
+        chosen, size, avail, spent = stack.pop()
+        top = v = -1
+        m = avail
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            d = (adj[u] & avail).bit_count()
+            if d >= top:
+                top, v = d, u
+        if top <= 0:
+            if size + avail.bit_count() > best_size:
+                best, best_size = chosen | avail, size + avail.bit_count()
+            continue
+        if not _clique_cover_exceeds(adj, avail & ~spent, best_size - size):
+            continue
+        b = 1 << v
+        near = (adj[v] | b) & avail
+        twins = mask_of(u for u in bits(near) if (adj[u] | 1 << u) & avail == near)
+        stack.append((chosen, size, avail ^ b, spent | twins))
+        stack.append((chosen | b, size + 1, avail & ~near, spent))
     return best
+
+
+def maximum_independent_set(g: Graph) -> tuple[int, ...]:
+    """A maximum independent set in increasing order: ``mis_mask`` on the
+    whole graph."""
+    return tuple(bits(mis_mask(g.adj, g.full_mask())))

@@ -4,9 +4,9 @@ Each rule pairs a detector with an extension procedure: remove a configured
 piece, color the rest (recursively, by the caller), then extend the coloring
 back deterministically.  Also hosts the constructive Brooks coloring, the
 hitting independent set, and the reduction from large maximum degree down to
-the base case of 9.  Brooks colors the subgraph a host's adjacency masks
-induce on a vertex mask, with no induced copy, so the ``brooks`` trace step
-runs it on the host graph directly.
+the base case of 9.  Brooks, the hitting set and the reduction work on the
+subgraph a host's adjacency masks induce on a vertex mask, with no induced
+copy, so the ``brooks`` trace step runs on the host graph directly.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from itertools import combinations
 
 from .coloring import Coloring, first_fit
 from .errors import (InternalInconsistencyError, PreconditionError)
-from .graph import (Graph, bits, component_masks, connected_components,
-                    induced_subgraph, mask_of, max_degree_in)
-from .patterns import clique_number, has_clique, maximum_independent_set
+from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
+                    max_degree_in)
+from .patterns import clique_number, has_clique, mis_mask
 from .structure import maximal_homogeneous_cliques
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "is_k3_join_3k2",
     "is_k4_join_two_nonedges",
     "extend_list_coloring",
+    "bacso_tuza_bound",
     "hitting_mis",
     "brooks_mask",
     "brooks_color",
@@ -269,42 +270,75 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
 
 # -- hitting independent set and Brooks ---------------------------------------
 
-def _maximal_cliques(g: Graph):
-    """Bron-Kerbosch with pivoting; yields cliques as sorted tuples."""
-    out: list[tuple[int, ...]] = []
+def _maximal_cliques(adj, mask: int) -> list[int]:
+    """The maximal cliques of the subgraph ``adj`` induces on ``mask``, as
+    bitmasks, by Bron-Kerbosch on an explicit stack.  Each node pivots on
+    the vertex of P or X with the most neighbors in P, ties to the lower
+    id, and enters its branches lowest vertex first.
 
-    def bk(r: list[int], p: int, x: int) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda u: (g.adj[u] & p).bit_count())
-        for v in bits(p & ~g.adj[pivot]):
-            bk(r + [v], p & g.adj[v], x & g.adj[v])
+    A node where a vertex of X sees all of P has no maximal clique below
+    it.  A vertex of P that sees the rest of P lies in every clique below
+    its node.  The pivot rule would move such vertices to R one node at a
+    time, each as the only branch, and each move lowers every count left
+    by one, so the order stays the same when they all move at once, with X
+    cut down to their common neighbors.
+    """
+    out: list[int] = []
+    stack = [(0, mask, 0)]  # (R, P, X) of the nodes still to enter
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                out.append(r)
+            continue
+        if any(not p & ~adj[u] for u in bits(x)):
+            continue
+        size = p.bit_count()
+        top = pivot = -1
+        whole = 0  # the vertices of P that see the rest of P
+        for u in bits(p | x):
+            d = (adj[u] & p).bit_count()
+            if d > top:
+                top, pivot = d, u
+            if d == size - 1 and p >> u & 1:
+                whole |= 1 << u
+        if whole:
+            for u in bits(whole):
+                x &= adj[u]
+            stack.append((r | whole, p ^ whole, x))
+            continue
+        branches = []
+        for v in bits(p & ~adj[pivot]):
+            branches.append((r | 1 << v, p & adj[v], x & adj[v]))
             p &= ~(1 << v)
             x |= 1 << v
-
-    bk([], g.full_mask(), 0)
+        stack.extend(reversed(branches))
     return out
 
 
-def _independent_subset(g: Graph, avail: int, need: int) -> tuple[int, ...] | None:
-    """First independent set of size ``need`` inside ``avail``, or None."""
-    if need == 0:
-        return ()
+def _independent_subset(adj, avail: int, need: int) -> int | None:
+    """First independent set of ``need`` vertices inside ``avail``, as a
+    bitmask, taking or else skipping the lowest vertex left; None if none."""
+    stack = [(0, 0, avail)]  # (chosen, its size, pool) of the nodes to visit
+    while stack:
+        chosen, size, pool = stack.pop()
+        if size == need:
+            return chosen
+        if size + pool.bit_count() < need:
+            continue
+        b = pool & -pool
+        stack.append((chosen, size, pool ^ b))
+        stack.append((chosen | b, size + 1, pool & ~adj[b.bit_length() - 1] & ~b))
+    return None
 
-    def search(chosen: list[int], pool: int) -> tuple[int, ...] | None:
-        if len(chosen) == need:
-            return tuple(chosen)
-        if len(chosen) + pool.bit_count() < need:
-            return None
-        v = (pool & -pool).bit_length() - 1
-        got = search(chosen + [v], pool & ~g.closed(v))
-        if got is not None:
-            return got
-        return search(chosen, pool & ~(1 << v))
 
-    return search([], avail)
+def bacso_tuza_bound(d: int) -> int:
+    """The most vertices a connected P5-free graph of maximum degree ``d``
+    can have.  It has a dominating clique or a dominating induced P3
+    (Bacsó & Tuza, Period. Math. Hungar. 1990): a dominating clique of q
+    vertices leaves room for q(d + 2 - q) vertices in all, a dominating P3
+    for 3d - 1."""
+    return max((d + 2) ** 2 // 4, 3 * d - 1)
 
 
 def hitting_mis(g: Graph) -> tuple[int, ...]:
@@ -321,62 +355,71 @@ def hitting_mis(g: Graph) -> tuple[int, ...]:
     fruitless search is reported as an internal inconsistency rather than
     papered over.
 
-    The search runs on each connected component separately, always with the
-    whole graph's Delta-1 as the target clique size: a component whose own
-    maximum degree is lower can still hold such a clique.  This is exact
-    because a maximum independent set of a disjoint union is a union of
-    maximum independent sets of its components, and every clique lies
-    inside one component.  A connected graph is searched as it is.
+    The search runs on each connected component's vertex mask separately,
+    always with the whole graph's Delta-1 as the target clique size: a
+    component whose own maximum degree is lower can still hold such a
+    clique.  This is exact because a maximum independent set of a disjoint
+    union is a union of maximum independent sets of its components, and
+    every clique lies inside one component.  No component size is capped
+    here, unlike in degree reduction.
     """
-    delta, full = g.max_degree(), g.full_mask()
-    if has_clique(g, full, delta):
-        raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds {delta - 1}")
-    tight = has_clique(g, full, delta - 1)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return _hitting_component(g, delta - 1, tight)
-    out: list[int] = []
-    for comp in comps:
-        sub, ids = induced_subgraph(g, comp)
-        out.extend(ids[v] for v in _hitting_component(sub, delta - 1, tight))
-    return tuple(sorted(out))
+    return tuple(bits(_hitting_set(g, g.full_mask(), g.max_degree(), g.n)))
 
 
-def _hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
-    """Maximum independent set of ``g`` meeting every clique of ``size``
-    vertices; ``tight`` says whether the whole graph has such cliques."""
-    mis = maximum_independent_set(g)
+def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
+    """``hitting_mis`` of the subgraph of ``g`` induced on ``mask``, whose
+    maximum degree is ``delta``, as a host bitmask; a component of more
+    than ``cap`` vertices is an InternalInconsistencyError."""
+    if has_clique(g, mask, delta):
+        raise PreconditionError(
+            f"clique number {clique_number(g, mask)[0]} exceeds {delta - 1}")
+    tight = has_clique(g, mask, delta - 1)
+    found = 0
+    for comp in component_masks(g.adj, mask):
+        if comp.bit_count() > cap:
+            raise InternalInconsistencyError(
+                f"a connected component of {comp.bit_count()} vertices exceeds {cap}, "
+                f"the Bacsó-Tuza bound on a P5-free graph of maximum degree {delta}")
+        found |= _hitting_component(g.adj, comp, delta - 1, tight)
+    return found
+
+
+def _hitting_component(adj, comp: int, size: int, tight: bool) -> int:
+    """Maximum independent set of the connected subgraph ``adj`` induces on
+    ``comp`` that meets every clique of ``size`` vertices, as a bitmask;
+    ``tight`` says whether the whole graph has such cliques.
+
+    The search takes a vertex of the live target (a clique no chosen
+    vertex meets yet) with the fewest available vertices, ties to the
+    earlier target, and tries its available vertices lowest first; once
+    every target is hit it fills up with ``_independent_subset``.  The
+    search runs depth first on an explicit stack, in that order.
+    """
+    mis = mis_mask(adj, comp)
     if not tight:
         return mis
-    alpha = len(mis)
-    targets = [mask_of(c) for c in _maximal_cliques(g) if len(c) == size]
-
-    def phase1(chosen: list[int], avail: int, unhit: list[int]) -> tuple[int, ...] | None:
-        if len(chosen) + avail.bit_count() < alpha:
-            return None
-        live = [t for t in unhit if not t & mask_of(chosen)]
-        if not live:
-            rest = _independent_subset(g, avail, alpha - len(chosen))
-            if rest is None:
-                return None
-            return tuple(sorted(chosen + list(rest)))
-        t = min(live, key=lambda t: (t & avail).bit_count())
-        for v in bits(t & avail):
-            got = phase1(chosen + [v], avail & ~g.closed(v), live)
-            if got is not None:
-                return got
-        return None
-
-    got = phase1([], g.full_mask(), targets)
-    if got is None:
-        raise InternalInconsistencyError(
-            "no maximum independent set hits every (Delta-1)-clique")
-    # verify the hitting property against the full enumeration
-    gm = mask_of(got)
-    for t in targets:
-        if not t & gm:
+    alpha = mis.bit_count()
+    targets = [c for c in _maximal_cliques(adj, comp) if c.bit_count() == size]
+    stack = [(0, comp, targets)]  # (chosen, available, unhit) of nodes to visit
+    while stack:
+        chosen, avail, unhit = stack.pop()
+        if chosen.bit_count() + avail.bit_count() < alpha:
+            continue
+        live = [t for t in unhit if not t & chosen]
+        if live:
+            t = min(live, key=lambda t: (t & avail).bit_count())
+            stack.extend((chosen | 1 << v, avail & ~adj[v] & ~(1 << v), live)
+                         for v in reversed(list(bits(t & avail))))
+            continue
+        rest = _independent_subset(adj, avail, alpha - chosen.bit_count())
+        if rest is None:
+            continue
+        # verify the hitting property against the full enumeration
+        if not all(t & (chosen | rest) for t in targets):
             raise InternalInconsistencyError("hitting verification failed")
-    return got
+        return chosen | rest
+    raise InternalInconsistencyError(
+        "no maximum independent set hits every (Delta-1)-clique")
 
 
 def _connected_without(adj, mask: int, removed: int) -> bool:
@@ -470,11 +513,14 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
     """Color with Delta-1 colors by peeling hitting independent sets.
 
     ``color_base(sub, ids)`` colors a Delta = 9 graph with 8 colors and
-    returns a dict keyed by the ids in ``ids`` (the solver's base case).
-    Each level extracts a maximum independent set meeting every large
-    clique, colors the rest one level cheaper (greedy when the degree drops
-    by 3 or more, Brooks when by 2, recursion otherwise), then spends one
-    new color on the extracted set.
+    returns a dict keyed by the ids in ``ids`` (the solver's base case); it
+    is handed an induced copy of the rest, built here, since ``_delta_reduce``
+    itself works on the host's masks.  Each level extracts a maximum
+    independent set meeting every large clique, the rest is colored one
+    level cheaper (greedy when the degree drops by 3 or more, Brooks when
+    by 2, the next level otherwise), then one new color goes on the
+    extracted set.  A component over the Bacsó-Tuza bound raises
+    InternalInconsistencyError: it has an induced P5.
     """
     delta = g.max_degree()
     if delta < 10:
@@ -487,33 +533,43 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
 
 
 def _delta_reduce(host: Graph, mask: int, color_base, trace: list | None) -> dict[int, int]:
-    """One level of ``delta_reduce`` on the subgraph of ``host`` induced on
-    ``mask``, in host vertices; ``color_base(rest)`` colors a Delta = 9
-    level given as a host bitmask.  Each level's ``hitting_mis`` decides
-    whether it has a (Delta-1)-clique to hit.  The terminals color through
-    ``trace.run_step``, the apply replay runs.
+    """``delta_reduce`` on the subgraph of ``host`` induced on ``mask``, in
+    host vertices; ``color_base(rest)`` colors a Delta = 9 rest given as a
+    host bitmask.
+
+    One loop runs the levels on host masks, with no induced copy: each
+    takes ``_hitting_set`` of the current mask with its components capped
+    at ``bacso_tuza_bound`` of the level's Delta, pushes the set and Delta
+    on a stack, and goes on with the rest until the degree drops by 2 or
+    more or reaches 9.  The terminal then colors the rest through
+    ``trace.run_step``, the apply replay runs, and the stack is emptied
+    innermost level first, one ``delta_set`` step each.
     """
     from .trace import run_step
 
-    g, ids = ((host, range(host.n)) if mask == host.full_mask()
-              else induced_subgraph(host, bits(mask)))
-    delta = g.max_degree()
-    peeled = mask_of(ids[v] for v in hitting_mis(g))
-    rest = mask & ~peeled
-    d_sub = max_degree_in(host.adj, rest)
-    if d_sub > delta - 1:
-        raise InternalInconsistencyError("removing a maximum independent set "
-                                         "failed to lower the maximum degree")
+    adj = host.adj
+    delta = max_degree_in(adj, mask)
+    levels: list[tuple[int, int]] = []
+    while True:
+        peeled = _hitting_set(host, mask, delta, bacso_tuza_bound(delta))
+        levels.append((peeled, delta))
+        mask &= ~peeled
+        d_sub = max_degree_in(adj, mask)
+        if d_sub > delta - 1:
+            raise InternalInconsistencyError("removing a maximum independent set "
+                                             "failed to lower the maximum degree")
+        if d_sub <= delta - 2 or d_sub == 9:
+            break
+        delta = d_sub
     colors: dict[int, int] = {}
     if d_sub <= delta - 3:
-        run_step("greedy", {"vs": tuple(bits(rest)), "k": delta - 2}, host, colors, trace)
+        run_step("greedy", {"vs": tuple(bits(mask)), "k": delta - 2}, host, colors, trace)
     elif d_sub == delta - 2:
-        run_step("brooks", {"vs": tuple(bits(rest)), "delta": d_sub}, host, colors, trace)
-    elif d_sub == 9:
-        colors = color_base(rest)
+        run_step("brooks", {"vs": tuple(bits(mask)), "delta": d_sub}, host, colors, trace)
     else:
-        colors = _delta_reduce(host, rest, color_base, trace)
+        colors = color_base(mask)
     # a delta_set reads no graph, so none is passed
-    run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
-             None, colors, trace)
+    for peeled, delta in reversed(levels):
+        run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
+                 None, colors, trace)
     return colors

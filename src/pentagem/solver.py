@@ -3,7 +3,9 @@
 ``solve`` colors any (P5, gem)-free graph with maximum degree at least 9 and
 clique number below the maximum degree using one color less than the degree,
 the constructive form of the theorem the package mechanizes.  Degrees above
-9 are peeled down by hitting independent sets; the base case runs one
+9 are peeled down by hitting independent sets, in one loop on the host's
+vertex masks, and a component larger than the Bacsó-Tuza bound on a
+P5-free graph of its degree is reported by its P5; the base case runs one
 work-list of reductions (low degree, copycat, removable catalog subgraphs)
 over the host's vertex ids and, once a component is irreducible, either
 colors it exactly (perfect case) or classifies it and runs the published

@@ -19,9 +19,15 @@ that ``Graph`` ran before it checked each pair from its lower end, and
 colors in a set before ``first_fit`` kept a used-color mask, and
 ``reference_clique_number`` and ``reference_has_clique`` the recursive
 branch and bound (with a greedy-coloring bound) and fixed-size test that
-the iterative ``patterns`` clique search replaced.  ``cocktail_party`` and
-``random_cograph`` build the cographs whose many maximum cliques
-defeat a clique search without a coloring bound.
+the iterative ``patterns`` clique search replaced, and
+``reference_maximum_independent_set``, ``reference_maximal_cliques``,
+``reference_independent_subset``, ``reference_hitting_mis`` (with
+``reference_hitting_component``) and ``reference_delta_reduce`` the
+recursive searches on induced copies, one recursion per level, that degree
+reduction ran before it became one loop on host masks.
+``cocktail_party`` and ``random_cograph`` build the cographs whose many
+maximum cliques defeat a clique search without a coloring bound, and
+``c5_blowup`` the in-class graphs of large degree whose levels run deep.
 """
 
 from __future__ import annotations
@@ -35,9 +41,12 @@ from pentagem.errors import (GraphFormatError, InternalInconsistencyError, Penta
                              PreconditionError)
 from pentagem.coloring import Coloring
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
-                            cycle_graph, disjoint_union, empty_graph, induced_subgraph,
-                            is_connected, join, mask_of, path_graph)
+                            connected_components, cycle_graph, disjoint_union,
+                            empty_graph, induced_subgraph, is_connected, join, mask_of,
+                            max_degree_in, path_graph)
+from pentagem.patterns import clique_number, has_clique
 from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
+from pentagem.trace import run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
 from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
@@ -84,13 +93,25 @@ def delta9_members(count: int) -> list[Graph]:
         seed += 1
 
 
-def caterpillar(spine: int) -> Graph:
-    """A path on vertices 0..spine-1, each with 7 leaves numbered after the
-    spine: Delta = 9 and n = 8 * spine, not P5-free, and colored end to end
-    by peeling alone."""
+def caterpillar(spine: int, leaves: int = 7) -> Graph:
+    """A path on vertices 0..spine-1, each with ``leaves`` leaves numbered
+    after the spine: Delta = leaves + 2 and n = (leaves + 1) * spine, not
+    P5-free.  With 7 leaves it is colored end to end by peeling alone."""
     edges = [(i, i + 1) for i in range(spine - 1)]
-    edges += [(i, spine + 7 * i + j) for i in range(spine) for j in range(7)]
-    return build_graph(8 * spine, edges)
+    edges += [(i, spine + leaves * i + j) for i in range(spine) for j in range(leaves)]
+    return build_graph((leaves + 1) * spine, edges)
+
+
+def c5_blowup(a: int) -> Graph:
+    """C5[K_a]: C5 with vertex i blown up into the clique on vertices
+    a*i..a*i+a-1, and consecutive bags complete to each other.  n = 5a,
+    Delta = 3a - 1 and omega = 2a.  An induced path takes at most one
+    vertex of a bag, so it has no P5 and no gem."""
+    edges = [(a * i + x, a * i + y) for i in range(5) for x in range(a)
+             for y in range(x + 1, a)]
+    edges += [(a * i + x, a * ((i + 1) % 5) + y) for i in range(5) for x in range(a)
+              for y in range(a)]
+    return build_graph(5 * a, edges)
 
 
 def k9_with_ears() -> Graph:
@@ -538,6 +559,167 @@ def reference_has_clique(g: Graph, mask: int, size: int) -> bool:
         return False
 
     return size <= 0 or grow(keep, size)
+
+
+def reference_maximum_independent_set(g: Graph) -> tuple[int, ...]:
+    """A maximum independent set, by deterministic branch and bound.
+
+    Branches on the highest-degree remaining vertex: either it is included
+    and its closed neighborhood discarded, or it is excluded.
+    """
+    best: tuple[int, ...] = ()
+
+    def bound(avail: int) -> int:
+        # Greedy clique partition of the available set: every independent
+        # set meets each clique at most once, so the part count bounds it.
+        count = 0
+        rest = avail
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            cand = g.adj[v] & rest
+            rest &= ~(1 << v)
+            while cand:
+                u = (cand & -cand).bit_length() - 1
+                cand &= g.adj[u]
+                rest &= ~(1 << u)
+            count += 1
+        return count
+
+    def search(chosen: list[int], avail: int) -> None:
+        nonlocal best
+        if not avail:
+            if len(chosen) > len(best):
+                best = tuple(sorted(chosen))
+            return
+        if len(chosen) + bound(avail) <= len(best):
+            return
+        v = max(bits(avail), key=lambda u: ((g.adj[u] & avail).bit_count(), u))
+        # Include v first: tends to reach large sets quickly.
+        chosen.append(v)
+        search(chosen, avail & ~g.closed(v))
+        chosen.pop()
+        search(chosen, avail & ~(1 << v))
+
+    search([], g.full_mask())
+    return best
+
+
+def reference_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Bron-Kerbosch with pivoting; yields cliques as sorted tuples."""
+    out: list[tuple[int, ...]] = []
+
+    def bk(r: list[int], p: int, x: int) -> None:
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            return
+        pivot_pool = p | x
+        pivot = max(bits(pivot_pool), key=lambda u: (g.adj[u] & p).bit_count())
+        for v in bits(p & ~g.adj[pivot]):
+            bk(r + [v], p & g.adj[v], x & g.adj[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    bk([], g.full_mask(), 0)
+    return out
+
+
+def reference_independent_subset(g: Graph, avail: int, need: int) -> tuple[int, ...] | None:
+    """First independent set of size ``need`` inside ``avail``, or None."""
+    if need == 0:
+        return ()
+
+    def search(chosen: list[int], pool: int) -> tuple[int, ...] | None:
+        if len(chosen) == need:
+            return tuple(chosen)
+        if len(chosen) + pool.bit_count() < need:
+            return None
+        v = (pool & -pool).bit_length() - 1
+        got = search(chosen + [v], pool & ~g.closed(v))
+        if got is not None:
+            return got
+        return search(chosen, pool & ~(1 << v))
+
+    return search([], avail)
+
+
+def reference_hitting_mis(g: Graph) -> tuple[int, ...]:
+    """Maximum independent set that meets every clique of size Delta-1,
+    searched on an induced copy of each component."""
+    delta, full = g.max_degree(), g.full_mask()
+    if has_clique(g, full, delta):
+        raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds {delta - 1}")
+    tight = has_clique(g, full, delta - 1)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return reference_hitting_component(g, delta - 1, tight)
+    out: list[int] = []
+    for comp in comps:
+        sub, ids = induced_subgraph(g, comp)
+        out.extend(ids[v] for v in reference_hitting_component(sub, delta - 1, tight))
+    return tuple(sorted(out))
+
+
+def reference_hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
+    """Maximum independent set of ``g`` meeting every clique of ``size``
+    vertices; ``tight`` says whether the whole graph has such cliques."""
+    mis = reference_maximum_independent_set(g)
+    if not tight:
+        return mis
+    alpha = len(mis)
+    targets = [mask_of(c) for c in reference_maximal_cliques(g) if len(c) == size]
+
+    def phase1(chosen: list[int], avail: int, unhit: list[int]) -> tuple[int, ...] | None:
+        if len(chosen) + avail.bit_count() < alpha:
+            return None
+        live = [t for t in unhit if not t & mask_of(chosen)]
+        if not live:
+            rest = reference_independent_subset(g, avail, alpha - len(chosen))
+            if rest is None:
+                return None
+            return tuple(sorted(chosen + list(rest)))
+        t = min(live, key=lambda t: (t & avail).bit_count())
+        for v in bits(t & avail):
+            got = phase1(chosen + [v], avail & ~g.closed(v), live)
+            if got is not None:
+                return got
+        return None
+
+    got = phase1([], g.full_mask(), targets)
+    if got is None:
+        raise InternalInconsistencyError(
+            "no maximum independent set hits every (Delta-1)-clique")
+    gm = mask_of(got)
+    for t in targets:
+        if not t & gm:
+            raise InternalInconsistencyError("hitting verification failed")
+    return got
+
+
+def reference_delta_reduce(host: Graph, mask: int, color_base, trace: list | None
+                           ) -> dict[int, int]:
+    """One level of degree reduction on an induced copy of ``mask``, then
+    the next level by recursion: the drop-in for ``solver._delta_reduce``."""
+    g, ids = ((host, range(host.n)) if mask == host.full_mask()
+              else induced_subgraph(host, bits(mask)))
+    delta = g.max_degree()
+    peeled = mask_of(ids[v] for v in reference_hitting_mis(g))
+    rest = mask & ~peeled
+    d_sub = max_degree_in(host.adj, rest)
+    if d_sub > delta - 1:
+        raise InternalInconsistencyError("removing a maximum independent set "
+                                         "failed to lower the maximum degree")
+    colors: dict[int, int] = {}
+    if d_sub <= delta - 3:
+        run_step("greedy", {"vs": tuple(bits(rest)), "k": delta - 2}, host, colors, trace)
+    elif d_sub == delta - 2:
+        run_step("brooks", {"vs": tuple(bits(rest)), "delta": d_sub}, host, colors, trace)
+    elif d_sub == 9:
+        colors = color_base(rest)
+    else:
+        colors = reference_delta_reduce(host, rest, color_base, trace)
+    run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
+             None, colors, trace)
+    return colors
 
 
 def brute_clique_number(g: Graph) -> int:

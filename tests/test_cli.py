@@ -9,6 +9,7 @@ from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_g
                             join, path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
+from pentagem.patterns import PatternWitness
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
 
 from helpers import (caterpillar, gate_pins, k9_with_ears, non_clique_core, prism_cores,
@@ -358,6 +359,18 @@ def test_color_peels_a_long_caterpillar_from_graph6(tmp_path, capsys):
     assert main(["color", path, "--format", "graph6"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "palette 8" and len(out) == 1 + g.n
+
+
+@pytest.mark.parametrize("spine", [50, 200])
+def test_color_reports_the_p5_of_a_degree_10_caterpillar(tmp_path, capsys, spine):
+    # one component over the Bacsó-Tuza bound: exit 3, not a search
+    g = caterpillar(spine, leaves=8)
+    path = write(tmp_path, "cater.g6", write_graph6(g))
+    assert main(["color", path, "--format", "graph6"]) == 3
+    line = one_error_line(capsys)
+    assert line.startswith("error: graph contains an induced P5 ")
+    witness = tuple(map(int, line.split("witness: ")[1].split()))
+    assert PatternWitness("P5", witness).check(g)
 
 
 @pytest.mark.parametrize("delta", [3, 7, 9])

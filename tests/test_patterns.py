@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagem import patterns
 from pentagem.cographs import cotree_clique_number, is_cograph
 from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
                             induced_subgraph, join, mask_of, path_graph)
@@ -19,7 +20,8 @@ from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique
                                maximum_independent_set)
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
-                     brute_max_independent_set_size, cocktail_party, random_cograph,
+                     brute_max_independent_set_size, c5_blowup, cocktail_party,
+                     random_cograph,
                      random_graph, reference_clique_number,
                      reference_find_c5, reference_find_gem, reference_find_p4,
                      reference_find_p5, reference_has_clique)
@@ -209,6 +211,19 @@ def test_maximum_independent_set_brute(seed):
     mis = maximum_independent_set(g)
     assert g.is_independent(mis)
     assert len(mis) == brute_max_independent_set_size(g)
+
+
+def test_the_independent_set_search_takes_true_twins_as_one(monkeypatch):
+    # C5[K_a]: the first leaf is maximum, and a bound that counted the twins
+    # left in a bag would cut nothing until one bag ran out
+    cover = patterns._clique_cover_exceeds
+    calls = []
+    monkeypatch.setattr(patterns, "_clique_cover_exceeds",
+                        lambda *args: calls.append(args) or cover(*args))
+    for a in (5, 20, 80):
+        calls.clear()
+        assert maximum_independent_set(c5_blowup(a)) == (3 * a - 1, 5 * a - 1)
+        assert len(calls) == 4, a
 
 
 def test_pattern_witness_rejects_wrong_order():

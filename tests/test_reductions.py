@@ -8,20 +8,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pentagem.coloring import Coloring, verify_coloring
-from pentagem.errors import InternalInconsistencyError, PreconditionError
-from pentagem.graph import (Graph, build_graph, complete_graph, connected_components,
+from pentagem.errors import InternalInconsistencyError, PentagemError, PreconditionError
+from pentagem.graph import (Graph, bits, build_graph, complete_graph, connected_components,
                             cycle_graph, disjoint_union, induced_subgraph, is_connected,
-                            join, path_graph)
+                            join, mask_of, path_graph)
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
-from pentagem.patterns import clique_number, maximum_independent_set
-from pentagem.reductions import (brooks_color, copycat_extend, delta_reduce,
+from pentagem.patterns import (clique_number, find_induced, has_clique,
+                               maximum_independent_set, mis_mask)
+from pentagem.reductions import (_independent_subset, _maximal_cliques, bacso_tuza_bound,
+                                 brooks_color, copycat_extend, delta_reduce,
                                  extend_list_coloring, find_copycat,
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
 from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
-                     random_graph, reference_extend_list_coloring,
-                     reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges)
+                     caterpillar, k9_with_ears, random_cograph, random_graph,
+                     reference_extend_list_coloring,
+                     reference_hitting_mis, reference_independent_subset,
+                     reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
+                     reference_maximal_cliques, reference_maximum_independent_set)
 
 
 def three_k2():
@@ -373,6 +378,93 @@ def test_hitting_matches_brute_force_on_unions(parts):
         assert c & set(got)
 
 
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except PentagemError as exc:
+        return type(exc), str(exc)
+
+
+def hitting_sweep():
+    """150 random cographs in seeded vertex orders (their joins make true
+    twins), then 400 random graphs and disjoint unions of up to three random
+    graphs, each with at most 16 vertices, from a fixed seed."""
+    rng = random.Random(16)
+    for _ in range(150):
+        yield relabelled(random_cograph(rng.randint(1, 16), rng.randrange(10_000)), rng)
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 10), rng.choice((0.3, 0.5, 0.7, 0.8, 0.9)),
+                         rng.randrange(10_000))
+        for _ in range(rng.randint(0, 2)):
+            part = random_graph(rng.randint(1, 7), rng.choice((0.5, 0.8, 0.9)),
+                                rng.randrange(10_000))
+            if g.n + part.n <= 16:
+                g = disjoint_union(g, part)
+        yield g
+
+
+def test_the_mask_searches_match_the_recursive_references():
+    tight = fruitless = 0
+    rng = random.Random(61)
+    for g in list(hitting_sweep()) + [k9_with_ears()]:
+        full = g.full_mask()
+        assert maximum_independent_set(g) == reference_maximum_independent_set(g)
+        assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, full)] == \
+            reference_maximal_cliques(g)
+        mask = rng.getrandbits(g.n)
+        sub, ids = induced_subgraph(g, bits(mask))
+        assert tuple(bits(mis_mask(g.adj, mask))) == tuple(
+            ids[v] for v in reference_maximum_independent_set(sub))
+        assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, mask)] == [
+            tuple(ids[v] for v in c) for c in reference_maximal_cliques(sub)]
+        for need in range(mask.bit_count() + 2):
+            want = reference_independent_subset(g, mask, need)
+            got = _independent_subset(g.adj, mask, need)
+            assert got == (None if want is None else mask_of(want)), need
+        want = _outcome(reference_hitting_mis, g)
+        assert _outcome(hitting_mis, g) == want
+        delta = g.max_degree()
+        if delta >= 2 and not has_clique(g, full, delta) and has_clique(g, full, delta - 1):
+            tight += 1
+            fruitless += want[0] is InternalInconsistencyError
+    assert tight >= 50 and fruitless >= 2, (tight, fruitless)
+
+
+def test_hitting_mis_caps_no_component():
+    # 45 vertices in one component with Delta 10: over B(10) = 36, so degree
+    # reduction reports its P5, but the public search still answers
+    g = caterpillar(5, leaves=8)
+    assert is_connected(g) and g.n > bacso_tuza_bound(g.max_degree())
+    got = hitting_mis(g)
+    assert got == reference_hitting_mis(g) and len(got) == 40
+
+
+def test_the_bacso_tuza_bound():
+    assert [bacso_tuza_bound(d) for d in (0, 1, 2, 3, 9, 10, 359)] == [
+        1, 2, 5, 8, 30, 36, 32580]
+
+
+def _dominated(g: Graph, vs) -> bool:
+    seen = mask_of(vs)
+    for v in vs:
+        seen |= g.adj[v]
+    return seen == g.full_mask()
+
+
+@given(st.integers(1, 12), st.sampled_from((0.2, 0.4, 0.6, 0.8)), st.integers(0, 10_000))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_a_connected_p5_free_graph_is_dominated_and_within_the_bound(n, p, seed):
+    g = random_graph(n, p, seed)
+    assume(is_connected(g) and find_induced(g, "P5") is None)
+    assert g.n <= bacso_tuza_bound(g.max_degree())
+    cliques = (c for k in range(1, n + 1) for c in combinations(range(n), k)
+               if g.is_clique(c))
+    p3s = ((a, b, c) for b in range(n) for a, c in combinations(g.neighbors(b), 2)
+           if not g.has_edge(a, c))
+    assert any(_dominated(g, vs) for vs in cliques) or any(_dominated(g, vs) for vs in p3s)
+
+
 # -- Brooks ---------------------------------------------------------------------------
 
 def petersen():
@@ -542,10 +634,10 @@ def test_hitting_two_tight_cliques_across_components():
     assert g.is_independent(got)
     assert len(got) == len(maximum_independent_set(g))
     # both components carry a 9-clique; the set must meet each
-    from pentagem.reductions import _maximal_cliques
-    for clique in _maximal_cliques(g):
-        if len(clique) == 9:
-            assert set(clique) & set(got)
+    nines = [c for c in _maximal_cliques(g.adj, g.full_mask()) if c.bit_count() == 9]
+    assert len(nines) >= 2
+    for clique in nines:
+        assert mask_of(got) & clique
 
 
 def test_brooks_regular_graph_with_cut_vertex():

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from pentagem import solver
+from pentagem import reductions, solver
 from pentagem.classify import ClassLabel
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import (CliqueBoundError, DegreeRangeError,
@@ -19,13 +19,15 @@ from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.patterns import PatternWitness, clique_number, find_induced
-from pentagem.reductions import find_copycat, find_d1_catalog, hitting_mis
+from pentagem.reductions import (bacso_tuza_bound, find_copycat, find_d1_catalog,
+                                 hitting_mis)
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
-from helpers import (caterpillar, cocktail_party, delta9_members, delta_family, gate_pins,
-                     k9_with_ears, non_clique_core, prism_cores)
+from helpers import (c5_blowup, caterpillar, cocktail_party, delta9_members, delta_family,
+                     gate_pins, k9_with_ears, non_clique_core, prism_cores,
+                     reference_delta_reduce)
 from irreducible_enum import _members
 
 
@@ -406,6 +408,84 @@ def test_a_25600_vertex_caterpillar_peels_within_the_default_recursion_limit():
     assert col.k == 8 and verify_coloring(g, col)
     assert rep.colors == col.colors
     assert sum(e.kind == "low_degree" for e in trace.events) > 3200
+
+
+def _solved(graphs):
+    out = []
+    for g in graphs:
+        col, trace = solve(g)
+        out.append((dumps_trace(trace), list(col.colors.items())))
+    return out
+
+
+def test_degree_reduction_matches_the_recursive_reference(monkeypatch):
+    rng = random.Random(16)
+    graphs = [h for g in delta_family() for h in (g, _relabelled(g, rng), _relabelled(g, rng))]
+    graphs += [_copies(gallery_g2(10), k) for k in range(2, 7)]
+    graphs += [c5_blowup(a) for a in range(4, 21)]
+    graphs += [cocktail_party(k) for k in range(6, 13)]
+    got = _solved(graphs)
+    monkeypatch.setattr(solver, "_delta_reduce", reference_delta_reduce)
+    assert _solved(graphs) == got
+
+
+@pytest.mark.parametrize("make, size", [(c5_blowup, a) for a in (4, 10, 20)]
+                         + [(cocktail_party, k) for k in range(8, 15)])
+def test_large_degree_inputs_solve_and_replay(make, size):
+    g = make(size)
+    col, trace = solve(g)
+    assert col.k == g.max_degree() - 1 and verify_coloring(g, col)
+    assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
+    # C5[K_40] goes down 78 levels, tight ones with 80-cliques among them:
+    # one frame per level, or per search branch, would pass this limit
+    g = c5_blowup(40)
+
+    def copied(*args):
+        raise AssertionError("degree reduction built an induced copy")
+
+    monkeypatch.setattr(reductions, "induced_subgraph", copied)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 60)
+    try:
+        col, trace = solve(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert col.k == 118 and verify_coloring(g, col)
+    assert sum(e.kind == "delta_set" for e in trace.events) == 78
+    assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
+
+
+@pytest.mark.parametrize("spine", [50, 200])
+def test_a_degree_10_caterpillar_over_the_bound_reports_its_p5(spine):
+    # outside the class, and once a RecursionError (spine 200) or a
+    # search of seconds (spine 50); its one component is over B(10) = 36
+    g = caterpillar(spine, leaves=8)
+    assert g.max_degree() == 10 and g.n > bacso_tuza_bound(10)
+    with pytest.raises(InternalInconsistencyError, match="Bacsó-Tuza bound"):
+        reductions._delta_reduce(g, g.full_mask(), None, None)
+    start = time.perf_counter()
+    with pytest.raises(ForbiddenPatternError) as err:
+        solve(g)
+    assert time.perf_counter() - start < 2
+    assert err.value.witness.pattern == "P5" and err.value.witness.check(g)
+
+
+def test_a_degree_10_caterpillar_within_the_bound_still_colors():
+    g = caterpillar(4, leaves=8)
+    assert (g.n, g.max_degree()) == (36, 10) and find_induced(g, "P5") is not None
+    col, trace = solve(g)
+    assert col.k == 9 and verify_coloring(g, col)
+    assert replay_trace(g, trace).colors == col.colors
 
 
 def test_replay_rejects_wrong_graph():
