@@ -17,7 +17,7 @@ from .coloring import Coloring, first_fit
 from .errors import (InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     max_degree_in)
-from .patterns import clique_number, has_clique, mis_mask
+from .patterns import _colors_at_least, clique_number, has_clique, mis_mask
 from .structure import maximal_homogeneous_cliques
 
 __all__ = [
@@ -270,28 +270,31 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
 
 # -- hitting independent set and Brooks ---------------------------------------
 
-def _maximal_cliques(adj, mask: int) -> list[int]:
-    """The maximal cliques of the subgraph ``adj`` induces on ``mask``, as
-    bitmasks, by Bron-Kerbosch on an explicit stack.  Each node pivots on
-    the vertex of P or X with the most neighbors in P, ties to the lower
-    id, and enters its branches lowest vertex first.
+def _maximal_cliques(adj, mask: int, least: int) -> list[int]:
+    """The maximal cliques of ``least`` or more vertices in the subgraph
+    ``adj`` induces on ``mask``, as bitmasks, by Bron-Kerbosch on an
+    explicit stack.  Each node pivots on the vertex of P or X with the most
+    neighbors in P, ties to the lower id, and enters its branches lowest
+    vertex first.
 
-    A node where a vertex of X sees all of P has no maximal clique below
-    it.  A vertex of P that sees the rest of P lies in every clique below
-    its node.  The pivot rule would move such vertices to R one node at a
-    time, each as the only branch, and each move lowers every count left
-    by one, so the order stays the same when they all move at once, with X
-    cut down to their common neighbors.
+    A node has no clique to report below it, and is skipped, when R and P
+    together have fewer than ``least`` vertices, or when a vertex of X sees
+    all of P; the others keep their order.  The search does not start when
+    a greedy coloring of ``mask`` has fewer than ``least`` classes.  A
+    vertex of P that sees the rest of P lies in every clique below its
+    node.  The pivot rule would move such vertices to R one node at a time,
+    each as the only branch, and each move lowers every count left by one,
+    so the order stays the same when they all move at once, with X cut
+    down to their common neighbors.
     """
     out: list[int] = []
-    stack = [(0, mask, 0)]  # (R, P, X) of the nodes still to enter
+    stack = [(0, mask, 0)] if _colors_at_least(adj, mask, least) else []  # (R, P, X)
     while stack:
         r, p, x = stack.pop()
-        if not p:
-            if not x:
-                out.append(r)
+        if (r | p).bit_count() < least or any(not p & ~adj[u] for u in bits(x)):
             continue
-        if any(not p & ~adj[u] for u in bits(x)):
+        if not p:
+            out.append(r)
             continue
         size = p.bit_count()
         top = pivot = -1
@@ -344,16 +347,16 @@ def bacso_tuza_bound(d: int) -> int:
 def hitting_mis(g: Graph) -> tuple[int, ...]:
     """Maximum independent set that meets every clique of size Delta-1.
 
-    A clique of Delta vertices is a PreconditionError, worded with the exact
-    clique number.  Without one, a fixed-size test decides whether the
-    graph has a (Delta-1)-clique; if not, there is nothing to hit and any
-    maximum independent set qualifies.  In the tight case King's theorem
-    (omega > 2(Delta+1)/3) gives a stable set meeting every maximum clique,
-    not a maximum one, so existence is not guaranteed: K9 plus one new
-    vertex on each pair of cyclically consecutive clique vertices (a graph
-    with a gem) has none.  The set is found by search and verified, and a
-    fruitless search is reported as an internal inconsistency rather than
-    papered over.
+    One enumeration of the maximal cliques of at least Delta-1 vertices
+    decides everything: a clique of Delta vertices is a PreconditionError,
+    worded with the exact clique number; with no (Delta-1)-clique there is
+    nothing to hit and any maximum independent set qualifies.  In the tight
+    case King's theorem (omega > 2(Delta+1)/3) gives a stable set meeting
+    every maximum clique, not a maximum one, so existence is not
+    guaranteed: K9 plus one new vertex on each pair of cyclically
+    consecutive clique vertices (a graph with a gem) has none.  The set is
+    found by search and verified, and a fruitless search is reported as an
+    internal inconsistency rather than papered over.
 
     The search runs on each connected component's vertex mask separately,
     always with the whole graph's Delta-1 as the target clique size: a
@@ -369,25 +372,29 @@ def hitting_mis(g: Graph) -> tuple[int, ...]:
 def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
     """``hitting_mis`` of the subgraph of ``g`` induced on ``mask``, whose
     maximum degree is ``delta``, as a host bitmask; a component of more
-    than ``cap`` vertices is an InternalInconsistencyError."""
-    if has_clique(g, mask, delta):
-        raise PreconditionError(
-            f"clique number {clique_number(g, mask)[0]} exceeds {delta - 1}")
-    tight = has_clique(g, mask, delta - 1)
-    found = 0
-    for comp in component_masks(g.adj, mask):
+    than ``cap`` vertices is an InternalInconsistencyError, raised before
+    any search."""
+    comps = component_masks(g.adj, mask)
+    for comp in comps:
         if comp.bit_count() > cap:
             raise InternalInconsistencyError(
                 f"a connected component of {comp.bit_count()} vertices exceeds {cap}, "
                 f"the Bacsó-Tuza bound on a P5-free graph of maximum degree {delta}")
-        found |= _hitting_component(g.adj, comp, delta - 1, tight)
+    cliques = [_maximal_cliques(g.adj, comp, delta - 1) for comp in comps]
+    omega = max((c.bit_count() for cs in cliques for c in cs), default=0)
+    if omega >= delta:
+        raise PreconditionError(f"clique number {omega} exceeds {delta - 1}")
+    tight = any(cliques)
+    found = 0
+    for comp, targets in zip(comps, cliques):
+        found |= _hitting_component(g.adj, comp, targets if tight else None)
     return found
 
 
-def _hitting_component(adj, comp: int, size: int, tight: bool) -> int:
+def _hitting_component(adj, comp: int, targets: list[int] | None) -> int:
     """Maximum independent set of the connected subgraph ``adj`` induces on
-    ``comp`` that meets every clique of ``size`` vertices, as a bitmask;
-    ``tight`` says whether the whole graph has such cliques.
+    ``comp`` that meets every clique of ``targets``, as a bitmask; None
+    when the whole graph has nothing to hit, so any maximum set will do.
 
     The search takes a vertex of the live target (a clique no chosen
     vertex meets yet) with the fewest available vertices, ties to the
@@ -396,10 +403,9 @@ def _hitting_component(adj, comp: int, size: int, tight: bool) -> int:
     search runs depth first on an explicit stack, in that order.
     """
     mis = mis_mask(adj, comp)
-    if not tight:
+    if targets is None:
         return mis
     alpha = mis.bit_count()
-    targets = [c for c in _maximal_cliques(adj, comp) if c.bit_count() == size]
     stack = [(0, comp, targets)]  # (chosen, available, unhit) of nodes to visit
     while stack:
         chosen, avail, unhit = stack.pop()

@@ -133,7 +133,7 @@ def _color_core(host: Graph, g: Graph, ids, events: list) -> dict[int, int]:
             "degrees in 8..9, none leaves room for an A7 clique whose degrees do too")
     steps: list[TraceEvent] = []
     try:
-        outcome = apply_case_strategy(g, label.kind, label.bags, k=8, trace=steps)
+        outcome = apply_case_strategy(g, label.kind, label.bags, trace=steps)
     except PreconditionError as exc:  # the starred check: a bag not in clique form
         raise InternalInconsistencyError(
             f"strategy for {label.kind} rejected the classified core ({exc}); with "

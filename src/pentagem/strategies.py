@@ -155,12 +155,12 @@ def _sizes(bags: dict[str, tuple[int, ...]]) -> dict[str, int]:
 
 
 def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]],
-            k: int, trace: list | None) -> Coloring:
+            trace: list | None) -> Coloring:
     """Reserve the branch's sets, then color through the ``lemma1`` step, or
     the ``oracle`` step when no checked order meets the bound."""
     sets, order = published_plan(case_id, branch, bags)
     t = len(sets)
-    bound = k - t - 1
+    bound = 8 - t - 1
     removed = set().union(*map(set, sets))
     remainder = sorted(v for v in range(g.n) if v not in removed)
     sub, ids = induced_subgraph(g, remainder)
@@ -172,13 +172,13 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
         order = [ids[i] for i in degeneracy_order(sub)]
         if back_degree_profile(sub, [pos[v] for v in order]) > bound:
             check_oracle_core(g.n)
-            run_step("oracle", {"vs": tuple(range(g.n)), "k": k, "case": case_id,
+            run_step("oracle", {"vs": tuple(range(g.n)), "k": 8, "case": case_id,
                                 "branch": branch}, g, colors, trace)
-            return Coloring(colors, k)
+            return Coloring(colors, 8)
     run_step("lemma1", {"vs": tuple(range(g.n)), "sets": tuple(sets), "order": tuple(order),
-                        "k": k, "case": case_id, "branch": branch, "fallback": fallback},
+                        "k": 8, "case": case_id, "branch": branch, "fallback": fallback},
              g, colors, trace)
-    return Coloring(colors, k)
+    return Coloring(colors, 8)
 
 
 def _color_without(g: Graph, piece: tuple[int, ...], recurse) -> dict[int, int]:
@@ -186,8 +186,7 @@ def _color_without(g: Graph, piece: tuple[int, ...], recurse) -> dict[int, int]:
     return recurse(sub, tuple(ids))
 
 
-def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], k: int,
-                recurse, trace: list | None):
+def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], recurse, trace: list | None):
     """The pendant-class strategy: copy rules, anchor branch, or pendant peel."""
     a6_sub, a6_ids = induced_subgraph(g, bags["A6"])
     omega6, w6 = clique_number(a6_sub)
@@ -198,20 +197,19 @@ def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], k: int,
             check_copycat(g, removed, donor)
             colors = _color_without(g, removed, recurse)
             run_step("clique_copy", {"removed": removed, "donor": donor}, g, colors, trace)
-            return Coloring(colors, k)
+            return Coloring(colors, 8)
     if len(bags["A6"]) >= 2:
-        return _lemma1(g, "H", "anchor_two", bags, k, trace)
+        return _lemma1(g, "H", "anchor_two", bags, trace)
     # pendant peel: color the rest, then fill each pendant clique greedily
     a7 = tuple(bags["A7"])
     colors = _color_without(g, a7, recurse)
-    run_step("a7_peel", {"removed": a7, "k": k}, g, colors, trace)
-    return Coloring(colors, k)
+    run_step("a7_peel", {"removed": a7, "k": 8}, g, colors, trace)
+    return Coloring(colors, 8)
 
 
-def apply_case_strategy(gstar: Graph, case_id: str,
-                        bags: dict[str, tuple[int, ...]], *,
-                        k: int = 8, recurse=None, trace: list | None = None):
-    """Color an irreducible starred class member with the published strategy.
+def apply_case_strategy(gstar: Graph, case_id: str, bags: dict[str, tuple[int, ...]], *,
+                        recurse=None, trace: list | None = None):
+    """8-color an irreducible starred class member with the published strategy.
 
     Returns a Coloring, or ReducibleFound when a branch condition exposes a
     configuration the reduction loop owns, or Unreachable when only
@@ -262,18 +260,18 @@ def apply_case_strategy(gstar: Graph, case_id: str,
     if case_id == "H":
         if recurse is None:
             raise PreconditionError("the H strategy needs a recursion callback")
-        return _strategy_h(gstar, bags, k, recurse, trace)
+        return _strategy_h(gstar, bags, recurse, trace)
 
     if case_id == "G2":
         if sizes["Q6"] >= 2:
-            return _lemma1(gstar, "G2", "two_sets", bags, k, trace)
+            return _lemma1(gstar, "G2", "two_sets", bags, trace)
         if sizes["Q1"] >= 2:
-            return _lemma1(gstar, "G2", "one_set", bags, k, trace)
+            return _lemma1(gstar, "G2", "one_set", bags, trace)
         return ReducibleFound("Q1 and Q6 both singletons force a low-degree vertex")
 
     if case_id == "G3":
         if sizes["Q4"] >= 2:
-            return _lemma1(gstar, "G3", "main", bags, k, trace)
+            return _lemma1(gstar, "G3", "main", bags, trace)
         return ReducibleFound("singleton Q4 forces a low-degree vertex")
 
-    return _lemma1(gstar, case_id, "main", bags, k, trace)
+    return _lemma1(gstar, case_id, "main", bags, trace)

@@ -28,7 +28,7 @@ from .coloring import color_with_independent_sets, first_fit
 from .errors import GraphFormatError, InternalInconsistencyError
 from .graph import Graph, bits, induced_subgraph, mask_of, max_degree_in
 from .oracle import colorable_with
-from .reductions import brooks_mask, copy_colors, extend_list_coloring
+from .reductions import bacso_tuza_bound, brooks_mask, copy_colors, extend_list_coloring
 from .structure import CliqueReduction, lift_coloring
 
 __all__ = ["TraceEvent", "ReductionTrace", "STEPS", "ORACLE_CAP", "check_oracle_core",
@@ -195,12 +195,7 @@ def _on_subgraph(color):
     return apply
 
 
-# A connected P5-free graph with maximum degree 9 has a dominating clique of
-# some q vertices, so at most q(11 - q) <= 30 vertices, or a dominating
-# induced P3, so at most 26 (Bacsó & Tuza 1990).  A core that solve, or
-# apply_case_strategy (which requires Delta = 9), hands the oracle is never
-# larger.
-ORACLE_CAP = 30
+ORACLE_CAP = bacso_tuza_bound(9)
 
 
 def check_oracle_core(n: int) -> None:

@@ -354,7 +354,7 @@ def test_hitting_uses_the_global_clique_size():
 
 @given(st.lists(st.tuples(st.integers(1, 7), st.sampled_from((0.3, 0.5, 0.7, 0.9)),
                           st.integers(0, 10_000)), min_size=2, max_size=3))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 def test_hitting_matches_brute_force_on_unions(parts):
     # Outside the theorem's range a maximum independent set meeting every
     # (Delta-1)-clique need not exist; the search must then say so.
@@ -410,14 +410,17 @@ def test_the_mask_searches_match_the_recursive_references():
     for g in list(hitting_sweep()) + [k9_with_ears()]:
         full = g.full_mask()
         assert maximum_independent_set(g) == reference_maximum_independent_set(g)
-        assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, full)] == \
+        assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, full, 0)] == \
             reference_maximal_cliques(g)
         mask = rng.getrandbits(g.n)
         sub, ids = induced_subgraph(g, bits(mask))
         assert tuple(bits(mis_mask(g.adj, mask))) == tuple(
             ids[v] for v in reference_maximum_independent_set(sub))
-        assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, mask)] == [
-            tuple(ids[v] for v in c) for c in reference_maximal_cliques(sub)]
+        every = [tuple(ids[v] for v in c) for c in reference_maximal_cliques(sub)]
+        for least in range(5):
+            # the bounded enumeration is the unbounded one filtered, in order
+            assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, mask, least)] == [
+                c for c in every if len(c) >= least], least
         for need in range(mask.bit_count() + 2):
             want = reference_independent_subset(g, mask, need)
             got = _independent_subset(g.adj, mask, need)
@@ -634,7 +637,7 @@ def test_hitting_two_tight_cliques_across_components():
     assert g.is_independent(got)
     assert len(got) == len(maximum_independent_set(g))
     # both components carry a 9-clique; the set must meet each
-    nines = [c for c in _maximal_cliques(g.adj, g.full_mask()) if c.bit_count() == 9]
+    nines = [c for c in _maximal_cliques(g.adj, g.full_mask(), 0) if c.bit_count() == 9]
     assert len(nines) >= 2
     for clique in nines:
         assert mask_of(got) & clique

@@ -217,8 +217,8 @@ def test_the_gate_reports_the_pinned_error_and_witness(name):
 
 
 def test_solve_runs_no_exact_clique_search_on_in_class_inputs(monkeypatch):
-    # the gate and each degree-reduction level answer with has_clique; the
-    # exact clique number is computed only to word a failure
+    # the gate answers with has_clique, each degree-reduction level with its
+    # clique enumeration; the exact clique number only words a failure
     from pentagem import patterns
 
     inputs = delta9_members(506) + [_copies(gallery_g2(10), 4)]
@@ -448,12 +448,23 @@ def _depth() -> int:
 def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
     # C5[K_40] goes down 78 levels, tight ones with 80-cliques among them:
     # one frame per level, or per search branch, would pass this limit
+    from pentagem import patterns
+
     g = c5_blowup(40)
 
     def copied(*args):
         raise AssertionError("degree reduction built an induced copy")
 
     monkeypatch.setattr(reductions, "induced_subgraph", copied)
+    # each level reads its clique number and tightness off its one clique
+    # enumeration, so the gate's Delta-clique test is the only one left
+    original, searches = patterns._lex_cliques, []
+
+    def counted(*args):
+        searches.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(patterns, "_lex_cliques", counted)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_depth() + 60)
     try:
@@ -461,6 +472,7 @@ def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert col.k == 118 and verify_coloring(g, col)
+    assert searches == [(g.full_mask(), 119)]
     assert sum(e.kind == "delta_set" for e in trace.events) == 78
     assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
 

@@ -178,7 +178,7 @@ def test_an_oracle_fallback_over_the_cap_is_an_internal_inconsistency(monkeypatc
     monkeypatch.setattr(strategies, "run_step", None)
     g, bags = gen_class_instance(GenSpec("G2", sizes_of("G2", 6, 6, 6, 6, 6, 6)))
     with pytest.raises(InternalInconsistencyError, match="36-vertex core"):
-        strategies._lemma1(g, "G2", "two_sets", bags, 8, [])
+        strategies._lemma1(g, "G2", "two_sets", bags, [])
 
 
 def test_oracle_line_without_a_case_is_unchanged():
