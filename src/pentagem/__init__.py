@@ -5,7 +5,7 @@ needed to check every step at desk scale."""
 from .classify import ClassLabel, classify
 from .coloring import (Coloring, back_degree_profile, color_with_independent_sets,
                        degeneracy_order, greedy_color, verify_coloring)
-from .cographs import CographCertificate, cograph_optimal_coloring, is_cograph
+from .cographs import cograph_optimal_coloring, is_cograph
 from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
                      GraphFormatError, InternalInconsistencyError,
                      OracleCapExceeded, PentagemError, PreconditionError)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +30,6 @@ from .patterns import find_induced
 from .solver import replay_trace, solve
 from .structure import TEMPLATES
 from .trace import dumps_trace, loads_trace
-
-ENV_ORACLE_CAP = "PENTAGEM_ORACLE_CAP"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,13 +76,6 @@ def _print_coloring(coloring: Coloring) -> None:
         print(f"{v} {coloring.colors[v]}")
 
 
-def _oracle_cap(args) -> int:
-    if args.max_oracle_n is not None:
-        return args.max_oracle_n
-    env = os.environ.get(ENV_ORACLE_CAP)
-    return _int(env, ENV_ORACLE_CAP) if env else DEFAULT_ORACLE_CAP
-
-
 def cmd_color(args) -> int:
     g = _read_graph(args.graph, args.format)
     coloring, trace = solve(g)
@@ -121,7 +111,7 @@ def cmd_classify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _read_graph(args.graph, args.format)
-    chi, _ = exact_chromatic(g, cap=_oracle_cap(args))
+    chi, _ = exact_chromatic(g, cap=args.max_oracle_n)
     print(f"chi = {chi}")
     return EXIT_OK
 
@@ -224,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact chromatic number (desk scale)")
     p.add_argument("graph")
-    p.add_argument("--max-oracle-n", type=int, default=None,
-                   help=f"size cap (default {DEFAULT_ORACLE_CAP}, env {ENV_ORACLE_CAP})")
+    p.add_argument("--max-oracle-n", type=int, default=DEFAULT_ORACLE_CAP,
+                   help=f"size cap (default {DEFAULT_ORACLE_CAP})")
     common(p)
     p.set_defaults(fn=cmd_oracle)
 

@@ -1,177 +1,104 @@
-"""Cograph recognition, cotrees, and optimal cograph colorings.
+"""Cograph recognition and optimal cograph colorings, on host vertex masks.
 
-A cograph (P4-free graph) decomposes recursively: a graph on >= 2 vertices
-is a cograph iff it or its complement is disconnected, unions/joins of the
-parts being the tree operations.  Cographs are perfect, so the cotree yields
-an optimal coloring directly (union = reuse colors, join = disjoint colors).
-The P4 witness of a non-cograph comes from ``patterns.induced_p4``, which
-callers that only ask whether a vertex set is P4-free use directly.
+A cograph (P4-free graph) splits all the way down: a part of >= 2 vertices
+is a cograph iff it or its complement is disconnected, and then each
+component, or each co-component, is again a cograph (Corneil, Perl &
+Stewart, SIAM J. Comput. 1985).  ``cograph_split`` makes that split on an
+explicit stack, so no part's depth costs a Python frame.  Cographs are
+perfect, so the split yields an optimal coloring directly: a union's
+children reuse its colors, a join's take disjoint palettes sized by their
+clique numbers.  The P4 witness of a non-cograph comes from
+``patterns.induced_p4``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .graph import Graph, bits, component_masks
-from .patterns import induced_p4
+from .patterns import clique_number
 
 __all__ = [
-    "CotreeNode",
-    "CographCertificate",
+    "cograph_split",
     "is_cograph",
-    "cotree_clique_number",
     "cograph_optimal_coloring",
     "cograph_coloring_with_palette",
 ]
 
 
-@dataclass(frozen=True)
-class CotreeNode:
-    """Decomposition-tree node: leaves are vertices, internal nodes unions/joins."""
+def cograph_split(g: Graph, mask: int) -> Iterator[tuple[int, str | None, list[int]]]:
+    """Split the subgraph of ``g`` induced on ``mask`` into parts, yielding
+    each as ``(part, kind, children)``, parents before children and children
+    in smallest-member order.
 
-    kind: str  # "leaf" | "union" | "join"
-    vertex: int | None = None
-    children: tuple["CotreeNode", ...] = ()
-
-    def vertex_mask(self) -> int:
-        if self.kind == "leaf":
-            return 1 << self.vertex
-        m = 0
-        for c in self.children:
-            m |= c.vertex_mask()
-        return m
-
-
-@dataclass(frozen=True)
-class CographCertificate:
-    """Either a cotree witnessing P4-freeness or an induced-P4 witness."""
-
-    tree: CotreeNode | None = None
-    p4: tuple[int, int, int, int] | None = None
-
-    @property
-    def is_cograph(self) -> bool:
-        return self.tree is not None
+    A part is a ``"leaf"`` (one vertex), a ``"union"`` of its components, a
+    ``"join"`` of its co-components, or ``None`` when it and its complement
+    are both connected: then it holds an induced P4 and is not split.
+    """
+    coadj = [~a ^ 1 << v for v, a in enumerate(g.adj)]
+    stack = [mask] if mask else []
+    while stack:
+        part = stack.pop()
+        kind, kids = "leaf", []
+        if part & part - 1:
+            kind, kids = "union", component_masks(g.adj, part)
+            if len(kids) == 1:
+                kids = component_masks(coadj, part)
+                kind = "join" if len(kids) > 1 else None
+        yield part, kind, kids
+        if kind:
+            stack.extend(reversed(kids))
 
 
-def is_cograph(g: Graph) -> CographCertificate:
-    """Recognize P4-freeness; returns a cotree or an induced-P4 witness."""
-    coadj = [(g.full_mask() & ~m) & ~(1 << v) for v, m in enumerate(g.adj)]
-
-    def build(mask: int) -> CotreeNode | None:
-        if mask.bit_count() == 1:
-            return CotreeNode("leaf", vertex=mask.bit_length() - 1)
-        comps = component_masks(g.adj, mask)
-        if len(comps) > 1:
-            kids = [build(c) for c in comps]
-            if any(k is None for k in kids):
-                return None
-            return CotreeNode("union", children=tuple(kids))
-        cocomps = component_masks(coadj, mask)
-        if len(cocomps) > 1:
-            kids = [build(c) for c in cocomps]
-            if any(k is None for k in kids):
-                return None
-            return CotreeNode("join", children=tuple(kids))
-        return None
-
-    if g.n == 0:
-        return CographCertificate(tree=CotreeNode("union", children=()))
-    tree = build(g.full_mask())
-    if tree is not None:
-        return CographCertificate(tree=tree)
-    p4 = induced_p4(g, g.full_mask())
-    if p4 is None:
-        raise InternalInconsistencyError(
-            "graph is connected and co-connected yet no induced P4 found")
-    return CographCertificate(p4=p4)
+def is_cograph(g: Graph, mask: int | None = None) -> bool:
+    """True iff ``g``, or the subgraph it induces on ``mask``, is P4-free."""
+    return all(kind for _, kind, _ in cograph_split(g, g.full_mask() if mask is None else mask))
 
 
-def cotree_to_graph(n: int, tree: CotreeNode) -> Graph:
-    """Evaluate a cotree back to a graph on n vertices (test utility)."""
-    adj = [0] * n
-
-    def walk(node: CotreeNode) -> int:
-        if node.kind == "leaf":
-            return 1 << node.vertex
-        masks = [walk(c) for c in node.children]
-        if node.kind == "join":
-            for i, mi in enumerate(masks):
-                for j, mj in enumerate(masks):
-                    if i == j:
-                        continue
-                    for v in bits(mi):
-                        adj[v] |= mj
-        total = 0
-        for m in masks:
-            total |= m
-        return total
-
-    walk(tree)
-    return Graph(n, adj)
-
-
-def cotree_clique_number(tree: CotreeNode) -> int:
-    """Clique number over the cotree: union = max, join = sum."""
-    if tree.kind == "leaf":
-        return 1
-    parts = [cotree_clique_number(c) for c in tree.children]
-    return sum(parts) if tree.kind == "join" else max(parts)
-
-
-def cograph_optimal_coloring(g: Graph, cert: CographCertificate) -> tuple[dict[int, int], int]:
+def cograph_optimal_coloring(g: Graph) -> tuple[dict[int, int], int]:
     """Proper coloring of a cograph using exactly clique-number many colors."""
-    if not cert.is_cograph:
-        raise PreconditionError("certificate is not a decomposition tree")
-    if cert.tree.vertex_mask() != g.full_mask():
-        raise PreconditionError("certificate does not cover the graph")
-    omega = cotree_clique_number(cert.tree)
-    colors = cograph_coloring_with_palette(cert.tree, list(range(1, omega + 1)), {})
-    return colors, omega
+    omega = clique_number(g)[0]
+    return cograph_coloring_with_palette(g, g.full_mask(), list(range(1, omega + 1)), {}), omega
 
 
-def cograph_coloring_with_palette(tree: CotreeNode, palette: list[int],
+def cograph_coloring_with_palette(g: Graph, mask: int, palette: list[int],
                                   fixed: dict[int, int]) -> dict[int, int]:
-    """Color a cotree from an explicit palette, honoring fixed vertex colors.
+    """Color the cograph ``g`` induces on ``mask`` from an explicit palette,
+    honoring fixed vertex colors.
 
-    Requires len(palette) >= clique number of the tree, the fixed colors to
+    Requires len(palette) >= clique number of the part, the fixed colors to
     be drawn from the palette, and fixed vertices in distinct join branches
     to carry distinct colors (always true when the fixed set is a clique
     colored injectively).  Used to lift a reduced-bag coloring back onto the
     whole bag without recoloring the retained clique.
     """
+    if clique_number(g, mask)[0] > len(palette):
+        raise PreconditionError("palette smaller than the clique number")
     out: dict[int, int] = {}
-
-    def walk(node: CotreeNode, pal: tuple[int, ...]) -> None:
-        if node.kind == "leaf":
-            v = node.vertex
+    pals = {mask: tuple(palette)}
+    for part, kind, kids in cograph_split(g, mask):
+        pal = pals.pop(part)
+        if kind is None:
+            raise PreconditionError(f"vertices {tuple(bits(part))} hold an induced P4")
+        if kind == "leaf":
+            v = part.bit_length() - 1
             c = fixed.get(v, pal[0])
             if c not in pal:
                 raise PreconditionError(f"fixed color {c} outside palette for vertex {v}")
             out[v] = c
-            return
-        if node.kind == "union":
-            for child in node.children:
-                walk(child, pal)
-            return
-        # join: children need pairwise disjoint palettes sized to their cliques
-        needs = [cotree_clique_number(c) for c in node.children]
-        fixed_per: list[set[int]] = []
-        for child in node.children:
-            fc = {fixed[v] for v in bits(child.vertex_mask()) if v in fixed}
-            fixed_per.append(fc)
-        taken = set().union(*fixed_per) if fixed_per else set()
-        spare = [c for c in pal if c not in taken]
-        idx = 0
-        for child, need, fc in zip(node.children, needs, fixed_per):
-            sub = sorted(fc)
-            while len(sub) < need:
-                sub.append(spare[idx])
-                idx += 1
-            walk(child, tuple(sorted(sub)))
-
-    if cotree_clique_number(tree) > len(palette):
-        raise PreconditionError("palette smaller than the clique number")
-    walk(tree, tuple(palette))
+        elif kind == "union":
+            pals.update(dict.fromkeys(kids, pal))
+        else:  # a join's children need disjoint palettes sized to their cliques
+            fixed_per = [{fixed[v] for v in bits(kid) if v in fixed} for kid in kids]
+            taken = set().union(*fixed_per)
+            spare = iter([c for c in pal if c not in taken])
+            for kid, fc in zip(kids, fixed_per):
+                sub = sorted(fc)
+                for _ in range(clique_number(g, kid)[0] - len(sub)):
+                    if (c := next(spare, None)) is None:
+                        raise PreconditionError(
+                            f"join part {tuple(bits(part))} runs out of spare colors")
+                    sub.append(c)
+                pals[kid] = tuple(sorted(sub))
     return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .coloring import Coloring, back_degree_profile, degeneracy_order
 from .errors import PreconditionError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, mask_of
 from .patterns import clique_number
 from .reductions import check_copycat
 from .structure import TEMPLATES, check_bag_partition
@@ -188,9 +188,7 @@ def _color_without(g: Graph, piece: tuple[int, ...], recurse) -> dict[int, int]:
 
 def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], recurse, trace: list | None):
     """The pendant-class strategy: copy rules, anchor branch, or pendant peel."""
-    a6_sub, a6_ids = induced_subgraph(g, bags["A6"])
-    omega6, w6 = clique_number(a6_sub)
-    donor = tuple(a6_ids[i] for i in w6)
+    omega6, donor = clique_number(g, mask_of(bags["A6"]))
     for side in ("A5", "A2"):
         if len(bags[side]) <= omega6:
             removed = tuple(bags[side])

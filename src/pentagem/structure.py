@@ -10,11 +10,12 @@ Matching assigns the graph's maximal proper modules (vertex sets that each
 outside vertex sees all or none of) to template nodes, since every bag is a
 union of them, and ``check_bag_partition`` verifies the result.
 
-The clique-expansion reduction keeps one maximum clique per reducible bag,
-preserving both the clique number and the chromatic number; the companion
-lift rebuilds a full coloring from a coloring of the reduced graph without
-recoloring the retained cliques.  The solver needs neither: its copycat
-rule leaves every reducible bag a clique.
+The clique-expansion reduction keeps the lex-least maximum clique of each
+reducible bag, preserving both the clique number and the chromatic number;
+the companion lift rebuilds a full coloring from a coloring of the reduced
+graph without recoloring the retained cliques.  Both work on the host
+through each bag's vertex mask, with no induced copy and no cotree.  The
+solver needs neither: its copycat rule leaves every reducible bag a clique.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .cographs import cograph_coloring_with_palette, is_cograph
-from .errors import PreconditionError
-from .graph import (Graph, bits, build_graph, component_masks, induced_subgraph,
-                    is_connected, mask_of)
+from .errors import GraphFormatError, PreconditionError
+from .graph import Graph, bits, build_graph, component_masks, is_connected, mask_of
 from .patterns import clique_number, induced_p4
 
 __all__ = [
@@ -314,9 +314,7 @@ def clique_reduce(g: Graph, template: Template,
         m = mask_of(bags[name])
         # a unit is a bag or a pendant component, a cograph as checked above
         for um in component_masks(g.adj, m) if name == template.pendant else [m]:
-            usub, unit = induced_subgraph(g, bits(um))
-            _, witness = clique_number(usub)
-            units.append((unit, tuple(unit[v] for v in witness)))
+            units.append((tuple(bits(um)), clique_number(g, um)[1]))
     kept_all = {v for _, kc in units for v in kc} | set(bags.get(template.anchor, ()))
     star_bags = {name: tuple(v for v in bags[name] if v in kept_all)
                  for name in template.nodes}
@@ -327,22 +325,23 @@ def lift_coloring(g: Graph, reduction: CliqueReduction,
                   star_colors: dict[int, int]) -> dict[int, int]:
     """Extend a coloring of the reduced graph to the host, same palette.
 
-    Each reducible unit is recolored by an optimal cograph coloring drawn
-    from exactly the colors the reduced coloring placed on that unit's
-    retained clique, pinned so retained vertices keep their colors.
+    Each reducible unit is recolored on the host, through its vertex mask,
+    by an optimal cograph coloring drawn from exactly the colors the reduced
+    coloring placed on that unit's retained clique, pinned so retained
+    vertices keep their colors.
     """
     out = dict(star_colors)
     for unit, kept in reduction.units:
         palette = sorted(star_colors[v] for v in kept)
         if len(set(palette)) != len(kept):
             raise PreconditionError("retained clique is not injectively colored")
-        sub, ids = induced_subgraph(g, unit)
-        pos = {v: i for i, v in enumerate(ids)}
-        cert = is_cograph(sub)
-        if not cert.is_cograph:
+        if outside := [v for v in unit if not 0 <= v < g.n]:
+            raise GraphFormatError(f"vertex {min(outside)} not in graph of order {g.n}")
+        if not set(kept) <= set(unit) or not g.is_clique(kept):
+            raise PreconditionError("retained vertices are not a clique of their unit")
+        um = mask_of(unit)
+        if not is_cograph(g, um):
             raise PreconditionError("corrupted lift data: unit is not a cograph")
-        fixed = {pos[v]: star_colors[v] for v in kept}
-        sub_colors = cograph_coloring_with_palette(cert.tree, palette, fixed)
-        for i, c in sub_colors.items():
-            out[ids[i]] = c
+        out.update(cograph_coloring_with_palette(g, um, palette,
+                                                 {v: star_colors[v] for v in kept}))
     return out

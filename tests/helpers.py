@@ -25,8 +25,15 @@ the iterative ``patterns`` clique search replaced, and
 ``reference_hitting_component``) and ``reference_delta_reduce`` the
 recursive searches on induced copies, one recursion per level, that degree
 reduction ran before it became one loop on host masks.
+``reference_is_cograph`` (with its ``CotreeNode`` tree and
+``CographCertificate``), ``reference_cotree_clique_number``,
+``reference_cotree_to_graph`` and ``reference_cograph_coloring_with_palette``
+are the recursive cotree builder and walkers that the explicit-stack split
+of ``pentagem.cographs`` replaced.
 ``cocktail_party`` and ``random_cograph`` build the cographs whose many
-maximum cliques defeat a clique search without a coloring bound, and
+maximum cliques defeat a clique search without a coloring bound,
+``threshold_graph`` the cographs whose decomposition runs deepest, with
+``palette_corpus`` the palette colorings drawn on both, and
 ``c5_blowup`` the in-class graphs of large degree whose levels run deep.
 """
 
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import isqrt
 
@@ -41,10 +49,10 @@ from pentagem.errors import (GraphFormatError, InternalInconsistencyError, Penta
                              PreconditionError)
 from pentagem.coloring import Coloring
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
-                            connected_components, cycle_graph, disjoint_union,
-                            empty_graph, induced_subgraph, is_connected, join, mask_of,
-                            max_degree_in, path_graph)
-from pentagem.patterns import clique_number, has_clique
+                            component_masks, connected_components, cycle_graph,
+                            disjoint_union, empty_graph, induced_subgraph, is_connected,
+                            join, mask_of, max_degree_in, path_graph)
+from pentagem.patterns import clique_number, has_clique, induced_p4
 from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.trace import run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
@@ -171,6 +179,52 @@ def random_cograph(n: int, seed: int) -> Graph:
         return join(a, b) if rng.random() < 0.5 else disjoint_union(a, b)
 
     return build(n)
+
+
+def threshold_graph(n: int, seed: int | None = None) -> Graph:
+    """Each vertex in turn sees all earlier ones or none: the odd ones with
+    no seed, else a seeded coin decides.  A cograph whose decomposition is
+    one join or union per alternation, up to n - 1 levels deep."""
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for v in range(n)
+                           if (v % 2 if seed is None else rng.random() < 0.5)
+                           for u in range(v)])
+
+
+def palette_corpus() -> list[tuple[Graph, list[int], dict[int, int]]]:
+    """(cograph, palette, fixed) triples: 150 random cographs (n <= 60) and
+    80 threshold graphs (n <= 40), each with its lex-least maximum clique
+    fixed to distinct colors of a palette of omega to omega + 2 colors."""
+    rng = random.Random(18)
+    graphs = [random_cograph(rng.randint(1, 60), rng.randrange(10**6)) for _ in range(150)]
+    graphs += [threshold_graph(n, seed) for n in range(1, 41) for seed in (None, n)]
+    corpus = []
+    for g in graphs:
+        omega, witness = clique_number(g)
+        for extra in range(3):
+            palette = sorted(rng.sample(range(1, 2 * omega + 10), omega + extra))
+            corpus.append((g, palette, dict(zip(witness, rng.sample(palette, omega)))))
+    return corpus
+
+
+def criterion5_members() -> list[tuple[Graph, Template, dict[str, tuple[int, ...]]]]:
+    """The 120 cograph expansions (n <= 18) that acceptance criterion 5
+    reduces and lifts, in its order, with their templates and bags."""
+    from pentagem.structure import TEMPLATES
+    members = []
+    for seed in range(90):
+        for cid in ("G1", "G2", "G3", "H"):
+            t = TEMPLATES[cid]
+            body = [n for n in t.nodes if n != t.pendant]
+            rng = random.Random(seed * 211 + len(cid))
+            sizes = {n: rng.randint(1, 3) for n in body}
+            a7 = (rng.randint(1, 3),) if t.pendant else ()
+            g, bags = gen_class_instance(GenSpec(cid, sizes, a7, "cograph", seed))
+            if g.n <= 18:
+                members.append((g, t, bags))
+            if len(members) == 120:
+                return members
+    return members
 
 
 def prism_cores() -> list[Graph]:
@@ -759,6 +813,145 @@ def brute_is_cograph(g: Graph) -> bool:
                 return False
     return True
 
+
+@dataclass(frozen=True)
+class CotreeNode:
+    """Decomposition-tree node: leaves are vertices, internal nodes unions/joins."""
+
+    kind: str  # "leaf" | "union" | "join"
+    vertex: int | None = None
+    children: tuple["CotreeNode", ...] = ()
+
+    def vertex_mask(self) -> int:
+        if self.kind == "leaf":
+            return 1 << self.vertex
+        m = 0
+        for c in self.children:
+            m |= c.vertex_mask()
+        return m
+
+
+@dataclass(frozen=True)
+class CographCertificate:
+    """Either a cotree witnessing P4-freeness or an induced-P4 witness."""
+
+    tree: CotreeNode | None = None
+    p4: tuple[int, int, int, int] | None = None
+
+    @property
+    def is_cograph(self) -> bool:
+        return self.tree is not None
+
+
+def reference_is_cograph(g: Graph) -> CographCertificate:
+    """Recognize P4-freeness; returns a cotree or an induced-P4 witness."""
+    coadj = [(g.full_mask() & ~m) & ~(1 << v) for v, m in enumerate(g.adj)]
+
+    def build(mask: int) -> CotreeNode | None:
+        if mask.bit_count() == 1:
+            return CotreeNode("leaf", vertex=mask.bit_length() - 1)
+        comps = component_masks(g.adj, mask)
+        if len(comps) > 1:
+            kids = [build(c) for c in comps]
+            if any(k is None for k in kids):
+                return None
+            return CotreeNode("union", children=tuple(kids))
+        cocomps = component_masks(coadj, mask)
+        if len(cocomps) > 1:
+            kids = [build(c) for c in cocomps]
+            if any(k is None for k in kids):
+                return None
+            return CotreeNode("join", children=tuple(kids))
+        return None
+
+    if g.n == 0:
+        return CographCertificate(tree=CotreeNode("union", children=()))
+    tree = build(g.full_mask())
+    if tree is not None:
+        return CographCertificate(tree=tree)
+    p4 = induced_p4(g, g.full_mask())
+    if p4 is None:
+        raise InternalInconsistencyError(
+            "graph is connected and co-connected yet no induced P4 found")
+    return CographCertificate(p4=p4)
+
+
+def reference_cotree_to_graph(n: int, tree: CotreeNode) -> Graph:
+    """Evaluate a cotree back to a graph on n vertices (test utility)."""
+    adj = [0] * n
+
+    def walk(node: CotreeNode) -> int:
+        if node.kind == "leaf":
+            return 1 << node.vertex
+        masks = [walk(c) for c in node.children]
+        if node.kind == "join":
+            for i, mi in enumerate(masks):
+                for j, mj in enumerate(masks):
+                    if i == j:
+                        continue
+                    for v in bits(mi):
+                        adj[v] |= mj
+        total = 0
+        for m in masks:
+            total |= m
+        return total
+
+    walk(tree)
+    return Graph(n, adj)
+
+
+def reference_cotree_clique_number(tree: CotreeNode) -> int:
+    """Clique number over the cotree: union = max, join = sum."""
+    if tree.kind == "leaf":
+        return 1
+    parts = [reference_cotree_clique_number(c) for c in tree.children]
+    return sum(parts) if tree.kind == "join" else max(parts)
+
+
+def reference_cograph_coloring_with_palette(tree: CotreeNode, palette: list[int],
+                                            fixed: dict[int, int]) -> dict[int, int]:
+    """Color a cotree from an explicit palette, honoring fixed vertex colors.
+
+    Requires len(palette) >= clique number of the tree, the fixed colors to
+    be drawn from the palette, and fixed vertices in distinct join branches
+    to carry distinct colors (always true when the fixed set is a clique
+    colored injectively).  Used to lift a reduced-bag coloring back onto the
+    whole bag without recoloring the retained clique.
+    """
+    out: dict[int, int] = {}
+
+    def walk(node: CotreeNode, pal: tuple[int, ...]) -> None:
+        if node.kind == "leaf":
+            v = node.vertex
+            c = fixed.get(v, pal[0])
+            if c not in pal:
+                raise PreconditionError(f"fixed color {c} outside palette for vertex {v}")
+            out[v] = c
+            return
+        if node.kind == "union":
+            for child in node.children:
+                walk(child, pal)
+            return
+        # join: children need pairwise disjoint palettes sized to their cliques
+        needs = [reference_cotree_clique_number(c) for c in node.children]
+        fixed_per: list[set[int]] = []
+        for child in node.children:
+            fc = {fixed[v] for v in bits(child.vertex_mask()) if v in fixed}
+            fixed_per.append(fc)
+        taken = set().union(*fixed_per) if fixed_per else set()
+        spare = [c for c in pal if c not in taken]
+        idx = 0
+        for child, need, fc in zip(node.children, needs, fixed_per):
+            sub = sorted(fc)
+            while len(sub) < need:
+                sub.append(spare[idx])
+                idx += 1
+            walk(child, tuple(sorted(sub)))
+
+    if reference_cotree_clique_number(tree) > len(palette):
+        raise PreconditionError("palette smaller than the clique number")
+    walk(tree, tuple(palette))
+    return out
 
 
 def brute_maximal_proper_modules(g: Graph) -> set[frozenset[int]]:

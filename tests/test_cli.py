@@ -9,11 +9,11 @@ from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_g
                             join, path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
-from pentagem.patterns import PatternWitness
-from pentagem.trace import ReductionTrace, dumps_trace, fingerprint
+from pentagem.patterns import PatternWitness, clique_number
+from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, fingerprint
 
 from helpers import (caterpillar, gate_pins, k9_with_ears, non_clique_core, prism_cores,
-                     random_graph)
+                     random_graph, threshold_graph)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -162,17 +162,16 @@ def test_formats_flag(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "chi = 3"
 
 
-def test_oracle_env_cap(tmp_path, capsys, monkeypatch):
-    from pentagem.graph import empty_graph
+def test_the_oracle_cap_is_set_by_its_flag(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "big.el", write_edgelist(empty_graph(30)))
-    monkeypatch.setenv("PENTAGEM_ORACLE_CAP", "20")
-    assert main(["oracle", path]) == 1
+    assert main(["oracle", path]) == 1  # over the default cap of 24
+    assert main(["oracle", path, "--max-oracle-n", "20"]) == 1
     capsys.readouterr()
+    # the environment variable that once set the cap is ignored
     monkeypatch.setenv("PENTAGEM_ORACLE_CAP", "40")
-    assert main(["oracle", path]) == 0
-    assert capsys.readouterr().out.strip() == "chi = 1"
-    monkeypatch.delenv("PENTAGEM_ORACLE_CAP")
+    assert main(["oracle", path]) == 1
     assert main(["oracle", path, "--max-oracle-n", "35"]) == 0
+    assert capsys.readouterr().out.strip() == "chi = 1"
 
 
 def test_gen_cograph_mode_seeded(tmp_path, capsys):
@@ -266,11 +265,12 @@ def test_a_non_integer_gen_list_is_a_usage_error(tmp_path, capsys, argv):
     one_error_line(capsys)
 
 
-def test_a_non_integer_oracle_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_a_non_integer_oracle_cap_is_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, "c5.el", write_edgelist(cycle_graph(5)))
-    monkeypatch.setenv("PENTAGEM_ORACLE_CAP", "abc")
-    assert main(["oracle", path]) == 1
-    assert "PENTAGEM_ORACLE_CAP" in one_error_line(capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", path, "--max-oracle-n", "abc"])
+    assert info.value.code == 1
+    assert "argument --max-oracle-n: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_tampered_trace_reports_inconsistency(tmp_path, capsys):
@@ -450,6 +450,42 @@ def test_replay_rejects_a_color_outside_the_palette(tmp_path, capsys, lines):
     assert main(["replay", path, trace]) == 2
     assert time.perf_counter() - start < 1.0
     assert one_error_line(capsys) == "error: trace gives a color outside its palette 1..2\n"
+
+
+def test_replay_lifts_a_900_vertex_threshold_graph(tmp_path, capsys):
+    # odd vertices see all earlier ones, so the unit splits 899 levels deep:
+    # a walker with a frame per level once exhausted the recursion limit
+    g = threshold_graph(900)
+    omega, kept = clique_number(g)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    events = [TraceEvent("greedy", {"vs": kept, "k": omega}),
+              TraceEvent("lift", {"units": ((tuple(range(g.n)), kept),)})]
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace(events, omega, *fingerprint(g))))
+    assert main(["replay", path, trace]) == 0  # replay verifies before it prints
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "palette 451" and len(out) == 1 + g.n
+
+
+def test_replay_rejects_a_lift_whose_kept_vertices_are_not_a_clique(tmp_path, capsys):
+    # the path 0-1-2 lifted from its non-edge 0, 2: once "does not fit the graph"
+    g = path_graph(3)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    lines = ["color greedy vs=0 k=1", "step delta_set i=2 color=2", "step lift units=0,1,2>0,2"]
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, *fingerprint(g))).replace(
+        "end\n", "\n".join(lines) + "\nend\n"))
+    assert main(["replay", path, trace]) == 2
+    assert "retained vertices are not a clique of their unit" in one_error_line(capsys)
+
+
+def test_replay_lifts_an_empty_unit_to_nothing(tmp_path, capsys):
+    # the cotree walker took the maximum of no clique numbers: a traceback
+    g = path_graph(3)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    lines = ["color greedy vs=0,1,2 k=2", "step lift units=->-"]
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, *fingerprint(g))).replace(
+        "end\n", "\n".join(lines) + "\nend\n"))
+    assert main(["replay", path, trace]) == 0
+    assert capsys.readouterr().out == "palette 2\n0 1\n1 2\n2 1\n"
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem import patterns
-from pentagem.cographs import cotree_clique_number, is_cograph
 from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
                             induced_subgraph, join, mask_of, path_graph)
 from pentagem.graphio import parse_graph
@@ -21,10 +20,9 @@ from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
                      brute_max_independent_set_size, c5_blowup, cocktail_party,
-                     random_cograph,
-                     random_graph, reference_clique_number,
-                     reference_find_c5, reference_find_gem, reference_find_p4,
-                     reference_find_p5, reference_has_clique)
+                     random_cograph, random_graph, reference_clique_number,
+                     reference_cotree_clique_number, reference_find_c5, reference_find_gem, reference_find_p4,
+                     reference_find_p5, reference_has_clique, reference_is_cograph)
 
 REFERENCE = {"P5": reference_find_p5, "GEM": reference_find_gem, "C5": reference_find_c5}
 
@@ -161,7 +159,7 @@ def test_the_clique_search_agrees_with_the_recursive_references(n, p, seed):
 def test_the_clique_search_agrees_with_the_cotree_on_cographs(n, seed):
     g = random_cograph(n, seed)
     omega, witness = clique_number(g)
-    assert omega == cotree_clique_number(is_cograph(g).tree)
+    assert omega == reference_cotree_clique_number(reference_is_cograph(g).tree)
     assert len(witness) == omega and g.is_clique(witness)
     full = g.full_mask()
     assert find_clique(g, full, omega) == witness

@@ -1,10 +1,14 @@
+import hashlib
+import inspect
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagem.cographs import cograph_coloring_with_palette
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PentagemError, PreconditionError
 from pentagem.graph import (bits, build_graph, complete_graph, component_masks,
@@ -14,12 +18,14 @@ from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number, find_induced, is_p5_gem_free
 from pentagem.reductions import copycat_extend, find_copycat
-from pentagem.structure import (CLASS_ORDER, TEMPLATES, check_bag_partition,
-                                clique_reduce, lift_coloring, match_expansion,
-                                maximal_homogeneous_cliques, maximal_modules)
+from pentagem.structure import (CLASS_ORDER, TEMPLATES, CliqueReduction,
+                                check_bag_partition, clique_reduce, lift_coloring,
+                                match_expansion, maximal_homogeneous_cliques,
+                                maximal_modules)
 
-from helpers import (_induces, brute_maximal_proper_modules, reference_find_p4,
-                     reference_match_expansion)
+from helpers import (_induces, brute_maximal_proper_modules, criterion5_members,
+                     palette_corpus, reference_find_p4, reference_match_expansion,
+                     threshold_graph)
 
 
 def expansion(cid, sizes, a7=(), mode="clique", seed=0):
@@ -338,6 +344,44 @@ def test_reduce_rejects_invalid_bags():
     bad["Q1"], bad["Q2"] = bad["Q2"], bad["Q1"]
     with pytest.raises(PreconditionError):
         clique_reduce(g, TEMPLATES["G1"], bad)
+
+
+# SHA-256 over the items, in order, of acceptance criterion 5's lifted
+# colorings and of the palette corpus's colorings, as the recursive cotree
+# walker on induced copies gave them
+LIFT_PIN = "5aba37647ef3658bdc52b3350c46e98c48ace61f68e93a73ded92aedd31b9f13"
+
+
+def test_lifted_colorings_match_the_pin():
+    out = []
+    for g, t, bags in criterion5_members():
+        red = clique_reduce(g, t, bags)
+        for unit, kept in red.units:  # the witness an induced copy gives
+            sub, ids = induced_subgraph(g, unit)
+            assert kept == tuple(ids[v] for v in clique_number(sub)[1])
+        gstar, ids = induced_subgraph(g, red.kept)
+        _, star = exact_chromatic(gstar)
+        lifted = lift_coloring(g, red, {ids[i]: c for i, c in star.colors.items()})
+        out.append(list(lifted.items()))
+    for g, palette, fixed in palette_corpus():
+        out.append(list(cograph_coloring_with_palette(g, g.full_mask(), palette, fixed).items()))
+    assert len(out) == 120 + 690
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == LIFT_PIN
+
+
+def test_a_lift_takes_no_frame_per_level_of_its_unit():
+    # the 900-vertex threshold graph splits 899 levels deep; with 60 frames
+    # to spare, a walker that recursed once per level could not finish
+    g = threshold_graph(900)
+    omega, kept = clique_number(g)
+    red = CliqueReduction(kept, {}, ((tuple(range(g.n)), kept),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        lifted = lift_coloring(g, red, {v: i + 1 for i, v in enumerate(kept)})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verify_coloring(g, Coloring(lifted, omega)) and len(lifted) == g.n
 
 
 def test_reduce_shrinks_k2_k1_bag_to_its_edge():
