@@ -17,7 +17,6 @@ from typing import Iterator
 
 from .errors import PreconditionError
 from .graph import Graph, bits, component_masks
-from .patterns import clique_number
 
 __all__ = [
     "cograph_split",
@@ -36,7 +35,7 @@ def cograph_split(g: Graph, mask: int) -> Iterator[tuple[int, str | None, list[i
     ``"join"`` of its co-components, or ``None`` when it and its complement
     are both connected: then it holds an induced P4 and is not split.
     """
-    coadj = [~a ^ 1 << v for v, a in enumerate(g.adj)]
+    coadj = {v: ~g.adj[v] for v in bits(mask)}  # v's own bit: already in its part
     stack = [mask] if mask else []
     while stack:
         part = stack.pop()
@@ -57,9 +56,9 @@ def is_cograph(g: Graph, mask: int | None = None) -> bool:
 
 
 def cograph_optimal_coloring(g: Graph) -> tuple[dict[int, int], int]:
-    """Proper coloring of a cograph using exactly clique-number many colors."""
-    omega = clique_number(g)[0]
-    return cograph_coloring_with_palette(g, g.full_mask(), list(range(1, omega + 1)), {}), omega
+    """Proper coloring of a cograph with exactly clique-number many colors."""
+    colors = cograph_coloring_with_palette(g, g.full_mask(), list(range(1, g.n + 1)), {})
+    return colors, max(colors.values(), default=0)
 
 
 def cograph_coloring_with_palette(g: Graph, mask: int, palette: list[int],
@@ -71,16 +70,23 @@ def cograph_coloring_with_palette(g: Graph, mask: int, palette: list[int],
     be drawn from the palette, and fixed vertices in distinct join branches
     to carry distinct colors (always true when the fixed set is a clique
     colored injectively).  Used to lift a reduced-bag coloring back onto the
-    whole bag without recoloring the retained clique.
+    whole bag without recoloring the retained clique.  Clique numbers are
+    summed up the one split (leaf 1, union max, join sum), palettes handed down.
     """
-    if clique_number(g, mask)[0] > len(palette):
+    parts = list(cograph_split(g, mask))
+    for part, kind, _ in parts:
+        if kind is None:
+            raise PreconditionError(f"vertices {tuple(bits(part))} hold an induced P4")
+    omega = {}
+    for part, kind, kids in reversed(parts):
+        omega[part] = (1 if kind == "leaf" else max(omega[kid] for kid in kids)
+                       if kind == "union" else sum(omega[kid] for kid in kids))
+    if omega.get(mask, 0) > len(palette):
         raise PreconditionError("palette smaller than the clique number")
     out: dict[int, int] = {}
     pals = {mask: tuple(palette)}
-    for part, kind, kids in cograph_split(g, mask):
+    for part, kind, kids in parts:
         pal = pals.pop(part)
-        if kind is None:
-            raise PreconditionError(f"vertices {tuple(bits(part))} hold an induced P4")
         if kind == "leaf":
             v = part.bit_length() - 1
             c = fixed.get(v, pal[0])
@@ -95,7 +101,7 @@ def cograph_coloring_with_palette(g: Graph, mask: int, palette: list[int],
             spare = iter([c for c in pal if c not in taken])
             for kid, fc in zip(kids, fixed_per):
                 sub = sorted(fc)
-                for _ in range(clique_number(g, kid)[0] - len(sub)):
+                for _ in range(omega[kid] - len(sub)):
                     if (c := next(spare, None)) is None:
                         raise PreconditionError(
                             f"join part {tuple(bits(part))} runs out of spare colors")

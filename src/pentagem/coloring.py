@@ -1,4 +1,5 @@
-"""Colorings, degeneracy orders, and the independent-sets coloring engine.
+"""Colorings, degeneracy orders, the independent-sets coloring engine, and
+``list_color``, the exact list search behind the oracle and catalog extension.
 
 The engine realizes the workhorse bound: if pairwise disjoint independent
 sets I_1..I_t are removed and the remainder admits a vertex order with
@@ -11,6 +12,7 @@ greedily along the order with the other k-t colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import PreconditionError
 from .graph import Graph, bits, mask_of
@@ -21,6 +23,7 @@ __all__ = [
     "back_degree_profile",
     "degeneracy_order",
     "first_fit",
+    "list_color",
     "greedy_color",
     "color_with_independent_sets",
 ]
@@ -100,6 +103,75 @@ def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
         colors[v] = c
+
+
+def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | None:
+    """The first proper coloring of the subgraph ``adj`` induces on ``mask``
+    that keeps the ``fixed`` colors and gives each other vertex v a color of
+    its list, the bitmask ``free[v]`` (fixed vertices first, then the rest
+    in the order colored), or None.
+
+    An exact search on an explicit stack.  It colors the vertex with the
+    fewest free colors (ties: more neighbors in ``mask``, then lower id)
+    with each free color in turn, lowest first, but skips a color no vertex
+    holds if a lower such color lies in exactly the same lists: swapping
+    the two maps its branch onto one already tried.  A node's subtree
+    depends only on its uncolored set and their free masks, so a node whose
+    key failed once is cut.  Neither cut removes the first solution.
+    """
+    free, colors = list(free), dict(fixed)
+    used, left = mask_of(fixed.values()), mask & ~mask_of(fixed)
+    for v, c in fixed.items():
+        for u in bits(adj[v] & mask):
+            free[u] &= ~(1 << c)
+    width, shift = mask.bit_length(), 2 * mask.bit_length()
+    tie = {u: (width - (adj[u] & mask).bit_count()) << width | u for u in bits(left)}
+    # sets of two or more colors that exactly the same uncolored vertices list
+    lists = {free[u] for u in tie}
+    twins = [reduce(int.__or__, lists, 0)]
+    for f in lists:
+        if not twins:
+            break
+        twins = [p for grp in twins for p in (grp & f, grp & ~f) if p & p - 1]
+    dead, stack = set(), []  # stack: (key, v, rest, nbrs, colors left, color, hit, fresh)
+    while left:
+        key, best, m = [left], -1, left
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            key.append(free[u])
+            rank = free[u].bit_count() << shift | tie[u]
+            if best < 0 or rank < best:
+                best, v = rank, u
+        key = tuple(key)
+        if key not in dead:
+            cs, rest = free[v], left & ~(1 << v)
+            for grp in twins:  # v lists all of a group's unused colors or none
+                x = grp & cs & ~used
+                cs ^= x & x - 1
+            stack.append((key, v, rest, tuple(bits(adj[v] & rest)), cs, 0, (), 0))
+        while stack:  # color the top vertex with its next color, if any
+            key, v, rest, nbrs, cs, low, hit, fresh = stack.pop()
+            for u in hit:
+                free[u] |= low
+            used ^= fresh
+            if cs:
+                low = cs & -cs
+                hit = [u for u in nbrs if free[u] & low]
+                for u in hit:
+                    free[u] ^= low
+                fresh = low & ~used
+                used |= low
+                colors[v] = low.bit_length() - 1
+                stack.append((key, v, rest, nbrs, cs ^ low, low, hit, fresh))
+                left = rest
+                break
+            colors.pop(v, None)
+            dead.add(key)
+        else:
+            return None
+    return colors
 
 
 def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,

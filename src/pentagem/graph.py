@@ -56,13 +56,12 @@ def mask_of(vertices: Iterable[int]) -> int:
 def _mirrored_from_below(n: int, adj: tuple[int, ...]) -> bool:
     """True iff no mask has a loop or a vertex >= n, each neighbor u above v
     lists v, and those pairs account for half of all adjacency bits."""
-    full = (1 << n) - 1
     upper = 0
     for v, m in enumerate(adj):
-        if m & (1 << v) or m & ~full:
+        if m >> v & 1 or m.bit_length() > n:
             return False
-        bit = 1 << v
         m >>= v + 1
+        bit = 1 << v if m else 0
         while m:
             low = m & -m
             if not adj[v + low.bit_length()] & bit:

@@ -33,6 +33,13 @@ _G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same v
     bytes(range(63, 127)),
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_MAX_ORDER = 2 ** 18 - 1  # graph6's limit, kept by every reader
+
+
+def _check_order(n: int) -> int:
+    if n > _MAX_ORDER:
+        raise GraphFormatError(f"{n} vertices is above the supported {_MAX_ORDER}")
+    return n
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -47,7 +54,7 @@ def parse_dimacs(text: str) -> Graph:
             if toks[0] == "p":
                 if len(toks) != 4 or toks[1].lower() not in ("edge", "edges", "col"):
                     raise GraphFormatError(f"bad problem line: {line!r}")
-                n = int(toks[2])
+                n = _check_order(int(toks[2]))
             elif toks[0] == "e":
                 if n is None:
                     raise GraphFormatError("edge line before the problem line")
@@ -80,7 +87,7 @@ def parse_edgelist(text: str) -> Graph:
         nums = [int(t) for t in toks]
     except ValueError as exc:
         raise GraphFormatError(f"non-integer token in edge list: {exc}") from exc
-    n, m = nums[0], nums[1]
+    n, m = _check_order(nums[0]), nums[1]
     if len(nums) != 2 + 2 * m:
         raise GraphFormatError(f"expected {m} edges, found {(len(nums) - 2) // 2}")
     edges = [(nums[2 + 2 * i], nums[3 + 2 * i]) for i in range(m)]

@@ -1,4 +1,5 @@
-"""Exact chromatic number by branch and bound, and k-colorability search.
+"""Exact chromatic number, and k-colorability through the list search of
+``coloring.list_color``.
 
 Validation oracle for the whole pipeline and the coloring routine for the
 perfect case (no induced C5), where the chromatic number is known to equal
@@ -7,9 +8,9 @@ the clique number and only a witness is needed.
 
 from __future__ import annotations
 
-from .coloring import Coloring
+from .coloring import Coloring, degeneracy_order, greedy_color, list_color
 from .errors import OracleCapExceeded
-from .graph import Graph, bits
+from .graph import Graph
 from .patterns import clique_number
 
 __all__ = ["DEFAULT_ORACLE_CAP", "exact_chromatic", "colorable_with"]
@@ -21,10 +22,11 @@ def colorable_with(g: Graph, k: int, seed_clique: tuple[int, ...] | None = None
                    ) -> dict[int, int] | None:
     """Deterministic k-colorability search; returns a coloring or None.
 
-    Symmetry is broken by pre-coloring a maximum clique 1..|K| and by letting
-    a vertex open at most one fresh color beyond those already used.  The
-    branching vertex is the most saturated one (ties: highest degree, then
-    smallest id), a DSATUR-style choice.
+    A maximum clique is fixed to colors 1..|K|, and every other vertex gets
+    the list 1..k, so the list search branches on the most saturated vertex
+    (ties: highest degree, then smallest id), a DSATUR-style choice, and
+    opens at most one fresh color at a time.  It therefore never reaches a
+    color above n, and the lists stop at min(k, n).
     """
     if k <= 0:
         return {} if g.n == 0 else None
@@ -32,52 +34,8 @@ def colorable_with(g: Graph, k: int, seed_clique: tuple[int, ...] | None = None
         _, seed_clique = clique_number(g)
     if len(seed_clique) > k:
         return None
-    colors: dict[int, int] = {}
-    neighbor_colors: dict[int, set[int]] = {v: set() for v in range(g.n)}
-
-    def set_color(v: int, c: int) -> None:
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            neighbor_colors[u].add(c)
-
-    def unset_color(v: int, c: int) -> None:
-        del colors[v]
-        for u in bits(g.adj[v]):
-            if all(colors.get(w) != c for w in bits(g.adj[u])):
-                neighbor_colors[u].discard(c)
-
-    for i, v in enumerate(seed_clique):
-        set_color(v, i + 1)
-
-    def pick() -> int | None:
-        best = None
-        key = None
-        for v in range(g.n):
-            if v in colors:
-                continue
-            cand = (len(neighbor_colors[v]), g.degree(v), -v)
-            if key is None or cand > key:
-                key = cand
-                best = v
-        return best
-
-    def solve(used: int) -> bool:
-        v = pick()
-        if v is None:
-            return True
-        limit = min(k, used + 1)
-        for c in range(1, limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            set_color(v, c)
-            if solve(max(used, c)):
-                return True
-            unset_color(v, c)
-        return False
-
-    if solve(len(seed_clique)):
-        return dict(colors)
-    return None
+    return list_color(g.adj, g.full_mask(), [(1 << min(k, g.n) + 1) - 2] * g.n,
+                      {v: i + 1 for i, v in enumerate(seed_clique)})
 
 
 def exact_chromatic(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Coloring]:
@@ -89,17 +47,10 @@ def exact_chromatic(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Color
     """
     if g.n > cap:
         raise OracleCapExceeded(f"n={g.n} exceeds the oracle cap {cap}")
-    if g.n == 0:
-        return 0, Coloring({}, 0)
     lb, clique = clique_number(g)
-    from .coloring import degeneracy_order, greedy_color
-    order = degeneracy_order(g)
-    greedy = greedy_color(g, order, g.n)
-    ub = max(greedy.values())
-    if lb == ub:
-        return ub, Coloring(greedy, ub)
+    greedy = greedy_color(g, degeneracy_order(g), g.n)
+    ub = max(greedy.values(), default=0)
     for k in range(lb, ub):
-        witness = colorable_with(g, k, seed_clique=clique)
-        if witness is not None:
+        if (witness := colorable_with(g, k, seed_clique=clique)) is not None:
             return k, Coloring(witness, k)
     return ub, Coloring(greedy, ub)

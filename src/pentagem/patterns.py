@@ -69,43 +69,47 @@ def induced_p4(g: Graph, mask: int,
     The fifth-vertex candidates are narrowed as the prefix grows: s1 after
     v1, s2 after v2, s3 after v3.  Each only shrinks, so once one is empty
     no extension of that prefix yields a hit and the walk skips to the
-    next prefix; the first hit found is unchanged.
+    next prefix; the first hit found is unchanged.  Each comes from the
+    vertex's own row as the walk reaches it: a table of closed rows, each as
+    long as its vertex's id, would take O(n^2) bits.
     """
     adj = g.adj
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    # ri[v]: where the fifth vertex may lie, given v as the P4's i-th vertex
-    if fifth is None:
-        r1 = r2 = r3 = r4 = [-1] * g.n
-    else:
-        r1, r2, r3, r4 = ([a if on else ~c for a, c in zip(adj, closed)] for on in fifth)
+    o1, o2, o3, o4 = fifth or (0, 0, 0, 0)
+    any5 = fifth is None
     m1 = mask
     while m1:
         b = m1 & -m1
         m1 ^= b
         v1 = b.bit_length() - 1
-        c1 = closed[v1]
-        s1 = mask & r1[v1]
-        m2 = adj[v1] & mask if s1 else 0
+        a = adj[v1]
+        m2 = a & mask
+        c1 = a | b
+        # si: where the fifth vertex may lie (anywhere, if there is none)
+        if not m2 or not (s1 := mask if any5 else mask & (a if o1 else ~c1)):
+            continue
         while m2:
             b = m2 & -m2
             m2 ^= b
             v2 = b.bit_length() - 1
-            c12 = c1 | closed[v2]
-            s2 = s1 & r2[v2]
-            m3 = adj[v2] & mask & ~c1 if s2 else 0
+            a = adj[v2]
+            c12 = c1 | a | b
+            s2 = s1 if any5 else s1 & (a if o2 else ~(a | b))
+            m3 = a & mask & ~c1 if s2 else 0
             while m3:
                 b = m3 & -m3
                 m3 ^= b
                 v3 = b.bit_length() - 1
-                s3 = s2 & r3[v3]
-                m4 = adj[v3] & mask & ~c12 if s3 else 0
+                a = adj[v3]
+                s3 = s2 if any5 else s2 & (a if o3 else ~(a | b))
+                m4 = a & mask & ~c12 if s3 else 0
                 while m4:
                     b = m4 & -m4
                     m4 ^= b
                     v4 = b.bit_length() - 1
-                    if fifth is None:
+                    if any5:
                         return v1, v2, v3, v4
-                    m5 = s3 & r4[v4]
+                    a = adj[v4]
+                    m5 = s3 & (a if o4 else ~(a | b))
                     if m5:
                         return v1, v2, v3, v4, (m5 & -m5).bit_length() - 1
     return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .coloring import Coloring, first_fit
+from .coloring import Coloring, first_fit, list_color
 from .errors import (InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     max_degree_in)
@@ -186,25 +186,13 @@ def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
 
 def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
                          ) -> dict[int, int]:
-    """Color a catalog graph from per-vertex lists, by exhaustive backtracking.
+    """Color a catalog graph from per-vertex lists: ``list_color``'s first
+    assignment, in the order it was made.
 
     Requires |L(v)| >= d(v)-1, colors that are non-negative integers, and h
     to be one of the catalog shapes, for which a coloring is guaranteed to
     exist; exhausting the search therefore signals a bug or a non-catalog
     input, not an unlucky assignment.
-
-    Each vertex keeps a bitmask of its free colors: its list minus the
-    colors its assigned neighbors hold.  Coloring a vertex clears that
-    color from its uncolored neighbors' masks in place, and backtracking
-    sets it again.  Each step colors the vertex with the fewest free
-    colors, ties to the higher degree, then the lower index, and tries its
-    free colors in increasing order; the first complete assignment is
-    returned in the order it was made.
-
-    The search below a node depends only on the uncolored set and their
-    free masks, so a node whose key failed before fails again and is
-    skipped.  That skips no solution, so the first assignment found, and
-    its order, are the ones the search without the memo finds.
     """
     all_vs = tuple(range(h.n))
     if not (is_k3_join_3k2(h, all_vs) if h.n == 9
@@ -215,56 +203,9 @@ def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
         if min(lists[v], default=0) < 0:
             raise PreconditionError(f"list of vertex {v} holds a negative color")
-
-    adj = h.adj
-    free = [mask_of(lists[v]) for v in all_vs]
-    # the MRV rank below the free-color count: higher degree, then lower
-    # index (a catalog graph has 8 or 9 vertices, so each fits in 4 bits)
-    tie = [(15 - h.degree(v)) << 4 | v for v in all_vs]
-    assigned: dict[int, int] = {}
-    dead: set[tuple[int, ...]] = set()
-
-    def solve(left: int) -> bool:
-        if not left:
-            return True
-        # one pass over the uncolored vertices builds the state's key and
-        # picks the vertex to color
-        state = [left]
-        best = -1
-        m = left
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            f = free[u]
-            state.append(f)
-            rank = f.bit_count() << 8 | tie[u]
-            if best < 0 or rank < best:
-                best, v = rank, u
-        key = tuple(state)
-        if key in dead:
-            return False
-        rest = left & ~(1 << v)
-        nbrs = tuple(bits(adj[v] & rest))
-        cs = free[v]
-        while cs:
-            low = cs & -cs
-            cs ^= low
-            hit = [u for u in nbrs if free[u] & low]
-            for u in hit:
-                free[u] ^= low
-            assigned[v] = low.bit_length() - 1
-            if solve(rest):
-                return True
-            del assigned[v]
-            for u in hit:
-                free[u] |= low
-        dead.add(key)
-        return False
-
-    if not solve(h.full_mask()):
-        raise InternalInconsistencyError(
-            "catalog graph refused a d1-style list assignment")
+    assigned = list_color(h.adj, h.full_mask(), [mask_of(lists[v]) for v in all_vs], {})
+    if assigned is None:
+        raise InternalInconsistencyError("catalog graph refused a d1-style list assignment")
     return assigned
 
 

@@ -59,15 +59,23 @@ class CaseBranch:
     name: str
     sets: tuple[tuple[tuple[str, int], ...], ...]  # ((bag, rep_index), ...) per set
     order: tuple[str, ...]  # elimination sequence of bags; colored in reverse
+    when: tuple[str, int] | None = None  # (bag, least size) the branch needs
 
 
 @dataclass(frozen=True)
 class CaseStrategy:
-    """Strategy data for one class: copycat conclusions plus branches."""
+    """Strategy data for one class: copycat conclusions, then the first branch
+    whose size condition holds, or else ReducibleFound(``fallthrough``)."""
 
     case_id: str
     copycat: tuple[tuple[str, str], ...]  # (larger, smaller): |larger| > |smaller|
     branches: tuple[CaseBranch, ...]
+    fallthrough: str | None = None
+
+    def branch_for(self, sizes: dict[str, int]) -> CaseBranch | None:
+        """The first branch whose size condition ``sizes`` meets, or None."""
+        return next((b for b in self.branches
+                     if b.when is None or sizes[b.when[0]] >= b.when[1]), None)
 
 
 CASE_STRATEGIES: dict[str, CaseStrategy] = {
@@ -75,17 +83,17 @@ CASE_STRATEGIES: dict[str, CaseStrategy] = {
         CaseBranch("two_sets",
                    ((("Q2", 0), ("Q5", 0), ("Q6", 0)),
                     (("Q2", 1), ("Q5", 1), ("Q6", 1))),
-                   ("Q1", "Q4", "Q3", "Q5", "Q2", "Q6")),
+                   ("Q1", "Q4", "Q3", "Q5", "Q2", "Q6"), ("Q6", 2)),
         CaseBranch("one_set",
                    ((("Q2", 0), ("Q5", 0), ("Q6", 0)),),
-                   ("Q1", "Q5", "Q2", "Q4", "Q3", "Q6")),
-    )),
+                   ("Q1", "Q5", "Q2", "Q4", "Q3", "Q6"), ("Q1", 2)),
+    ), "Q1 and Q6 both singletons force a low-degree vertex"),
     "G3": CaseStrategy("G3", (("Q5", "Q6"), ("Q3", "Q7")), (
         CaseBranch("main",
                    ((("Q2", 0), ("Q5", 0), ("Q6", 0)),
                     (("Q1", 0), ("Q3", 0), ("Q7", 0))),
-                   ("Q4", "Q3", "Q5", "Q2", "Q1", "Q6", "Q7")),
-    )),
+                   ("Q4", "Q3", "Q5", "Q2", "Q1", "Q6", "Q7"), ("Q4", 2)),
+    ), "singleton Q4 forces a low-degree vertex"),
     "G4": CaseStrategy("G4", (("Q1", "Q5"),), (
         CaseBranch("main",
                    ((("Q1", 0), ("Q5", 0), ("Q7", 0)),
@@ -126,7 +134,7 @@ CASE_STRATEGIES: dict[str, CaseStrategy] = {
         CaseBranch("anchor_two",
                    ((("A2", 0), ("A5", 0), ("A6", 0)),
                     (("A2", 1), ("A5", 1), ("A6", 1))),
-                   ("A1", "A5", "A2", "A4", "A3", "A6", "A7")),
+                   ("A1", "A5", "A2", "A4", "A3", "A6", "A7"), ("A6", 2)),
     )),
 }
 
@@ -196,8 +204,8 @@ def _strategy_h(g: Graph, bags: dict[str, tuple[int, ...]], recurse, trace: list
             colors = _color_without(g, removed, recurse)
             run_step("clique_copy", {"removed": removed, "donor": donor}, g, colors, trace)
             return Coloring(colors, 8)
-    if len(bags["A6"]) >= 2:
-        return _lemma1(g, "H", "anchor_two", bags, trace)
+    if branch := CASE_STRATEGIES["H"].branch_for(_sizes(bags)):
+        return _lemma1(g, "H", branch.name, bags, trace)
     # pendant peel: color the rest, then fill each pendant clique greedily
     a7 = tuple(bags["A7"])
     colors = _color_without(g, a7, recurse)
@@ -260,16 +268,6 @@ def apply_case_strategy(gstar: Graph, case_id: str, bags: dict[str, tuple[int, .
             raise PreconditionError("the H strategy needs a recursion callback")
         return _strategy_h(gstar, bags, recurse, trace)
 
-    if case_id == "G2":
-        if sizes["Q6"] >= 2:
-            return _lemma1(gstar, "G2", "two_sets", bags, trace)
-        if sizes["Q1"] >= 2:
-            return _lemma1(gstar, "G2", "one_set", bags, trace)
-        return ReducibleFound("Q1 and Q6 both singletons force a low-degree vertex")
-
-    if case_id == "G3":
-        if sizes["Q4"] >= 2:
-            return _lemma1(gstar, "G3", "main", bags, trace)
-        return ReducibleFound("singleton Q4 forces a low-degree vertex")
-
-    return _lemma1(gstar, case_id, "main", bags, trace)
+    if (branch := strat.branch_for(sizes)) is None:
+        return ReducibleFound(strat.fallthrough)
+    return _lemma1(gstar, case_id, branch.name, bags, trace)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .cographs import cograph_coloring_with_palette, is_cograph
+from .cographs import cograph_coloring_with_palette
 from .errors import GraphFormatError, PreconditionError
 from .graph import Graph, bits, build_graph, component_masks, is_connected, mask_of
 from .patterns import clique_number, induced_p4
@@ -339,9 +339,6 @@ def lift_coloring(g: Graph, reduction: CliqueReduction,
             raise GraphFormatError(f"vertex {min(outside)} not in graph of order {g.n}")
         if not set(kept) <= set(unit) or not g.is_clique(kept):
             raise PreconditionError("retained vertices are not a clique of their unit")
-        um = mask_of(unit)
-        if not is_cograph(g, um):
-            raise PreconditionError("corrupted lift data: unit is not a cograph")
-        out.update(cograph_coloring_with_palette(g, um, palette,
+        out.update(cograph_coloring_with_palette(g, mask_of(unit), palette,
                                                  {v: star_colors[v] for v in kept}))
     return out

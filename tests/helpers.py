@@ -9,7 +9,9 @@ module-level one replaced, the ``reference_find_*`` functions are the
 four hand-written induced-P4 walks that ``patterns.induced_p4`` replaced,
 the ``reference_is_*`` functions the catalog shape tests that built
 induced copies, ``reference_extend_list_coloring`` the list-coloring
-search before it kept free-color masks in place and memoized failures, and
+search before it kept free-color masks in place and memoized failures,
+``reference_colorable_with`` the recursive DSATUR search the oracle ran
+before both became one explicit-stack list search, and
 ``reference_verify_coloring`` the edge walk that ``verify_coloring`` ran
 before it tested color-class masks, ``reference_parse_graph6`` the graph6
 reader that decoded one edge at a time before ``parse_graph6`` read whole
@@ -463,6 +465,73 @@ def reference_extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | s
         raise InternalInconsistencyError(
             "catalog graph refused a d1-style list assignment")
     return assigned
+
+
+# ``oracle.colorable_with`` before it ran on ``coloring.list_color``: a
+# recursive DSATUR search over per-vertex neighbor-color sets, kept verbatim
+# as its reference.
+
+def reference_colorable_with(g: Graph, k: int, seed_clique: tuple[int, ...] | None = None
+                             ) -> dict[int, int] | None:
+    """Deterministic k-colorability search; returns a coloring or None.
+
+    Symmetry is broken by pre-coloring a maximum clique 1..|K| and by letting
+    a vertex open at most one fresh color beyond those already used.  The
+    branching vertex is the most saturated one (ties: highest degree, then
+    smallest id), a DSATUR-style choice.
+    """
+    if k <= 0:
+        return {} if g.n == 0 else None
+    if seed_clique is None:
+        _, seed_clique = clique_number(g)
+    if len(seed_clique) > k:
+        return None
+    colors: dict[int, int] = {}
+    neighbor_colors: dict[int, set[int]] = {v: set() for v in range(g.n)}
+
+    def set_color(v: int, c: int) -> None:
+        colors[v] = c
+        for u in bits(g.adj[v]):
+            neighbor_colors[u].add(c)
+
+    def unset_color(v: int, c: int) -> None:
+        del colors[v]
+        for u in bits(g.adj[v]):
+            if all(colors.get(w) != c for w in bits(g.adj[u])):
+                neighbor_colors[u].discard(c)
+
+    for i, v in enumerate(seed_clique):
+        set_color(v, i + 1)
+
+    def pick() -> int | None:
+        best = None
+        key = None
+        for v in range(g.n):
+            if v in colors:
+                continue
+            cand = (len(neighbor_colors[v]), g.degree(v), -v)
+            if key is None or cand > key:
+                key = cand
+                best = v
+        return best
+
+    def solve(used: int) -> bool:
+        v = pick()
+        if v is None:
+            return True
+        limit = min(k, used + 1)
+        for c in range(1, limit + 1):
+            if c in neighbor_colors[v]:
+                continue
+            set_color(v, c)
+            if solve(max(used, c)):
+                return True
+            unset_color(v, c)
+        return False
+
+    if solve(len(seed_clique)):
+        return dict(colors)
+    return None
 
 
 def reference_verify_coloring(g: Graph, coloring: Coloring) -> bool:

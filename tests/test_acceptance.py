@@ -189,15 +189,10 @@ BRANCHES = [("G2", "two_sets", 5), ("G2", "one_set", 6), ("G3", "main", 5),
             ("H", "anchor_two", 5)]
 
 
-def _branch_of(cid: str, sizes: dict[str, int]) -> str:
-    if cid == "G2":
-        return ("two_sets" if sizes["Q6"] >= 2
-                else "one_set" if sizes["Q1"] >= 2 else "tail")
-    if cid == "G3":
-        return "main" if sizes["Q4"] >= 2 else "tail"
-    if cid == "H":
-        return "anchor_two" if sizes["A6"] >= 2 else "other"
-    return "main"
+def _branch_of(cid: str, sizes: dict[str, int]) -> str | None:
+    """The branch the strategy table routes these bag sizes to, if any."""
+    branch = CASE_STRATEGIES[cid].branch_for(sizes)
+    return branch and branch.name
 
 
 def _served_by(cid: str, branch: str):

@@ -99,6 +99,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["color", path]) == 2
 
 
+@pytest.mark.parametrize("name, text", [("huge.col", "p edge 100000000000000 0\n"),
+                                        ("huge.el", "100000000000000 0\n")])
+def test_a_huge_vertex_count_is_a_parse_error(tmp_path, capsys, name, text):
+    # once a raw MemoryError traceback, exit 1
+    assert main(["color", write(tmp_path, name, text)]) == 2
+    assert one_error_line(capsys) == (
+        "error: 100000000000000 vertices is above the supported 262143\n")
+
+
 def test_detect_c5(tmp_path, capsys):
     from pentagem.graph import cycle_graph
     path = write(tmp_path, "c5.el", write_edgelist(cycle_graph(5)))
@@ -397,6 +406,18 @@ def test_replay_rejects_an_oracle_line_over_the_cap_before_searching(tmp_path, c
         "end\n", f"color oracle vs={vs} k=2\nend\n"))
     assert main(["replay", path, trace]) == 2
     assert "cap is 30" in one_error_line(capsys)
+
+
+def test_replay_runs_an_oracle_line_with_a_huge_k_quickly(tmp_path, capsys):
+    # the search's lists stop at n colors, so k=10**12 builds no huge mask
+    g = cycle_graph(5)
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace(
+        [TraceEvent("oracle", {"vs": tuple(range(5)), "k": 10 ** 12})], 3, *fingerprint(g))))
+    start = time.perf_counter()
+    assert main(["replay", path, trace]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "palette 3\n0 1\n1 2\n2 1\n3 2\n4 3\n"
 
 
 @pytest.mark.parametrize("k", [0, 9, 1000000])

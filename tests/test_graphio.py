@@ -35,6 +35,21 @@ def test_dimacs_rejects_garbage():
         parse_dimacs("p edge 2 1\ne 1 5\n")
 
 
+def test_dimacs_rejects_an_order_above_the_graph6_limit():
+    # once a MemoryError from allocating the rows; the limit is 2^18 - 1
+    with pytest.raises(GraphFormatError, match="262144 vertices is above the supported 262143"):
+        parse_dimacs("p edge 262144 0\n")
+    with pytest.raises(GraphFormatError, match="above the supported"):
+        parse_dimacs("p edge 100000000000000 0\n")
+
+
+def test_edgelist_rejects_an_order_above_the_graph6_limit():
+    with pytest.raises(GraphFormatError, match="262144 vertices is above the supported 262143"):
+        parse_edgelist("262144 0\n")
+    with pytest.raises(GraphFormatError, match="above the supported"):
+        parse_edgelist("100000000000000 0\n")
+
+
 def test_edgelist_round_trip():
     g = complete_graph(4)
     assert parse_edgelist(write_edgelist(g)) == g

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import sys
 import time
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem import patterns
-from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union,
+from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union, empty_graph,
                             induced_subgraph, join, mask_of, path_graph)
 from pentagem.graphio import parse_graph
 from pentagem.instances import gallery_g1, gallery_g2
@@ -260,3 +261,16 @@ def test_walker_matches_the_reference_walks(seed, n, p):
     for pattern, find in REFERENCE.items():
         hit = find(sub)
         assert induced_p4(g, mask, FIFTH[pattern]) == (hit and tuple(ids[v] for v in hit))
+
+
+def test_the_walk_holds_no_table_of_rows():
+    # 20,000 isolated vertices: a table of closed neighborhoods, each as
+    # long as its vertex's id, takes about 110 MB
+    g = empty_graph(20000)
+    tracemalloc.start()
+    try:
+        assert find_induced(g, "P5") is None and induced_p4(g, g.full_mask()) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20

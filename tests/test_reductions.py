@@ -271,6 +271,22 @@ def test_list_extension_matches_the_reference_search(data):
     assert list(got.items()) == list(reference_extend_list_coloring(h, lists).items())
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_list_extension_matches_the_reference_on_interchangeable_colors(data):
+    # Lists as solve builds them: one palette 1..k less a few colors per
+    # vertex.  Many colors then lie in exactly the same lists, and the
+    # search tries only the lowest unused one of each such set.
+    h = data.draw(st.sampled_from(CATALOG_SHAPES))
+    k = data.draw(st.integers(h.max_degree() - 1, 10))
+    lists = {}
+    for v in range(h.n):
+        drop = data.draw(st.sets(st.integers(1, k), max_size=k - h.degree(v) + 1))
+        lists[v] = frozenset(range(1, k + 1)) - drop
+    got = extend_list_coloring(h, lists)
+    assert list(got.items()) == list(reference_extend_list_coloring(h, lists).items())
+
+
 def catalog_corpus():
     """Seeded random graphs, n 8..13, density 0.5..0.85; every third one with
     n >= 9 has a K3 v 3K2 planted on nine random vertices."""

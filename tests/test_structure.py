@@ -2,12 +2,14 @@ import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentagem import cographs, patterns
 from pentagem.cographs import cograph_coloring_with_palette
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PentagemError, PreconditionError
@@ -382,6 +384,50 @@ def test_a_lift_takes_no_frame_per_level_of_its_unit():
     finally:
         sys.setrecursionlimit(limit)
     assert verify_coloring(g, Coloring(lifted, omega)) and len(lifted) == g.n
+
+
+def test_a_lift_splits_each_unit_once_with_no_clique_search(monkeypatch):
+    # clique numbers come from the split itself, so the threshold graph's
+    # 450 joins take no clique search, and the unit is split only once
+    g = threshold_graph(900)
+    omega, kept = clique_number(g)
+    red = CliqueReduction(kept, {}, ((tuple(range(g.n)), kept),))
+
+    def searched(*args):
+        raise AssertionError("the lift ran a clique search")
+
+    splits = []
+    split = cographs.cograph_split
+
+    def counted(g, mask):
+        splits.append(mask)
+        return split(g, mask)
+
+    monkeypatch.setattr(patterns, "_lex_cliques", searched)
+    monkeypatch.setattr(cographs, "cograph_split", counted)
+    lifted = lift_coloring(g, red, {v: i + 1 for i, v in enumerate(kept)})
+    assert verify_coloring(g, Coloring(lifted, omega)) and splits == [g.full_mask()]
+
+
+def test_a_lift_of_a_small_unit_on_a_large_host_stays_small():
+    # an edge on a 40,000-vertex host: complement rows for the whole host,
+    # each as long as its vertex's id, take about 108 MB
+    g = build_graph(40000, [(0, 1)])
+    red = CliqueReduction((0, 1), {}, (((0, 1), (0, 1)),))
+    tracemalloc.start()
+    try:
+        lifted = lift_coloring(g, red, {0: 2, 1: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lifted == {0: 2, 1: 1} and peak < 5 * 2 ** 20
+
+
+def test_a_lift_names_the_p4_of_a_unit_that_is_not_a_cograph():
+    g = path_graph(4)
+    red = CliqueReduction((1, 2), {}, (((0, 1, 2, 3), (1, 2)),))
+    with pytest.raises(PreconditionError, match=r"vertices \(0, 1, 2, 3\) hold an induced P4"):
+        lift_coloring(g, red, {1: 1, 2: 2})
 
 
 def test_reduce_shrinks_k2_k1_bag_to_its_edge():
