@@ -1,5 +1,7 @@
 """Colorings, degeneracy orders, the independent-sets coloring engine, and
 ``list_color``, the exact list search behind the oracle and catalog extension.
+Each works on the subgraph a vertex mask induces in a host graph (all of it
+by default), in the host's own vertex ids, so no caller builds a copy.
 
 The engine realizes the workhorse bound: if pairwise disjoint independent
 sets I_1..I_t are removed and the remainder admits a vertex order with
@@ -52,9 +54,11 @@ def verify_coloring(g: Graph, coloring: Coloring) -> bool:
     return not any(a & classes[c[v]] for v, a in enumerate(g.adj))
 
 
-def back_degree_profile(g: Graph, order: list[int] | tuple[int, ...]) -> int:
-    """Maximum over v of the number of neighbors earlier in ``order``."""
-    if sorted(order) != list(range(g.n)):
+def back_degree_profile(g: Graph, order: list[int] | tuple[int, ...],
+                        mask: int | None = None) -> int:
+    """Maximum over v of the number of neighbors earlier in ``order``, which
+    lists each vertex of ``mask`` (default: all of ``g``) once."""
+    if sorted(order) != list(bits(g.full_mask() if mask is None else mask)):
         raise PreconditionError("order is not a permutation of the vertex set")
     seen = 0
     worst = 0
@@ -64,13 +68,14 @@ def back_degree_profile(g: Graph, order: list[int] | tuple[int, ...]) -> int:
     return worst
 
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Smallest-last order: repeatedly peel a minimum-degree vertex.
+def degeneracy_order(g: Graph, mask: int | None = None) -> list[int]:
+    """Smallest-last order of ``g``, or of the subgraph it induces on
+    ``mask``: repeatedly peel a minimum-degree vertex.
 
     The returned order realizes back-degree equal to the degeneracy; ties
     break toward smaller vertex ids, so the order is deterministic.
     """
-    alive = g.full_mask()
+    alive = g.full_mask() if mask is None else mask
     peeled: list[int] = []
     while alive:
         v = min(bits(alive), key=lambda u: ((g.adj[u] & alive).bit_count(), u))
@@ -108,8 +113,8 @@ def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
 def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | None:
     """The first proper coloring of the subgraph ``adj`` induces on ``mask``
     that keeps the ``fixed`` colors and gives each other vertex v a color of
-    its list, the bitmask ``free[v]`` (fixed vertices first, then the rest
-    in the order colored), or None.
+    its list, the bitmask ``free[v]`` (``free`` is keyed by vertex), fixed
+    vertices first, then the rest in the order colored; or None.
 
     An exact search on an explicit stack.  It colors the vertex with the
     fewest free colors (ties: more neighbors in ``mask``, then lower id)
@@ -119,13 +124,15 @@ def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | 
     depends only on its uncolored set and their free masks, so a node whose
     key failed once is cut.  Neither cut removes the first solution.
     """
-    free, colors = list(free), dict(fixed)
-    used, left = mask_of(fixed.values()), mask & ~mask_of(fixed)
+    colors, used, left = dict(fixed), mask_of(fixed.values()), mask & ~mask_of(fixed)
+    free = {u: free[u] for u in bits(left)}
     for v, c in fixed.items():
-        for u in bits(adj[v] & mask):
+        for u in bits(adj[v] & left):
             free[u] &= ~(1 << c)
-    width, shift = mask.bit_length(), 2 * mask.bit_length()
-    tie = {u: (width - (adj[u] & mask).bit_count()) << width | u for u in bits(left)}
+    # w bits hold any id or degree in mask, so one int ranks (size, tie)
+    w = mask.bit_length().bit_length()
+    top, shift = (1 << w) - 1, 2 * w
+    tie = {u: (top - (adj[u] & mask).bit_count()) << w | u for u in free}
     # sets of two or more colors that exactly the same uncolored vertices list
     lists = {free[u] for u in tie}
     twins = [reduce(int.__or__, lists, 0)]
@@ -183,30 +190,32 @@ def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,
 
 
 def color_with_independent_sets(g: Graph, sets: list[tuple[int, ...]], k: int,
-                                order: list[int] | None = None) -> Coloring:
-    """k-color ``g`` from disjoint independent sets plus a degenerate remainder.
+                                order: list[int] | None = None,
+                                mask: int | None = None) -> Coloring:
+    """k-color ``g``, or the subgraph it induces on ``mask``, from disjoint
+    independent sets plus a degenerate remainder.
 
     ``order`` (over the remainder) may be supplied; otherwise a smallest-last
     order is computed.  The back-degree bound k-t-1 is always checked, never
     trusted.  Set j (1-based) receives color k-j+1; greedy uses 1..k-t.
     """
+    mask = g.full_mask() if mask is None else mask
     t = len(sets)
     if t > k:
         raise PreconditionError("more independent sets than colors")
     taken = 0
     for s in sets:
+        if not all(v >= 0 and mask >> v & 1 for v in s):
+            raise PreconditionError("a reserved set leaves the vertex set")
         sm = mask_of(s)
         if sm & taken:
             raise PreconditionError("independent sets are not disjoint")
         if not g.is_independent(s):
             raise PreconditionError("a reserved set is not independent")
         taken |= sm
-    remainder = [v for v in range(g.n) if not taken & (1 << v)]
     if order is None:
-        from .graph import induced_subgraph
-        sub, ids = induced_subgraph(g, remainder)
-        order = [ids[v] for v in degeneracy_order(sub)]
-    elif sorted(order) != remainder:
+        order = degeneracy_order(g, mask & ~taken)
+    elif sorted(order) != list(bits(mask & ~taken)):
         raise PreconditionError("order must enumerate exactly the remainder")
 
     seen = 0

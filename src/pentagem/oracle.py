@@ -3,14 +3,15 @@
 
 Validation oracle for the whole pipeline and the coloring routine for the
 perfect case (no induced C5), where the chromatic number is known to equal
-the clique number and only a witness is needed.
+the clique number and only a witness is needed.  ``colorable_with`` searches
+a graph or the subgraph a vertex mask induces in it, in the graph's own ids.
 """
 
 from __future__ import annotations
 
 from .coloring import Coloring, degeneracy_order, greedy_color, list_color
 from .errors import OracleCapExceeded
-from .graph import Graph
+from .graph import Graph, bits
 from .patterns import clique_number
 
 __all__ = ["DEFAULT_ORACLE_CAP", "exact_chromatic", "colorable_with"]
@@ -18,24 +19,26 @@ __all__ = ["DEFAULT_ORACLE_CAP", "exact_chromatic", "colorable_with"]
 DEFAULT_ORACLE_CAP = 24
 
 
-def colorable_with(g: Graph, k: int, seed_clique: tuple[int, ...] | None = None
-                   ) -> dict[int, int] | None:
-    """Deterministic k-colorability search; returns a coloring or None.
+def colorable_with(g: Graph, k: int, seed_clique: tuple[int, ...] | None = None,
+                   mask: int | None = None) -> dict[int, int] | None:
+    """Deterministic k-colorability search of ``g``, or of the subgraph it
+    induces on ``mask``; returns a coloring or None.
 
     A maximum clique is fixed to colors 1..|K|, and every other vertex gets
     the list 1..k, so the list search branches on the most saturated vertex
     (ties: highest degree, then smallest id), a DSATUR-style choice, and
     opens at most one fresh color at a time.  It therefore never reaches a
-    color above n, and the lists stop at min(k, n).
+    color above n, the vertices searched, and the lists stop at min(k, n).
     """
+    mask = g.full_mask() if mask is None else mask
     if k <= 0:
-        return {} if g.n == 0 else None
+        return None if mask else {}
     if seed_clique is None:
-        _, seed_clique = clique_number(g)
+        _, seed_clique = clique_number(g, mask)
     if len(seed_clique) > k:
         return None
-    return list_color(g.adj, g.full_mask(), [(1 << min(k, g.n) + 1) - 2] * g.n,
-                      {v: i + 1 for i, v in enumerate(seed_clique)})
+    lists = dict.fromkeys(bits(mask), (1 << min(k, mask.bit_count()) + 1) - 2)
+    return list_color(g.adj, mask, lists, {v: i + 1 for i, v in enumerate(seed_clique)})
 
 
 def exact_chromatic(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Coloring]:

@@ -184,26 +184,27 @@ def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | set[int]]
+def extend_list_coloring(g: Graph, lists: dict[int, frozenset[int] | set[int]]
                          ) -> dict[int, int]:
-    """Color a catalog graph from per-vertex lists: ``list_color``'s first
-    assignment, in the order it was made.
+    """Color the catalog graph ``g`` induces on the keys of ``lists`` from
+    those lists: ``list_color``'s first assignment, in the order it was
+    made, in ``g``'s vertex ids.
 
-    Requires |L(v)| >= d(v)-1, colors that are non-negative integers, and h
-    to be one of the catalog shapes, for which a coloring is guaranteed to
-    exist; exhausting the search therefore signals a bug or a non-catalog
-    input, not an unlucky assignment.
+    Requires |L(v)| >= d(v)-1, colors that are non-negative integers, and
+    the keys to induce one of the catalog shapes, for which a coloring is
+    guaranteed to exist; exhausting the search therefore signals a bug or a
+    non-catalog input, not an unlucky assignment.
     """
-    all_vs = tuple(range(h.n))
-    if not (is_k3_join_3k2(h, all_vs) if h.n == 9
-            else is_k4_join_two_nonedges(h, all_vs) if h.n == 8 else False):
+    mask = mask_of(lists)
+    vs = tuple(bits(mask))
+    if not (is_k3_join_3k2(g, vs) or is_k4_join_two_nonedges(g, vs)):
         raise PreconditionError("graph is not one of the catalog shapes")
-    for v in all_vs:
-        if len(lists.get(v, ())) < h.degree(v) - 1:
+    for v in vs:
+        if len(lists[v]) < (g.adj[v] & mask).bit_count() - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
         if min(lists[v], default=0) < 0:
             raise PreconditionError(f"list of vertex {v} holds a negative color")
-    assigned = list_color(h.adj, h.full_mask(), [mask_of(lists[v]) for v in all_vs], {})
+    assigned = list_color(g.adj, mask, {v: mask_of(lists[v]) for v in vs}, {})
     if assigned is None:
         raise InternalInconsistencyError("catalog graph refused a d1-style list assignment")
     return assigned
@@ -474,30 +475,32 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
         raise PreconditionError("degree reduction starts at maximum degree 10")
     if has_clique(g, g.full_mask(), delta):
         raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds Delta-1")
-    colors = _delta_reduce(g, g.full_mask(),
+    colors = _delta_reduce(g, g.full_mask(), delta,
                            lambda rest: color_base(*induced_subgraph(g, bits(rest))), trace)
     return Coloring(colors, delta - 1)
 
 
-def _delta_reduce(host: Graph, mask: int, color_base, trace: list | None) -> dict[int, int]:
-    """``delta_reduce`` on the subgraph of ``host`` induced on ``mask``, in
-    host vertices; ``color_base(rest)`` colors a Delta = 9 rest given as a
-    host bitmask.
+def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | None
+                  ) -> dict[int, int]:
+    """``delta_reduce`` on the subgraph of ``host`` induced on ``mask``, of
+    maximum degree ``delta``, in host vertices; ``color_base(rest)`` colors
+    a Delta = 9 rest given as a host bitmask.
 
     One loop runs the levels on host masks, with no induced copy: each
     takes ``_hitting_set`` of the current mask with its components capped
     at ``bacso_tuza_bound`` of the level's Delta, pushes the set and Delta
     on a stack, and goes on with the rest until the degree drops by 2 or
-    more or reaches 9.  The terminal then colors the rest through
-    ``trace.run_step``, the apply replay runs, and the stack is emptied
-    innermost level first, one ``delta_set`` step each.
+    more or reaches 9 (a mask of Delta 9 runs no level).  The terminal
+    then colors the rest through ``trace.run_step``, the apply replay runs,
+    or ``color_base``, and the stack is emptied innermost level first, one
+    ``delta_set`` step each.
     """
     from .trace import run_step
 
     adj = host.adj
-    delta = max_degree_in(adj, mask)
     levels: list[tuple[int, int]] = []
-    while True:
+    colors: dict[int, int] = {}
+    while delta > 9:
         peeled = _hitting_set(host, mask, delta, bacso_tuza_bound(delta))
         levels.append((peeled, delta))
         mask &= ~peeled
@@ -505,14 +508,13 @@ def _delta_reduce(host: Graph, mask: int, color_base, trace: list | None) -> dic
         if d_sub > delta - 1:
             raise InternalInconsistencyError("removing a maximum independent set "
                                              "failed to lower the maximum degree")
-        if d_sub <= delta - 2 or d_sub == 9:
+        if d_sub <= delta - 3:
+            run_step("greedy", {"vs": tuple(bits(mask)), "k": delta - 2}, host, colors, trace)
+            break
+        if d_sub == delta - 2:
+            run_step("brooks", {"vs": tuple(bits(mask)), "delta": d_sub}, host, colors, trace)
             break
         delta = d_sub
-    colors: dict[int, int] = {}
-    if d_sub <= delta - 3:
-        run_step("greedy", {"vs": tuple(bits(mask)), "k": delta - 2}, host, colors, trace)
-    elif d_sub == delta - 2:
-        run_step("brooks", {"vs": tuple(bits(mask)), "delta": d_sub}, host, colors, trace)
     else:
         colors = color_base(mask)
     # a delta_set reads no graph, so none is passed

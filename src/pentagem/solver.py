@@ -158,8 +158,7 @@ def _raise_if_not_free(g: Graph) -> None:
             f"{witness.vertices}", witness)
 
 
-def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
-                     clique_ok: bool, omega_bound: int) -> None:
+def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str, omega_bound: int) -> None:
     """Shared precondition policy.
 
     Freeness is the headline class requirement, so when it fails alongside a
@@ -168,11 +167,12 @@ def _structural_gate(g: Graph, degree_ok: bool, degree_msg: str,
     structure theorem only to classify an irreducible core, and classify
     re-raises the witness error at exactly that point.  (This keeps the
     second gallery family, which contains gems by construction, colorable
-    end to end, as the acceptance suite requires.)  ``clique_ok`` says the
-    clique number is at most ``omega_bound``; the exact clique number and
-    its lex-least witness are computed only to report a violation.
+    end to end, as the acceptance suite requires.)  The clique bound,
+    ``omega_bound``, is tested only once the degree test passes, by
+    ``has_clique``; the exact clique number and its lex-least witness are
+    computed only to report a violation.
     """
-    if degree_ok and clique_ok:
+    if degree_ok and not has_clique(g, g.full_mask(), omega_bound + 1):
         return
     _raise_if_not_free(g)
     if not degree_ok:
@@ -185,8 +185,7 @@ def color8(g: Graph) -> tuple[Coloring, ReductionTrace]:
     """8-color a (P5, gem)-free graph with maximum degree at most 9 and
     clique number at most 8; returns the coloring plus a replayable trace."""
     delta = g.max_degree()
-    _structural_gate(g, delta <= 9, f"maximum degree {delta} exceeds 9",
-                     not has_clique(g, g.full_mask(), 9), 8)
+    _structural_gate(g, delta <= 9, f"maximum degree {delta} exceeds 9", 8)
     events: list[TraceEvent] = []
     colors = _color8(g, g.full_mask(), events)
     coloring = Coloring(colors, 8)
@@ -204,22 +203,17 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
     freeness requirement is enforced lazily (see ``_structural_gate``).
     """
     delta = g.max_degree()
-    _structural_gate(g, delta >= 9, f"maximum degree {delta} is below 9",
-                     not has_clique(g, g.full_mask(), delta), delta - 1)
+    _structural_gate(g, delta >= 9, f"maximum degree {delta} is below 9", delta - 1)
     events: list[TraceEvent] = []
-    if delta == 9:
-        colors = _color8(g, g.full_mask(), events)
-        coloring = Coloring(colors, 8)
-    else:
-        try:
-            colors = _delta_reduce(g, g.full_mask(),
-                                   lambda rest: _color8(g, rest, events), events)
-        except InternalInconsistencyError:
-            # the lazy gate let the input through: a fruitless search on a
-            # graph outside the class reports the forbidden pattern
-            _raise_if_not_free(g)
-            raise
-        coloring = Coloring(colors, delta - 1)
+    try:  # at Delta = 9, no level: the base case colors the whole graph
+        colors = _delta_reduce(g, g.full_mask(), delta, lambda rest: _color8(g, rest, events),
+                               events)
+    except InternalInconsistencyError:
+        # the lazy gate let the input through: a fruitless search on a
+        # graph outside the class reports the forbidden pattern
+        _raise_if_not_free(g)
+        raise
+    coloring = Coloring(colors, delta - 1)
     if not verify_coloring(g, coloring):
         raise InternalInconsistencyError("solver produced an improper coloring")
     n, m, hist = fingerprint(g)

@@ -167,25 +167,18 @@ def _lemma1(g: Graph, case_id: str, branch: str, bags: dict[str, tuple[int, ...]
     """Reserve the branch's sets, then color through the ``lemma1`` step, or
     the ``oracle`` step when no checked order meets the bound."""
     sets, order = published_plan(case_id, branch, bags)
-    t = len(sets)
-    bound = 8 - t - 1
-    removed = set().union(*map(set, sets))
-    remainder = sorted(v for v in range(g.n) if v not in removed)
-    sub, ids = induced_subgraph(g, remainder)
-    pos = {v: i for i, v in enumerate(ids)}
-    fallback = False
+    bound = 8 - len(sets) - 1
+    rest = g.full_mask() & ~mask_of(v for s in sets for v in s)
+    data = {"vs": tuple(range(g.n)), "k": 8, "case": case_id, "branch": branch}
     colors: dict[int, int] = {}
-    if back_degree_profile(sub, [pos[v] for v in order]) > bound:
-        fallback = True
-        order = [ids[i] for i in degeneracy_order(sub)]
-        if back_degree_profile(sub, [pos[v] for v in order]) > bound:
+    if fallback := back_degree_profile(g, order, rest) > bound:
+        order = degeneracy_order(g, rest)
+        if back_degree_profile(g, order, rest) > bound:
             check_oracle_core(g.n)
-            run_step("oracle", {"vs": tuple(range(g.n)), "k": 8, "case": case_id,
-                                "branch": branch}, g, colors, trace)
+            run_step("oracle", data, g, colors, trace)
             return Coloring(colors, 8)
-    run_step("lemma1", {"vs": tuple(range(g.n)), "sets": tuple(sets), "order": tuple(order),
-                        "k": 8, "case": case_id, "branch": branch, "fallback": fallback},
-             g, colors, trace)
+    data.update(sets=tuple(sets), order=tuple(order), fallback=fallback)
+    run_step("lemma1", data, g, colors, trace)
     return Coloring(colors, 8)
 
 

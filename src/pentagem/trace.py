@@ -12,11 +12,11 @@ ids), and the ``apply`` that colors from the board.  Dumping, parsing,
 remapping and replay read that table, and the solver records each
 extension and then calls the same ``apply`` that replay calls.
 
-The ``greedy`` and ``brooks`` terminals color on the host graph inside the
-bitmask of their ``vs``, as a copy of the subgraph would be colored; a
-``brooks`` line's ``delta`` must be that subgraph's maximum degree.  Only
-``oracle`` and ``lemma1`` build the subgraph, and an ``oracle`` line over
-more than ``ORACLE_CAP`` vertices is rejected before any search.
+Every ``apply`` colors the graph it is handed inside the bitmask of the
+vertices its fields name, as a copy of that subgraph would be colored, and
+builds no copy: a ``brooks`` line's ``delta`` must be the subgraph's
+maximum degree, and an ``oracle`` line over more than ``ORACLE_CAP``
+vertices is rejected before any search.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .coloring import color_with_independent_sets, first_fit
 from .errors import GraphFormatError, InternalInconsistencyError
-from .graph import Graph, bits, induced_subgraph, mask_of, max_degree_in
+from .graph import Graph, bits, mask_of, max_degree_in
 from .oracle import colorable_with
 from .reductions import bacso_tuza_bound, brooks_mask, copy_colors, extend_list_coloring
 from .structure import CliqueReduction, lift_coloring
@@ -185,16 +185,6 @@ def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:
     colors.update(brooks_mask(g.adj, mask)[0])
 
 
-def _on_subgraph(color):
-    """An ``apply`` that colors the subgraph induced on ``vs`` with
-    ``color(sub, data, ids)``, a coloring keyed by ``sub``'s vertices."""
-    def apply(g: Graph, d: dict, colors: dict[int, int]) -> None:
-        sub, ids = induced_subgraph(g, d["vs"])
-        for i, c in color(sub, d, ids).items():
-            colors[ids[i]] = c
-    return apply
-
-
 ORACLE_CAP = bacso_tuza_bound(9)
 
 
@@ -208,20 +198,21 @@ def check_oracle_core(n: int) -> None:
             "degree 9, as every core solve or apply_case_strategy colors is)")
 
 
-def _oracle(sub: Graph, d: dict, ids) -> dict[int, int]:
-    if sub.n > ORACLE_CAP:
-        raise GraphFormatError(f"oracle line over {sub.n} vertices; the cap is {ORACLE_CAP}")
-    assign = colorable_with(sub, d["k"])
+def _oracle(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """Color ``vs`` exactly with ``k`` colors; ``vs`` must be within the cap."""
+    mask = _mask(g, d["vs"])
+    if (n := mask.bit_count()) > ORACLE_CAP:
+        raise GraphFormatError(f"oracle line over {n} vertices; the cap is {ORACLE_CAP}")
+    assign = colorable_with(g, d["k"], mask=mask)
     if assign is None:
         raise InternalInconsistencyError(f"the oracle found no {d['k']}-coloring")
-    return assign
+    colors.update(assign)
 
 
-def _lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
-    pos = {v: i for i, v in enumerate(ids)}
-    sets = [tuple(pos[v] for v in s) for s in d["sets"]]
-    order = [pos[v] for v in d["order"]]
-    return color_with_independent_sets(sub, sets, d["k"], order=order).colors
+def _lemma1(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """Reserve ``sets`` and color the rest of ``vs`` greedily along ``order``."""
+    colors.update(color_with_independent_sets(g, d["sets"], d["k"], d["order"],
+                                              _mask(g, d["vs"])).colors)
 
 
 def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
@@ -234,12 +225,10 @@ def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
     wm = _mask(g, d["w"])
     if wm.bit_count() != len(d["w"]):
         raise GraphFormatError(f"d1_extend line repeats a vertex in w={_fmt_vs(d['w'])}")
-    sub, ids = induced_subgraph(g, d["w"])
     palette = frozenset(range(1, d["k"] + 1))
-    lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
-             for i, u in enumerate(ids)}
-    for i, c in extend_list_coloring(sub, lists).items():
-        colors[ids[i]] = c
+    colors.update(extend_list_coloring(g, {
+        u: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
+        for u in bits(wm)}))
 
 
 _VS, _K = Field("vs", VERTICES), Field("k", INT)
@@ -249,10 +238,10 @@ STEPS: dict[str, Step] = {
     "brooks": Step("color", (_VS, Field("delta", INT)), _brooks),
     # case and branch are set only when a per-class strategy fell back
     "oracle": Step("color", (_VS, _K, Field("case", STR, None), Field("branch", STR, None)),
-                   _on_subgraph(_oracle)),
+                   _oracle),
     "lemma1": Step("color", (_VS, Field("sets", SETS), Field("order", VERTICES), _K,
                              Field("case", STR, "-"), Field("branch", STR, "-"),
-                             Field("fallback", BOOL, False)), _on_subgraph(_lemma1)),
+                             Field("fallback", BOOL, False)), _lemma1),
     "low_degree": Step("step", (Field("v", VERTEX), _K),
                        lambda g, d, colors: first_fit(g.adj, (d["v"],), d["k"], colors)),
     "copycat": Step("step", (Field("a", VERTICES), Field("b", VERTICES)),

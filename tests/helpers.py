@@ -31,7 +31,9 @@ reduction ran before it became one loop on host masks.
 ``CographCertificate``), ``reference_cotree_clique_number``,
 ``reference_cotree_to_graph`` and ``reference_cograph_coloring_with_palette``
 are the recursive cotree builder and walkers that the explicit-stack split
-of ``pentagem.cographs`` replaced.
+of ``pentagem.cographs`` replaced.  ``REFERENCE_APPLIES`` holds the
+``oracle``, ``lemma1`` and ``d1_extend`` trace applies as they were when
+each built an induced copy of its vertices and colored that.
 ``cocktail_party`` and ``random_cograph`` build the cographs whose many
 maximum cliques defeat a clique search without a coloring bound,
 ``threshold_graph`` the cographs whose decomposition runs deepest, with
@@ -49,14 +51,15 @@ from math import isqrt
 
 from pentagem.errors import (GraphFormatError, InternalInconsistencyError, PentagemError,
                              PreconditionError)
-from pentagem.coloring import Coloring
+from pentagem.coloring import Coloring, color_with_independent_sets
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
                             join, mask_of, max_degree_in, path_graph)
 from pentagem.patterns import clique_number, has_clique, induced_p4
-from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
-from pentagem.trace import run_step
+from pentagem.oracle import colorable_with
+from pentagem.reductions import extend_list_coloring, is_k3_join_3k2, is_k4_join_two_nonedges
+from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
 from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
@@ -227,6 +230,19 @@ def criterion5_members() -> list[tuple[Graph, Template, dict[str, tuple[int, ...
             if len(members) == 120:
                 return members
     return members
+
+
+def catalog_shapes() -> list[Graph]:
+    """K3 v 3K2, then K4 joined to each of the 16 spanning subgraphs of C4:
+    every one keeps the two disjoint non-edges 0-2 and 1-3."""
+    c4_edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    three_k2 = disjoint_union(disjoint_union(complete_graph(2), complete_graph(2)),
+                              complete_graph(2))
+    shapes = [join(complete_graph(3), three_k2)]
+    for r in range(len(c4_edges) + 1):
+        for keep in combinations(c4_edges, r):
+            shapes.append(join(complete_graph(4), build_graph(4, keep)))
+    return shapes
 
 
 def prism_cores() -> list[Graph]:
@@ -1106,3 +1122,58 @@ def reference_match_expansion(g: Graph, template: Template
 
     backtrack(0)
     return result
+
+
+# The ``oracle``, ``lemma1`` and ``d1_extend`` applies of ``pentagem.trace``
+# before they colored the host graph through the mask of their vertices:
+# each built the induced copy and translated ids in and out of it.  Kept
+# verbatim as their references; the functions they call, handed a whole
+# graph, still behave as they did then.
+
+def reference_on_subgraph(color):
+    """An ``apply`` that colors the subgraph induced on ``vs`` with
+    ``color(sub, data, ids)``, a coloring keyed by ``sub``'s vertices."""
+    def apply(g: Graph, d: dict, colors: dict[int, int]) -> None:
+        sub, ids = induced_subgraph(g, d["vs"])
+        for i, c in color(sub, d, ids).items():
+            colors[ids[i]] = c
+    return apply
+
+
+def reference_oracle(sub: Graph, d: dict, ids) -> dict[int, int]:
+    if sub.n > ORACLE_CAP:
+        raise GraphFormatError(f"oracle line over {sub.n} vertices; the cap is {ORACLE_CAP}")
+    assign = colorable_with(sub, d["k"])
+    if assign is None:
+        raise InternalInconsistencyError(f"the oracle found no {d['k']}-coloring")
+    return assign
+
+
+def reference_lemma1(sub: Graph, d: dict, ids) -> dict[int, int]:
+    pos = {v: i for i, v in enumerate(ids)}
+    sets = [tuple(pos[v] for v in s) for s in d["sets"]]
+    order = [pos[v] for v in d["order"]]
+    return color_with_independent_sets(sub, sets, d["k"], order=order).colors
+
+
+def reference_d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """List-color the removed catalog graph W: each vertex may take any color
+    in 1..k that none of its colored neighbors outside W holds.  A k outside
+    1..n, for a graph of order n, or a vertex listed twice in W is rejected
+    before any list is built."""
+    if not 1 <= d["k"] <= g.n:
+        raise GraphFormatError(f"d1_extend line says k={d['k']}, outside 1..{g.n}")
+    wm = _mask(g, d["w"])
+    if wm.bit_count() != len(d["w"]):
+        raise GraphFormatError(f"d1_extend line repeats a vertex in w={_fmt_vs(d['w'])}")
+    sub, ids = induced_subgraph(g, d["w"])
+    palette = frozenset(range(1, d["k"] + 1))
+    lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
+             for i, u in enumerate(ids)}
+    for i, c in extend_list_coloring(sub, lists).items():
+        colors[ids[i]] = c
+
+
+REFERENCE_APPLIES = {"oracle": reference_on_subgraph(reference_oracle),
+                     "lemma1": reference_on_subgraph(reference_lemma1),
+                     "d1_extend": reference_d1_extend}

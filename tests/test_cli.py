@@ -454,6 +454,33 @@ def test_replay_rejects_a_d1_extend_line_that_does_not_fit_its_catalog_graph(
     assert reason in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("color oracle vs=0,1,99 k=2", "vertices 0,1,99 are not all in the graph of order 10"),
+    ("color oracle vs=-1,0 k=2", "vertices -1,0 are not all in the graph of order 10"),
+    ("color lemma1 vs=0,1,99 sets=0 order=1 k=8",
+     "vertices 0,1,99 are not all in the graph of order 10"),
+    ("color lemma1 vs=0,1 sets=5 order=1 k=8", "a reserved set leaves the vertex set"),
+    ("color lemma1 vs=0,1 sets=-1 order=0,1 k=8", "a reserved set leaves the vertex set"),
+    ("color lemma1 vs=0,1 sets=0 order=5 k=8", "order must enumerate exactly the remainder"),
+    ("color lemma1 vs=0,1 sets=0,1 order=- k=8", "a reserved set is not independent"),
+    ("color lemma1 vs=2,3,4,5,6,7,8,9 sets=- order=2,3,4,5,6,7,8,9 k=3",
+     "remainder order exceeds back-degree 2 at vertex 5"),
+    ("step d1_extend w=2,3,4,5,6,7,8,9 k=3", "list of vertex 2 below d(v)-1"),
+    ("step d1_extend w=2,3,4,5,6,7,8,99 k=8", "not all in the graph of order 10"),
+    ("step d1_extend w=0,1,2,3,4,5,6,7 k=8", "not one of the catalog shapes"),
+])
+def test_replay_rejects_a_malformed_coloring_line_with_exit_2(tmp_path, capsys, line, reason):
+    # an edge beside K4 joined to C4 (a catalog graph of order 8, on 2..9);
+    # the lines name vertices outside the graph or outside their own vs,
+    # sets that are not independent, orders or lists too short
+    g = disjoint_union(path_graph(2), join(complete_graph(4), cycle_graph(4)))
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 8, *fingerprint(g))).replace(
+        "end\n", f"{line}\nend\n"))
+    assert main(["replay", path, trace]) == 2
+    assert reason in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("lines", [
     ["step delta_set i=0 color=-1", "step low_degree v=1 k=2"],
     ["step delta_set i=0 color=1000000000000", "step low_degree v=1 k=2"],

@@ -22,7 +22,7 @@ from pentagem.reductions import (_independent_subset, _maximal_cliques, bacso_tu
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
 from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
-                     caterpillar, k9_with_ears, random_cograph, random_graph,
+                     caterpillar, catalog_shapes, k9_with_ears, random_cograph, random_graph,
                      reference_extend_list_coloring,
                      reference_hitting_mis, reference_independent_subset,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
@@ -218,17 +218,6 @@ def test_list_extension_random_minimum_lists():
 
 LIST_EXTENSION_SHA256 = "1adcaaf0b2b9c6a9214eeea5b76d704a73654d88e4ae521272ed9625e963cfe1"
 CATALOG_DETECTION_SHA256 = "93590e81d254a79d09a0505c6c85a7ff632e76490bfee16884c5387755bc6883"
-
-
-def catalog_shapes():
-    """K3 v 3K2, then K4 joined to each of the 16 spanning subgraphs of C4:
-    every one keeps the two disjoint non-edges 0-2 and 1-3."""
-    c4_edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    shapes = [join(complete_graph(3), three_k2())]
-    for r in range(len(c4_edges) + 1):
-        for keep in combinations(c4_edges, r):
-            shapes.append(join(complete_graph(4), build_graph(4, keep)))
-    return shapes
 
 
 def test_list_extension_assignments_are_pinned():

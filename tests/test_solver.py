@@ -216,6 +216,21 @@ def test_the_gate_reports_the_pinned_error_and_witness(name):
             assert clique_number(g) == (len(witness), witness)
 
 
+def test_the_clique_bound_is_tested_only_once_the_degree_test_passes(monkeypatch):
+    # once every input paid for the clique test, even one whose degree the
+    # gate rejects: about 5 s of 17 on an empty 258,047-vertex graph
+    def refused(*args):
+        raise AssertionError("the clique bound was tested on a degree the gate rejects")
+
+    monkeypatch.setattr(solver, "has_clique", refused)
+    star = build_graph(11, [(0, v) for v in range(1, 11)])
+    for run, g, message in ((solve, cycle_graph(5), "maximum degree 2 is below 9"),
+                            (solve, empty_graph(3), "maximum degree 0 is below 9"),
+                            (color8, star, "maximum degree 10 exceeds 9")):
+        with pytest.raises(DegreeRangeError, match=message):
+            run(g)
+
+
 def test_solve_runs_no_exact_clique_search_on_in_class_inputs(monkeypatch):
     # the gate answers with has_clique, each degree-reduction level with its
     # clique enumeration; the exact clique number only words a failure
@@ -425,7 +440,8 @@ def test_degree_reduction_matches_the_recursive_reference(monkeypatch):
     graphs += [c5_blowup(a) for a in range(4, 21)]
     graphs += [cocktail_party(k) for k in range(6, 13)]
     got = _solved(graphs)
-    monkeypatch.setattr(solver, "_delta_reduce", reference_delta_reduce)
+    monkeypatch.setattr(solver, "_delta_reduce", lambda host, mask, delta, color_base, trace:
+                        reference_delta_reduce(host, mask, color_base, trace))
     assert _solved(graphs) == got
 
 
@@ -484,7 +500,7 @@ def test_a_degree_10_caterpillar_over_the_bound_reports_its_p5(spine):
     g = caterpillar(spine, leaves=8)
     assert g.max_degree() == 10 and g.n > bacso_tuza_bound(10)
     with pytest.raises(InternalInconsistencyError, match="Bacsó-Tuza bound"):
-        reductions._delta_reduce(g, g.full_mask(), None, None)
+        reductions._delta_reduce(g, g.full_mask(), 10, None, None)
     start = time.perf_counter()
     with pytest.raises(ForbiddenPatternError) as err:
         solve(g)

@@ -156,7 +156,7 @@ def test_g10_all_twos_falls_back():
 
 def test_oracle_fallback_names_its_case_and_branch(monkeypatch):
     # neither the published nor the smallest-last order meets the bound
-    monkeypatch.setattr(strategies, "back_degree_profile", lambda g, order: 99)
+    monkeypatch.setattr(strategies, "back_degree_profile", lambda *args: 99)
     g, out, events = run("G2", sizes_of("G2", 2, 3, 1, 1, 3, 2))
     assert isinstance(out, Coloring) and verify_coloring(g, out)
     assert [e.kind for e in events] == ["oracle"]
@@ -174,7 +174,7 @@ def test_an_oracle_fallback_over_the_cap_is_an_internal_inconsistency(monkeypatc
     # a 36-vertex member on the fallback path, called directly: Delta is 23,
     # so neither solve nor apply_case_strategy (which requires Delta = 9)
     # would hand it over; the oracle is not run on it
-    monkeypatch.setattr(strategies, "back_degree_profile", lambda g, order: 99)
+    monkeypatch.setattr(strategies, "back_degree_profile", lambda *args: 99)
     monkeypatch.setattr(strategies, "run_step", None)
     g, bags = gen_class_instance(GenSpec("G2", sizes_of("G2", 6, 6, 6, 6, 6, 6)))
     with pytest.raises(InternalInconsistencyError, match="36-vertex core"):
