@@ -12,7 +12,7 @@ yields the lexicographically least clique of a given size inside a mask,
 then of each larger size while one exists: ``find_clique`` and
 ``has_clique`` take its first answer, and ``clique_number`` its last.
 Maximum independent sets come from ``mis_mask``, a branch and bound on an
-explicit stack over a host's adjacency masks.
+explicit stack over a host's adjacency masks; no engine path runs it.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from .coloring import Coloring, first_fit, list_color
 from .errors import (InternalInconsistencyError, PreconditionError)
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     max_degree_in)
-from .patterns import _colors_at_least, clique_number, has_clique, mis_mask
+from .patterns import _colors_at_least, clique_number, has_clique
 from .structure import maximal_homogeneous_cliques
 
 __all__ = [
@@ -261,22 +261,6 @@ def _maximal_cliques(adj, mask: int, least: int) -> list[int]:
     return out
 
 
-def _independent_subset(adj, avail: int, need: int) -> int | None:
-    """First independent set of ``need`` vertices inside ``avail``, as a
-    bitmask, taking or else skipping the lowest vertex left; None if none."""
-    stack = [(0, 0, avail)]  # (chosen, its size, pool) of the nodes to visit
-    while stack:
-        chosen, size, pool = stack.pop()
-        if size == need:
-            return chosen
-        if size + pool.bit_count() < need:
-            continue
-        b = pool & -pool
-        stack.append((chosen, size, pool ^ b))
-        stack.append((chosen | b, size + 1, pool & ~adj[b.bit_length() - 1] & ~b))
-    return None
-
-
 def bacso_tuza_bound(d: int) -> int:
     """The most vertices a connected P5-free graph of maximum degree ``d``
     can have.  It has a dominating clique or a dominating induced P3
@@ -287,26 +271,25 @@ def bacso_tuza_bound(d: int) -> int:
 
 
 def hitting_mis(g: Graph) -> tuple[int, ...]:
-    """Maximum independent set that meets every clique of size Delta-1.
+    """Maximal independent set that meets every clique of size Delta-1.
 
     One enumeration of the maximal cliques of at least Delta-1 vertices
     decides everything: a clique of Delta vertices is a PreconditionError,
-    worded with the exact clique number; with no (Delta-1)-clique there is
-    nothing to hit and any maximum independent set qualifies.  In the tight
-    case King's theorem (omega > 2(Delta+1)/3) gives a stable set meeting
-    every maximum clique, not a maximum one, so existence is not
-    guaranteed: K9 plus one new vertex on each pair of cyclically
-    consecutive clique vertices (a graph with a gem) has none.  The set is
-    found by search and verified, and a fruitless search is reported as an
-    internal inconsistency rather than papered over.
+    worded with the exact clique number, and the cliques of Delta-1
+    vertices are the targets.  A search picks a vertex in each target,
+    trying every choice, and then adds the lowest vertex left until none
+    is, so the set dominates the graph and removing it lowers Delta.  With
+    no target the fill alone answers.  King's theorem (a stable set meets
+    every maximum clique once omega > 2(Delta+1)/3) says such a set exists
+    from Delta = 6 on; below that a fruitless search is reported as an
+    internal inconsistency rather than papered over.  The set is verified.
 
     The search runs on each connected component's vertex mask separately,
     always with the whole graph's Delta-1 as the target clique size: a
     component whose own maximum degree is lower can still hold such a
-    clique.  This is exact because a maximum independent set of a disjoint
-    union is a union of maximum independent sets of its components, and
-    every clique lies inside one component.  No component size is capped
-    here, unlike in degree reduction.
+    clique.  Every clique lies inside one component, and a union of
+    maximal independent sets of the components is maximal.  No component
+    size is capped here, unlike in degree reduction.
     """
     return tuple(bits(_hitting_set(g, g.full_mask(), g.max_degree(), g.n)))
 
@@ -315,7 +298,8 @@ def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
     """``hitting_mis`` of the subgraph of ``g`` induced on ``mask``, whose
     maximum degree is ``delta``, as a host bitmask; a component of more
     than ``cap`` vertices is an InternalInconsistencyError, raised before
-    any search."""
+    any search.  A component with no (Delta-1)-clique gets the greedy fill
+    alone."""
     comps = component_masks(g.adj, mask)
     for comp in comps:
         if comp.bit_count() > cap:
@@ -326,48 +310,41 @@ def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
     omega = max((c.bit_count() for cs in cliques for c in cs), default=0)
     if omega >= delta:
         raise PreconditionError(f"clique number {omega} exceeds {delta - 1}")
-    tight = any(cliques)
     found = 0
     for comp, targets in zip(comps, cliques):
-        found |= _hitting_component(g.adj, comp, targets if tight else None)
+        found |= _hitting_component(g.adj, comp, targets)
     return found
 
 
-def _hitting_component(adj, comp: int, targets: list[int] | None) -> int:
-    """Maximum independent set of the connected subgraph ``adj`` induces on
-    ``comp`` that meets every clique of ``targets``, as a bitmask; None
-    when the whole graph has nothing to hit, so any maximum set will do.
+def _hitting_component(adj, comp: int, targets: list[int]) -> int:
+    """Maximal independent set of the connected subgraph ``adj`` induces on
+    ``comp`` that meets every clique of ``targets``, as a bitmask.
 
     The search takes a vertex of the live target (a clique no chosen
     vertex meets yet) with the fewest available vertices, ties to the
-    earlier target, and tries its available vertices lowest first; once
-    every target is hit it fills up with ``_independent_subset``.  The
-    search runs depth first on an explicit stack, in that order.
+    earlier target, and tries its available vertices lowest first, depth
+    first on an explicit stack; a node whose live target has no available
+    vertex is dead.  Once every target is hit it adds the lowest available
+    vertex until none is left.
     """
-    mis = mis_mask(adj, comp)
-    if targets is None:
-        return mis
-    alpha = mis.bit_count()
     stack = [(0, comp, targets)]  # (chosen, available, unhit) of nodes to visit
     while stack:
         chosen, avail, unhit = stack.pop()
-        if chosen.bit_count() + avail.bit_count() < alpha:
-            continue
         live = [t for t in unhit if not t & chosen]
         if live:
             t = min(live, key=lambda t: (t & avail).bit_count())
             stack.extend((chosen | 1 << v, avail & ~adj[v] & ~(1 << v), live)
                          for v in reversed(list(bits(t & avail))))
             continue
-        rest = _independent_subset(adj, avail, alpha - chosen.bit_count())
-        if rest is None:
-            continue
+        while avail:
+            b = avail & -avail
+            chosen |= b
+            avail &= ~adj[b.bit_length() - 1] & ~b
         # verify the hitting property against the full enumeration
-        if not all(t & (chosen | rest) for t in targets):
+        if not all(t & chosen for t in targets):
             raise InternalInconsistencyError("hitting verification failed")
-        return chosen | rest
-    raise InternalInconsistencyError(
-        "no maximum independent set hits every (Delta-1)-clique")
+        return chosen
+    raise InternalInconsistencyError("no independent set hits every (Delta-1)-clique")
 
 
 def _connected_without(adj, mask: int, removed: int) -> bool:
@@ -463,12 +440,13 @@ def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
     ``color_base(sub, ids)`` colors a Delta = 9 graph with 8 colors and
     returns a dict keyed by the ids in ``ids`` (the solver's base case); it
     is handed an induced copy of the rest, built here, since ``_delta_reduce``
-    itself works on the host's masks.  Each level extracts a maximum
-    independent set meeting every large clique, the rest is colored one
-    level cheaper (greedy when the degree drops by 3 or more, Brooks when
-    by 2, the next level otherwise), then one new color goes on the
-    extracted set.  A component over the Bacsó-Tuza bound raises
-    InternalInconsistencyError: it has an induced P5.
+    itself works on the host's masks.  Each level extracts a maximal
+    independent set meeting every large clique, so every vertex left loses
+    a neighbor, the rest is colored one level cheaper (greedy when the
+    degree drops by 3 or more, Brooks when by 2, the next level otherwise),
+    then one new color goes on the extracted set.  A component over the
+    Bacsó-Tuza bound raises InternalInconsistencyError: it has an induced
+    P5.
     """
     delta = g.max_degree()
     if delta < 10:
@@ -486,16 +464,19 @@ def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | 
     maximum degree ``delta``, in host vertices; ``color_base(rest)`` colors
     a Delta = 9 rest given as a host bitmask.
 
-    One loop runs the levels on host masks, with no induced copy: each
-    takes ``_hitting_set`` of the current mask with its components capped
-    at ``bacso_tuza_bound`` of the level's Delta, pushes the set and Delta
-    on a stack, and goes on with the rest until the degree drops by 2 or
-    more or reaches 9 (a mask of Delta 9 runs no level).  The terminal
-    then colors the rest through ``trace.run_step``, the apply replay runs,
-    or ``color_base``, and the stack is emptied innermost level first, one
+    A mask of Delta 9 runs no level and goes straight to ``color_base``.
+    Otherwise one loop runs the levels on host masks, with no induced
+    copy: each takes ``_hitting_set`` of the current mask with its
+    components capped at ``bacso_tuza_bound`` of the level's Delta, pushes
+    the set and Delta on a stack, and goes on with the rest until the
+    degree drops by 2 or more or reaches 9.  The terminal then colors the
+    rest through ``trace.run_step``, the apply replay runs, or
+    ``color_base``, and the stack is emptied innermost level first, one
     ``delta_set`` step each.
     """
-    from .trace import run_step
+    if delta <= 9:
+        return color_base(mask)
+    from .trace import run_step  # trace imports this module
 
     adj = host.adj
     levels: list[tuple[int, int]] = []
@@ -506,7 +487,7 @@ def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | 
         mask &= ~peeled
         d_sub = max_degree_in(adj, mask)
         if d_sub > delta - 1:
-            raise InternalInconsistencyError("removing a maximum independent set "
+            raise InternalInconsistencyError("removing a maximal independent set "
                                              "failed to lower the maximum degree")
         if d_sub <= delta - 3:
             run_step("greedy", {"vs": tuple(bits(mask)), "k": delta - 2}, host, colors, trace)

@@ -209,8 +209,8 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
         colors = _delta_reduce(g, g.full_mask(), delta, lambda rest: _color8(g, rest, events),
                                events)
     except InternalInconsistencyError:
-        # the lazy gate let the input through: a fruitless search on a
-        # graph outside the class reports the forbidden pattern
+        # the lazy gate let the input through: an inconsistency on a graph
+        # outside the class (a component over its Bacsó-Tuza bound) reports its pattern
         _raise_if_not_free(g)
         raise
     coloring = Coloring(colors, delta - 1)

@@ -23,10 +23,12 @@ colors in a set before ``first_fit`` kept a used-color mask, and
 branch and bound (with a greedy-coloring bound) and fixed-size test that
 the iterative ``patterns`` clique search replaced, and
 ``reference_maximum_independent_set``, ``reference_maximal_cliques``,
-``reference_independent_subset``, ``reference_hitting_mis`` (with
-``reference_hitting_component``) and ``reference_delta_reduce`` the
-recursive searches on induced copies, one recursion per level, that degree
-reduction ran before it became one loop on host masks.
+``reference_hitting_mis`` (with ``reference_hitting_component``) and
+``reference_delta_reduce`` the recursive searches on induced copies, one
+recursion per level, that degree reduction ran before it became one loop
+on host masks; the hitting references peel maximal sets, as degree
+reduction does.  ``brute_cliques`` lists every clique of a
+given size, grown one vertex at a time.
 ``reference_is_cograph`` (with its ``CotreeNode`` tree and
 ``CographCertificate``), ``reference_cotree_clique_number``,
 ``reference_cotree_to_graph`` and ``reference_cograph_coloring_with_palette``
@@ -130,8 +132,9 @@ def c5_blowup(a: int) -> Graph:
 def k9_with_ears() -> Graph:
     """K9 on v0..v8 (vertices 0..8) plus w0..w8 (vertices 9..17), where wi
     is adjacent to vi and v(i+1 mod 9).  Delta is 10 and omega 9, so the
-    lazy freeness gate lets it through, but it has a gem and no maximum
-    independent set (the w's) meets the K9."""
+    lazy freeness gate lets it through, but it has a gem.  No maximum
+    independent set (the w's) meets the K9; a maximal one through a clique
+    vertex does."""
     edges = [(u, v) for u in range(9) for v in range(u + 1, 9)]
     edges += [(i, 9 + i) for i in range(9)]
     edges += [((i + 1) % 9, 9 + i) for i in range(9)]
@@ -762,60 +765,36 @@ def reference_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def reference_independent_subset(g: Graph, avail: int, need: int) -> tuple[int, ...] | None:
-    """First independent set of size ``need`` inside ``avail``, or None."""
-    if need == 0:
-        return ()
-
-    def search(chosen: list[int], pool: int) -> tuple[int, ...] | None:
-        if len(chosen) == need:
-            return tuple(chosen)
-        if len(chosen) + pool.bit_count() < need:
-            return None
-        v = (pool & -pool).bit_length() - 1
-        got = search(chosen + [v], pool & ~g.closed(v))
-        if got is not None:
-            return got
-        return search(chosen, pool & ~(1 << v))
-
-    return search([], avail)
-
-
 def reference_hitting_mis(g: Graph) -> tuple[int, ...]:
-    """Maximum independent set that meets every clique of size Delta-1,
+    """Maximal independent set that meets every clique of size Delta-1,
     searched on an induced copy of each component."""
     delta, full = g.max_degree(), g.full_mask()
     if has_clique(g, full, delta):
         raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds {delta - 1}")
-    tight = has_clique(g, full, delta - 1)
     comps = connected_components(g)
     if len(comps) == 1:
-        return reference_hitting_component(g, delta - 1, tight)
+        return reference_hitting_component(g, delta - 1)
     out: list[int] = []
     for comp in comps:
         sub, ids = induced_subgraph(g, comp)
-        out.extend(ids[v] for v in reference_hitting_component(sub, delta - 1, tight))
+        out.extend(ids[v] for v in reference_hitting_component(sub, delta - 1))
     return tuple(sorted(out))
 
 
-def reference_hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, ...]:
-    """Maximum independent set of ``g`` meeting every clique of ``size``
-    vertices; ``tight`` says whether the whole graph has such cliques."""
-    mis = reference_maximum_independent_set(g)
-    if not tight:
-        return mis
-    alpha = len(mis)
+def reference_hitting_component(g: Graph, size: int) -> tuple[int, ...]:
+    """Maximal independent set of ``g`` meeting every clique of ``size``
+    vertices: the first hitting choice found by recursion, then the lowest
+    vertex left, again and again."""
     targets = [mask_of(c) for c in reference_maximal_cliques(g) if len(c) == size]
 
     def phase1(chosen: list[int], avail: int, unhit: list[int]) -> tuple[int, ...] | None:
-        if len(chosen) + avail.bit_count() < alpha:
-            return None
         live = [t for t in unhit if not t & mask_of(chosen)]
         if not live:
-            rest = reference_independent_subset(g, avail, alpha - len(chosen))
-            if rest is None:
-                return None
-            return tuple(sorted(chosen + list(rest)))
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                chosen.append(v)
+                avail &= ~g.closed(v)
+            return tuple(sorted(chosen))
         t = min(live, key=lambda t: (t & avail).bit_count())
         for v in bits(t & avail):
             got = phase1(chosen + [v], avail & ~g.closed(v), live)
@@ -825,8 +804,7 @@ def reference_hitting_component(g: Graph, size: int, tight: bool) -> tuple[int, 
 
     got = phase1([], g.full_mask(), targets)
     if got is None:
-        raise InternalInconsistencyError(
-            "no maximum independent set hits every (Delta-1)-clique")
+        raise InternalInconsistencyError("no independent set hits every (Delta-1)-clique")
     gm = mask_of(got)
     for t in targets:
         if not t & gm:
@@ -845,7 +823,7 @@ def reference_delta_reduce(host: Graph, mask: int, color_base, trace: list | Non
     rest = mask & ~peeled
     d_sub = max_degree_in(host.adj, rest)
     if d_sub > delta - 1:
-        raise InternalInconsistencyError("removing a maximum independent set "
+        raise InternalInconsistencyError("removing a maximal independent set "
                                          "failed to lower the maximum degree")
     colors: dict[int, int] = {}
     if d_sub <= delta - 3:
@@ -859,6 +837,16 @@ def reference_delta_reduce(host: Graph, mask: int, color_base, trace: list | Non
     run_step("delta_set", {"i_set": tuple(bits(peeled)), "color": delta - 1},
              None, colors, trace)
     return colors
+
+
+def brute_cliques(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """Every clique of ``size`` vertices, in lex order, each grown one
+    larger vertex at a time."""
+    level: list[tuple[int, ...]] = [()]
+    for _ in range(size):
+        level = [c + (v,) for c in level for v in range(c[-1] + 1 if c else 0, g.n)
+                 if all(g.has_edge(u, v) for u in c)]
+    return level
 
 
 def brute_clique_number(g: Graph) -> int:

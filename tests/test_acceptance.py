@@ -238,6 +238,7 @@ def test_criterion_6_published_order_degeneracy():
     lines = []
     all_ok = True
     census = 0
+    reached = {}  # the branches that color an irreducible member
     for cid, branch, bound in BRANCHES:
         keep = _served_by(cid, branch)
         served = degree9_members(cid, keep)
@@ -249,6 +250,8 @@ def test_criterion_6_published_order_degeneracy():
                 if keep({k: len(v) for k, v in bags.items()})]
         hard_violations = sum(d > bound for d in hard)
         census += len(hard)
+        if hard:
+            reached[cid, branch] = len(hard)
         ok = (len(served) >= 20 and violations == 0 and misrouted == 0
               and hard_violations == 0)
         all_ok = all_ok and ok
@@ -261,6 +264,9 @@ def test_criterion_6_published_order_degeneracy():
     all_ok = all_ok and census == total
     verdict(6, all_ok, "; ".join(lines) + f"; irreducible census {census} of {total}")
     assert census == total, "an irreducible member is served by no published branch"
+    # beside the Perfect branch, the only branches a core left by solve's
+    # reductions can reach
+    assert reached == {("G2", "one_set"): 1, ("G10", "main"): 10}, reached
     assert all_ok, "a published order misses its bound or a branch is underpopulated"
 
 

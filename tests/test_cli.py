@@ -45,10 +45,18 @@ def test_color_rejects_p5(tmp_path, capsys):
     assert "P5" in capsys.readouterr().err
 
 
-def test_color_rejects_a_gem_found_by_degree_reduction(tmp_path, capsys):
+def test_color_colors_k9_with_ears_through_degree_reduction(tmp_path, capsys):
+    # a gem outside the gate's reach: the input is colored, which the README
+    # allows for a graph outside the class
     path = write(tmp_path, "ears.el", write_edgelist(k9_with_ears()))
-    assert main(["color", path]) == 3
-    assert "GEM" in capsys.readouterr().err
+    trace = str(tmp_path / "ears.trace")
+    assert main(["color", path, "--trace", trace]) == 0
+    colored = capsys.readouterr().out
+    assert colored.splitlines()[0] == "palette 9"
+    assert main(["verify", path, write(tmp_path, "ears.colors", colored)]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+    assert main(["replay", path, trace]) == 0
+    assert capsys.readouterr().out == colored
 
 
 def test_color_rejects_low_degree(tmp_path, capsys):

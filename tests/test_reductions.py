@@ -15,16 +15,15 @@ from pentagem.graph import (Graph, bits, build_graph, complete_graph, connected_
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import (clique_number, find_induced, has_clique,
                                maximum_independent_set, mis_mask)
-from pentagem.reductions import (_independent_subset, _maximal_cliques, bacso_tuza_bound,
+from pentagem.reductions import (_hitting_component, _maximal_cliques, bacso_tuza_bound,
                                  brooks_color, copycat_extend, delta_reduce,
                                  extend_list_coloring, find_copycat,
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
-from helpers import (brute_d1_catalog_present, brute_max_independent_set_size,
+from helpers import (brute_cliques, brute_d1_catalog_present,
                      caterpillar, catalog_shapes, k9_with_ears, random_cograph, random_graph,
-                     reference_extend_list_coloring,
-                     reference_hitting_mis, reference_independent_subset,
+                     reference_extend_list_coloring, reference_hitting_mis,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
                      reference_maximal_cliques, reference_maximum_independent_set)
 
@@ -309,6 +308,22 @@ def test_catalog_detection_is_pinned():
 
 # -- hitting independent set ---------------------------------------------------------
 
+def _dominated(g: Graph, vs) -> bool:
+    seen = mask_of(vs)
+    for v in vs:
+        seen |= g.adj[v]
+    return seen == g.full_mask()
+
+
+def _assert_maximal_hitting(g: Graph, got) -> None:
+    """``got`` is independent, dominates ``g`` (so it is maximal) and meets
+    every clique of Delta-1 vertices, all checked by brute force."""
+    assert g.is_independent(got)
+    assert _dominated(g, got)
+    for c in brute_cliques(g, g.max_degree() - 1):
+        assert set(c) & set(got), c
+
+
 def test_hitting_rejects_tight_clique():
     with pytest.raises(PreconditionError):
         hitting_mis(build_graph(2, []))  # omega=1 > Delta-1=-1
@@ -318,8 +333,7 @@ def test_hitting_c5_join_k4():
     g = join(cycle_graph(5), complete_graph(4))
     assert g.max_degree() == 8 and clique_number(g)[0] == 6
     got = hitting_mis(g)
-    assert g.is_independent(got)
-    assert len(got) == len(maximum_independent_set(g))
+    _assert_maximal_hitting(g, got)
 
 
 def test_hitting_with_tight_cliques():
@@ -328,40 +342,38 @@ def test_hitting_with_tight_cliques():
     g, bags = gen_class_instance(GenSpec("G2", sizes))
     assert g.max_degree() == 10 and clique_number(g)[0] == 9
     got = hitting_mis(g)
-    assert g.is_independent(got)
-    assert len(got) == len(maximum_independent_set(g))
+    _assert_maximal_hitting(g, got)
     big = set(bags["Q3"]) | set(bags["Q4"]) | set(bags["Q6"])
     assert set(got) & big
 
 
 def test_hitting_uses_the_global_clique_size():
-    # This G1 member has Delta = omega = 8, and its plain maximum independent
-    # set misses its 8-clique.  Beside gallery_g2(9) the union has Delta 9, so
-    # the 8-clique is a (Delta-1)-clique that the set must meet, even though
-    # its own component has maximum degree 8.
+    # This G1 member, numbered backwards, has Delta = omega = 8, and the
+    # greedy fill alone (the lowest vertex left, again and again) misses its
+    # 8-clique.  Beside gallery_g2(9) the union has Delta 9, so the 8-clique
+    # is a (Delta-1)-clique that the set must meet, even though its own
+    # component has maximum degree 8.
     sizes = {"Q1": 4, "Q2": 4, "Q3": 1, "Q4": 4, "Q5": 1}
-    one, _ = gen_class_instance(GenSpec("G1", sizes))
+    made, _ = gen_class_instance(GenSpec("G1", sizes))
+    one = build_graph(made.n, [(made.n - 1 - u, made.n - 1 - v) for u, v in made.edges()])
     assert one.n == 14 and one.max_degree() == 8 and clique_number(one)[0] == 8
-    eight = [c for c in combinations(range(one.n), 8) if one.is_clique(c)]
-    assert any(not set(c) & set(maximum_independent_set(one)) for c in eight)
+    eight = [mask_of(c) for c in combinations(range(one.n), 8) if one.is_clique(c)]
+    plain = _hitting_component(one.adj, one.full_mask(), [])
+    assert any(not c & plain for c in eight)
     with pytest.raises(PreconditionError):
         hitting_mis(one)
-    other = gallery_g2(9)
-    g = disjoint_union(one, other)
+    g = disjoint_union(one, gallery_g2(9))
     assert g.max_degree() == 9
     got = hitting_mis(g)
-    assert g.is_independent(got)
-    assert len(got) == (brute_max_independent_set_size(one)
-                        + brute_max_independent_set_size(other))
-    for c in eight:
-        assert set(c) & set(got)
+    _assert_maximal_hitting(g, got)
+    assert all(c & mask_of(got) for c in eight)
 
 
 @given(st.lists(st.tuples(st.integers(1, 7), st.sampled_from((0.3, 0.5, 0.7, 0.9)),
                           st.integers(0, 10_000)), min_size=2, max_size=3))
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_hitting_matches_brute_force_on_unions(parts):
-    # Outside the theorem's range a maximum independent set meeting every
+    # Below the theorem's range an independent set meeting every
     # (Delta-1)-clique need not exist; the search must then say so.
     assume(sum(n for n, _, _ in parts) <= 14)
     g = random_graph(*parts[0])
@@ -369,18 +381,13 @@ def test_hitting_matches_brute_force_on_unions(parts):
         g = disjoint_union(g, random_graph(n, p, seed))
     size = g.max_degree() - 1
     assume(size >= 1 and clique_number(g)[0] <= size)
-    alpha = brute_max_independent_set_size(g)
     cliques = [set(c) for c in combinations(range(g.n), size) if g.is_clique(c)]
     if not any(g.is_independent(s) and all(c & set(s) for c in cliques)
-               for s in combinations(range(g.n), alpha)):
-        with pytest.raises(InternalInconsistencyError):
+               for k in range(g.n + 1) for s in combinations(range(g.n), k)):
+        with pytest.raises(InternalInconsistencyError, match="no independent set"):
             hitting_mis(g)
         return
-    got = hitting_mis(g)
-    assert g.is_independent(got)
-    assert len(got) == alpha
-    for c in cliques:
-        assert c & set(got)
+    _assert_maximal_hitting(g, hitting_mis(g))
 
 
 def _outcome(f, *args):
@@ -410,7 +417,7 @@ def hitting_sweep():
 
 
 def test_the_mask_searches_match_the_recursive_references():
-    tight = fruitless = 0
+    tight = 0
     rng = random.Random(61)
     for g in list(hitting_sweep()) + [k9_with_ears()]:
         full = g.full_mask()
@@ -426,17 +433,35 @@ def test_the_mask_searches_match_the_recursive_references():
             # the bounded enumeration is the unbounded one filtered, in order
             assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, mask, least)] == [
                 c for c in every if len(c) >= least], least
-        for need in range(mask.bit_count() + 2):
-            want = reference_independent_subset(g, mask, need)
-            got = _independent_subset(g.adj, mask, need)
-            assert got == (None if want is None else mask_of(want)), need
-        want = _outcome(reference_hitting_mis, g)
-        assert _outcome(hitting_mis, g) == want
+        try:
+            got = hitting_mis(g)
+        except PentagemError as exc:
+            assert (type(exc), str(exc)) == _outcome(reference_hitting_mis, g)
+        else:
+            assert got == reference_hitting_mis(g)
+            _assert_maximal_hitting(g, got)
         delta = g.max_degree()
         if delta >= 2 and not has_clique(g, full, delta) and has_clique(g, full, delta - 1):
             tight += 1
-            fruitless += want[0] is InternalInconsistencyError
-    assert tight >= 50 and fruitless >= 2, (tight, fruitless)
+    assert tight >= 50, tight
+
+
+def test_a_hitting_set_exists_from_degree_6_on():
+    # King (J. Graph Theory 2011): once omega > 2(Delta+1)/3, which omega =
+    # Delta-1 meets from Delta = 6 on, a stable set meets every maximum
+    # clique, and the search finds one whenever one exists
+    below = tight = 0
+    for g in hitting_sweep():
+        try:
+            hitting_mis(g)
+        except InternalInconsistencyError as exc:
+            assert "no independent set" in str(exc) and g.max_degree() < 6, g.edges()
+            below += 1
+        except PreconditionError:
+            pass  # a clique of Delta vertices
+        else:
+            tight += g.max_degree() >= 6 and has_clique(g, g.full_mask(), g.max_degree() - 1)
+    assert below >= 1 and tight >= 30, (below, tight)
 
 
 def test_hitting_mis_caps_no_component():
@@ -445,19 +470,13 @@ def test_hitting_mis_caps_no_component():
     g = caterpillar(5, leaves=8)
     assert is_connected(g) and g.n > bacso_tuza_bound(g.max_degree())
     got = hitting_mis(g)
-    assert got == reference_hitting_mis(g) and len(got) == 40
+    assert got == reference_hitting_mis(g)
+    _assert_maximal_hitting(g, got)
 
 
 def test_the_bacso_tuza_bound():
     assert [bacso_tuza_bound(d) for d in (0, 1, 2, 3, 9, 10, 359)] == [
         1, 2, 5, 8, 30, 36, 32580]
-
-
-def _dominated(g: Graph, vs) -> bool:
-    seen = mask_of(vs)
-    for v in vs:
-        seen |= g.adj[v]
-    return seen == g.full_mask()
 
 
 @given(st.integers(1, 12), st.sampled_from((0.2, 0.4, 0.6, 0.8)), st.integers(0, 10_000))
@@ -639,8 +658,7 @@ def test_hitting_two_tight_cliques_across_components():
     g = disjoint_union(one, one)
     assert g.max_degree() == 10 and clique_number(g)[0] == 9
     got = hitting_mis(g)
-    assert g.is_independent(got)
-    assert len(got) == len(maximum_independent_set(g))
+    _assert_maximal_hitting(g, got)
     # both components carry a 9-clique; the set must meet each
     nines = [c for c in _maximal_cliques(g.adj, g.full_mask(), 0) if c.bit_count() == 9]
     assert len(nines) >= 2

@@ -19,8 +19,7 @@ from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.patterns import PatternWitness, clique_number, find_induced
-from pentagem.reductions import (bacso_tuza_bound, find_copycat, find_d1_catalog,
-                                 hitting_mis)
+from pentagem.reductions import bacso_tuza_bound, find_copycat, find_d1_catalog
 from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
@@ -75,14 +74,15 @@ def test_solve_rejects_p5_with_witness():
     assert err.value.witness.pattern == "P5"
 
 
-def test_solve_reports_the_gem_that_stops_degree_reduction():
+def test_solve_colors_k9_with_ears_through_degree_reduction():
+    # outside the class (it has a gem), but a maximal independent set meets
+    # its K9, so degree reduction goes on and the base case colors the rest
     g = k9_with_ears()
-    with pytest.raises(InternalInconsistencyError):
-        hitting_mis(g)
-    with pytest.raises(ForbiddenPatternError) as err:
-        solve(g)
-    assert err.value.witness.pattern == "GEM"
-    assert err.value.witness.check(g)
+    assert find_induced(g, "GEM") is not None
+    col, trace = solve(g)
+    assert col.k == 9 and verify_coloring(g, col)
+    assert [e.kind for e in trace.events].count("delta_set") == 1
+    assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
 
 
 def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
@@ -319,9 +319,9 @@ def test_solve_gallery_unions_color_each_copy_alike(k):
         assert {v: col.colors[i * one.n + v] for v in range(one.n)} == single.colors
 
 
-# sha256 over the solve traces below, recorded before degree reduction
-# searched each connected component on its own
-DELTA_TRACES_SHA256 = "fae816a41df80c0994c3b148430187cd52798150520f5323534549c271c0d95e"
+# sha256 over the solve traces below, recorded when degree reduction began
+# peeling maximal, not maximum, hitting sets
+DELTA_TRACES_SHA256 = "5662d008f47baa498948e80d61b36b37443ddae62e7e67df62cc4c87823f2288"
 
 
 def test_degree_reduction_traces_are_pinned():
