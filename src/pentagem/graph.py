@@ -30,6 +30,7 @@ __all__ = [
     "path_graph",
     "bits",
     "mask_of",
+    "true_twin_classes",
     "max_degree_in",
     "component_masks",
     "seeded_component_masks",
@@ -241,6 +242,16 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def true_twin_classes(adj, vertices: Iterable[int]) -> list[list[int]]:
+    """``vertices`` grouped by closed neighborhood in the graph ``adj``
+    (classes of true twins), each class in the given order, the classes
+    by their first vertex."""
+    groups: dict[int, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(adj[v] | 1 << v, []).append(v)
+    return list(groups.values())
 
 
 def max_degree_in(adj, mask: int) -> int:

@@ -5,7 +5,10 @@ vertex: the P4 itself (a cograph is P4-free), and P5, gem and C5, whose
 fifth vertex's adjacency to v1..v4 is one row of ``FIFTH``.  One walk,
 ``induced_p4``, enumerates the P4s inside a host bitmask in lexicographic
 order, so the first hit is the lexicographically smallest witness and an
-exhausted walk is an exhaustive-absence guarantee.
+exhausted walk is an exhaustive-absence guarantee.  ``is_p5_gem_free``
+first walks one vertex of each twin class, since neither P5 nor gem has
+two twins, and walks the whole graph only for the witness of a shape it
+found there.
 
 Cliques come from one iterative search, ``_lex_cliques``, which likewise
 yields the lexicographically least clique of a given size inside a mask,
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, mask_of, true_twin_classes
 
 __all__ = [
     "PatternWitness",
@@ -124,7 +127,26 @@ def find_induced(g: Graph, pattern: str) -> PatternWitness | None:
 
 
 def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
-    """True iff the graph has neither an induced P5 nor an induced gem."""
+    """True iff the graph has neither an induced P5 nor an induced gem;
+    else the lex-least witness of the first shape found.
+
+    Neither shape has true twins (equal closed neighborhoods) or false
+    twins (equal open ones), so a copy may trade each vertex for one fixed
+    vertex of its class.  The walks first run on one vertex of each class
+    of true twins, then of false twins among those, leaving out isolated
+    vertices, which lie in no copy: a clique blow-up shrinks to its
+    quotient.  Only when they find a shape there do they run on the whole
+    graph, for the witness.
+    """
+    adj = g.adj
+    firsts = [c[0] for c in true_twin_classes(adj, (v for v in range(g.n) if adj[v]))]
+    within = mask_of(firsts)
+    reps: dict[int, int] = {}
+    for v in firsts:
+        reps.setdefault(adj[v] & within, v)
+    quotient = mask_of(reps.values())
+    if all(induced_p4(g, quotient, FIFTH[p]) is None for p in ("P5", "GEM")):
+        return True, None
     for pattern in ("P5", "GEM"):
         w = find_induced(g, pattern)
         if w is not None:

@@ -25,7 +25,8 @@ from functools import reduce
 
 from .cographs import cograph_coloring_with_palette
 from .errors import GraphFormatError, PreconditionError
-from .graph import Graph, bits, build_graph, component_masks, is_connected, mask_of
+from .graph import (Graph, bits, build_graph, component_masks, is_connected, mask_of,
+                    true_twin_classes)
 from .patterns import clique_number, induced_p4
 
 __all__ = [
@@ -111,10 +112,7 @@ def maximal_homogeneous_cliques(g: Graph) -> list[tuple[int, ...]]:
     neighborhood, so the classes of the N[.] equivalence are exactly the
     maximal homogeneous cliques.  Ordered by smallest member.
     """
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.closed(v), []).append(v)
-    return sorted((tuple(vs) for vs in groups.values()), key=lambda t: t[0])
+    return [tuple(c) for c in true_twin_classes(g.adj, range(g.n))]
 
 
 def _closure(adj, s: int) -> int:
@@ -235,12 +233,15 @@ def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] 
     G1..G10, and A1..A5 of H, is one maximal proper module, and A6 and A7
     take any number of them.
 
-    A search assigns nodes to modules, taking modules in the order of
-    their largest homogeneous clique and nodes in ascending order.  It
-    prunes only assignments that no partition ``check_bag_partition``
-    accepts can extend, and returns the first partition that check
-    accepts.  Each maximal homogeneous clique lies in one module, so a
-    search over those cliques in the same order would return the same one.
+    For G1..G10 one vertex of each module then induces the template
+    graph, so a module quotient whose sorted degrees differ from the
+    template's ends the match before any search.  A search assigns nodes
+    to modules, taking modules in the order of their largest homogeneous
+    clique and nodes in ascending order.  It prunes only assignments that
+    no partition ``check_bag_partition`` accepts can extend, and returns
+    the first partition that check accepts.  Each maximal homogeneous
+    clique lies in one module, so a search over those cliques in the same
+    order would return the same one.
     """
     if not is_connected(g):
         raise PreconditionError("expansion matching expects a connected graph")
@@ -254,12 +255,18 @@ def _match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
     spare = mask_of(template.nodes.index(x) for x in (template.anchor, template.pendant) if x)
     if len(modules) < k or (len(modules) > k and not spare):
         return None
+    reps = [m[0] for m in modules]
+    within = mask_of(reps)
+    # with no spare node each module is one bag, so one vertex per module
+    # induces the template graph, and its degrees must be the template's
+    if not spare and (sorted((g.adj[r] & within).bit_count() for r in reps)
+                      != sorted(template.graph.degree_sequence())):
+        return None
     # nodes a module may take beside one at node t that it sees or misses;
     # one vertex stands for each module, and only A6 and A7 take several
     ok = {see: [mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
                                                 template.relation(s, t) in (see, FREE)))
                 for t in range(k)] for see in (COMPLETE, ANTI)}
-    reps = [m[0] for m in modules]
 
     def search(assign: list[int], nodes: list[int], empty: int):
         """Give module ``len(assign)`` onward nodes, module j one of the mask

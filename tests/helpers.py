@@ -29,6 +29,12 @@ recursion per level, that degree reduction ran before it became one loop
 on host masks; the hitting references peel maximal sets, as degree
 reduction does.  ``brute_cliques`` lists every clique of a
 given size, grown one vertex at a time.
+``reference_is_p5_gem_free`` and ``reference_match_modules`` are the
+freeness test and the module matcher before classification walked and
+matched on quotients: both P4 walks on the whole graph, and a search for
+every template with as many modules as nodes.  ``core9`` loads the
+benchmark's inputs that reach classification, and ``core9_cores`` the
+cores that ``solve`` classifies on them.
 ``reference_is_cograph`` (with its ``CotreeNode`` tree and
 ``CographCertificate``), ``reference_cotree_clique_number``,
 ``reference_cotree_to_graph`` and ``reference_cograph_coloring_with_palette``
@@ -45,11 +51,15 @@ maximum cliques defeat a clique search without a coloring bound,
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from math import isqrt
+from pathlib import Path
 
 from pentagem.errors import (GraphFormatError, InternalInconsistencyError, PentagemError,
                              PreconditionError)
@@ -58,14 +68,17 @@ from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
                             join, mask_of, max_degree_in, path_graph)
-from pentagem.patterns import clique_number, has_clique, induced_p4
+from pentagem.patterns import (PatternWitness, clique_number, find_induced, has_clique,
+                               induced_p4)
 from pentagem.oracle import colorable_with
 from pentagem.reductions import extend_list_coloring, is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
-from pentagem.structure import (COMPLETE, FREE, Template, check_bag_partition,
+from pentagem.structure import (ANTI, COMPLETE, FREE, Template, check_bag_partition,
                                 maximal_homogeneous_cliques)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -88,6 +101,33 @@ def delta_family() -> list[Graph]:
                 instances.append(gen_class_instance(spec)[0])
         seed += 1
     return instances
+
+
+def core9(seed: int):
+    """The ``core9`` benchmark inputs: every Delta-9 host with minimum
+    degree 8 and clique number at most 8, in four seeded vertex orders."""
+    if "perfbench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_workloads"].core9(seed)
+
+
+def core9_cores(seed: int) -> list[Graph]:
+    """The irreducible cores ``solve`` hands ``classify`` on the ``core9``
+    inputs of ``seed``, in the order it classifies them."""
+    from pentagem import solver
+    from pentagem.graphio import parse_graph
+
+    cores: list[Graph] = []
+    real = solver.classify
+    solver.classify = lambda g: cores.append(g) or real(g)
+    try:
+        for inp in core9(seed):
+            solver.solve(parse_graph(inp.g6, "graph6"))
+    finally:
+        solver.classify = real
+    return cores
 
 
 def delta9_members(count: int) -> list[Graph]:
@@ -331,6 +371,16 @@ def brute_has_induced(g: Graph, pattern: str) -> bool:
             if _induces(g, perm, pe):
                 return True
     return False
+
+
+def reference_is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
+    """``patterns.is_p5_gem_free`` before it walked one vertex per twin
+    class first, kept verbatim: both walks on the whole graph."""
+    for pattern in ("P5", "GEM"):
+        w = find_induced(g, pattern)
+        if w is not None:
+            return False, w
+    return True, None
 
 
 # The four P4 walks ``patterns.induced_p4`` replaced, kept verbatim as its
@@ -1110,6 +1160,43 @@ def reference_match_expansion(g: Graph, template: Template
 
     backtrack(0)
     return result
+
+
+def reference_match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
+                            ) -> dict[str, tuple[int, ...]] | None:
+    """``structure._match_modules`` before it compared the module
+    quotient's degrees with the template's, kept verbatim: the search runs
+    for every template with as many modules as nodes."""
+    k, full = len(template.nodes), (1 << len(template.nodes)) - 1
+    spare = mask_of(template.nodes.index(x) for x in (template.anchor, template.pendant) if x)
+    if len(modules) < k or (len(modules) > k and not spare):
+        return None
+    # nodes a module may take beside one at node t that it sees or misses;
+    # one vertex stands for each module, and only A6 and A7 take several
+    ok = {see: [mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
+                                                template.relation(s, t) in (see, FREE)))
+                for t in range(k)] for see in (COMPLETE, ANTI)}
+    reps = [m[0] for m in modules]
+
+    def search(assign: list[int], nodes: list[int], empty: int):
+        """Give module ``len(assign)`` onward nodes, module j one of the mask
+        ``nodes[j - len(assign)]``; ``empty`` masks the nodes still bare."""
+        i = len(assign)
+        if i == len(modules):
+            bags = {name: tuple(sorted(v for m, s in zip(modules, assign) if s == t
+                                       for v in m)) for t, name in enumerate(template.nodes)}
+            return None if check_bag_partition(g, template, bags) else bags
+        for s in bits(nodes[0]):
+            rest = [d & ok[COMPLETE if g.has_edge(reps[i], reps[j]) else ANTI][s]
+                    for j, d in enumerate(nodes[1:], i + 1)]
+            bare = empty & ~(1 << s)
+            if all(rest) and not bare & ~reduce(int.__or__, rest, 0):
+                found = search(assign + [s], rest, bare)
+                if found is not None:
+                    return found
+        return None
+
+    return search([], [full] * len(modules), full)
 
 
 # The ``oracle``, ``lemma1`` and ``d1_extend`` applies of ``pentagem.trace``

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,11 @@ from pentagem.graph import complete_graph, cycle_graph, disjoint_union, path_gra
 from pentagem.instances import GenSpec, gallery_g1, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number
-from pentagem.structure import TEMPLATES, check_bag_partition
+from pentagem.structure import CLASS_ORDER, TEMPLATES, check_bag_partition
+
+from helpers import core9_cores, delta9_members, reference_match_modules
+
+CLASSIFY = importlib.import_module("pentagem.classify")
 
 
 def test_c5_is_identity_g1():
@@ -61,6 +67,22 @@ def test_g8_members_classify_as_g6(mode):
         label = classify(g)
         assert label.kind == "G6", spec
         assert not check_bag_partition(g, TEMPLATES["G6"], label.bags)
+
+
+def test_labels_match_the_matcher_that_searches_every_template(monkeypatch):
+    # the kind and the bags, in order, on every criterion-2 member, G8
+    # members (labelled G6) and the cores solve classifies on core9
+    g8 = [gen_class_instance(gen_target_delta("G8", 9, seed=seed, mode=mode))[0]
+          for seed in range(10) for mode in ("clique", "cograph")]
+    kinds = Counter()
+    for g in delta9_members(506) + g8 + core9_cores(7):
+        got = classify(g)
+        with monkeypatch.context() as m:
+            m.setattr(CLASSIFY, "_match_modules", reference_match_modules)
+            want = classify(g)
+        assert got.kind == want.kind and list(got.bags.items()) == list(want.bags.items())
+        kinds[got.kind] += 1
+    assert set(kinds) == set(CLASS_ORDER) and kinds["G10"] >= 40, kinds
 
 
 def test_perfect_label_means_chi_equals_omega():

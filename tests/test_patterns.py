@@ -11,19 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentagem import patterns
-from pentagem.graph import (bits, complete_graph, cycle_graph, disjoint_union, empty_graph,
-                            induced_subgraph, join, mask_of, path_graph)
+from pentagem.classify import classify
+from pentagem.errors import ForbiddenPatternError
+from pentagem.graph import (bits, build_graph, complete_graph, cycle_graph, disjoint_union,
+                            empty_graph, induced_subgraph, is_connected, join, mask_of,
+                            path_graph)
 from pentagem.graphio import parse_graph
-from pentagem.instances import gallery_g1, gallery_g2
+from pentagem.instances import GenSpec, gallery_g1, gallery_g2, gen_class_instance
 from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique,
                                find_induced, has_clique, induced_p4, is_p5_gem_free,
                                maximum_independent_set)
+from pentagem.structure import TEMPLATES
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
                      brute_max_independent_set_size, c5_blowup, cocktail_party,
                      random_cograph, random_graph, reference_clique_number,
                      reference_cotree_clique_number, reference_find_c5, reference_find_gem, reference_find_p4,
-                     reference_find_p5, reference_has_clique, reference_is_cograph)
+                     reference_find_p5, reference_has_clique, reference_is_cograph,
+                     reference_is_p5_gem_free)
 
 REFERENCE = {"P5": reference_find_p5, "GEM": reference_find_gem, "C5": reference_find_c5}
 
@@ -63,6 +68,63 @@ def test_p5_is_not_free():
 def test_gallery_g1_is_free():
     free, _ = is_p5_gem_free(gallery_g1())
     assert free
+
+
+def twin_rich_graphs():
+    """Clique and cograph blow-ups of all 11 classes with bags of one to
+    four vertices, as built and with one or three vertex pairs flipped,
+    then random graphs."""
+    rng = random.Random(2026)
+    for cid, t in sorted(TEMPLATES.items()):
+        for mode in ("clique", "cograph"):
+            for seed in range(4):
+                sizes = {x: rng.randint(1, 4) for x in t.nodes if x != t.pendant}
+                a7 = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)) if t.pendant)
+                g, _ = gen_class_instance(GenSpec(cid, sizes, a7, mode, seed))
+                for flips in (0, 1, 3):
+                    edges = {frozenset(e) for e in g.edges()}
+                    for _ in range(flips):
+                        edges ^= {frozenset(rng.sample(range(g.n), 2))}
+                    yield build_graph(g.n, [tuple(e) for e in edges])
+    for seed in range(150):
+        yield random_graph(random.Random(seed).randint(5, 14), 0.5, seed)
+
+
+def test_freeness_and_its_witness_match_the_whole_graph_walks():
+    found = checked = 0
+    for g in twin_rich_graphs():
+        want = reference_is_p5_gem_free(g)
+        assert is_p5_gem_free(g) == want
+        checked += 1
+        if want[0]:
+            continue
+        found += 1
+        if is_connected(g):
+            with pytest.raises(ForbiddenPatternError) as info:
+                classify(g)
+            assert info.value.witness == want[1]
+            assert str(info.value) == f"graph contains an induced {want[1].pattern}"
+    assert checked > 400 and 50 < found < checked, (found, checked)
+
+
+def test_freeness_walks_one_vertex_per_twin_class(monkeypatch):
+    # K_n is one class of true twins, each side of K_{n,n} one class of
+    # false twins, and isolated vertices lie in no P5 or gem, so each walk
+    # runs on a mask of at most as many vertices as the graph has classes
+    walked = []
+
+    def spy(g, mask, fifth=None):
+        walked.append(mask.bit_count())
+        return induced_p4(g, mask, fifth)
+
+    monkeypatch.setattr(patterns, "induced_p4", spy)
+    for g, classes in ((empty_graph(1000), 0), (complete_graph(1000), 1),
+                       (disjoint_union(complete_graph(40), empty_graph(40)), 1),
+                       (join(empty_graph(500), empty_graph(500)), 2),
+                       (join(empty_graph(300), complete_graph(300)), 2)):
+        walked.clear()
+        assert is_p5_gem_free(g) == (True, None)
+        assert walked == [classes, classes], walked
 
 
 def test_clique_number_complete():
@@ -265,11 +327,13 @@ def test_walker_matches_the_reference_walks(seed, n, p):
 
 def test_the_walk_holds_no_table_of_rows():
     # 20,000 isolated vertices: a table of closed neighborhoods, each as
-    # long as its vertex's id, takes about 110 MB
+    # long as its vertex's id, takes about 110 MB, and grouping them by
+    # closed neighborhood for the freeness walks about 25 MB
     g = empty_graph(20000)
     tracemalloc.start()
     try:
         assert find_induced(g, "P5") is None and induced_p4(g, g.full_mask()) is None
+        assert is_p5_gem_free(g) == (True, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

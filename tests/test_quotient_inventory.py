@@ -1,0 +1,74 @@
+"""Classification walks and matches an irreducible core on its quotient.
+
+Once the copycat rule has run, every bag of an irreducible core is a
+clique of true twins, so the freeness walks run on one vertex per bag,
+and the template search runs only for a template whose graph has the
+degree sequence of the core's module quotient.  Both are counted, not
+timed, on every core ``solve`` classifies in the ``core9`` inputs.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+
+from pentagem import patterns, solver, structure
+from pentagem.graphio import parse_graph
+from pentagem.patterns import FIFTH
+from pentagem.structure import TEMPLATES, maximal_modules
+
+from helpers import core9
+
+SEARCH = next(c for c in structure._match_modules.__code__.co_consts
+              if isinstance(c, types.CodeType) and c.co_name == "search")
+
+
+def quotient_degrees(g) -> list[int]:
+    """Sorted degrees of the graph one vertex of each maximal module induces."""
+    reps = [m[0] for m in maximal_modules(g)]
+    return sorted(sum(g.has_edge(r, s) for s in reps) for r in reps)
+
+
+def test_classify_walks_and_searches_only_on_quotients(monkeypatch):
+    walks: list[tuple[str, int]] = []  # (shape, vertices walked) inside classify
+    nodes: dict[tuple[int, str], int] = {}  # search nodes per (core, template)
+    cores = []
+    inside, at = False, None
+    real_p4, real_classify = patterns.induced_p4, solver.classify
+
+    def p4(g, mask, fifth=None):
+        if inside:
+            shape = next((p for p, row in FIFTH.items() if row == fifth), "P4")
+            walks.append((shape, mask.bit_count()))
+        return real_p4(g, mask, fifth)
+
+    def profile(frame, event, arg):
+        nonlocal at
+        if event == "call" and frame.f_code is structure._match_modules.__code__:
+            at = (len(cores) - 1, frame.f_locals["template"].id)
+        elif event == "call" and frame.f_code is SEARCH:
+            nodes[at] = nodes.get(at, 0) + 1
+
+    def classify(g):
+        nonlocal inside
+        cores.append(g)
+        inside = True
+        sys.setprofile(profile)
+        try:
+            return real_classify(g)
+        finally:
+            sys.setprofile(None)
+            inside = False
+
+    monkeypatch.setattr(patterns, "induced_p4", p4)
+    monkeypatch.setattr(solver, "classify", classify)
+    for inp in core9(7):
+        solver.solve(parse_graph(inp.g6, "graph6"))
+
+    assert len(cores) >= 40 and max(g.n for g in cores) > 9
+    rows = [n for shape, n in walks if shape in ("P5", "GEM")]
+    assert len(rows) == 2 * len(cores) and max(rows) <= 9, max(rows)
+    assert nodes and sum(nodes.values()) >= len(cores)
+    for (i, tid), count in nodes.items():
+        want = sorted(TEMPLATES[tid].graph.degree_sequence())
+        assert quotient_degrees(cores[i]) == want, (tid, count)

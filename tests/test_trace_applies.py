@@ -7,11 +7,8 @@ Hosts whose ids exceed 1,000 and leave gaps make the list search's rank
 keys as wide as they get: a key packed by the number of vertices searched,
 not by the largest id, orders them differently."""
 
-import importlib.util
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -22,20 +19,7 @@ from pentagem.patterns import clique_number
 from pentagem.solver import solve
 from pentagem.trace import STEPS
 
-from helpers import REFERENCE_APPLIES, catalog_shapes, prism_cores, random_graph
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def core9(seed: int):
-    """The ``core9`` benchmark inputs: every Delta-9 host with minimum
-    degree 8 and clique number at most 8, in four seeded vertex orders."""
-    if "perfbench_workloads" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return sys.modules["perfbench_workloads"].core9(seed)
-
+from helpers import REFERENCE_APPLIES, catalog_shapes, core9, prism_cores, random_graph
 
 def outcome(apply, g: Graph, data: dict, colors: dict[int, int]):
     """The colors after ``apply``, as (vertex, color) pairs in insertion
