@@ -89,25 +89,46 @@ def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
     """Give each vertex of ``order`` in turn the smallest color in 1..k that
     none of its neighbors already holds in ``colors``, writing into it;
     ``adj`` is a per-vertex list of neighborhood masks, a graph's ``adj``.
+    ``order`` is read twice when ``colors`` is not empty.
 
-    Neighbor colors are bits of a used-color mask.  A vertex of degree d
-    gets a color of at most d + 1, so a color outside 1..min(k, d + 1)
-    cannot block it and is left out, which keeps a huge color or k cheap."""
+    Colors are probed as class masks: a vertex takes the first color c
+    whose class, the mask of the vertices holding c, misses its
+    neighborhood, and a recolored vertex leaves its old class.  The classes
+    start from the colors the neighbors of ``order`` hold in ``colors``,
+    read in one walk (none when it is empty).  A vertex with d neighbors
+    gets at most d + 1, so only colors up to the size of that walk plus
+    one, or up to the order of ``adj`` on an empty board, get a class, and
+    a huge color or k costs nothing.
+    """
     get = colors.get
+    near = 0
+    if colors:
+        for v in order:
+            near |= adj[v]
+        top = near.bit_count() + 1
+    else:
+        top = len(adj)
+    if top > k:
+        top = k if k > 0 else 0
+    cls = [0] * (top + 2)  # class top + 1 stays empty, so every probe stops
+    while near:
+        low = near & -near
+        c = get(low.bit_length() - 1, 0)
+        if 0 < c <= top:
+            cls[c] |= low
+        near ^= low
     for v in order:
         a = adj[v]
-        top = min(k, a.bit_count() + 1)
-        used = 1  # bit 0 stands for color 0, never given
-        while a:
-            low = a & -a
-            c = get(low.bit_length() - 1, 0)
-            if 0 < c <= top:
-                used |= 1 << c
-            a ^= low
-        c = (~used & (used + 1)).bit_length() - 1
+        c = 1
+        while a & cls[c]:
+            c += 1
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
+        old = get(v, 0)
+        if 0 < old <= top:
+            cls[old] &= ~(1 << v)
         colors[v] = c
+        cls[c] |= 1 << v
 
 
 def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | None:

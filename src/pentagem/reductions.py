@@ -15,8 +15,7 @@ from itertools import combinations
 
 from .coloring import Coloring, first_fit, list_color
 from .errors import (InternalInconsistencyError, PreconditionError)
-from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
-                    max_degree_in)
+from .graph import Graph, bits, component_masks, induced_subgraph, mask_of
 from .patterns import _colors_at_least, clique_number, has_clique
 from .structure import maximal_homogeneous_cliques
 
@@ -367,11 +366,11 @@ def _order_toward_root(adj, mask: int, root: int) -> list[int]:
     return [v for layer in reversed(layers) for v in bits(layer)]
 
 
-def _brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+def _brooks_component(adj, comp: int, delta: int, deg: dict[int, int]) -> dict[int, int]:
     """Color the connected subgraph ``adj`` induces on ``comp`` with at most
-    ``delta`` colors."""
+    ``delta`` colors; ``deg`` holds each vertex's degree inside it."""
     colors: dict[int, int] = {}
-    low = next((v for v in bits(comp) if (adj[v] & comp).bit_count() < delta), None)
+    low = next((v for v in bits(comp) if deg[v] < delta), None)
     if low is not None:
         first_fit(adj, _order_toward_root(adj, comp, low), delta, colors)
         return colors
@@ -404,6 +403,12 @@ def _brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
     raise InternalInconsistencyError("Brooks case analysis fell through")
 
 
+def _degrees_in(adj, mask: int) -> dict[int, int]:
+    """Each vertex of ``mask`` -> its degree in the subgraph ``adj`` induces
+    on ``mask``."""
+    return {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+
+
 def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
     """Color the subgraph ``adj`` induces on ``mask`` with colors 1..delta,
     keyed by the ids of ``adj``, where delta is its maximum degree; return
@@ -414,17 +419,25 @@ def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
     delta-regular component, side by side around its first cut vertex;
     else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
     so the coloring of a copy numbered in the same order is the same.
+    One pass over ``mask`` counts the degrees that delta, the complete
+    component check and the search for a low root all read.
     """
-    delta = max_degree_in(adj, mask)
+    deg = _degrees_in(adj, mask)
+    delta = max(deg.values(), default=0)
+    return _brooks_by_degree(adj, mask, deg, delta), delta
+
+
+def _brooks_by_degree(adj, mask: int, deg: dict[int, int], delta: int) -> dict[int, int]:
+    """``brooks_mask``'s coloring, given ``deg = _degrees_in(adj, mask)`` and
+    its maximum ``delta``."""
     if delta < 3:
         raise PreconditionError("Brooks coloring requires maximum degree >= 3")
     colors: dict[int, int] = {}
     for comp in component_masks(adj, mask):
-        if comp.bit_count() == delta + 1 and all(
-                (adj[v] & comp).bit_count() == delta for v in bits(comp)):
+        if comp.bit_count() == delta + 1 and all(deg[v] == delta for v in bits(comp)):
             raise PreconditionError("component is the complete graph on Delta+1 vertices")
-        colors.update(_brooks_component(adj, comp, delta))
-    return colors, delta
+        colors.update(_brooks_component(adj, comp, delta, deg))
+    return colors
 
 
 def brooks_color(g: Graph) -> Coloring:
@@ -472,20 +485,39 @@ def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | 
     degree drops by 2 or more or reaches 9.  The terminal then colors the
     rest through ``trace.run_step``, the apply replay runs, or
     ``color_base``, and the stack is emptied innermost level first, one
-    ``delta_set`` step each.
+    ``delta_set`` step each.  The degrees inside the mask are counted once
+    and kept as bit planes across the levels: a peeled vertex lowers all
+    its neighbors' degrees with a few mask operations, and the new maximum
+    is read off the planes, so no level recounts the rest.
     """
     if delta <= 9:
         return color_base(mask)
     from .trace import run_step  # trace imports this module
 
     adj = host.adj
+    # the degrees in mask, bit-sliced: bit v of planes[j] is bit j of v's
+    # degree, so peeling p takes one from all its neighbors at once
+    planes = [0] * delta.bit_length()
+    for v, d in _degrees_in(adj, mask).items():
+        for j in bits(d):
+            planes[j] |= 1 << v
     levels: list[tuple[int, int]] = []
     colors: dict[int, int] = {}
     while delta > 9:
         peeled = _hitting_set(host, mask, delta, bacso_tuza_bound(delta))
         levels.append((peeled, delta))
         mask &= ~peeled
-        d_sub = max_degree_in(adj, mask)
+        for p in bits(peeled):
+            borrow = adj[p] & mask
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+        # the maximum degree, high bit first, among the vertices still tied
+        d_sub, top = 0, mask
+        for j in reversed(range(len(planes))):
+            if top & planes[j]:
+                top &= planes[j]
+                d_sub |= 1 << j
         if d_sub > delta - 1:
             raise InternalInconsistencyError("removing a maximal independent set "
                                              "failed to lower the maximum degree")

@@ -26,9 +26,10 @@ from typing import Callable, NamedTuple
 
 from .coloring import color_with_independent_sets, first_fit
 from .errors import GraphFormatError, InternalInconsistencyError
-from .graph import Graph, bits, mask_of, max_degree_in
+from .graph import Graph, bits, mask_of
 from .oracle import colorable_with
-from .reductions import bacso_tuza_bound, brooks_mask, copy_colors, extend_list_coloring
+from .reductions import (_brooks_by_degree, _degrees_in, bacso_tuza_bound, copy_colors,
+                         extend_list_coloring)
 from .structure import CliqueReduction, lift_coloring
 
 __all__ = ["TraceEvent", "ReductionTrace", "STEPS", "ORACLE_CAP", "check_oracle_core",
@@ -159,12 +160,17 @@ class Step:
         return out
 
 
-def _mask(g: Graph, vs) -> int:
-    """The bitmask of ``vs``, each of which must be a vertex of ``g``."""
+def _vertices(g: Graph, vs):
+    """``vs``, each of which must be a vertex of ``g``."""
     if vs and not (0 <= min(vs) and max(vs) < g.n):
         raise GraphFormatError(f"vertices {_fmt_vs(vs)} are not all in the graph "
                                f"of order {g.n}")
-    return mask_of(vs)
+    return vs
+
+
+def _mask(g: Graph, vs) -> int:
+    """The bitmask of ``vs``, each of which must be a vertex of ``g``."""
+    return mask_of(_vertices(g, vs))
 
 
 def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
@@ -178,11 +184,12 @@ def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
 def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """Brooks-color ``vs`` with ``delta`` colors, its maximum degree."""
     mask = _mask(g, d["vs"])
-    delta = max_degree_in(g.adj, mask)
+    deg = _degrees_in(g.adj, mask)
+    delta = max(deg.values(), default=0)
     if delta != d["delta"]:
         raise GraphFormatError(f"brooks line says delta={d['delta']}, but its "
                                f"vertices have maximum degree {delta}")
-    colors.update(brooks_mask(g.adj, mask)[0])
+    colors.update(_brooks_by_degree(g.adj, mask, deg, delta))
 
 
 ORACLE_CAP = bacso_tuza_bound(9)
@@ -242,15 +249,15 @@ STEPS: dict[str, Step] = {
     "lemma1": Step("color", (_VS, Field("sets", SETS), Field("order", VERTICES), _K,
                              Field("case", STR, "-"), Field("branch", STR, "-"),
                              Field("fallback", BOOL, False)), _lemma1),
-    "low_degree": Step("step", (Field("v", VERTEX), _K),
-                       lambda g, d, colors: first_fit(g.adj, (d["v"],), d["k"], colors)),
+    "low_degree": Step("step", (Field("v", VERTEX), _K), lambda g, d, colors: first_fit(
+        g.adj, _vertices(g, (d["v"],)), d["k"], colors)),
     "copycat": Step("step", (Field("a", VERTICES), Field("b", VERTICES)),
                     lambda g, d, colors: copy_colors(d["a"], d["b"], colors)),
     "d1_extend": Step("step", (Field("w", VERTICES), _K), _d1_extend),
     "clique_copy": Step("step", (Field("removed", VERTICES), Field("donor", VERTICES)),
                         lambda g, d, colors: copy_colors(d["removed"], d["donor"], colors)),
-    "a7_peel": Step("step", (Field("removed", VERTICES), _K),
-                    lambda g, d, colors: first_fit(g.adj, sorted(d["removed"]), d["k"], colors)),
+    "a7_peel": Step("step", (Field("removed", VERTICES), _K), lambda g, d, colors: first_fit(
+        g.adj, _vertices(g, sorted(d["removed"])), d["k"], colors)),
     "delta_set": Step("step", (Field("i_set", VERTICES, tag="i"), Field("color", INT)),
                       lambda g, d, colors: colors.update(
                           dict.fromkeys(d["i_set"], d["color"]))),

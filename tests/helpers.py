@@ -18,7 +18,11 @@ reader that decoded one edge at a time before ``parse_graph6`` read whole
 rows, ``reference_adjacency_fault`` the walk over every adjacency entry
 that ``Graph`` ran before it checked each pair from its lower end, and
 ``reference_first_fit`` the first-fit loop that gathered neighbor
-colors in a set before ``first_fit`` kept a used-color mask, and
+colors in a set before ``first_fit`` kept a used-color mask (and later
+probed color-class masks), ``reference_brooks_mask`` (with
+``_reference_brooks_component``) Brooks coloring as it was before one
+pass over the mask counted the degrees that all its checks read, word for
+word except that it first-fits with ``reference_first_fit``, and
 ``reference_clique_number`` and ``reference_has_clique`` the recursive
 branch and bound (with a greedy-coloring bound) and fixed-size test that
 the iterative ``patterns`` clique search replaced, and
@@ -71,7 +75,8 @@ from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph
 from pentagem.patterns import (PatternWitness, clique_number, find_induced, has_clique,
                                induced_p4)
 from pentagem.oracle import colorable_with
-from pentagem.reductions import extend_list_coloring, is_k3_join_3k2, is_k4_join_two_nonedges
+from pentagem.reductions import (_connected_without, _order_toward_root, extend_list_coloring,
+                                 is_k3_join_3k2, is_k4_join_two_nonedges)
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
@@ -682,6 +687,67 @@ def reference_first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
         if c > k:
             raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
         colors[v] = c
+
+
+def _reference_brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+    """Color the connected subgraph ``adj`` induces on ``comp`` with at most
+    ``delta`` colors."""
+    colors: dict[int, int] = {}
+    low = next((v for v in bits(comp) if (adj[v] & comp).bit_count() < delta), None)
+    if low is not None:
+        reference_first_fit(adj, _order_toward_root(adj, comp, low), delta, colors)
+        return colors
+    # delta-regular from here on, and delta >= 3 (``brooks_mask`` checks)
+    cut = next((v for v in bits(comp) if not _connected_without(adj, comp, 1 << v)), None)
+    if cut is not None:
+        # color each side with the cut, then swap two colors on later sides
+        # so the cut keeps the color the first side gave it
+        for side in component_masks(adj, comp & ~(1 << cut)):
+            part = side | 1 << cut
+            local: dict[int, int] = {}
+            reference_first_fit(adj, _order_toward_root(adj, part, cut), delta, local)
+            have = local[cut]
+            want = colors.get(cut, have)
+            swap = {have: want, want: have}
+            for v, c in local.items():
+                colors[v] = swap.get(c, c)
+        return colors
+    # 2-connected, regular, not complete: classic two-neighbor trick
+    for x in bits(comp):
+        nbrs = tuple(bits(adj[x] & comp))
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                pair = 1 << u | 1 << w
+                if adj[u] & pair or not _connected_without(adj, comp, pair):
+                    continue
+                colors = {u: 1, w: 1}
+                reference_first_fit(adj, _order_toward_root(adj, comp & ~pair, x), delta,
+                                    colors)
+                return colors
+    raise InternalInconsistencyError("Brooks case analysis fell through")
+
+
+def reference_brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
+    """Color the subgraph ``adj`` induces on ``mask`` with colors 1..delta,
+    keyed by the ids of ``adj``, where delta is its maximum degree; return
+    the coloring and delta.
+
+    Each component is colored on its own, always with the whole subgraph's
+    delta: first-fit toward a root of degree below delta; else, in a
+    delta-regular component, side by side around its first cut vertex;
+    else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
+    so the coloring of a copy numbered in the same order is the same.
+    """
+    delta = max_degree_in(adj, mask)
+    if delta < 3:
+        raise PreconditionError("Brooks coloring requires maximum degree >= 3")
+    colors: dict[int, int] = {}
+    for comp in component_masks(adj, mask):
+        if comp.bit_count() == delta + 1 and all(
+                (adj[v] & comp).bit_count() == delta for v in bits(comp)):
+            raise PreconditionError("component is the complete graph on Delta+1 vertices")
+        colors.update(_reference_brooks_component(adj, comp, delta))
+    return colors, delta
 
 
 def _reference_greedy_color_bound(g: Graph, cand: int) -> int:

@@ -67,18 +67,24 @@ def test_verify_agrees_with_the_edge_walk():
 
 def test_first_fit_agrees_with_the_set_of_neighbor_colors():
     # pre-placed colors inside and outside the palette, vertices colored
-    # twice, and palettes too small: the same colors in the same insertion
-    # order, or the same error after the same partial writes
+    # twice, orders that list a vertex more than once, boards that color
+    # vertices no vertex of the order sees (some of them not in the graph),
+    # palettes too small, and k of 0, below 0 or huge: the same colors in
+    # the same insertion order, or the same error after the same partial
+    # writes
     outcomes = Counter()
-    for seed in range(600):
+    for seed in range(800):
         rng = random.Random(seed)
         n = rng.randint(0, 12)
         g = random_graph(n, rng.choice((0.2, 0.4, 0.7)), seed)
-        k = rng.randint(1, 12)
+        k = rng.choice((10**12, 0, -3)) if rng.random() < 0.2 else rng.randint(1, 12)
         odd = (0, -1, -7, k + 1, k + 5, 10**12)
-        placed = {v: rng.choice(odd) if rng.random() < 0.3 else rng.randint(1, k)
-                  for v in rng.sample(range(n), rng.randint(0, n))}
-        order = rng.sample(range(n), rng.randint(0, n))
+        placed = {v: rng.choice(odd) if rng.random() < 0.3 else rng.randint(1, min(max(k, 1), 12))
+                  for v in rng.sample(range(n + 4), rng.randint(0, n + 4))}
+        if n and rng.random() < 0.5:
+            order = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+        else:
+            order = rng.sample(range(n), rng.randint(0, n))
         mine, ref = dict(placed), dict(placed)
         try:
             reference_first_fit(g.adj, order, k, ref)
@@ -91,6 +97,10 @@ def test_first_fit_agrees_with_the_set_of_neighbor_colors():
             first_fit(g.adj, order, k, mine)
             outcomes["colored"] += 1
         assert list(mine.items()) == list(ref.items()), seed
+        outcomes["repeats"] += len(set(order)) < len(order)
+        outcomes["huge k"] += k == 10**12
+        outcomes["k below 1"] += k < 1
+        outcomes["outside"] += any(v >= n for v in placed)
     assert min(outcomes.values()) > 40, outcomes
 
 

@@ -16,14 +16,15 @@ from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import (clique_number, find_induced, has_clique,
                                maximum_independent_set, mis_mask)
 from pentagem.reductions import (_hitting_component, _maximal_cliques, bacso_tuza_bound,
-                                 brooks_color, copycat_extend, delta_reduce,
+                                 brooks_color, brooks_mask, copycat_extend, delta_reduce,
                                  extend_list_coloring, find_copycat,
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
 from helpers import (brute_cliques, brute_d1_catalog_present,
                      caterpillar, catalog_shapes, k9_with_ears, random_cograph, random_graph,
-                     reference_extend_list_coloring, reference_hitting_mis,
+                     reference_brooks_mask, reference_extend_list_coloring,
+                     reference_hitting_mis,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
                      reference_maximal_cliques, reference_maximum_independent_set)
 
@@ -631,6 +632,58 @@ def test_brooks_colors_are_pinned():
         branches.update(brooks_branch(g, c) for c in connected_components(g))
     assert set(branches) == {"low degree", "cut vertex", "regular"}, branches
     assert digest.hexdigest() == BROOKS_SHA256
+
+
+def brooks_masks():
+    """(host, mask) pairs: every third graph of the Brooks corpus on its whole
+    vertex set, 60 of them beside a random graph inside a shuffled union with
+    the mask on their copy, random graphs under random masks, complete
+    components on Delta+1 vertices beside others, and graphs of maximum
+    degree 2 or less."""
+    rng = random.Random(2031)
+    corpus = brooks_corpus()
+    pairs = [(g, g.full_mask()) for g in corpus[::3]]
+    for g in rng.sample(corpus, 60):
+        noise = random_graph(rng.randint(1, 12), 0.5, rng.randrange(10 ** 6))
+        union = disjoint_union(noise, g)
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        host = build_graph(union.n, [(perm[u], perm[v]) for u, v in union.edges()])
+        pairs.append((host, mask_of(perm[noise.n + v] for v in range(g.n))))
+    for _ in range(200):
+        g = random_graph(rng.randint(4, 16), rng.choice((0.3, 0.5, 0.7)), rng.randrange(10 ** 6))
+        pairs.append((g, mask_of(v for v in range(g.n) if rng.random() < 0.8)))
+    for n, jumps in ((5, (1, 2)), (7, (1, 2, 3)), (8, (1, 2))):
+        for other in (complete_graph(4), circulant(n, jumps), cycle_graph(6)):
+            g = disjoint_union(other, complete_graph(len(jumps) * 2 + 1))
+            pairs.append((g, g.full_mask()))
+    pairs += [(g, g.full_mask()) for g in (path_graph(6), cycle_graph(7), complete_graph(3),
+                                           disjoint_union(cycle_graph(5), path_graph(3)))]
+    pairs.append((complete_graph(6), mask_of((0, 1, 2))))
+    return pairs
+
+
+def test_brooks_matches_the_reference_on_masks():
+    # the same colors in the same insertion order, and the same delta, or the
+    # same error with the same message
+    seen = Counter()
+    for host, mask in brooks_masks():
+        try:
+            want = reference_brooks_mask(host.adj, mask)
+        except PentagemError as exc:
+            with pytest.raises(type(exc)) as info:
+                brooks_mask(host.adj, mask)
+            assert str(info.value) == str(exc)
+            seen[str(exc)] += 1
+            continue
+        colors, delta = brooks_mask(host.adj, mask)
+        assert delta == want[1] and list(colors.items()) == list(want[0].items())
+        sub, _ = induced_subgraph(host, bits(mask))
+        seen.update(brooks_branch(sub, c) for c in connected_components(sub))
+    assert set(seen) == {"low degree", "cut vertex", "regular",
+                         "Brooks coloring requires maximum degree >= 3",
+                         "component is the complete graph on Delta+1 vertices"}, seen
+    assert min(seen.values()) >= 8, seen
 
 
 # -- degree reduction -----------------------------------------------------------------

@@ -410,6 +410,28 @@ def test_scale_traces_are_pinned():
     assert digest.hexdigest() == SCALE_TRACES_SHA256
 
 
+# sha256 over the solve traces and the colors, in the order solve assigned
+# them, of the 506 criterion-2 graphs, the caterpillars with spines of 50,
+# 100 and 200, and 64 copies of gallery_g2(9): inputs that end in greedy and
+# Brooks colorings.  Recorded while first-fit still walked each vertex's
+# neighbors and each Brooks step counted the maximum degree twice
+TERMINAL_TRACES_SHA256 = "39c55a29697fbef19a8780f01aefb03c6e9760347c1680cf004db9f611cb3f25"
+
+
+def test_terminal_traces_are_pinned():
+    inputs = delta9_members(506) + [caterpillar(s) for s in (50, 100, 200)]
+    inputs.append(_copies(gallery_g2(9), 64))
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for g in inputs:
+        col, trace = solve(g)
+        kinds.update(e.kind for e in trace.events)
+        digest.update(dumps_trace(trace).encode())
+        digest.update(repr(list(col.colors.items())).encode())
+    assert kinds["greedy"] and kinds["brooks"] and kinds["low_degree"]
+    assert digest.hexdigest() == TERMINAL_TRACES_SHA256
+
+
 def test_a_25600_vertex_caterpillar_peels_within_the_default_recursion_limit():
     g = parse_edgelist(write_edgelist(caterpillar(3200)))
     assert (g.n, g.max_degree()) == (25600, 9)

@@ -1,11 +1,16 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from pentagem import graph as graph_module
 from pentagem.cli import main
+from pentagem.coloring import verify_coloring
 from pentagem.errors import GraphFormatError
-from pentagem.graph import cycle_graph
+from pentagem.graph import complete_graph, cycle_graph, join
 from pentagem.graphio import write_edgelist
 from pentagem.solver import replay_trace
-from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, loads_trace
+from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, fingerprint, loads_trace
 
 # one event of every kind, with both forms of the oracle and lemma1 lines
 GOLDEN_EVENTS = [
@@ -127,3 +132,57 @@ def test_replay_cli_exits_2_on_a_vertex_outside_the_graph(tmp_path, capsys):
     bad.write_text("pentagem-trace 1\n" + C10_HEADER + "step low_degree v=9999 k=8\nend\n")
     assert main(["replay", str(graph), str(bad)]) == 2
     assert "9999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["step low_degree v=-1 k=8", "step a7_peel removed=-1 k=8"])
+def test_a_negative_vertex_is_rejected_at_its_own_line(line):
+    # -1 must not read vertex 9's row and color key -1 for the end-of-replay
+    # range check to catch
+    trace = loads_trace("pentagem-trace 1\n" + C10_HEADER + line + "\nend\n")
+    with pytest.raises(GraphFormatError) as info:
+        replay_trace(cycle_graph(10), trace)
+    assert str(info.value) == "vertices -1 are not all in the graph of order 10"
+
+
+def test_replay_cli_names_a_negative_vertex_at_its_line(tmp_path, capsys):
+    graph = tmp_path / "c10.el"
+    graph.write_text(write_edgelist(cycle_graph(10)))
+    bad = tmp_path / "bad.trace"
+    bad.write_text("pentagem-trace 1\n" + C10_HEADER + "step low_degree v=-1 k=8\nend\n")
+    assert main(["replay", str(graph), str(bad)]) == 2
+    assert "vertices -1 are not all in the graph of order 10" in capsys.readouterr().err
+
+
+def test_a_brooks_line_counts_the_degrees_once(monkeypatch):
+    # one pass over the mask gives delta, the complete-component check and
+    # the low root; a wheel's rim is below the hub's degree, so no component
+    # search beyond the split into components runs
+    calls = Counter()
+    for fn in (graph_module.max_degree_in, graph_module.component_masks):
+        def spy(*args, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "pentagem" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, spy)
+    g = join(complete_graph(1), cycle_graph(6))
+    n, m, hist = fingerprint(g)
+    trace = ReductionTrace([TraceEvent("brooks", {"vs": tuple(range(7)), "delta": 6})],
+                           6, n, m, hist)
+    replayed = replay_trace(g, loads_trace(dumps_trace(trace)))
+    assert verify_coloring(g, replayed)
+    assert (calls["max_degree_in"], calls["component_masks"]) == (0, 1)
+
+
+@pytest.mark.parametrize("g, delta", [(cycle_graph(10), 3), (complete_graph(4), 4)])
+def test_a_wrong_brooks_delta_is_reported_before_the_brooks_preconditions(g, delta):
+    # a cycle is below maximum degree 3 and K4 is complete on Delta+1
+    # vertices, so Brooks itself would refuse both; the line's delta is
+    # checked first
+    n, m, hist = fingerprint(g)
+    line = TraceEvent("brooks", {"vs": tuple(range(g.n)), "delta": delta})
+    trace = ReductionTrace([line], delta, n, m, hist)
+    with pytest.raises(GraphFormatError) as info:
+        replay_trace(g, loads_trace(dumps_trace(trace)))
+    assert str(info.value) == (f"brooks line says delta={delta}, but its vertices have "
+                               f"maximum degree {g.max_degree()}")
