@@ -3,7 +3,7 @@
 Subcommands wrap the public operations: ``color`` (the headline solver),
 ``detect``, ``classify``, ``oracle``, ``verify``, ``gen``, ``replay``.
 
-Exit codes: 0 success; 2 parse error; 3 input is not (P5, gem)-free;
+Exit codes: 0 success; 2 parse error or bad trace; 3 input is not (P5, gem)-free;
 4 maximum degree below 9; 5 clique number at least the maximum degree;
 6 internal inconsistency, or an input deep enough to exhaust Python's
 recursion limit; 1 for other precondition or usage failures.
@@ -169,8 +169,13 @@ def cmd_replay(args) -> int:
     g = _read_graph(args.graph, args.format)
     trace = loads_trace(_read_text(args.trace))
     coloring = replay_trace(g, trace)
-    if not verify_coloring(g, coloring):
-        raise InternalInconsistencyError("replayed coloring failed verification")
+    if not verify_coloring(g, coloring):  # the trace, not the engine, is at fault
+        c = coloring.colors
+        v = next((v for v in range(g.n) if v not in c), None)
+        if v is not None:
+            raise GraphFormatError(f"replayed trace leaves vertex {v} uncolored")
+        u, w = next((u, w) for u, w in g.edges() if c[u] == c[w])
+        raise GraphFormatError(f"replayed trace gives both ends of edge {u}-{w} color {c[u]}")
     _print_coloring(coloring)
     return EXIT_OK
 

@@ -113,7 +113,7 @@ def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
 
 def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
-    m = mask_of(vs)
+    m = mask_of(vs) if all(0 <= v < g.n for v in vs) else 0
     if len(vs) != 9 or m.bit_count() != 9:
         return False
     # the hubs see all 8 others, so each other vertex has degree 4 exactly
@@ -125,7 +125,7 @@ def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
 
 def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
-    m = mask_of(vs)
+    m = mask_of(vs) if all(0 <= v < g.n for v in vs) else 0
     if len(vs) != 8 or m.bit_count() != 8:
         return False
     rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 7)
@@ -136,49 +136,62 @@ def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
                for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c)))
 
 
-def _triangles(g: Graph):
-    for u in range(g.n):
-        au = g.adj[u] & (~0 << (u + 1))
-        for v in bits(au):
-            for w in bits(g.adj[v] & au & (~0 << (v + 1))):
-                yield u, v, w
+def _anchors(adj, n: int, need: int):
+    """Triangles u < v < w in lexicographic order whose common neighborhood
+    holds ``need`` or more vertices, each with that neighborhood's mask.
+    It lies in the common neighborhood of u and v less w, so a pair with
+    ``need`` or fewer common neighbors anchors none."""
+    for u in range(n):
+        for v in bits(adj[u] & (~0 << (u + 1))):
+            uv = adj[u] & adj[v]
+            if uv.bit_count() > need:
+                for w in bits(uv & (~0 << (v + 1))):
+                    if (common := uv & adj[w]).bit_count() >= need:
+                        yield u, v, w, common
+
+
+def _edges(adj, mask: int):
+    """Edges a < b inside ``mask`` in lexicographic order, each with the
+    vertices of ``mask`` above a that miss the closed neighborhoods of both."""
+    for a in bits(mask):
+        above = mask & (~0 << (a + 1))
+        for b in bits(adj[a] & above):
+            yield a, b, above & ~(adj[a] | adj[b])
 
 
 def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
     """An induced member of the removable catalog, or None (exhaustive).
 
     Shapes: the 9-vertex K3 v 3K2, else the 8-vertex K4 v H with H on four
-    vertices carrying two disjoint non-edges.  Anchored on triangles/K4s,
-    whose common neighborhoods stay tiny under a degree bound.  The anchor
-    is complete to the rest, so the shape tests reduce to the rest alone:
-    six vertices that each have exactly one neighbor among the six, or four
-    vertices that split into two non-adjacent pairs.  On such candidates
-    these tests agree with ``is_k3_join_3k2`` and
-    ``is_k4_join_two_nonedges``.
+    vertices carrying two disjoint non-edges.  Anchored on triangles (six
+    common neighbors) and K4s (four), in lexicographic order, whose common
+    neighborhoods stay tiny under a degree bound.  The anchor is complete
+    to the rest, so the shape tests reduce to the rest alone: three
+    pairwise anticomplete edges, the first in lexicographic order, or the
+    first 4-set that splits into two non-adjacent pairs.  A vertex of the
+    six sees one other and at most the spares, so one with more than
+    |common| - 5 common neighbors is dropped first, and the edges are
+    walked depth first, each past those before it and missing their closed
+    neighborhoods.  On such candidates these tests agree with
+    ``is_k3_join_3k2`` and ``is_k4_join_two_nonedges``.
     """
-    for u, v, w in _triangles(g):
-        common = g.adj[u] & g.adj[v] & g.adj[w]
-        if common.bit_count() < 6:
-            continue
-        # three pairwise anticomplete edges inside the common part, taken
-        # in lexicographic order
-        edges = [1 << a | 1 << b for a in bits(common)
-                 for b in bits(g.adj[a] & common & (~0 << (a + 1)))]
-        for e1, e2, e3 in combinations(edges, 3):
-            six = e1 | e2 | e3
-            if six.bit_count() == 6 and all(
-                    (g.adj[x] & six).bit_count() == 1 for x in bits(six)):
-                return tuple(sorted((u, v, w, *bits(six))))
-    for u, v, w in _triangles(g):
-        tri = g.adj[u] & g.adj[v] & g.adj[w]
+    adj = g.adj
+    for u, v, w, common in _anchors(adj, g.n, 6):
+        slack = common.bit_count() - 5
+        cand = mask_of(x for x in bits(common) if (adj[x] & common).bit_count() <= slack)
+        if cand.bit_count() >= 6:
+            for a, b, r1 in _edges(adj, cand):
+                for c, d, r2 in _edges(adj, r1):
+                    for e, f, _ in _edges(adj, r2):
+                        return tuple(sorted((u, v, w, a, b, c, d, e, f)))
+    for u, v, w, tri in _anchors(adj, g.n, 5):
         for x in bits(tri & (~0 << (w + 1))):
-            common = tri & g.adj[x]
+            common = tri & adj[x]
             if common.bit_count() < 4:
                 continue
             for a, b, c, d in combinations(bits(common), 4):
-                if any(not g.has_edge(p, q) and not g.has_edge(r, s)
-                       for p, q, r, s in ((a, b, c, d), (a, c, b, d),
-                                          (a, d, b, c))):
+                if any(not adj[p] >> q & 1 and not adj[r] >> s & 1
+                       for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c))):
                     return tuple(sorted((u, v, w, x, a, b, c, d)))
     return None
 
@@ -194,10 +207,10 @@ def extend_list_coloring(g: Graph, lists: dict[int, frozenset[int] | set[int]]
     guaranteed to exist; exhausting the search therefore signals a bug or a
     non-catalog input, not an unlucky assignment.
     """
-    mask = mask_of(lists)
-    vs = tuple(bits(mask))
+    vs = tuple(sorted(lists))
     if not (is_k3_join_3k2(g, vs) or is_k4_join_two_nonedges(g, vs)):
         raise PreconditionError("graph is not one of the catalog shapes")
+    mask = mask_of(vs)
     for v in vs:
         if len(lists[v]) < (g.adj[v] & mask).bit_count() - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")

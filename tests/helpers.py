@@ -8,8 +8,10 @@ the Delta 10..12 instances that criterion 3 and the solver tests share,
 module-level one replaced, the ``reference_find_*`` functions are the
 four hand-written induced-P4 walks that ``patterns.induced_p4`` replaced,
 the ``reference_is_*`` functions the catalog shape tests that built
-induced copies, ``reference_extend_list_coloring`` the list-coloring
-search before it kept free-color masks in place and memoized failures,
+induced copies, ``reference_find_d1_catalog`` the catalog detector that
+walked every triangle and every triple of common edges,
+``reference_extend_list_coloring`` the list-coloring search before it
+kept free-color masks in place and memoized failures,
 ``reference_colorable_with`` the recursive DSATUR search the oracle ran
 before both became one explicit-stack list search, and
 ``reference_verify_coloring`` the edge walk that ``verify_coloring`` ran
@@ -36,9 +38,9 @@ given size, grown one vertex at a time.
 ``reference_is_p5_gem_free`` and ``reference_match_modules`` are the
 freeness test and the module matcher before classification walked and
 matched on quotients: both P4 walks on the whole graph, and a search for
-every template with as many modules as nodes.  ``core9`` loads the
-benchmark's inputs that reach classification, and ``core9_cores`` the
-cores that ``solve`` classifies on them.
+every template with as many modules as nodes.  ``benchmark_inputs`` loads
+a benchmark workload's inputs, ``core9`` those that reach classification,
+and ``core9_cores`` the cores that ``solve`` classifies on them.
 ``reference_is_cograph`` (with its ``CotreeNode`` tree and
 ``CographCertificate``), ``reference_cotree_clique_number``,
 ``reference_cotree_to_graph`` and ``reference_cograph_coloring_with_palette``
@@ -108,14 +110,19 @@ def delta_family() -> list[Graph]:
     return instances
 
 
-def core9(seed: int):
-    """The ``core9`` benchmark inputs: every Delta-9 host with minimum
-    degree 8 and clique number at most 8, in four seeded vertex orders."""
+def benchmark_inputs(name: str, seed: int):
+    """The inputs of the benchmark workload ``name`` at ``seed``."""
     if "perfbench_workloads" not in sys.modules:
         spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
         sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return sys.modules["perfbench_workloads"].core9(seed)
+    return sys.modules["perfbench_workloads"].BUILDERS[name](seed)
+
+
+def core9(seed: int):
+    """The ``core9`` benchmark inputs: every Delta-9 host with minimum
+    degree 8 and clique number at most 8, in four seeded vertex orders."""
+    return benchmark_inputs("core9", seed)
 
 
 def core9_cores(seed: int) -> list[Graph]:
@@ -487,6 +494,47 @@ def reference_is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
                 and not sub.has_edge(rest[c], rest[d])):
             return True
     return False
+
+
+# ``reductions.find_d1_catalog`` and its triangle walk before the search
+# started only from anchors that can complete a shape, kept verbatim as
+# the reference: every triangle, and every triple of common edges.
+
+def _reference_triangles(g: Graph):
+    for u in range(g.n):
+        au = g.adj[u] & (~0 << (u + 1))
+        for v in bits(au):
+            for w in bits(g.adj[v] & au & (~0 << (v + 1))):
+                yield u, v, w
+
+
+def reference_find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
+    """An induced member of the removable catalog, or None (exhaustive)."""
+    for u, v, w in _reference_triangles(g):
+        common = g.adj[u] & g.adj[v] & g.adj[w]
+        if common.bit_count() < 6:
+            continue
+        # three pairwise anticomplete edges inside the common part, taken
+        # in lexicographic order
+        edges = [1 << a | 1 << b for a in bits(common)
+                 for b in bits(g.adj[a] & common & (~0 << (a + 1)))]
+        for e1, e2, e3 in combinations(edges, 3):
+            six = e1 | e2 | e3
+            if six.bit_count() == 6 and all(
+                    (g.adj[x] & six).bit_count() == 1 for x in bits(six)):
+                return tuple(sorted((u, v, w, *bits(six))))
+    for u, v, w in _reference_triangles(g):
+        tri = g.adj[u] & g.adj[v] & g.adj[w]
+        for x in bits(tri & (~0 << (w + 1))):
+            common = tri & g.adj[x]
+            if common.bit_count() < 4:
+                continue
+            for a, b, c, d in combinations(bits(common), 4):
+                if any(not g.has_edge(p, q) and not g.has_edge(r, s)
+                       for p, q, r, s in ((a, b, c, d), (a, c, b, d),
+                                          (a, d, b, c))):
+                    return tuple(sorted((u, v, w, x, a, b, c, d)))
+    return None
 
 
 # ``reductions.extend_list_coloring`` before it kept free-color masks in

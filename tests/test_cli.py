@@ -12,8 +12,8 @@ from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.patterns import PatternWitness, clique_number
 from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, fingerprint
 
-from helpers import (caterpillar, gate_pins, k9_with_ears, non_clique_core, prism_cores,
-                     random_graph, threshold_graph)
+from helpers import (benchmark_inputs, caterpillar, gate_pins, k9_with_ears, non_clique_core,
+                     prism_cores, random_graph, threshold_graph)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -296,11 +296,46 @@ def test_tampered_trace_reports_inconsistency(tmp_path, capsys):
     assert main(["color", path, "--trace", trace]) == 0
     capsys.readouterr()
     lines = Path(trace).read_text().splitlines()
-    # drop one extension step: the replayed coloring goes partial/improper
+    # drop one extension step: the replayed coloring goes partial, which
+    # the trace, not the engine, is to blame for
     broken = [ln for ln in lines if not ln.startswith("step low_degree")]
     tampered = str(tmp_path / "bad.txt")
     Path(tampered).write_text("\n".join(broken) + "\n")
-    assert main(["replay", path, tampered]) == 6
+    assert main(["replay", path, tampered]) == 2
+    assert capsys.readouterr().err == "error: replayed trace leaves vertex 5 uncolored\n"
+
+
+def benchmark_trace(tmp_path, capsys, workload: str, name: str) -> tuple[str, str]:
+    """The graph6 file of a seed-7 benchmark input and its solver trace."""
+    inp = next(inp for inp in benchmark_inputs(workload, 7) if inp.name == name)
+    path = write(tmp_path, "g.g6", inp.g6)
+    trace = str(tmp_path / "t.txt")
+    assert main(["color", path, "--format", "graph6", "--trace", trace]) == 0
+    capsys.readouterr()
+    return path, Path(trace).read_text()
+
+
+@pytest.mark.parametrize("workload, name, old, new, err", [
+    # a delta_set line on the edge 0-1: Brooks recolors 1, and 2 stays bare
+    ("delta", "gallery_g2(10)#0", "delta_set i=0,2 ", "delta_set i=0,1 ",
+     "leaves vertex 2 uncolored"),
+    # a delta_set color that Brooks uses too
+    ("delta", "gallery_g2(10)#0", "i=0,2 color=9", "i=0,2 color=1",
+     "gives both ends of edge 0-6 color 1"),
+    # no line colors the Brooks component
+    ("delta", "gallery_g2(10)#0", "color brooks vs=1,3,4,5,6,7,8,9,10 delta=8\n", "",
+     "leaves vertex 1 uncolored"),
+    # a copycat side larger than the other: the copy leaves 15 uncolored
+    ("core9", "G3:3-4-1-4-2-1-1#0", "step copycat a=15 b=3\n", "step copycat a=15,3 b=3\n",
+     "leaves vertex 15 uncolored"),
+])
+def test_replay_blames_a_trace_that_colors_badly(tmp_path, capsys, workload, name, old,
+                                                 new, err):
+    path, text = benchmark_trace(tmp_path, capsys, workload, name)
+    assert text.count(old) == 1
+    tampered = write(tmp_path, "bad.txt", text.replace(old, new))
+    assert main(["replay", path, tampered, "--format", "graph6"]) == 2
+    assert capsys.readouterr().err == f"error: replayed trace {err}\n"
 
 
 @pytest.mark.parametrize("n", [36, 49])

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pentagem import solver
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import InternalInconsistencyError, PentagemError, PreconditionError
 from pentagem.graph import (Graph, bits, build_graph, complete_graph, connected_components,
                             cycle_graph, disjoint_union, induced_subgraph, is_connected,
                             join, mask_of, path_graph)
+from pentagem.graphio import parse_graph
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import (clique_number, find_induced, has_clique,
                                maximum_independent_set, mis_mask)
@@ -21,9 +23,10 @@ from pentagem.reductions import (_hitting_component, _maximal_cliques, bacso_tuz
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 
-from helpers import (brute_cliques, brute_d1_catalog_present,
-                     caterpillar, catalog_shapes, k9_with_ears, random_cograph, random_graph,
-                     reference_brooks_mask, reference_extend_list_coloring,
+from helpers import (_reference_triangles, benchmark_inputs, brute_cliques,
+                     brute_d1_catalog_present, caterpillar, catalog_shapes, k9_with_ears,
+                     random_cograph, random_graph, reference_brooks_mask,
+                     reference_extend_list_coloring, reference_find_d1_catalog,
                      reference_hitting_mis,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
                      reference_maximal_cliques, reference_maximum_independent_set)
@@ -134,6 +137,40 @@ def test_catalog_whole_k4_c4():
 
 def test_catalog_none_on_c5():
     assert find_d1_catalog(cycle_graph(5)) is None
+
+
+def test_catalog_takes_the_first_six_of_a_wide_common_part():
+    # the anchor 0,1,2 sees 3..9, which induce the path 3-4-5 and the edges
+    # 6-7 and 8-9: two sixes fit, and the one with the earlier edge 3-4
+    # wins; vertex 4 sees two of the seven, all that the slack allows
+    inner = [(3, 4), (4, 5), (6, 7), (8, 9)]
+    g = build_graph(10, [(0, 1), (0, 2), (1, 2)]
+                    + [(h, x) for h in range(3) for x in range(3, 10)] + inner)
+    assert find_d1_catalog(g) == (0, 1, 2, 3, 4, 6, 7, 8, 9) == reference_find_d1_catalog(g)
+
+
+def test_catalog_takes_a_nine_before_an_earlier_eight():
+    # K4 v C4 on 0..7 anchors first, but every anchor is tried for the
+    # 9-vertex shape before any is tried for the 8-vertex one
+    g = disjoint_union(join(complete_graph(4), c4()), join(complete_graph(3), three_k2()))
+    assert find_d1_catalog(g) == tuple(range(8, 17)) == reference_find_d1_catalog(g)
+
+
+def test_catalog_finds_an_interleaved_matching():
+    # the matching 3-6, 4-7, 5-8: each later edge starts between the ends
+    # of the one before it
+    g = build_graph(9, [(0, 1), (0, 2), (1, 2), (3, 6), (4, 7), (5, 8)]
+                    + [(h, x) for h in range(3) for x in range(3, 9)])
+    assert find_d1_catalog(g) == tuple(range(9)) == reference_find_d1_catalog(g)
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_catalog_shape_tests_reject_an_id_outside_the_graph(bad):
+    g = complete_graph(9)
+    assert not is_k3_join_3k2(g, (bad, *range(1, 9)))
+    assert not is_k4_join_two_nonedges(g, (bad, *range(1, 8)))
+    with pytest.raises(PreconditionError, match="not one of the catalog shapes"):
+        extend_list_coloring(g, {v: frozenset(range(1, 9)) for v in (bad, *range(1, 9))})
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -305,6 +342,39 @@ def test_catalog_detection_is_pinned():
         sizes.append(None if got is None else len(got))
     assert {None, 8, 9} <= set(sizes)
     assert digest.hexdigest() == CATALOG_DETECTION_SHA256
+
+
+def test_catalog_detection_matches_the_reference_on_random_graphs():
+    # n 6..16 at densities 0.5 and 0.7, and n 6..11 at 0.85, where the
+    # reference's walk over every triple of common edges takes up to half a
+    # second a graph; over a hundred of them have Delta above 9 and a
+    # triangle with more than 7 common neighbors
+    wide = 0
+    for i in range(2000):
+        p = (0.5, 0.7, 0.85)[i % 3]
+        g = random_graph(random.Random(i).randint(6, 11 if p == 0.85 else 16), p, i)
+        assert find_d1_catalog(g) == reference_find_d1_catalog(g), i
+        wide += g.max_degree() > 9 and any((g.adj[u] & g.adj[v] & g.adj[w]).bit_count() > 7
+                                           for u, v, w in _reference_triangles(g))
+    assert wide > 100
+
+
+def test_catalog_detection_matches_the_reference_on_the_corpus():
+    for g in catalog_corpus():
+        assert find_d1_catalog(g) == reference_find_d1_catalog(g)
+
+
+def test_catalog_detection_matches_the_reference_on_benchmark_components(monkeypatch):
+    # every component the base case hands the rule on core9 and sweep9
+    seen = []
+    monkeypatch.setattr(solver, "find_d1_catalog", lambda g: seen.append(g) or find_d1_catalog(g))
+    for name in ("core9", "sweep9"):
+        for seed in (7, 11):
+            for inp in benchmark_inputs(name, seed):
+                solver.solve(parse_graph(inp.g6, "graph6"))
+    assert len(seen) == 428
+    for g in seen:
+        assert find_d1_catalog(g) == reference_find_d1_catalog(g)
 
 
 # -- hitting independent set ---------------------------------------------------------
