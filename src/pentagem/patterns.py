@@ -139,7 +139,14 @@ def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     graph, for the witness.
     """
     adj = g.adj
-    firsts = [c[0] for c in true_twin_classes(adj, (v for v in range(g.n) if adj[v]))]
+    return _p5_gem_free(g, true_twin_classes(adj, (v for v in range(g.n) if adj[v])))
+
+
+def _p5_gem_free(g: Graph, classes: list[list[int]]) -> tuple[bool, PatternWitness | None]:
+    """``is_p5_gem_free(g)`` given the classes of true twins of ``g``, as
+    ``true_twin_classes`` lists them; isolated vertices may be left out."""
+    adj = g.adj
+    firsts = [c[0] for c in classes]
     within = mask_of(firsts)
     reps: dict[int, int] = {}
     for v in firsts:

@@ -20,7 +20,7 @@ solver needs neither: its copycat rule leaves every reducible bag a clique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .cographs import cograph_coloring_with_palette
@@ -47,21 +47,45 @@ COMPLETE, ANTI, FREE = 1, 0, 2
 
 @dataclass(frozen=True)
 class Template:
-    """A quotient pattern: small graph plus the special-part annotations."""
+    """A quotient pattern: small graph plus the special-part annotations.
+
+    Its tables are built once, with the template: ``rel[s][t]`` is
+    ``relation(s, t)``, and ``ok[see][t]`` masks the nodes a module may
+    take beside one at node t that it sees (``see`` COMPLETE) or misses
+    (ANTI).  Only the anchor and the pendant, the ``spare`` nodes, may
+    take several modules.
+    """
 
     id: str
     nodes: tuple[str, ...]
     graph: Graph
     pendant: str | None = None  # node whose bag components hang off the anchor
     anchor: str | None = None   # the one node the pendant part may touch
+    rel: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    ok: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    spare: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes, k = self.nodes, len(self.nodes)
+
+        def relation(s: int, t: int) -> int:
+            names = (nodes[s], nodes[t])
+            if self.pendant in names:
+                other = names[0] if names[1] == self.pendant else names[1]
+                return FREE if other == self.anchor else ANTI
+            return COMPLETE if self.graph.has_edge(s, t) else ANTI
+
+        rel = tuple(tuple(relation(s, t) for t in range(k)) for s in range(k))
+        spare = mask_of(nodes.index(x) for x in (self.anchor, self.pendant) if x)
+        ok = tuple(tuple(mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
+                                                          rel[s][t] in (see, FREE)))
+                         for t in range(k)) for see in (ANTI, COMPLETE))
+        for name, value in (("rel", rel), ("ok", ok), ("spare", spare)):
+            object.__setattr__(self, name, value)
 
     def relation(self, s: int, t: int) -> int:
         """Required relation between distinct bags s and t."""
-        names = (self.nodes[s], self.nodes[t])
-        if self.pendant is not None and self.pendant in names:
-            other = names[0] if names[1] == self.pendant else names[1]
-            return FREE if other == self.anchor else ANTI
-        return COMPLETE if self.graph.has_edge(s, t) else ANTI
+        return self.rel[s][t]
 
 
 def _template(tid: str, prefix: str, n: int, edges: list[tuple[int, int]],
@@ -115,23 +139,26 @@ def maximal_homogeneous_cliques(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(c) for c in true_twin_classes(g.adj, range(g.n))]
 
 
-def _closure(adj, s: int) -> int:
-    """The smallest module holding the vertex set ``s``: add every vertex
-    that splits it (sees some but not all of it) until none does."""
+def _closure(adj, s: int, within: int) -> int:
+    """The smallest module holding the vertex set ``s`` in the graph
+    ``adj`` induces on ``within``: add every vertex of ``within`` that
+    splits it (sees some but not all of it) until none does.  It walks
+    each vertex of the module it returns once, so on a mask of one vertex
+    per class of true twins it walks at most one vertex per class."""
     some, every, new = 0, -1, s
     while new:
         for x in bits(new):
             some |= adj[x]
             every &= adj[x]
-        new = some & ~every & ~s
+        new = some & ~every & within & ~s
         s |= new
     return s
 
 
 # a prime quotient is what makes each bag of G1..G10 one maximal module
 for _t in TEMPLATES.values():
-    _g = _t.graph
-    if _t.pendant is None and any(_closure(_g.adj, 1 << u | 1 << v) != _g.full_mask()
+    _g, _full = _t.graph, _t.graph.full_mask()
+    if _t.pendant is None and any(_closure(_g.adj, 1 << u | 1 << v, _full) != _full
                                   for u in range(_g.n) for v in range(u)):
         raise AssertionError(f"template {_t.id} is not prime")
 
@@ -144,19 +171,50 @@ def maximal_modules(g: Graph) -> list[tuple[int, ...]]:
     the whole graph.  That finds the maximal proper modules whenever they
     are disjoint, as when ``g`` and its complement are both connected;
     otherwise each set found is still a proper module.
+
+    The greedy runs on one representative per class of true twins (equal
+    closed neighborhoods), in the host's own adjacency: each class is a
+    module, so the modules that are unions of classes are those of the
+    graph induced on the representatives, and each one found there is
+    expanded back to its classes.  The result is the one the same greedy
+    gives when it grows from every vertex.  The smallest module holding a
+    union of classes is a union of classes, and a module holding a vertex
+    but not its twin t stays a module with t added; so growing from every
+    vertex splits a class only where a module grows to all vertices but
+    one universal vertex whose twin it holds.  The universal vertices,
+    which form one class, therefore each represent themselves.
+
+    A graph ``classify`` matches has no universal vertex.  A connected
+    graph with an induced C5 whose complement is disconnected is a join
+    A + B with the C5 inside A, and any vertex of B with a P4 of the C5 is
+    a gem.  So every graph it passes on has a prime root, its maximal
+    proper modules are disjoint, and each twin class lies inside one of
+    them.
     """
-    full = left = g.full_mask()
+    return _maximal_modules(g, true_twin_classes(g.adj, range(g.n)))
+
+
+def _maximal_modules(g: Graph, classes: list[list[int]]) -> list[tuple[int, ...]]:
+    """``maximal_modules(g)`` given the true-twin classes of ``g``, as
+    ``true_twin_classes`` lists them for all its vertices."""
+    adj, full = g.adj, g.full_mask()
+    members = {c[0]: mask_of(c) for c in classes}
+    rank = {c[0]: i for i, c in enumerate(sorted(classes, key=lambda c: (-len(c), c[0])))}
+    # the universal vertices, one class if any, each represent themselves
+    universal = next((c for c in classes if adj[c[0]] | 1 << c[0] == full), ())
+    for v in universal:
+        members[v], rank[v] = 1 << v, rank[universal[0]]
+    reps = left = mask_of(members)
     found = []
     while left:
         m = left & -left
         for u in bits(left & ~m):
-            if not m >> u & 1 and (grown := _closure(g.adj, m | 1 << u)) != full:
+            if not m >> u & 1 and (grown := _closure(adj, m | 1 << u, reps)) != reps:
                 m = grown
         found.append(m)
         left &= ~m
-    pieces = sorted(maximal_homogeneous_cliques(g), key=lambda p: (-len(p), p[0]))
-    rank = {v: i for i, p in enumerate(pieces) for v in p}
-    return [tuple(bits(m)) for m in sorted(found, key=lambda m: min(map(rank.get, bits(m))))]
+    found.sort(key=lambda m: min(map(rank.get, bits(m))))
+    return [tuple(bits(reduce(int.__or__, map(members.get, bits(m))))) for m in found]
 
 
 def check_bag_partition(g: Graph, template: Template,
@@ -185,7 +243,7 @@ def check_bag_partition(g: Graph, template: Template,
     for i, a in enumerate(names):
         for j in range(i + 1, len(names)):
             b = names[j]
-            rel = template.relation(i, j)
+            rel = template.rel[i][j]
             if rel == FREE:
                 continue
             for v in bags[a]:
@@ -242,6 +300,12 @@ def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] 
     the first partition that check accepts.  Each maximal homogeneous
     clique lies in one module, so a search over those cliques in the same
     order would return the same one.
+
+    The modules come from ``maximal_modules``, which grows them on one
+    vertex per class of true twins.  A connected graph with an induced C5
+    and no gem has a connected complement (a vertex joined to the C5 and
+    a P4 of the C5 would form a gem), so every graph ``classify`` matches
+    has a prime root, and each class lies in one module.
     """
     if not is_connected(g):
         raise PreconditionError("expansion matching expects a connected graph")
@@ -252,7 +316,7 @@ def _match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
                    ) -> dict[str, tuple[int, ...]] | None:
     """``match_expansion`` given ``maximal_modules(g)`` of a connected ``g``."""
     k, full = len(template.nodes), (1 << len(template.nodes)) - 1
-    spare = mask_of(template.nodes.index(x) for x in (template.anchor, template.pendant) if x)
+    spare, ok = template.spare, template.ok
     if len(modules) < k or (len(modules) > k and not spare):
         return None
     reps = [m[0] for m in modules]
@@ -262,11 +326,6 @@ def _match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
     if not spare and (sorted((g.adj[r] & within).bit_count() for r in reps)
                       != sorted(template.graph.degree_sequence())):
         return None
-    # nodes a module may take beside one at node t that it sees or misses;
-    # one vertex stands for each module, and only A6 and A7 take several
-    ok = {see: [mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
-                                                template.relation(s, t) in (see, FREE)))
-                for t in range(k)] for see in (COMPLETE, ANTI)}
 
     def search(assign: list[int], nodes: list[int], empty: int):
         """Give module ``len(assign)`` onward nodes, module j one of the mask

@@ -55,10 +55,11 @@ class ReductionTrace:
 
 def fingerprint(g: Graph) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     hist: dict[int, int] = {}
-    for v in range(g.n):
-        d = g.degree(v)
+    for a in g.adj:
+        d = a.bit_count()
         hist[d] = hist.get(d, 0) + 1
-    return g.n, g.m, tuple(sorted(hist.items()))
+    # m is half the degree sum, read off the same histogram
+    return g.n, sum(d * c for d, c in hist.items()) // 2, tuple(sorted(hist.items()))
 
 
 # -- field codecs ---------------------------------------------------------------

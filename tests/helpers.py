@@ -38,7 +38,10 @@ given size, grown one vertex at a time.
 ``reference_is_p5_gem_free`` and ``reference_match_modules`` are the
 freeness test and the module matcher before classification walked and
 matched on quotients: both P4 walks on the whole graph, and a search for
-every template with as many modules as nodes.  ``benchmark_inputs`` loads
+every template with as many modules as nodes.
+``reference_maximal_modules`` (with ``_reference_closure``) finds the
+maximal proper modules as it did before it grew closures over one vertex
+per class of true twins: from every vertex.  ``benchmark_inputs`` loads
 a benchmark workload's inputs, ``core9`` those that reach classification,
 and ``core9_cores`` the cores that ``solve`` classifies on them.
 ``reference_is_cograph`` (with its ``CotreeNode`` tree and
@@ -1201,6 +1204,42 @@ def brute_maximal_proper_modules(g: Graph) -> set[frozenset[int]]:
     modules = [frozenset(s) for r in range(1, g.n)
                for s in combinations(range(g.n), r) if is_module(s)]
     return {s for s in modules if not any(s < t for t in modules)}
+
+def _reference_closure(adj, s: int) -> int:
+    """The smallest module holding the vertex set ``s``: add every vertex
+    that splits it (sees some but not all of it) until none does."""
+    some, every, new = 0, -1, s
+    while new:
+        for x in bits(new):
+            some |= adj[x]
+            every &= adj[x]
+        new = some & ~every & ~s
+        s |= new
+    return s
+
+
+def reference_maximal_modules(g: Graph) -> list[tuple[int, ...]]:
+    """The maximal proper modules of ``g``, in matching order: by each one's
+    largest homogeneous clique, larger first, ties to the smaller vertex.
+
+    Vertex u joins v's module when the smallest module holding both is not
+    the whole graph.  That finds the maximal proper modules whenever they
+    are disjoint, as when ``g`` and its complement are both connected;
+    otherwise each set found is still a proper module.
+    """
+    full = left = g.full_mask()
+    found = []
+    while left:
+        m = left & -left
+        for u in bits(left & ~m):
+            if not m >> u & 1 and (grown := _reference_closure(g.adj, m | 1 << u)) != full:
+                m = grown
+        found.append(m)
+        left &= ~m
+    pieces = sorted(maximal_homogeneous_cliques(g), key=lambda p: (-len(p), p[0]))
+    rank = {v: i for i, p in enumerate(pieces) for v in p}
+    return [tuple(bits(m)) for m in sorted(found, key=lambda m: min(map(rank.get, bits(m))))]
+
 
 def reference_match_expansion(g: Graph, template: Template
                               ) -> dict[str, tuple[int, ...]] | None:

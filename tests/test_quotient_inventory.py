@@ -2,9 +2,11 @@
 
 Once the copycat rule has run, every bag of an irreducible core is a
 clique of true twins, so the freeness walks run on one vertex per bag,
-and the template search runs only for a template whose graph has the
-degree sequence of the core's module quotient.  Both are counted, not
-timed, on every core ``solve`` classifies in the ``core9`` inputs.
+the template search runs only for a template whose graph has the
+degree sequence of the core's module quotient, and each closure that finds
+the modules walks one vertex per class of true twins.  All three are
+counted, not timed, on every core ``solve`` classifies in the ``core9``
+inputs, and the closures also on clique blow-ups of C5.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import sys
 import types
 
-from pentagem import patterns, solver, structure
+from pentagem import classify, patterns, solver, structure
+from pentagem.graph import mask_of, true_twin_classes
 from pentagem.graphio import parse_graph
 from pentagem.patterns import FIFTH
 from pentagem.structure import TEMPLATES, maximal_modules
 
-from helpers import core9
+from helpers import c5_blowup, core9, core9_cores
 
 SEARCH = next(c for c in structure._match_modules.__code__.co_consts
               if isinstance(c, types.CodeType) and c.co_name == "search")
@@ -72,3 +75,30 @@ def test_classify_walks_and_searches_only_on_quotients(monkeypatch):
     for (i, tid), count in nodes.items():
         want = sorted(TEMPLATES[tid].graph.degree_sequence())
         assert quotient_degrees(cores[i]) == want, (tid, count)
+
+
+def test_module_closures_walk_one_vertex_per_twin_class(monkeypatch):
+    walked: list[int] = []  # the mask each closure walked, inside classify
+    real = structure._closure
+
+    def closure(*args):
+        grown = real(*args)
+        walked.append(grown)
+        return grown
+
+    cores = core9_cores(7)
+    monkeypatch.setattr(structure, "_closure", closure)
+    sizes = set()
+    for g in cores:
+        classes = true_twin_classes(g.adj, range(g.n))
+        reps = mask_of(c[0] for c in classes)
+        walked.clear()
+        classify(g)
+        assert walked and all(not m & ~reps for m in walked), g.adj
+        assert max(m.bit_count() for m in walked) <= len(classes) < g.n
+        sizes.add(len(classes))
+    assert len(cores) >= 40 and sizes <= {6, 9}, sizes
+    for a in (50, 100, 200):
+        walked.clear()
+        assert classify(c5_blowup(a)).kind == "G1"
+        assert walked and max(m.bit_count() for m in walked) <= 5

@@ -13,9 +13,10 @@ from pentagem import cographs, patterns
 from pentagem.cographs import cograph_coloring_with_palette
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PentagemError, PreconditionError
-from pentagem.graph import (bits, build_graph, complete_graph, component_masks,
-                            connected_components, cycle_graph, induced_subgraph,
-                            path_graph)
+from pentagem.graph import (bits, build_graph, complement, complete_graph,
+                            component_masks, connected_components, cycle_graph,
+                            induced_subgraph, is_connected, join, path_graph)
+from pentagem.graphio import parse_graph
 from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number, find_induced, is_p5_gem_free
@@ -25,9 +26,10 @@ from pentagem.structure import (CLASS_ORDER, TEMPLATES, CliqueReduction,
                                 match_expansion, maximal_homogeneous_cliques,
                                 maximal_modules)
 
-from helpers import (_induces, brute_maximal_proper_modules, criterion5_members,
-                     palette_corpus, reference_find_p4, reference_match_expansion,
-                     threshold_graph)
+from helpers import (_induces, benchmark_inputs, brute_maximal_proper_modules,
+                     c5_blowup, criterion5_members, palette_corpus, random_graph,
+                     reference_find_p4, reference_match_expansion,
+                     reference_maximal_modules, threshold_graph)
 
 
 def expansion(cid, sizes, a7=(), mode="clique", seed=0):
@@ -124,6 +126,37 @@ def test_maximal_modules_are_the_inclusion_maximal_proper_modules(n, coins):
     assert all(any(m <= b for b in brute) for m in got)
     if all(not a & b for a, b in combinations(brute, 2)):
         assert got == brute
+
+
+def test_maximal_modules_match_the_greedy_grown_from_every_vertex_on_classify_inputs():
+    eligible = 0
+    for name in ("sweep9", "core9", "delta", "scale"):
+        for inp in benchmark_inputs(name, 7):
+            g = parse_graph(inp.g6, "graph6")
+            if is_connected(g) and is_p5_gem_free(g)[0] and find_induced(g, "C5"):
+                assert maximal_modules(g) == reference_maximal_modules(g), (name, inp.g6)
+                eligible += 1
+    assert eligible >= 950
+    for a in (1, 2, 3, 7, 20):
+        g = c5_blowup(a)
+        assert maximal_modules(g) == reference_maximal_modules(g) == [
+            tuple(range(a * i, a * i + a)) for i in range(5)]
+
+
+def test_maximal_modules_match_the_greedy_grown_from_every_vertex_on_random_graphs():
+    # a quarter are joined to a clique, so their complement is disconnected and
+    # most have two universal vertices, which the greedy may split
+    co_connected = universal = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(4, 13), rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)), seed)
+        if seed % 4 == 0:
+            g = join(g, complete_graph(rng.randint(1, 3)))
+        assert maximal_modules(g) == reference_maximal_modules(g), (seed, g.adj)
+        co_connected += is_connected(complement(g))
+        universal += sum(a | 1 << v == g.full_mask() for v, a in enumerate(g.adj)) > 1
+    assert co_connected >= 1000 and universal >= 200, (co_connected, universal)
+    assert maximal_modules(complete_graph(4)) == [(0, 1, 2), (3,)]
 
 
 def _split_a6(g, bags, rng):
