@@ -22,8 +22,7 @@ from .reductions import (brooks_color, copycat_extend, delta_reduce,
 from .solver import color8, replay_trace, solve
 from .strategies import apply_case_strategy, published_plan
 from .structure import (TEMPLATES, CliqueReduction, check_bag_partition,
-                        clique_reduce, lift_coloring, match_expansion,
-                        maximal_homogeneous_cliques, maximal_modules)
+                        clique_reduce, lift_coloring, match_expansion, maximal_modules)
 from .trace import ReductionTrace, TraceEvent, dumps_trace, loads_trace
 
 __version__ = "1.0.0"

@@ -6,14 +6,15 @@ fifth vertex's adjacency to v1..v4 is one row of ``FIFTH``.  One walk,
 ``induced_p4``, enumerates the P4s inside a host bitmask in lexicographic
 order, so the first hit is the lexicographically smallest witness and an
 exhausted walk is an exhaustive-absence guarantee.  ``is_p5_gem_free``
-first walks one vertex of each twin class, since neither P5 nor gem has
-two twins, and walks the whole graph only for the witness of a shape it
-found there.
+walks one vertex of each twin class, since neither P5 nor gem has two
+twins, and the lex-least witness lies among those vertices.
 
-Cliques come from one iterative search, ``_lex_cliques``, which likewise
-yields the lexicographically least clique of a given size inside a mask,
-then of each larger size while one exists: ``find_clique`` and
-``has_clique`` take its first answer, and ``clique_number`` its last.
+Cliques come from one search, ``_maximal_cliques``, a Bron-Kerbosch
+without a pivot that yields the maximal cliques of a given size or more
+inside a mask in lexicographic order: ``has_clique`` takes its first
+answer, ``find_clique`` that answer's lowest vertices, ``clique_number``
+its last answer once it raises the size past each one, and degree
+reduction the whole list.
 Maximum independent sets come from ``mis_mask``, a branch and bound on an
 explicit stack over a host's adjacency masks; no engine path runs it.
 """
@@ -21,6 +22,7 @@ explicit stack over a host's adjacency masks; no engine path runs it.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of, true_twin_classes
@@ -131,33 +133,40 @@ def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     else the lex-least witness of the first shape found.
 
     Neither shape has true twins (equal closed neighborhoods) or false
-    twins (equal open ones), so a copy may trade each vertex for one fixed
-    vertex of its class.  The walks first run on one vertex of each class
-    of true twins, then of false twins among those, leaving out isolated
-    vertices, which lie in no copy: a clique blow-up shrinks to its
-    quotient.  Only when they find a shape there do they run on the whole
-    graph, for the witness.
+    twins (equal open ones), so the walks run on ``_twin_quotient``,
+    leaving out isolated vertices, which lie in no copy: a clique blow-up
+    shrinks to its quotient, and the witness is the whole graph's.
     """
     adj = g.adj
     return _p5_gem_free(g, true_twin_classes(adj, (v for v in range(g.n) if adj[v])))
 
 
-def _p5_gem_free(g: Graph, classes: list[list[int]]) -> tuple[bool, PatternWitness | None]:
-    """``is_p5_gem_free(g)`` given the classes of true twins of ``g``, as
-    ``true_twin_classes`` lists them; isolated vertices may be left out."""
-    adj = g.adj
+def _twin_quotient(adj, classes: list[list[int]]) -> int:
+    """The first vertex of each of ``classes``, classes of true twins in
+    the graph ``adj`` induces on their union, each in increasing order and
+    ordered by first vertex, then the lowest of each class of false twins
+    (equal open neighborhoods) among those, as a mask.
+
+    A P4, P5 or gem has no two twins of either kind, so trading one of its
+    vertices for a twin gives another copy.  The union thus holds one iff
+    the mask does, and the lex-least copy in the union lies in the mask:
+    trading a vertex for a lower twin would give a lower copy.  So
+    ``induced_p4`` returns the same witness on either."""
     firsts = [c[0] for c in classes]
     within = mask_of(firsts)
     reps: dict[int, int] = {}
     for v in firsts:
         reps.setdefault(adj[v] & within, v)
-    quotient = mask_of(reps.values())
-    if all(induced_p4(g, quotient, FIFTH[p]) is None for p in ("P5", "GEM")):
-        return True, None
+    return mask_of(reps.values())
+
+
+def _p5_gem_free(g: Graph, classes: list[list[int]]) -> tuple[bool, PatternWitness | None]:
+    """``is_p5_gem_free(g)`` given the classes of true twins of ``g``, as
+    ``true_twin_classes`` lists them; isolated vertices may be left out."""
+    quotient = _twin_quotient(g.adj, classes)
     for pattern in ("P5", "GEM"):
-        w = find_induced(g, pattern)
-        if w is not None:
-            return False, w
+        if hit := induced_p4(g, quotient, FIFTH[pattern]):
+            return False, PatternWitness(pattern, hit)
     return True, None
 
 
@@ -176,69 +185,85 @@ def _colors_at_least(adj: list[int], cand: int, need: int) -> bool:
     return True
 
 
-def _lex_cliques(g: Graph, mask: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Yield the lexicographically least clique of ``size`` vertices inside
-    ``mask``, then of ``size + 1``, and so on, up to the largest there is.
+def _maximal_cliques(adj, mask: int, least: int) -> Iterator[int]:
+    """The maximal cliques of ``least`` or more vertices in the subgraph
+    ``adj`` induces on ``mask``, as bitmasks in lexicographic order, by
+    Bron-Kerbosch (CACM 1973) on an explicit stack.  A size sent in raises
+    ``least`` for the rest of the search.
 
-    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
-    no such clique, so it is dropped first.  Cliques then grow in lex order
-    on an explicit stack: each level takes its candidates (adjacent to the
-    whole clique so far and later than its last vertex) lowest first and
-    goes back up once fewer are left than the clique still needs, and a
-    vertex is not entered when a greedy coloring of the candidates it
-    leaves has fewer classes than the clique would still need after it
-    (Carraghan & Pardalos, Oper. Res. Lett. 1990, with a coloring bound).
-    Neither cut skips a clique of the size sought, so the first completed
-    is the lex-least.  Everything passed over before it holds no clique of
-    that size, hence none larger, so the walk goes on from it for the next
-    size and one search finds them all.
+    There is no pivot.  A node (R, P, X) branches on the lowest vertex v
+    of P: first R + v, with P and X cut down to v's neighbors, then the
+    node itself with v moved from P to X.  So every clique found in the
+    first branch holds v, and none in the second holds v or a vertex of P
+    below it: the cliques come out in lex order.  The vertices of P that
+    see the rest of P lie in every clique below the node; they all move
+    to R at once, with X cut down to their common neighbors, which changes
+    no clique and, since they are common to all, not their order.
+
+    A vertex with fewer than ``least - 1`` neighbors in ``mask`` lies in
+    no clique of ``least`` vertices and extends none, so it is dropped
+    first.  A node is cut when R and P together have fewer than ``least``
+    vertices, when R still needs three or more and a greedy coloring of P
+    has fewer classes than that (Tomita, Tanaka & Takahashi, TCS 2006), or
+    when a vertex of X sees all of P, so that no clique below is maximal.
+    One pass over the rows of P finds both the vertices of X and those of
+    P that see all of P but themselves.
     """
-    adj = g.adj
-    cand = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
-    clique: list[int] = []
-    left: list[int] = []  # the candidates still to try at each level above
-    while True:
-        if len(clique) >= size:
-            yield tuple(clique)
-            size = len(clique) + 1
-        need = size - len(clique)
-        if cand.bit_count() >= need:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            nxt = cand & adj[v]
-            if need < 3 or (nxt.bit_count() >= need - 1
-                           and _colors_at_least(adj, nxt, need - 1)):
-                clique.append(v)
-                left.append(cand)
-                cand = nxt
-        elif clique:
-            clique.pop()
-            cand = left.pop()
-        else:
-            return
+    p = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= least - 1)
+    stack = [(0, 0, p, 0)]  # (|R|, R, P, X)
+    while stack:
+        size, r, p, x = stack.pop()
+        need = least - size
+        if p.bit_count() < need or need > 2 and not _colors_at_least(adj, p, need):
+            continue
+        common, rows = p | x, p  # what sees all of P, after the rows read so far
+        while rows and common:
+            b = rows & -rows
+            common &= adj[b.bit_length() - 1] | b
+            rows ^= b
+        if common & x:
+            continue
+        if common:
+            size += common.bit_count()
+            r |= common
+            p ^= common
+            for u in bits(common):
+                x &= adj[u]
+        if not p:
+            least = (yield r) or least
+            continue
+        b = p & -p
+        a = adj[b.bit_length() - 1]
+        stack.append((size, r, p ^ b, x | b))
+        stack.append((size + 1, r | b, p & a, x & a))
 
 
 def find_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
     """The lexicographically least clique of ``size`` vertices inside
-    ``mask``; None if there is none."""
-    return next(_lex_cliques(g, mask, size), None)
+    ``mask``, None if there is none: the ``size`` lowest vertices of the
+    first maximal clique that large.  A maximal clique holding the least
+    clique begins with it, and no earlier one begins lower."""
+    first = next(_maximal_cliques(g.adj, mask, size), None)
+    return None if first is None else tuple(bits(first))[:size]
 
 
 def has_clique(g: Graph, mask: int, size: int) -> bool:
     """True iff the subgraph induced on ``mask`` has a clique of ``size``
     vertices."""
-    return find_clique(g, mask, size) is not None
+    return next(_maximal_cliques(g.adj, mask, size), None) is not None
 
 
 def clique_number(g: Graph, mask: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact clique number with the lexicographically least maximum witness,
-    of ``g`` or of the subgraph it induces on ``mask``: the last clique
-    ``_lex_cliques`` yields."""
-    best: tuple[int, ...] = ()
-    for best in _lex_cliques(g, g.full_mask() if mask is None else mask, 0):
-        pass
-    return len(best), best
+    of ``g`` or of the subgraph it induces on ``mask``.  One search raises
+    its size past each clique it yields, so it yields the first clique
+    larger than all before it, and the last is the first maximum clique."""
+    search = _maximal_cliques(g.adj, g.full_mask() if mask is None else mask, 0)
+    best = next(search)  # every graph, even the empty one, has a maximal clique
+    with suppress(StopIteration):
+        while True:
+            best = search.send(best.bit_count() + 1)
+    return best.bit_count(), tuple(bits(best))
 
 
 def _clique_cover_exceeds(adj, avail: int, limit: int) -> bool:

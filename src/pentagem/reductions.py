@@ -6,7 +6,9 @@ back deterministically.  Also hosts the constructive Brooks coloring, the
 hitting independent set, and the reduction from large maximum degree down to
 the base case of 9.  Brooks, the hitting set and the reduction work on the
 subgraph a host's adjacency masks induce on a vertex mask, with no induced
-copy, so the ``brooks`` trace step runs on the host graph directly.
+copy, so the ``brooks`` trace step runs on the host graph directly.  The
+cliques a hitting set must meet come from ``patterns._maximal_cliques``,
+the search behind every clique question.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from itertools import combinations
 
 from .coloring import Coloring, first_fit, list_color
 from .errors import (InternalInconsistencyError, PreconditionError)
-from .graph import Graph, bits, component_masks, induced_subgraph, mask_of
-from .patterns import _colors_at_least, clique_number, has_clique
-from .structure import maximal_homogeneous_cliques
+from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
+                    true_twin_classes)
+from .patterns import _maximal_cliques, clique_number, has_clique
 
 __all__ = [
     "find_low_degree",
@@ -54,10 +56,11 @@ def find_copycat(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 
     Requires [A,B] empty, N(A) within N(B), and |A| <= |B|: then any coloring
     of G-A extends by giving A distinct colors already used on B.  Candidates
-    are the maximal homogeneous cliques; shrinking A only grows its
-    neighborhood and shrinking B never helps, so maximal classes suffice.
+    are the maximal homogeneous cliques, which are the classes of true
+    twins; shrinking A only grows its neighborhood and shrinking B never
+    helps, so maximal classes suffice.
     """
-    classes = maximal_homogeneous_cliques(g)
+    classes = true_twin_classes(g.adj, range(g.n))
     masks = [mask_of(c) for c in classes]
     nbhd = [g.adj[c[0]] & ~m for c, m in zip(classes, masks)]
     for i, a in enumerate(classes):
@@ -68,7 +71,7 @@ def find_copycat(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
                 continue  # adjacent or overlapping
             if nbhd[i] & ~nbhd[j]:
                 continue
-            return a, b
+            return tuple(a), tuple(b)
     return None
 
 
@@ -224,55 +227,6 @@ def extend_list_coloring(g: Graph, lists: dict[int, frozenset[int] | set[int]]
 
 # -- hitting independent set and Brooks ---------------------------------------
 
-def _maximal_cliques(adj, mask: int, least: int) -> list[int]:
-    """The maximal cliques of ``least`` or more vertices in the subgraph
-    ``adj`` induces on ``mask``, as bitmasks, by Bron-Kerbosch on an
-    explicit stack.  Each node pivots on the vertex of P or X with the most
-    neighbors in P, ties to the lower id, and enters its branches lowest
-    vertex first.
-
-    A node has no clique to report below it, and is skipped, when R and P
-    together have fewer than ``least`` vertices, or when a vertex of X sees
-    all of P; the others keep their order.  The search does not start when
-    a greedy coloring of ``mask`` has fewer than ``least`` classes.  A
-    vertex of P that sees the rest of P lies in every clique below its
-    node.  The pivot rule would move such vertices to R one node at a time,
-    each as the only branch, and each move lowers every count left by one,
-    so the order stays the same when they all move at once, with X cut
-    down to their common neighbors.
-    """
-    out: list[int] = []
-    stack = [(0, mask, 0)] if _colors_at_least(adj, mask, least) else []  # (R, P, X)
-    while stack:
-        r, p, x = stack.pop()
-        if (r | p).bit_count() < least or any(not p & ~adj[u] for u in bits(x)):
-            continue
-        if not p:
-            out.append(r)
-            continue
-        size = p.bit_count()
-        top = pivot = -1
-        whole = 0  # the vertices of P that see the rest of P
-        for u in bits(p | x):
-            d = (adj[u] & p).bit_count()
-            if d > top:
-                top, pivot = d, u
-            if d == size - 1 and p >> u & 1:
-                whole |= 1 << u
-        if whole:
-            for u in bits(whole):
-                x &= adj[u]
-            stack.append((r | whole, p ^ whole, x))
-            continue
-        branches = []
-        for v in bits(p & ~adj[pivot]):
-            branches.append((r | 1 << v, p & adj[v], x & adj[v]))
-            p &= ~(1 << v)
-            x |= 1 << v
-        stack.extend(reversed(branches))
-    return out
-
-
 def bacso_tuza_bound(d: int) -> int:
     """The most vertices a connected P5-free graph of maximum degree ``d``
     can have.  It has a dominating clique or a dominating induced P3
@@ -285,10 +239,10 @@ def bacso_tuza_bound(d: int) -> int:
 def hitting_mis(g: Graph) -> tuple[int, ...]:
     """Maximal independent set that meets every clique of size Delta-1.
 
-    One enumeration of the maximal cliques of at least Delta-1 vertices
-    decides everything: a clique of Delta vertices is a PreconditionError,
-    worded with the exact clique number, and the cliques of Delta-1
-    vertices are the targets.  A search picks a vertex in each target,
+    One enumeration of the maximal cliques of at least Delta-1 vertices,
+    in lex order, decides everything: a clique of Delta vertices is a
+    PreconditionError, worded with the exact clique number, and the
+    cliques of Delta-1 vertices are the targets.  A search picks a vertex in each target,
     trying every choice, and then adds the lowest vertex left until none
     is, so the set dominates the graph and removing it lowers Delta.  With
     no target the fill alone answers.  King's theorem (a stable set meets
@@ -318,7 +272,7 @@ def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
             raise InternalInconsistencyError(
                 f"a connected component of {comp.bit_count()} vertices exceeds {cap}, "
                 f"the Bacsó-Tuza bound on a P5-free graph of maximum degree {delta}")
-    cliques = [_maximal_cliques(g.adj, comp, delta - 1) for comp in comps]
+    cliques = [list(_maximal_cliques(g.adj, comp, delta - 1)) for comp in comps]
     omega = max((c.bit_count() for cs in cliques for c in cs), default=0)
     if omega >= delta:
         raise PreconditionError(f"clique number {omega} exceeds {delta - 1}")

@@ -27,13 +27,12 @@ from .cographs import cograph_coloring_with_palette
 from .errors import GraphFormatError, PreconditionError
 from .graph import (Graph, bits, build_graph, component_masks, is_connected, mask_of,
                     true_twin_classes)
-from .patterns import clique_number, induced_p4
+from .patterns import _twin_quotient, clique_number, induced_p4
 
 __all__ = [
     "Template",
     "TEMPLATES",
     "CLASS_ORDER",
-    "maximal_homogeneous_cliques",
     "maximal_modules",
     "match_expansion",
     "check_bag_partition",
@@ -127,16 +126,6 @@ TEMPLATES: dict[str, Template] = {
 # G8 is G6 with Q6 and Q8 swapped, so G6 always matches first; the G8
 # template stays, as G9 and G10 extend it
 CLASS_ORDER = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G9", "G10", "H")
-
-
-def maximal_homogeneous_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """Partition the vertices into maximal homogeneous cliques.
-
-    A clique X is homogeneous iff all its members share one closed
-    neighborhood, so the classes of the N[.] equivalence are exactly the
-    maximal homogeneous cliques.  Ordered by smallest member.
-    """
-    return [tuple(c) for c in true_twin_classes(g.adj, range(g.n))]
 
 
 def _closure(adj, s: int, within: int) -> int:
@@ -257,7 +246,8 @@ def check_bag_partition(g: Graph, template: Template,
 
     for name in names:
         m = masks[name]
-        if (p4 := induced_p4(g, m)) is not None:
+        # the bag's lex-least P4, walked on one vertex per class of twins
+        if p4 := induced_p4(g, _twin_quotient(g.adj, true_twin_classes(g.adj, bits(m)))):
             problems.append(f"bag {name} induces a P4 {p4}")
         if starred and name != template.anchor:
             units = component_masks(g.adj, m) if name == template.pendant else [m]

@@ -27,14 +27,18 @@ pass over the mask counted the degrees that all its checks read, word for
 word except that it first-fits with ``reference_first_fit``, and
 ``reference_clique_number`` and ``reference_has_clique`` the recursive
 branch and bound (with a greedy-coloring bound) and fixed-size test that
-the iterative ``patterns`` clique search replaced, and
+an iterative ``patterns`` clique search replaced, ``reference_lex_cliques``
+that search, kept verbatim, which grew the lex-least clique of each size
+before one lexicographic Bron-Kerbosch answered every clique question, and
 ``reference_maximum_independent_set``, ``reference_maximal_cliques``,
 ``reference_hitting_mis`` (with ``reference_hitting_component``) and
 ``reference_delta_reduce`` the recursive searches on induced copies, one
 recursion per level, that degree reduction ran before it became one loop
 on host masks; the hitting references peel maximal sets, as degree
-reduction does.  ``brute_cliques`` lists every clique of a
-given size, grown one vertex at a time.
+reduction does, and take their targets in lex order, as it lists them
+(``reference_maximal_cliques`` pivots, so its own order differs).
+``brute_cliques`` lists every clique of a given size, grown one vertex at
+a time.
 ``reference_is_p5_gem_free`` and ``reference_match_modules`` are the
 freeness test and the module matcher before classification walked and
 matched on quotients: both P4 walks on the whole graph, and a search for
@@ -64,6 +68,7 @@ import importlib.util
 import random
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
@@ -76,17 +81,16 @@ from pentagem.coloring import Coloring, color_with_independent_sets
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
-                            join, mask_of, max_degree_in, path_graph)
-from pentagem.patterns import (PatternWitness, clique_number, find_induced, has_clique,
-                               induced_p4)
+                            join, mask_of, max_degree_in, path_graph, true_twin_classes)
+from pentagem.patterns import (PatternWitness, _colors_at_least, clique_number, find_induced,
+                               has_clique, induced_p4)
 from pentagem.oracle import colorable_with
 from pentagem.reductions import (_connected_without, _order_toward_root, extend_list_coloring,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
-from pentagem.structure import (ANTI, COMPLETE, FREE, Template, check_bag_partition,
-                                maximal_homogeneous_cliques)
+from pentagem.structure import ANTI, COMPLETE, FREE, Template, check_bag_partition
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -870,6 +874,49 @@ def reference_has_clique(g: Graph, mask: int, size: int) -> bool:
     return size <= 0 or grow(keep, size)
 
 
+def reference_lex_cliques(g: Graph, mask: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Yield the lexicographically least clique of ``size`` vertices inside
+    ``mask``, then of ``size + 1``, and so on, up to the largest there is.
+
+    A vertex with fewer than ``size - 1`` neighbors inside the mask lies in
+    no such clique, so it is dropped first.  Cliques then grow in lex order
+    on an explicit stack: each level takes its candidates (adjacent to the
+    whole clique so far and later than its last vertex) lowest first and
+    goes back up once fewer are left than the clique still needs, and a
+    vertex is not entered when a greedy coloring of the candidates it
+    leaves has fewer classes than the clique would still need after it
+    (Carraghan & Pardalos, Oper. Res. Lett. 1990, with a coloring bound).
+    Neither cut skips a clique of the size sought, so the first completed
+    is the lex-least.  Everything passed over before it holds no clique of
+    that size, hence none larger, so the walk goes on from it for the next
+    size and one search finds them all.
+    """
+    adj = g.adj
+    cand = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= size - 1)
+    clique: list[int] = []
+    left: list[int] = []  # the candidates still to try at each level above
+    while True:
+        if len(clique) >= size:
+            yield tuple(clique)
+            size = len(clique) + 1
+        need = size - len(clique)
+        if cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            nxt = cand & adj[v]
+            if need < 3 or (nxt.bit_count() >= need - 1
+                           and _colors_at_least(adj, nxt, need - 1)):
+                clique.append(v)
+                left.append(cand)
+                cand = nxt
+        elif clique:
+            clique.pop()
+            cand = left.pop()
+        else:
+            return
+
+
 def reference_maximum_independent_set(g: Graph) -> tuple[int, ...]:
     """A maximum independent set, by deterministic branch and bound.
 
@@ -951,8 +998,8 @@ def reference_hitting_mis(g: Graph) -> tuple[int, ...]:
 def reference_hitting_component(g: Graph, size: int) -> tuple[int, ...]:
     """Maximal independent set of ``g`` meeting every clique of ``size``
     vertices: the first hitting choice found by recursion, then the lowest
-    vertex left, again and again."""
-    targets = [mask_of(c) for c in reference_maximal_cliques(g) if len(c) == size]
+    vertex left, again and again.  The targets are taken in lex order."""
+    targets = [mask_of(c) for c in sorted(reference_maximal_cliques(g)) if len(c) == size]
 
     def phase1(chosen: list[int], avail: int, unhit: list[int]) -> tuple[int, ...] | None:
         live = [t for t in unhit if not t & mask_of(chosen)]
@@ -1236,7 +1283,7 @@ def reference_maximal_modules(g: Graph) -> list[tuple[int, ...]]:
                 m = grown
         found.append(m)
         left &= ~m
-    pieces = sorted(maximal_homogeneous_cliques(g), key=lambda p: (-len(p), p[0]))
+    pieces = sorted(true_twin_classes(g.adj, range(g.n)), key=lambda p: (-len(p), p[0]))
     rank = {v: i for i, p in enumerate(pieces) for v in p}
     return [tuple(bits(m)) for m in sorted(found, key=lambda m: min(map(rank.get, bits(m))))]
 
@@ -1259,7 +1306,7 @@ def reference_match_expansion(g: Graph, template: Template
     k = len(template.nodes)
     if g.n < k:
         return None
-    pieces = maximal_homogeneous_cliques(g)
+    pieces = true_twin_classes(g.adj, range(g.n))
     if len(pieces) < k:
         return None
     order = sorted(range(len(pieces)), key=lambda i: (-len(pieces[i]), pieces[i][0]))

@@ -13,8 +13,8 @@ from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import (CliqueBoundError, DegreeRangeError,
                              ForbiddenPatternError, InternalInconsistencyError,
                              PreconditionError)
-from pentagem.graph import (build_graph, complete_graph, cycle_graph,
-                            disjoint_union, empty_graph, join, path_graph)
+from pentagem.graph import (build_graph, complete_graph, component_masks, cycle_graph,
+                            disjoint_union, empty_graph, join, mask_of, path_graph)
 from pentagem.graphio import parse_edgelist, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
@@ -494,15 +494,16 @@ def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
         raise AssertionError("degree reduction built an induced copy")
 
     monkeypatch.setattr(reductions, "induced_subgraph", copied)
-    # each level reads its clique number and tightness off its one clique
-    # enumeration, so the gate's Delta-clique test is the only one left
-    original, searches = patterns._lex_cliques, []
+    # the gate's Delta-clique test is one clique search; each level reads
+    # its clique number and tightness off one enumeration per component
+    original, searches = patterns._maximal_cliques, []
 
     def counted(*args):
         searches.append(args[1:])
         return original(*args)
 
-    monkeypatch.setattr(patterns, "_lex_cliques", counted)
+    for mod in (patterns, reductions):
+        monkeypatch.setattr(mod, "_maximal_cliques", counted)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_depth() + 60)
     try:
@@ -510,8 +511,12 @@ def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert col.k == 118 and verify_coloring(g, col)
-    assert searches == [(g.full_mask(), 119)]
-    assert sum(e.kind == "delta_set" for e in trace.events) == 78
+    levels = [e.data for e in reversed(trace.events) if e.kind == "delta_set"]
+    mask, expected = g.full_mask(), [(g.full_mask(), 119)]
+    for level in levels:
+        expected += [(comp, level["color"]) for comp in component_masks(g.adj, mask)]
+        mask &= ~mask_of(level["i_set"])
+    assert searches == expected and len(levels) == 78
     assert replay_trace(g, loads_trace(dumps_trace(trace))).colors == col.colors
 
 

@@ -9,22 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentagem import cographs, patterns
+from pentagem import cographs, patterns, reductions, structure
 from pentagem.cographs import cograph_coloring_with_palette
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import PentagemError, PreconditionError
 from pentagem.graph import (bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
-                            induced_subgraph, is_connected, join, path_graph)
+                            induced_subgraph, is_connected, join, mask_of, path_graph,
+                            true_twin_classes)
 from pentagem.graphio import parse_graph
 from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
-from pentagem.patterns import clique_number, find_induced, is_p5_gem_free
+from pentagem.patterns import clique_number, find_induced, induced_p4, is_p5_gem_free
 from pentagem.reductions import copycat_extend, find_copycat
 from pentagem.structure import (CLASS_ORDER, TEMPLATES, CliqueReduction,
                                 check_bag_partition, clique_reduce, lift_coloring,
-                                match_expansion, maximal_homogeneous_cliques,
-                                maximal_modules)
+                                match_expansion, maximal_modules)
 
 from helpers import (_induces, benchmark_inputs, brute_maximal_proper_modules,
                      c5_blowup, criterion5_members, palette_corpus, random_graph,
@@ -65,17 +65,17 @@ def test_g8_is_g6_with_q6_and_q8_swapped():
 # -- homogeneous cliques ---------------------------------------------------------
 
 def test_mhc_whole_clique():
-    assert maximal_homogeneous_cliques(complete_graph(3)) == [(0, 1, 2)]
+    assert true_twin_classes(complete_graph(3).adj, range(3)) == [[0, 1, 2]]
 
 
 def test_mhc_c5_singletons():
-    assert maximal_homogeneous_cliques(cycle_graph(5)) == [(v,) for v in range(5)]
+    assert true_twin_classes(cycle_graph(5).adj, range(5)) == [[v] for v in range(5)]
 
 
 def test_mhc_expansion_with_one_fat_bag():
     g, bags = expansion("G1", g1_sizes(3, 1, 1, 1, 1))
-    got = maximal_homogeneous_cliques(g)
-    assert bags["Q1"] in got
+    got = true_twin_classes(g.adj, range(g.n))
+    assert list(bags["Q1"]) in got
     assert len(got) == 5
     # definition check on every returned class
     for cls in got:
@@ -248,6 +248,46 @@ def test_a_bag_holding_a_p4_is_named_by_its_lex_least_p4_in_host_ids(seed):
     old = tuple(ids[v] for v in reference_find_p4(sub, sub.full_mask()))
     assert old == lex_least
     assert check_bag_partition(g, TEMPLATES["G1"], bags) == [f"bag Q1 induces a P4 {old}"]
+
+
+def _with_twins(g, seed):
+    """``g`` with each vertex blown up into 1 to 3 true or false twins."""
+    rng = random.Random(seed)
+    copies = [list(range(i, i + rng.randint(1, 3))) for i in range(0, 3 * g.n, 3)]
+    edges = [(a, b) for u, v in g.edges() for a in copies[u] for b in copies[v]]
+    edges += [(a, b) for c in copies if rng.random() < 0.5
+              for i, a in enumerate(c) for b in c[i + 1:]]
+    g = build_graph(3 * g.n, edges)
+    used = [v for c in copies for v in c]
+    return induced_subgraph(g, used)[0]
+
+
+def test_a_bag_is_walked_on_its_twin_quotient(monkeypatch):
+    # the P4 message is the whole bag's lex-least P4, as when the whole bag
+    # was walked; a clique bag of C5[K_200] is walked at one vertex
+    rng, named = random.Random(82), 0
+    for seed in range(150):
+        g = _with_twins(random_graph(rng.randint(4, 9), rng.choice((0.3, 0.5, 0.7)), seed), seed)
+        owner = [rng.choice((0, 0, 0, 1, 2, 3, 4)) for _ in range(g.n)]
+        bags = {f"Q{i + 1}": tuple(v for v in range(g.n) if owner[v] == i) for i in range(5)}
+        if not all(bags.values()):
+            continue
+        want = [f"bag {name} induces a P4 {p4}" for name, vs in bags.items()
+                if (p4 := induced_p4(g, mask_of(vs))) is not None]
+        got = check_bag_partition(g, TEMPLATES["G1"], bags)
+        assert [m for m in got if "induces a P4" in m] == want, seed
+        named += len(want)
+    assert named >= 30, named
+    walked, real = [], structure.induced_p4
+
+    def counted(g, mask, *rest):
+        walked.append(mask.bit_count())
+        return real(g, mask, *rest)
+
+    monkeypatch.setattr(structure, "induced_p4", counted)
+    g = c5_blowup(200)
+    bags = {f"Q{i + 1}": tuple(range(200 * i, 200 * i + 200)) for i in range(5)}
+    assert not check_bag_partition(g, TEMPLATES["G1"], bags) and walked == [1] * 5
 
 
 def test_starred_check_wants_each_bag_but_the_anchor_in_clique_form():
@@ -436,7 +476,8 @@ def test_a_lift_splits_each_unit_once_with_no_clique_search(monkeypatch):
         splits.append(mask)
         return split(g, mask)
 
-    monkeypatch.setattr(patterns, "_lex_cliques", searched)
+    for mod in (patterns, reductions):
+        monkeypatch.setattr(mod, "_maximal_cliques", searched)
     monkeypatch.setattr(cographs, "cograph_split", counted)
     lifted = lift_coloring(g, red, {v: i + 1 for i, v in enumerate(kept)})
     assert verify_coloring(g, Coloring(lifted, omega)) and splits == [g.full_mask()]
