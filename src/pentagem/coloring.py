@@ -131,7 +131,7 @@ def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
         cls[c] |= 1 << v
 
 
-def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | None:
+def list_color(adj, mask: int, free, fixed: dict[int, int], cliques=()) -> dict[int, int] | None:
     """The first proper coloring of the subgraph ``adj`` induces on ``mask``
     that keeps the ``fixed`` colors and gives each other vertex v a color of
     its list, the bitmask ``free[v]`` (``free`` is keyed by vertex), fixed
@@ -139,12 +139,21 @@ def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | 
 
     An exact search on an explicit stack.  It colors the vertex with the
     fewest free colors (ties: more neighbors in ``mask``, then lower id)
-    with each free color in turn, lowest first, but skips a color no vertex
-    holds if a lower such color lies in exactly the same lists: swapping
-    the two maps its branch onto one already tried.  A node's subtree
-    depends only on its uncolored set and their free masks, so a node whose
-    key failed once is cut.  Neither cut removes the first solution.
+    with each free color in turn, lowest first, but on a retry skips a color
+    no vertex holds if a lower such color lies in exactly the same lists:
+    swapping the two maps its branch onto one already tried.  It takes back
+    a color that leaves a clique of ``cliques`` (masks inside ``mask``, else
+    PreconditionError) fewer free colors among its uncolored members than
+    members (Hall).  A node's subtree depends only on its uncolored set and
+    their free masks, so a node whose key failed once is cut; keys are built
+    only once one has failed.  No cut removes the first solution.
     """
+    for q in cliques:  # each member must see all the others
+        m = q
+        while m and not q & ~mask and q & ~adj[(low := m & -m).bit_length() - 1] == low:
+            m ^= low
+        if m:
+            raise PreconditionError(f"mask {q:#x} is not a clique inside the searched mask")
     colors, used, left = dict(fixed), mask_of(fixed.values()), mask & ~mask_of(fixed)
     free = {u: free[u] for u in bits(left)}
     for v, c in fixed.items():
@@ -154,52 +163,66 @@ def list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | 
     w = mask.bit_length().bit_length()
     top, shift = (1 << w) - 1, 2 * w
     tie = {u: (top - (adj[u] & mask).bit_count()) << w | u for u in free}
-    # sets of two or more colors that exactly the same uncolored vertices list
-    lists = {free[u] for u in tie}
-    twins = [reduce(int.__or__, lists, 0)]
-    for f in lists:
-        if not twins:
-            break
-        twins = [p for grp in twins for p in (grp & f, grp & ~f) if p & p - 1]
+    lists, twins = {free[u] for u in tie}, None
     dead, stack = set(), []  # stack: (key, v, rest, nbrs, colors left, color, hit, fresh)
     while left:
-        key, best, m = [left], -1, left
+        key, best, m = [left] if dead else None, -1, left
         while m:
             low = m & -m
             m ^= low
             u = low.bit_length() - 1
-            key.append(free[u])
+            if key:
+                key.append(free[u])
             rank = free[u].bit_count() << shift | tie[u]
             if best < 0 or rank < best:
                 best, v = rank, u
-        key = tuple(key)
-        if key not in dead:
-            cs, rest = free[v], left & ~(1 << v)
-            for grp in twins:  # v lists all of a group's unused colors or none
-                x = grp & cs & ~used
-                cs ^= x & x - 1
-            stack.append((key, v, rest, tuple(bits(adj[v] & rest)), cs, 0, (), 0))
+        if not key or (key := tuple(key)) not in dead:
+            rest = left & ~(1 << v)
+            stack.append((key, v, rest, adj[v] & rest, free[v], 0, (), 0))
         while stack:  # color the top vertex with its next color, if any
             key, v, rest, nbrs, cs, low, hit, fresh = stack.pop()
             for u in hit:
                 free[u] |= low
             used ^= fresh
+            if cs and low:  # a retry: used is as on entry, and low, just tried, is below cs
+                if twins is None:  # sets of 2+ colors that exactly the same vertices list
+                    twins = [reduce(int.__or__, lists, 0)]
+                    for f in lists:
+                        twins = [p for grp in twins for p in (grp & f, grp & ~f) if p & p - 1]
+                for grp in twins:  # v lists all of a group's unused colors or none
+                    x = grp & (cs | low) & ~used
+                    cs ^= x & x - 1
             if cs:
                 low = cs & -cs
-                hit = [u for u in nbrs if free[u] & low]
+                hit = [u for u in bits(nbrs) if free[u] & low]
                 for u in hit:
                     free[u] ^= low
                 fresh = low & ~used
                 used |= low
                 colors[v] = low.bit_length() - 1
                 stack.append((key, v, rest, nbrs, cs ^ low, low, hit, fresh))
-                left = rest
-                break
+                for q in cliques:  # each union stops once it covers the members
+                    m, union, need = q & rest, 0, (q & rest).bit_count()
+                    while m and union.bit_count() < need:
+                        b = m & -m
+                        union |= free[b.bit_length() - 1]
+                        m ^= b
+                    if union.bit_count() < need:
+                        break  # the next pop takes the color back
+                else:
+                    left = rest
+                    break
+                continue
             colors.pop(v, None)
-            dead.add(key)
+            dead.add(key or _state(rest | 1 << v, free))  # all below is undone
         else:
             return None
     return colors
+
+
+def _state(left: int, free) -> tuple[int, ...]:
+    """A list search node's key: its uncolored set, then their free masks."""
+    return (left, *(f for u, f in free.items() if left >> u & 1))
 
 
 def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,

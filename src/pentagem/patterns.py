@@ -209,7 +209,8 @@ def _maximal_cliques(adj, mask: int, least: int) -> Iterator[int]:
     One pass over the rows of P finds both the vertices of X and those of
     P that see all of P but themselves.
     """
-    p = mask_of(v for v in bits(mask) if (adj[v] & mask).bit_count() >= least - 1)
+    p = mask if least < 2 else mask_of(v for v in bits(mask)
+                                        if (adj[v] & mask).bit_count() >= least - 1)
     stack = [(0, 0, p, 0)]  # (|R|, R, P, X)
     while stack:
         size, r, p, x = stack.pop()

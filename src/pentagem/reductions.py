@@ -116,8 +116,8 @@ def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
 
 def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
-    m = mask_of(vs) if all(0 <= v < g.n for v in vs) else 0
-    if len(vs) != 9 or m.bit_count() != 9:
+    m = mask_of(vs) if len(vs) == 9 and all(0 <= v < g.n for v in vs) else 0
+    if m.bit_count() != 9:
         return False
     # the hubs see all 8 others, so each other vertex has degree 4 exactly
     # when it has one neighbor among the six non-hubs
@@ -128,8 +128,8 @@ def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
 
 def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
-    m = mask_of(vs) if all(0 <= v < g.n for v in vs) else 0
-    if len(vs) != 8 or m.bit_count() != 8:
+    m = mask_of(vs) if len(vs) == 8 and all(0 <= v < g.n for v in vs) else 0
+    if m.bit_count() != 8:
         return False
     rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 7)
     if rest.bit_count() != 4:
@@ -199,27 +199,25 @@ def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def extend_list_coloring(g: Graph, lists: dict[int, frozenset[int] | set[int]]
-                         ) -> dict[int, int]:
+def extend_list_coloring(g: Graph, lists: dict[int, int]) -> dict[int, int]:
     """Color the catalog graph ``g`` induces on the keys of ``lists`` from
-    those lists: ``list_color``'s first assignment, in the order it was
-    made, in ``g``'s vertex ids.
+    those lists, bitmasks of colors: ``list_color``'s first assignment, in
+    the order it was made, in ``g``'s vertex ids, cut on the shape's
+    maximal cliques, its hubs joined to each maximal clique of the rest.
 
-    Requires |L(v)| >= d(v)-1, colors that are non-negative integers, and
-    the keys to induce one of the catalog shapes, for which a coloring is
-    guaranteed to exist; exhausting the search therefore signals a bug or a
-    non-catalog input, not an unlucky assignment.
+    Requires |L(v)| >= d(v)-1 and the keys to induce one of the catalog
+    shapes, for which a coloring is guaranteed to exist; exhausting the
+    search therefore signals a bug or a non-catalog input, not an unlucky
+    assignment.
     """
     vs = tuple(sorted(lists))
     if not (is_k3_join_3k2(g, vs) or is_k4_join_two_nonedges(g, vs)):
         raise PreconditionError("graph is not one of the catalog shapes")
     mask = mask_of(vs)
     for v in vs:
-        if len(lists[v]) < (g.adj[v] & mask).bit_count() - 1:
+        if lists[v].bit_count() < (g.adj[v] & mask).bit_count() - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
-        if min(lists[v], default=0) < 0:
-            raise PreconditionError(f"list of vertex {v} holds a negative color")
-    assigned = list_color(g.adj, mask, {v: mask_of(lists[v]) for v in vs}, {})
+    assigned = list_color(g.adj, mask, lists, {}, list(_maximal_cliques(g.adj, mask, 1)))
     if assigned is None:
         raise InternalInconsistencyError("catalog graph refused a d1-style list assignment")
     return assigned

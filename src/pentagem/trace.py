@@ -225,18 +225,20 @@ def _lemma1(g: Graph, d: dict, colors: dict[int, int]) -> None:
 
 def _d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """List-color the removed catalog graph W: each vertex may take any color
-    in 1..k that none of its colored neighbors outside W holds.  A k outside
-    1..n, for a graph of order n, or a vertex listed twice in W is rejected
-    before any list is built."""
+    in 1..k that none of its colored neighbors outside W holds, a mask from
+    one walk over them (other colors cost nothing).  A k outside 1..n, for
+    a graph of order n, or a vertex listed twice in W is rejected first."""
     if not 1 <= d["k"] <= g.n:
         raise GraphFormatError(f"d1_extend line says k={d['k']}, outside 1..{g.n}")
     wm = _mask(g, d["w"])
     if wm.bit_count() != len(d["w"]):
         raise GraphFormatError(f"d1_extend line repeats a vertex in w={_fmt_vs(d['w'])}")
-    palette = frozenset(range(1, d["k"] + 1))
-    colors.update(extend_list_coloring(g, {
-        u: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
-        for u in bits(wm)}))
+    lists = dict.fromkeys(bits(wm), (1 << d["k"] + 1) - 2)
+    for u in lists:
+        for x in bits(g.adj[u] & ~wm):
+            if (c := colors.get(x, 0)) > 0 and lists[u] >> c & 1:
+                lists[u] ^= 1 << c
+    colors.update(extend_list_coloring(g, lists))
 
 
 _VS, _K = Field("vs", VERTICES), Field("k", INT)

@@ -13,7 +13,9 @@ walked every triangle and every triple of common edges,
 ``reference_extend_list_coloring`` the list-coloring search before it
 kept free-color masks in place and memoized failures,
 ``reference_colorable_with`` the recursive DSATUR search the oracle ran
-before both became one explicit-stack list search, and
+before both became one explicit-stack list search,
+``reference_list_color`` that list search before it took cliques for
+Hall cuts and built its failure keys only once one failed, and
 ``reference_verify_coloring`` the edge walk that ``verify_coloring`` ran
 before it tested color-class masks, ``reference_parse_graph6`` the graph6
 reader that decoded one edge at a time before ``parse_graph6`` read whole
@@ -594,6 +596,80 @@ def reference_extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | s
         raise InternalInconsistencyError(
             "catalog graph refused a d1-style list assignment")
     return assigned
+
+
+# ``coloring.list_color`` before it took cliques for Hall cuts and built
+# its failure keys lazily, kept verbatim as its reference.
+
+def reference_list_color(adj, mask: int, free, fixed: dict[int, int]) -> dict[int, int] | None:
+    """The first proper coloring of the subgraph ``adj`` induces on ``mask``
+    that keeps the ``fixed`` colors and gives each other vertex v a color of
+    its list, the bitmask ``free[v]`` (``free`` is keyed by vertex), fixed
+    vertices first, then the rest in the order colored; or None.
+
+    An exact search on an explicit stack.  It colors the vertex with the
+    fewest free colors (ties: more neighbors in ``mask``, then lower id)
+    with each free color in turn, lowest first, but skips a color no vertex
+    holds if a lower such color lies in exactly the same lists: swapping
+    the two maps its branch onto one already tried.  A node's subtree
+    depends only on its uncolored set and their free masks, so a node whose
+    key failed once is cut.  Neither cut removes the first solution.
+    """
+    colors, used, left = dict(fixed), mask_of(fixed.values()), mask & ~mask_of(fixed)
+    free = {u: free[u] for u in bits(left)}
+    for v, c in fixed.items():
+        for u in bits(adj[v] & left):
+            free[u] &= ~(1 << c)
+    # w bits hold any id or degree in mask, so one int ranks (size, tie)
+    w = mask.bit_length().bit_length()
+    top, shift = (1 << w) - 1, 2 * w
+    tie = {u: (top - (adj[u] & mask).bit_count()) << w | u for u in free}
+    # sets of two or more colors that exactly the same uncolored vertices list
+    lists = {free[u] for u in tie}
+    twins = [reduce(int.__or__, lists, 0)]
+    for f in lists:
+        if not twins:
+            break
+        twins = [p for grp in twins for p in (grp & f, grp & ~f) if p & p - 1]
+    dead, stack = set(), []  # stack: (key, v, rest, nbrs, colors left, color, hit, fresh)
+    while left:
+        key, best, m = [left], -1, left
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            key.append(free[u])
+            rank = free[u].bit_count() << shift | tie[u]
+            if best < 0 or rank < best:
+                best, v = rank, u
+        key = tuple(key)
+        if key not in dead:
+            cs, rest = free[v], left & ~(1 << v)
+            for grp in twins:  # v lists all of a group's unused colors or none
+                x = grp & cs & ~used
+                cs ^= x & x - 1
+            stack.append((key, v, rest, tuple(bits(adj[v] & rest)), cs, 0, (), 0))
+        while stack:  # color the top vertex with its next color, if any
+            key, v, rest, nbrs, cs, low, hit, fresh = stack.pop()
+            for u in hit:
+                free[u] |= low
+            used ^= fresh
+            if cs:
+                low = cs & -cs
+                hit = [u for u in nbrs if free[u] & low]
+                for u in hit:
+                    free[u] ^= low
+                fresh = low & ~used
+                used |= low
+                colors[v] = low.bit_length() - 1
+                stack.append((key, v, rest, nbrs, cs ^ low, low, hit, fresh))
+                left = rest
+                break
+            colors.pop(v, None)
+            dead.add(key)
+        else:
+            return None
+    return colors
 
 
 # ``oracle.colorable_with`` before it ran on ``coloring.list_color``: a
@@ -1443,7 +1519,7 @@ def reference_d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
         raise GraphFormatError(f"d1_extend line repeats a vertex in w={_fmt_vs(d['w'])}")
     sub, ids = induced_subgraph(g, d["w"])
     palette = frozenset(range(1, d["k"] + 1))
-    lists = {i: palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors}
+    lists = {i: mask_of(palette - {colors[x] for x in bits(g.adj[u] & ~wm) if x in colors})
              for i, u in enumerate(ids)}
     for i, c in extend_list_coloring(sub, lists).items():
         colors[ids[i]] = c

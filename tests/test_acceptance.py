@@ -19,7 +19,8 @@ import pytest
 
 from pentagem.coloring import Coloring, back_degree_profile, verify_coloring
 from pentagem.errors import PentagemError
-from pentagem.graph import complete_graph, cycle_graph, disjoint_union, induced_subgraph, join
+from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, induced_subgraph, join,
+                            mask_of)
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.oracle import exact_chromatic
@@ -283,7 +284,7 @@ def test_criterion_7_d1_extension_sampling():
     for _ in range(10_000):
         lists = {v: frozenset(rng.sample(range(1, 9), k3_shape.degree(v) - 1))
                  for v in range(9)}
-        got = extend_list_coloring(k3_shape, lists)
+        got = extend_list_coloring(k3_shape, {v: mask_of(l) for v, l in lists.items()})
         if not (all(got[v] in lists[v] for v in got)
                 and verify_coloring(k3_shape, Coloring(got, 8))):
             failures += 1
@@ -295,7 +296,7 @@ def test_criterion_7_d1_extension_sampling():
         h = join(complete_graph(4), build_graph(4, keep))
         lists = {v: frozenset(rng.sample(range(1, 9), h.degree(v) - 1))
                  for v in range(8)}
-        got = extend_list_coloring(h, lists)
+        got = extend_list_coloring(h, {v: mask_of(l) for v, l in lists.items()})
         if not (all(got[v] in lists[v] for v in got)
                 and verify_coloring(h, Coloring(got, 8))):
             failures += 1

@@ -478,6 +478,23 @@ def test_replay_rejects_a_d1_extend_palette_outside_the_graph_order(tmp_path, ca
     assert f"k={k}, outside 1..8" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("line, err", [
+    ("w=0,1,2,3,4,5,6,7 k=0", "error: d1_extend line says k=0, outside 1..8\n"),
+    ("w=0,1,2,3,4,5,6,7 k=1000000", "error: d1_extend line says k=1000000, outside 1..8\n"),
+    ("w=0,1,2,3,4,5,6,7,7 k=8",
+     "error: d1_extend line repeats a vertex in w=0,1,2,3,4,5,6,7,7\n"),
+    ("w=0,1,2,3,4,5,6,7,7 k=9", "error: d1_extend line says k=9, outside 1..8\n"),
+])
+def test_replay_d1_extend_palette_and_repeat_errors_are_pinned(tmp_path, capsys, line, err):
+    # byte for byte, on K4 joined to C4; k is checked before the repeat
+    g = join(complete_graph(4), cycle_graph(4))
+    path = write(tmp_path, "g.el", write_edgelist(g))
+    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 8, *fingerprint(g))).replace(
+        "end\n", f"step d1_extend {line}\nend\n"))
+    assert main(["replay", path, trace]) == 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("line, reason", [
     ("w=0,1,2,3 k=8", "not one of the catalog shapes"),
     ("w=0,1,2,3,4,5,6,7 k=3", "below d(v)-1"),

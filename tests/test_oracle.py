@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from pentagem import coloring
 from pentagem.coloring import Coloring, list_color, verify_coloring
-from pentagem.errors import OracleCapExceeded
+from pentagem.errors import OracleCapExceeded, PreconditionError
 from pentagem.graph import bits, complete_graph, cycle_graph, empty_graph, path_graph
 from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.oracle import colorable_with, exact_chromatic
-from pentagem.patterns import clique_number
+from pentagem.patterns import _maximal_cliques, clique_number
 
-from helpers import brute_chromatic, prism_cores, random_graph, reference_colorable_with
+from helpers import (brute_chromatic, catalog_shapes, prism_cores, random_graph,
+                     reference_colorable_with, reference_list_color)
 
 
 def test_c5_needs_three():
@@ -125,3 +126,62 @@ def test_list_color_keeps_fixed_colors_and_order():
     assert list_color(k3.adj, 7, [0b1100, 0b1110, 0b0110], {}) == {0: 2, 2: 1, 1: 3}
     assert list_color(k3.adj, 7, [0b0010] * 3, {}) is None
     assert list_color(k3.adj, 0, [], {}) == {}
+
+
+def test_list_color_refuses_a_mask_that_is_no_clique_inside_the_searched_mask():
+    # the Hall cut counts a clique's members against their free colors,
+    # which is sound only when they must all differ
+    p3 = path_graph(3)
+    lists = [0b1110] * 3
+    for bad in (0b111, 0b1000, 0b11 | 0b1000, -1):
+        with pytest.raises(PreconditionError, match="not a clique inside the searched mask"):
+            list_color(p3.adj, 0b111, lists, {}, [0b11, bad])
+    with pytest.raises(PreconditionError):
+        list_color(p3.adj, 0b011, lists, {}, [0b110])
+    got = list_color(p3.adj, 0b111, lists, {}, [0, 0b1, 0b11, 0b110])
+    assert list(got.items()) == [(1, 1), (0, 2), (2, 2)]
+
+
+def draw_cliques(data, adj, mask):
+    """Any subset of the maximal cliques of the subgraph on ``mask``."""
+    every = list(_maximal_cliques(adj, mask, 1))
+    keep = data.draw(st.integers(0, (1 << len(every)) - 1))
+    return [q for i, q in enumerate(every) if keep >> i & 1]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.data())
+def test_list_color_with_hall_cuts_matches_the_reference(data):
+    # random graphs, lists over colors 0..5, fixed vertices and cliques:
+    # the cuts may only drop subtrees without a solution, so the first
+    # solution and its order stay, and so does None
+    n = data.draw(st.integers(0, 10))
+    g = random_graph(n, data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(0, 10 ** 6)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    free = [data.draw(st.integers(0, 63)) for _ in range(n)]
+    fixed = {v: data.draw(st.integers(0, 5)) for v in bits(mask)
+             if data.draw(st.booleans())}
+    cliques = draw_cliques(data, g.adj, mask)
+    got = list_color(g.adj, mask, free, fixed, cliques)
+    want = reference_list_color(g.adj, mask, free, fixed)
+    assert (got is None) == (want is None)
+    assert got is None or list(got.items()) == list(want.items())
+
+
+CATALOG_SHAPES = catalog_shapes()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_list_color_with_hall_cuts_matches_the_reference_on_catalog_shapes(data):
+    # lists of d(v) - 1 or more colors out of 0..9, as the catalog rule
+    # guarantees, so a coloring always exists
+    h = data.draw(st.sampled_from(CATALOG_SHAPES))
+    free = []
+    for v in range(h.n):
+        size = data.draw(st.integers(h.degree(v) - 1, 10))
+        free.append(sum(1 << c for c in data.draw(st.permutations(range(10)))[:size]))
+    cliques = draw_cliques(data, h.adj, h.full_mask())
+    got = list_color(h.adj, h.full_mask(), free, {}, cliques)
+    assert got is not None
+    assert list(got.items()) == list(reference_list_color(h.adj, h.full_mask(), free, {}).items())

@@ -8,16 +8,17 @@ keys as wide as they get: a key packed by the number of vertices searched,
 not by the largest id, orders them differently."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from pentagem.errors import PentagemError
-from pentagem.graph import Graph, build_graph
+from pentagem.graph import Graph, build_graph, complete_graph, cycle_graph, join
 from pentagem.graphio import parse_graph
 from pentagem.patterns import clique_number
 from pentagem.solver import solve
-from pentagem.trace import STEPS
+from pentagem.trace import STEPS, ReductionTrace, dumps_trace, fingerprint, loads_trace
 
 from helpers import REFERENCE_APPLIES, catalog_shapes, core9, prism_cores, random_graph
 
@@ -108,6 +109,33 @@ def test_d1_extend_matches_on_catalog_graphs_inside_large_hosts():
             g = build_graph(nxt, edges)
             got = dict(check_step("d1_extend", g, {"w": tuple(ids), "k": 8}, colors))
             assert all(got[u] != got[v] for u, v in g.edges())
+
+
+def test_d1_extend_ignores_board_colors_outside_its_palette():
+    # K4 joined to C4 on 0..7 with neighbors outside it that delta_set
+    # lines color 0, -3 and 10**12: none of these is in 1..k, so none
+    # shortens a list, and none may become a bit of a free-color mask
+    # (1 << 10**12 alone would take 125 GB).  Only vertex 11's color 3
+    # counts.  The colors are those the set-based lists gave.
+    h = join(complete_graph(4), cycle_graph(4))
+    g = build_graph(12, list(h.edges()) + [(0, 8), (4, 8), (1, 9), (5, 9), (4, 10), (6, 10),
+                                           (2, 11), (7, 11)])
+    text = dumps_trace(ReductionTrace([], 8, *fingerprint(g))).replace("end\n", "".join(
+        f"step delta_set i={v} color={c}\n" for v, c in ((8, 0), (9, -3), (10, 10 ** 12), (11, 3)))
+        + "step d1_extend w=0,1,2,3,4,5,6,7 k=8\nend\n")
+    *sets, extend = loads_trace(text).events
+    colors = {}
+    for e in sets:
+        STEPS[e.kind].apply(g, e.data, colors)
+    tracemalloc.start()
+    try:
+        got = check_step("d1_extend", g, extend.data, colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(8, 0), (9, -3), (10, 10 ** 12), (11, 3), (2, 1), (7, 2), (0, 3), (1, 4),
+                   (3, 5), (4, 6), (5, 2), (6, 6)]
+    assert peak < 1 << 16
 
 
 def test_oracle_matches_on_cores_inside_large_hosts():
