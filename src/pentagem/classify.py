@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import (ForbiddenPatternError, InternalInconsistencyError,
                      PreconditionError)
-from .graph import Graph, is_connected, true_twin_classes
-from .patterns import _p5_gem_free, find_induced
-from .structure import CLASS_ORDER, TEMPLATES, _match_modules, _maximal_modules
+from .graph import Graph, is_connected
+from .patterns import find_induced, is_p5_gem_free
+from .structure import CLASS_ORDER, TEMPLATES, match_expansion, maximal_modules
 
 __all__ = ["ClassLabel", "classify"]
 
@@ -38,21 +38,20 @@ def classify(g: Graph) -> ClassLabel:
     matches nothing contradicts the structure theorem, so that outcome is
     raised as an internal inconsistency instead of being returned.
 
-    The classes of true twins are found once: the freeness walks and the
-    module search both run on one vertex of each.
+    The freeness walks and the module search each run on one vertex per
+    class of true twins, and the modules are found once for all templates.
     """
     if not is_connected(g):
         raise PreconditionError("classification expects a connected graph")
-    classes = true_twin_classes(g.adj, range(g.n))
-    free, witness = _p5_gem_free(g, classes)
+    free, witness = is_p5_gem_free(g)
     if not free:
         raise ForbiddenPatternError(
             f"graph contains an induced {witness.pattern}", witness)
     if find_induced(g, "C5") is None:
         return ClassLabel("Perfect")
-    modules = _maximal_modules(g, classes)
+    modules = maximal_modules(g)
     for cid in CLASS_ORDER:
-        bags = _match_modules(g, TEMPLATES[cid], modules)
+        bags = match_expansion(g, TEMPLATES[cid], modules)
         if bags is not None:
             return ClassLabel(cid, bags)
     raise InternalInconsistencyError(

@@ -138,7 +138,11 @@ def is_p5_gem_free(g: Graph) -> tuple[bool, PatternWitness | None]:
     shrinks to its quotient, and the witness is the whole graph's.
     """
     adj = g.adj
-    return _p5_gem_free(g, true_twin_classes(adj, (v for v in range(g.n) if adj[v])))
+    quotient = _twin_quotient(adj, true_twin_classes(adj, (v for v in range(g.n) if adj[v])))
+    for pattern in ("P5", "GEM"):
+        if hit := induced_p4(g, quotient, FIFTH[pattern]):
+            return False, PatternWitness(pattern, hit)
+    return True, None
 
 
 def _twin_quotient(adj, classes: list[list[int]]) -> int:
@@ -158,16 +162,6 @@ def _twin_quotient(adj, classes: list[list[int]]) -> int:
     for v in firsts:
         reps.setdefault(adj[v] & within, v)
     return mask_of(reps.values())
-
-
-def _p5_gem_free(g: Graph, classes: list[list[int]]) -> tuple[bool, PatternWitness | None]:
-    """``is_p5_gem_free(g)`` given the classes of true twins of ``g``, as
-    ``true_twin_classes`` lists them; isolated vertices may be left out."""
-    quotient = _twin_quotient(g.adj, classes)
-    for pattern in ("P5", "GEM"):
-        if hit := induced_p4(g, quotient, FIFTH[pattern]):
-            return False, PatternWitness(pattern, hit)
-    return True, None
 
 
 def _colors_at_least(adj: list[int], cand: int, need: int) -> bool:

@@ -3,12 +3,14 @@
 Each rule pairs a detector with an extension procedure: remove a configured
 piece, color the rest (recursively, by the caller), then extend the coloring
 back deterministically.  Also hosts the constructive Brooks coloring, the
-hitting independent set, and the reduction from large maximum degree down to
-the base case of 9.  Brooks, the hitting set and the reduction work on the
-subgraph a host's adjacency masks induce on a vertex mask, with no induced
-copy, so the ``brooks`` trace step runs on the host graph directly.  The
-cliques a hitting set must meet come from ``patterns._maximal_cliques``,
-the search behind every clique question.
+hitting independent set (``hitting_mis``), and the reduction from large
+maximum degree down to the base case of 9 (``delta_reduce``), the two that
+``solve`` runs at Delta >= 10.  Brooks, the hitting set and the reduction
+work on the subgraph a host's adjacency masks induce on a vertex mask,
+with no induced copy, so the ``brooks`` trace step runs on the host graph
+directly; the last two are handed that subgraph's maximum degree.  The
+cliques a hitting set must meet come from
+``patterns._maximal_cliques``, the search behind every clique question.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from itertools import combinations
 
 from .coloring import Coloring, first_fit, list_color
 from .errors import (InternalInconsistencyError, PreconditionError)
-from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
-                    true_twin_classes)
-from .patterns import _maximal_cliques, clique_number, has_clique
+from .graph import Graph, bits, component_masks, mask_of, true_twin_classes
+from .patterns import _maximal_cliques
 
 __all__ = [
     "find_low_degree",
@@ -234,36 +235,31 @@ def bacso_tuza_bound(d: int) -> int:
     return max((d + 2) ** 2 // 4, 3 * d - 1)
 
 
-def hitting_mis(g: Graph) -> tuple[int, ...]:
-    """Maximal independent set that meets every clique of size Delta-1.
+def hitting_mis(g: Graph, mask: int, delta: int, cap: int) -> int:
+    """A maximal independent set of the subgraph of ``g`` induced on
+    ``mask``, whose maximum degree is ``delta``, that meets every clique of
+    Delta-1 vertices, as a host bitmask.
 
-    One enumeration of the maximal cliques of at least Delta-1 vertices,
-    in lex order, decides everything: a clique of Delta vertices is a
-    PreconditionError, worded with the exact clique number, and the
-    cliques of Delta-1 vertices are the targets.  A search picks a vertex in each target,
-    trying every choice, and then adds the lowest vertex left until none
-    is, so the set dominates the graph and removing it lowers Delta.  With
-    no target the fill alone answers.  King's theorem (a stable set meets
-    every maximum clique once omega > 2(Delta+1)/3) says such a set exists
-    from Delta = 6 on; below that a fruitless search is reported as an
-    internal inconsistency rather than papered over.  The set is verified.
+    One enumeration per connected component of the maximal cliques of at
+    least Delta-1 vertices, in lex order, decides everything: a clique of
+    Delta vertices is a PreconditionError, worded with the exact clique
+    number, and the cliques of Delta-1 vertices are the targets.  A search
+    picks a vertex in each target, trying every choice, and then adds the
+    lowest vertex left until none is, so the set dominates the mask and
+    removing it lowers Delta.  With no target the fill alone answers.
+    King's theorem (a stable set meets every maximum clique once omega >
+    2(Delta+1)/3) says such a set exists from Delta = 6 on; below that a
+    fruitless search is reported as an internal inconsistency rather than
+    papered over.  The set is verified.
 
-    The search runs on each connected component's vertex mask separately,
-    always with the whole graph's Delta-1 as the target clique size: a
-    component whose own maximum degree is lower can still hold such a
-    clique.  Every clique lies inside one component, and a union of
-    maximal independent sets of the components is maximal.  No component
-    size is capped here, unlike in degree reduction.
+    The search runs on each component separately, always with ``delta - 1``
+    as the target clique size: a component whose own maximum degree is
+    lower can still hold such a clique.  Every clique lies inside one
+    component, and a union of maximal independent sets of the components
+    is maximal.  A component of more than ``cap`` vertices is an
+    InternalInconsistencyError, raised before any search; degree reduction
+    passes the Bacsó-Tuza bound of ``delta``.
     """
-    return tuple(bits(_hitting_set(g, g.full_mask(), g.max_degree(), g.n)))
-
-
-def _hitting_set(g: Graph, mask: int, delta: int, cap: int) -> int:
-    """``hitting_mis`` of the subgraph of ``g`` induced on ``mask``, whose
-    maximum degree is ``delta``, as a host bitmask; a component of more
-    than ``cap`` vertices is an InternalInconsistencyError, raised before
-    any search.  A component with no (Delta-1)-clique gets the greedy fill
-    alone."""
     comps = component_masks(g.adj, mask)
     for comp in comps:
         if comp.bit_count() > cap:
@@ -412,51 +408,29 @@ def brooks_color(g: Graph) -> Coloring:
 
 # -- reduction to maximum degree 9 --------------------------------------------
 
-def delta_reduce(g: Graph, color_base, trace: list | None = None) -> Coloring:
-    """Color with Delta-1 colors by peeling hitting independent sets.
+def delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | None
+                 ) -> dict[int, int]:
+    """Color the subgraph of ``host`` induced on ``mask``, of maximum degree
+    ``delta``, with Delta-1 colors by peeling hitting independent sets; the
+    coloring is in host vertices.  ``color_base(rest)`` colors a Delta = 9
+    rest, given as a host bitmask, with 8 colors (the solver's base case).
 
-    ``color_base(sub, ids)`` colors a Delta = 9 graph with 8 colors and
-    returns a dict keyed by the ids in ``ids`` (the solver's base case); it
-    is handed an induced copy of the rest, built here, since ``_delta_reduce``
-    itself works on the host's masks.  Each level extracts a maximal
-    independent set meeting every large clique, so every vertex left loses
-    a neighbor, the rest is colored one level cheaper (greedy when the
-    degree drops by 3 or more, Brooks when by 2, the next level otherwise),
-    then one new color goes on the extracted set.  A component over the
-    Bacsó-Tuza bound raises InternalInconsistencyError: it has an induced
-    P5.
-    """
-    delta = g.max_degree()
-    if delta < 10:
-        raise PreconditionError("degree reduction starts at maximum degree 10")
-    if has_clique(g, g.full_mask(), delta):
-        raise PreconditionError(f"clique number {clique_number(g)[0]} exceeds Delta-1")
-    colors = _delta_reduce(g, g.full_mask(), delta,
-                           lambda rest: color_base(*induced_subgraph(g, bits(rest))), trace)
-    return Coloring(colors, delta - 1)
-
-
-def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | None
-                  ) -> dict[int, int]:
-    """``delta_reduce`` on the subgraph of ``host`` induced on ``mask``, of
-    maximum degree ``delta``, in host vertices; ``color_base(rest)`` colors
-    a Delta = 9 rest given as a host bitmask.
-
-    A mask of Delta 9 runs no level and goes straight to ``color_base``.
-    Otherwise one loop runs the levels on host masks, with no induced
-    copy: each takes ``_hitting_set`` of the current mask with its
-    components capped at ``bacso_tuza_bound`` of the level's Delta, pushes
-    the set and Delta on a stack, and goes on with the rest until the
+    Each level extracts a maximal independent set meeting every large
+    clique, ``hitting_mis`` of the current mask with its components capped
+    at ``bacso_tuza_bound`` of the level's Delta, so every vertex left
+    loses a neighbor; a component over the cap has an induced P5.  One
+    loop runs the levels on host masks, with no induced copy: each pushes
+    its set and Delta on a stack and goes on with the rest until the
     degree drops by 2 or more or reaches 9.  The terminal then colors the
-    rest through ``trace.run_step``, the apply replay runs, or
-    ``color_base``, and the stack is emptied innermost level first, one
-    ``delta_set`` step each.  The degrees inside the mask are counted once
-    and kept as bit planes across the levels: a peeled vertex lowers all
-    its neighbors' degrees with a few mask operations, and the new maximum
-    is read off the planes, so no level recounts the rest.
+    rest, greedy when the degree dropped by 3 or more and Brooks when by
+    2, through ``trace.run_step``, the apply replay runs, or else
+    ``color_base`` does, and the stack is emptied innermost level first,
+    one new color on each set in a ``delta_set`` step.  The degrees inside
+    the mask are counted once and kept as bit planes across the levels: a
+    peeled vertex lowers all its neighbors' degrees with a few mask
+    operations, and the new maximum is read off the planes, so no level
+    recounts the rest.
     """
-    if delta <= 9:
-        return color_base(mask)
     from .trace import run_step  # trace imports this module
 
     adj = host.adj
@@ -469,7 +443,7 @@ def _delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | 
     levels: list[tuple[int, int]] = []
     colors: dict[int, int] = {}
     while delta > 9:
-        peeled = _hitting_set(host, mask, delta, bacso_tuza_bound(delta))
+        peeled = hitting_mis(host, mask, delta, bacso_tuza_bound(delta))
         levels.append((peeled, delta))
         mask &= ~peeled
         for p in bits(peeled):

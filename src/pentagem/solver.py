@@ -25,7 +25,7 @@ from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
 from .graph import (Graph, bits, component_masks, induced_subgraph, mask_of,
                     seeded_component_masks)
 from .patterns import clique_number, has_clique, is_p5_gem_free
-from .reductions import _delta_reduce, check_copycat, find_copycat, find_d1_catalog
+from .reductions import check_copycat, delta_reduce, find_copycat, find_d1_catalog
 from .strategies import ReducibleFound, Unreachable, apply_case_strategy
 from .trace import (STEPS, ReductionTrace, TraceEvent, check_oracle_core, fingerprint,
                     run_step)
@@ -205,9 +205,10 @@ def solve(g: Graph) -> tuple[Coloring, ReductionTrace]:
     delta = g.max_degree()
     _structural_gate(g, delta >= 9, f"maximum degree {delta} is below 9", delta - 1)
     events: list[TraceEvent] = []
-    try:  # at Delta = 9, no level: the base case colors the whole graph
-        colors = _delta_reduce(g, g.full_mask(), delta, lambda rest: _color8(g, rest, events),
-                               events)
+    try:  # the base case colors a Delta = 9 graph, or the rest of the last peel
+        colors = (_color8(g, g.full_mask(), events) if delta == 9 else
+                  delta_reduce(g, g.full_mask(), delta, lambda rest: _color8(g, rest, events),
+                               events))
     except InternalInconsistencyError:
         # the lazy gate let the input through: an inconsistency on a graph
         # outside the class (a component over its Bacsó-Tuza bound) reports its pattern

@@ -9,6 +9,8 @@ edges all land in A6.
 Matching assigns the graph's maximal proper modules (vertex sets that each
 outside vertex sees all or none of) to template nodes, since every bag is a
 union of them, and ``check_bag_partition`` verifies the result.
+``maximal_modules`` finds the modules once per graph, and
+``match_expansion`` is handed them for each template it tries.
 
 The clique-expansion reduction keeps the lex-least maximum clique of each
 reducible bag, preserving both the clique number and the chromatic number;
@@ -25,8 +27,7 @@ from functools import reduce
 
 from .cographs import cograph_coloring_with_palette
 from .errors import GraphFormatError, PreconditionError
-from .graph import (Graph, bits, build_graph, component_masks, is_connected, mask_of,
-                    true_twin_classes)
+from .graph import Graph, bits, build_graph, component_masks, mask_of, true_twin_classes
 from .patterns import _twin_quotient, clique_number, induced_p4
 
 __all__ = [
@@ -180,13 +181,8 @@ def maximal_modules(g: Graph) -> list[tuple[int, ...]]:
     proper modules are disjoint, and each twin class lies inside one of
     them.
     """
-    return _maximal_modules(g, true_twin_classes(g.adj, range(g.n)))
-
-
-def _maximal_modules(g: Graph, classes: list[list[int]]) -> list[tuple[int, ...]]:
-    """``maximal_modules(g)`` given the true-twin classes of ``g``, as
-    ``true_twin_classes`` lists them for all its vertices."""
     adj, full = g.adj, g.full_mask()
+    classes = true_twin_classes(adj, range(g.n))
     members = {c[0]: mask_of(c) for c in classes}
     rank = {c[0]: i for i, c in enumerate(sorted(classes, key=lambda c: (-len(c), c[0])))}
     # the universal vertices, one class if any, each represent themselves
@@ -267,8 +263,11 @@ def check_bag_partition(g: Graph, template: Template,
     return problems
 
 
-def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] | None:
-    """Match ``g`` as an expansion of ``template``; None when it is not one.
+def match_expansion(g: Graph, template: Template, modules: list[tuple[int, ...]]
+                    ) -> dict[str, tuple[int, ...]] | None:
+    """Match the connected graph ``g``, whose maximal proper modules are
+    ``modules`` (as ``maximal_modules(g)`` lists them), as an expansion of
+    ``template``; None when it is not one.
 
     Every bag is a module, and no proper module meets two bags.  For
     G1..G10 the quotient is prime (checked at import): the bags a module
@@ -290,21 +289,7 @@ def match_expansion(g: Graph, template: Template) -> dict[str, tuple[int, ...]] 
     the first partition that check accepts.  Each maximal homogeneous
     clique lies in one module, so a search over those cliques in the same
     order would return the same one.
-
-    The modules come from ``maximal_modules``, which grows them on one
-    vertex per class of true twins.  A connected graph with an induced C5
-    and no gem has a connected complement (a vertex joined to the C5 and
-    a P4 of the C5 would form a gem), so every graph ``classify`` matches
-    has a prime root, and each class lies in one module.
     """
-    if not is_connected(g):
-        raise PreconditionError("expansion matching expects a connected graph")
-    return _match_modules(g, template, maximal_modules(g))
-
-
-def _match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
-                   ) -> dict[str, tuple[int, ...]] | None:
-    """``match_expansion`` given ``maximal_modules(g)`` of a connected ``g``."""
     k, full = len(template.nodes), (1 << len(template.nodes)) - 1
     spare, ok = template.spare, template.ok
     if len(modules) < k or (len(modules) > k and not spare):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .coloring import color_with_independent_sets, first_fit
+from .coloring import color_with_independent_sets, first_fit, greedy_color
 from .errors import GraphFormatError, InternalInconsistencyError
 from .graph import Graph, bits, mask_of
 from .oracle import colorable_with
@@ -176,10 +176,7 @@ def _mask(g: Graph, vs) -> int:
 
 def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """First-fit over ``vs`` in increasing order, seeing only ``vs``."""
-    mask = _mask(g, d["vs"])
-    own: dict[int, int] = {}
-    first_fit(g.adj, bits(mask), d["k"], own)
-    colors.update(own)
+    colors.update(greedy_color(g, sorted(set(_vertices(g, d["vs"]))), d["k"]))
 
 
 def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:

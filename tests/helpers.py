@@ -61,7 +61,8 @@ each built an induced copy of its vertices and colored that.
 maximum cliques defeat a clique search without a coloring bound,
 ``threshold_graph`` the cographs whose decomposition runs deepest, with
 ``palette_corpus`` the palette colorings drawn on both, and
-``c5_blowup`` the in-class graphs of large degree whose levels run deep.
+``c5_blowup`` the in-class graphs of large degree whose levels run deep,
+``cycle_blowup`` the same blow-up of any cycle.
 """
 
 from __future__ import annotations
@@ -178,16 +179,22 @@ def caterpillar(spine: int, leaves: int = 7) -> Graph:
     return build_graph((leaves + 1) * spine, edges)
 
 
+def cycle_blowup(length: int, a: int) -> Graph:
+    """C_length[K_a]: the cycle with vertex i blown up into the clique on
+    vertices a*i..a*i+a-1, and consecutive bags complete to each other."""
+    edges = [(a * i + x, a * i + y) for i in range(length) for x in range(a)
+             for y in range(x + 1, a)]
+    edges += [(a * i + x, a * ((i + 1) % length) + y) for i in range(length)
+              for x in range(a) for y in range(a)]
+    return build_graph(length * a, edges)
+
+
 def c5_blowup(a: int) -> Graph:
     """C5[K_a]: C5 with vertex i blown up into the clique on vertices
     a*i..a*i+a-1, and consecutive bags complete to each other.  n = 5a,
     Delta = 3a - 1 and omega = 2a.  An induced path takes at most one
     vertex of a bag, so it has no P5 and no gem."""
-    edges = [(a * i + x, a * i + y) for i in range(5) for x in range(a)
-             for y in range(x + 1, a)]
-    edges += [(a * i + x, a * ((i + 1) % 5) + y) for i in range(5) for x in range(a)
-              for y in range(a)]
-    return build_graph(5 * a, edges)
+    return cycle_blowup(5, a)
 
 
 def k9_with_ears() -> Graph:
@@ -1105,7 +1112,7 @@ def reference_hitting_component(g: Graph, size: int) -> tuple[int, ...]:
 def reference_delta_reduce(host: Graph, mask: int, color_base, trace: list | None
                            ) -> dict[int, int]:
     """One level of degree reduction on an induced copy of ``mask``, then
-    the next level by recursion: the drop-in for ``solver._delta_reduce``."""
+    the next level by recursion: the drop-in for ``solver.delta_reduce``."""
     g, ids = ((host, range(host.n)) if mask == host.full_mask()
               else induced_subgraph(host, bits(mask)))
     delta = g.max_degree()
@@ -1440,7 +1447,7 @@ def reference_match_expansion(g: Graph, template: Template
 
 def reference_match_modules(g: Graph, template: Template, modules: list[tuple[int, ...]]
                             ) -> dict[str, tuple[int, ...]] | None:
-    """``structure._match_modules`` before it compared the module
+    """``structure.match_expansion`` before it compared the module
     quotient's degrees with the template's, kept verbatim: the search runs
     for every template with as many modules as nodes."""
     k, full = len(template.nodes), (1 << len(template.nodes)) - 1

@@ -78,7 +78,7 @@ def test_labels_match_the_matcher_that_searches_every_template(monkeypatch):
     for g in delta9_members(506) + g8 + core9_cores(7):
         got = classify(g)
         with monkeypatch.context() as m:
-            m.setattr(CLASSIFY, "_match_modules", reference_match_modules)
+            m.setattr(CLASSIFY, "match_expansion", reference_match_modules)
             want = classify(g)
         assert got.kind == want.kind and list(got.bags.items()) == list(want.bags.items())
         kinds[got.kind] += 1

@@ -7,7 +7,7 @@ from pentagem.coloring import (Coloring, back_degree_profile, first_fit,
                                color_with_independent_sets, degeneracy_order,
                                greedy_color, verify_coloring)
 from pentagem.errors import PreconditionError
-from pentagem.graph import (build_graph, complete_graph, cycle_graph,
+from pentagem.graph import (build_graph, complete_graph, cycle_graph, empty_graph,
                             path_graph)
 from pentagem.instances import GenSpec, gen_class_instance
 from pentagem.strategies import published_plan
@@ -150,6 +150,16 @@ def test_sets_coloring_matching_remainder_empty():
 def test_sets_coloring_rejects_dependent_set():
     with pytest.raises(PreconditionError):
         color_with_independent_sets(complete_graph(3), [(0, 1)], 3)
+
+
+@pytest.mark.parametrize("sets, k, message", [
+    ([(0,), (1,)], 1, "more independent sets than colors"),
+    ([(0, 1), (1, 2)], 3, "independent sets are not disjoint"),
+])
+def test_sets_coloring_words_bad_sets(sets, k, message):
+    with pytest.raises(PreconditionError) as err:
+        color_with_independent_sets(empty_graph(3), sets, k)
+    assert type(err.value) is PreconditionError and str(err.value) == message
 
 
 def test_sets_coloring_rejects_bad_bound():

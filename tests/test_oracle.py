@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentagem import coloring
+from pentagem import coloring, oracle
 from pentagem.coloring import Coloring, list_color, verify_coloring
 from pentagem.errors import OracleCapExceeded, PreconditionError
 from pentagem.graph import bits, complete_graph, cycle_graph, empty_graph, path_graph
@@ -13,8 +13,8 @@ from pentagem.instances import gallery_g1, gallery_g2
 from pentagem.oracle import colorable_with, exact_chromatic
 from pentagem.patterns import _maximal_cliques, clique_number
 
-from helpers import (brute_chromatic, catalog_shapes, prism_cores, random_graph,
-                     reference_colorable_with, reference_list_color)
+from helpers import (brute_chromatic, catalog_shapes, cycle_blowup, prism_cores,
+                     random_graph, reference_colorable_with, reference_list_color)
 
 
 def test_c5_needs_three():
@@ -116,6 +116,38 @@ def test_list_color_tries_one_of_each_set_of_interchangeable_colors(monkeypatch)
     k8 = complete_graph(8)
     assert list_color(k8.adj, k8.full_mask(), [0b11111110] * 8, {}) is None
     assert len(calls) <= 1 + 8
+
+
+@pytest.mark.parametrize("length, a, chi, tries", [(5, 3, 8, 243), (5, 4, 10, 955),
+                                                    (7, 3, 7, 534)])
+def test_list_color_cuts_each_failed_state_by_its_own_key(monkeypatch, length, a, chi, tries):
+    # exact_chromatic on C_length[K_a] fails at each k below chi, and many
+    # paths of those searches reach one uncolored set with the same free
+    # colors.  Inside list_color, bits runs once per fixed vertex and once
+    # per color tried, so the count pins how often the failure memo cuts:
+    # a key naming another state (the uncolored set without the vertex
+    # that failed) cuts less and tries more.
+    calls, inside = [], []
+    real_bits, real_search = coloring.bits, oracle.list_color
+
+    def counted(mask):
+        if inside:
+            calls.append(mask)
+        return real_bits(mask)
+
+    def search(*args):
+        inside.append(True)
+        try:
+            return real_search(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(coloring, "bits", counted)
+    monkeypatch.setattr(oracle, "list_color", search)
+    g = cycle_blowup(length, a)
+    got, col = exact_chromatic(g)
+    assert got == chi and verify_coloring(g, col)
+    assert len(calls) == tries
 
 
 def test_list_color_keeps_fixed_colors_and_order():

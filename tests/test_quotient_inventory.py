@@ -22,7 +22,7 @@ from pentagem.structure import TEMPLATES, maximal_modules
 
 from helpers import c5_blowup, core9, core9_cores
 
-SEARCH = next(c for c in structure._match_modules.__code__.co_consts
+SEARCH = next(c for c in structure.match_expansion.__code__.co_consts
               if isinstance(c, types.CodeType) and c.co_name == "search")
 
 
@@ -47,7 +47,7 @@ def test_classify_walks_and_searches_only_on_quotients(monkeypatch):
 
     def profile(frame, event, arg):
         nonlocal at
-        if event == "call" and frame.f_code is structure._match_modules.__code__:
+        if event == "call" and frame.f_code is structure.match_expansion.__code__:
             at = (len(cores) - 1, frame.f_locals["template"].id)
         elif event == "call" and frame.f_code is SEARCH:
             nodes[at] = nodes.get(at, 0) + 1

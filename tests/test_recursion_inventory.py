@@ -15,7 +15,7 @@ import pentagem
 
 # a random cograph's cotree, at most as deep as it has vertices, and one
 # frame per maximal module of the matcher's bag search
-ADMITTED = {"instances._random_cograph_edges", "structure._match_modules.<locals>.search"}
+ADMITTED = {"instances._random_cograph_edges", "structure.match_expansion.<locals>.search"}
 
 
 def _bound_names(fn: ast.AST) -> set[str]:

@@ -19,7 +19,7 @@ from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import (_maximal_cliques, clique_number, find_induced, has_clique,
                                maximum_independent_set, mis_mask)
 from pentagem.reductions import (_hitting_component, bacso_tuza_bound,
-                                 brooks_color, brooks_mask, copycat_extend, delta_reduce,
+                                 brooks_color, brooks_mask, check_copycat, copycat_extend,
                                  extend_list_coloring, find_copycat,
                                  find_d1_catalog, find_low_degree, hitting_mis,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
@@ -120,6 +120,17 @@ def test_copycat_extend_rejects_overlapping_sides():
     g = build_graph(3, [(0, 1), (0, 2)])
     with pytest.raises(PreconditionError, match="disjoint"):
         copycat_extend(g, (0,), (0,), {0: 1, 1: 2, 2: 3})
+
+
+@pytest.mark.parametrize("edges, a, b, message", [
+    ([(0, 1)], (0, 1), (2,), "copycat extension needs |A| <= |B|"),
+    ([], (0,), (1, 2), "copycat sides must be cliques"),
+    ([(0, 2)], (0,), (1,), "N(A) must be complete to B"),  # 2 sees A but not B
+])
+def test_check_copycat_words_each_failed_precondition(edges, a, b, message):
+    with pytest.raises(PreconditionError) as err:
+        check_copycat(build_graph(3, edges), a, b)
+    assert type(err.value) is PreconditionError and str(err.value) == message
 
 
 # -- d1 catalog -------------------------------------------------------------------
@@ -428,15 +439,21 @@ def _assert_maximal_hitting(g: Graph, got) -> None:
         assert set(c) & set(got), c
 
 
+def _hitting(g: Graph) -> tuple[int, ...]:
+    """``hitting_mis`` of all of ``g``, with no component capped, in
+    increasing order."""
+    return tuple(bits(hitting_mis(g, g.full_mask(), g.max_degree(), g.n)))
+
+
 def test_hitting_rejects_tight_clique():
     with pytest.raises(PreconditionError):
-        hitting_mis(build_graph(2, []))  # omega=1 > Delta-1=-1
+        _hitting(build_graph(2, []))  # omega=1 > Delta-1=-1
 
 
 def test_hitting_c5_join_k4():
     g = join(cycle_graph(5), complete_graph(4))
     assert g.max_degree() == 8 and clique_number(g)[0] == 6
-    got = hitting_mis(g)
+    got = _hitting(g)
     _assert_maximal_hitting(g, got)
 
 
@@ -445,7 +462,7 @@ def test_hitting_with_tight_cliques():
     sizes = {"Q1": 2, "Q2": 1, "Q3": 3, "Q4": 4, "Q5": 1, "Q6": 2}
     g, bags = gen_class_instance(GenSpec("G2", sizes))
     assert g.max_degree() == 10 and clique_number(g)[0] == 9
-    got = hitting_mis(g)
+    got = _hitting(g)
     _assert_maximal_hitting(g, got)
     big = set(bags["Q3"]) | set(bags["Q4"]) | set(bags["Q6"])
     assert set(got) & big
@@ -465,10 +482,10 @@ def test_hitting_uses_the_global_clique_size():
     plain = _hitting_component(one.adj, one.full_mask(), [])
     assert any(not c & plain for c in eight)
     with pytest.raises(PreconditionError):
-        hitting_mis(one)
+        _hitting(one)
     g = disjoint_union(one, gallery_g2(9))
     assert g.max_degree() == 9
-    got = hitting_mis(g)
+    got = _hitting(g)
     _assert_maximal_hitting(g, got)
     assert all(c & mask_of(got) for c in eight)
 
@@ -489,9 +506,9 @@ def test_hitting_matches_brute_force_on_unions(parts):
     if not any(g.is_independent(s) and all(c & set(s) for c in cliques)
                for k in range(g.n + 1) for s in combinations(range(g.n), k)):
         with pytest.raises(InternalInconsistencyError, match="no independent set"):
-            hitting_mis(g)
+            _hitting(g)
         return
-    _assert_maximal_hitting(g, hitting_mis(g))
+    _assert_maximal_hitting(g, _hitting(g))
 
 
 def _outcome(f, *args):
@@ -538,7 +555,7 @@ def test_the_mask_searches_match_the_recursive_references():
             assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, mask, least)] == [
                 c for c in every if len(c) >= least], least
         try:
-            got = hitting_mis(g)
+            got = _hitting(g)
         except PentagemError as exc:
             assert (type(exc), str(exc)) == _outcome(reference_hitting_mis, g)
         else:
@@ -557,7 +574,7 @@ def test_a_hitting_set_exists_from_degree_6_on():
     below = tight = 0
     for g in hitting_sweep():
         try:
-            hitting_mis(g)
+            _hitting(g)
         except InternalInconsistencyError as exc:
             assert "no independent set" in str(exc) and g.max_degree() < 6, g.edges()
             below += 1
@@ -569,11 +586,14 @@ def test_a_hitting_set_exists_from_degree_6_on():
 
 
 def test_hitting_mis_caps_no_component():
-    # 45 vertices in one component with Delta 10: over B(10) = 36, so degree
-    # reduction reports its P5, but the public search still answers
+    # 45 vertices in one component with Delta 10: over B(10) = 36, so the
+    # cap degree reduction passes reports it, but with the graph's order as
+    # the cap the search still answers
     g = caterpillar(5, leaves=8)
     assert is_connected(g) and g.n > bacso_tuza_bound(g.max_degree())
-    got = hitting_mis(g)
+    with pytest.raises(InternalInconsistencyError, match="exceeds 36, the Bacsó-Tuza bound"):
+        hitting_mis(g, g.full_mask(), 10, bacso_tuza_bound(10))
+    got = _hitting(g)
     assert got == reference_hitting_mis(g)
     _assert_maximal_hitting(g, got)
 
@@ -791,13 +811,6 @@ def test_brooks_matches_the_reference_on_masks():
 
 # -- degree reduction -----------------------------------------------------------------
 
-def test_delta_reduce_needs_degree_10():
-    def base(sub, ids):
-        raise AssertionError("unused")
-    with pytest.raises(PreconditionError):
-        delta_reduce(gallery_g2(9), base)
-
-
 def test_delta_reduce_gallery_family():
     from pentagem.solver import solve
     for t in (10, 12):
@@ -813,7 +826,7 @@ def test_hitting_two_tight_cliques_across_components():
     one, _ = gen_class_instance(GenSpec("G2", sizes))
     g = disjoint_union(one, one)
     assert g.max_degree() == 10 and clique_number(g)[0] == 9
-    got = hitting_mis(g)
+    got = _hitting(g)
     _assert_maximal_hitting(g, got)
     # both components carry a 9-clique; the set must meet each
     nines = [c for c in _maximal_cliques(g.adj, g.full_mask(), 0) if c.bit_count() == 9]

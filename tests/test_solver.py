@@ -88,7 +88,7 @@ def test_solve_colors_k9_with_ears_through_degree_reduction():
 def test_solve_reraises_an_inconsistency_on_a_free_graph(monkeypatch):
     def fruitless(*args):
         raise InternalInconsistencyError("no set found")
-    monkeypatch.setattr(solver, "_delta_reduce", fruitless)
+    monkeypatch.setattr(solver, "delta_reduce", fruitless)
     g = join(complete_graph(8), empty_graph(4))  # a cograph with Delta 11
     with pytest.raises(InternalInconsistencyError, match="no set found"):
         solve(g)
@@ -462,7 +462,7 @@ def test_degree_reduction_matches_the_recursive_reference(monkeypatch):
     graphs += [c5_blowup(a) for a in range(4, 21)]
     graphs += [cocktail_party(k) for k in range(6, 13)]
     got = _solved(graphs)
-    monkeypatch.setattr(solver, "_delta_reduce", lambda host, mask, delta, color_base, trace:
+    monkeypatch.setattr(solver, "delta_reduce", lambda host, mask, delta, color_base, trace:
                         reference_delta_reduce(host, mask, color_base, trace))
     assert _solved(graphs) == got
 
@@ -486,14 +486,16 @@ def _depth() -> int:
 def test_degree_reduction_runs_in_a_loop_on_the_host(monkeypatch):
     # C5[K_40] goes down 78 levels, tight ones with 80-cliques among them:
     # one frame per level, or per search branch, would pass this limit
-    from pentagem import patterns
+    from pentagem import patterns, strategies
 
     g = c5_blowup(40)
 
     def copied(*args):
         raise AssertionError("degree reduction built an induced copy")
 
-    monkeypatch.setattr(reductions, "induced_subgraph", copied)
+    # reductions imports no induced_subgraph, so only these could call one
+    for mod in (solver, strategies):
+        monkeypatch.setattr(mod, "induced_subgraph", copied)
     # the gate's Delta-clique test is one clique search; each level reads
     # its clique number and tightness off one enumeration per component
     original, searches = patterns._maximal_cliques, []
@@ -527,7 +529,7 @@ def test_a_degree_10_caterpillar_over_the_bound_reports_its_p5(spine):
     g = caterpillar(spine, leaves=8)
     assert g.max_degree() == 10 and g.n > bacso_tuza_bound(10)
     with pytest.raises(InternalInconsistencyError, match="Bacsó-Tuza bound"):
-        reductions._delta_reduce(g, g.full_mask(), 10, None, None)
+        reductions.delta_reduce(g, g.full_mask(), 10, None, None)
     start = time.perf_counter()
     with pytest.raises(ForbiddenPatternError) as err:
         solve(g)

@@ -89,15 +89,16 @@ def test_mhc_expansion_with_one_fat_bag():
 # -- matching --------------------------------------------------------------------
 
 def test_match_c5_is_identity_expansion():
-    bags = match_expansion(cycle_graph(5), TEMPLATES["G1"])
+    c5 = cycle_graph(5)
+    bags = match_expansion(c5, TEMPLATES["G1"], maximal_modules(c5))
     assert bags is not None
     assert sorted(len(b) for b in bags.values()) == [1, 1, 1, 1, 1]
-    assert not check_bag_partition(cycle_graph(5), TEMPLATES["G1"], bags)
+    assert not check_bag_partition(c5, TEMPLATES["G1"], bags)
 
 
 def test_match_recovers_g2_bags():
     g, truth = expansion("G2", {f"Q{i}": 2 for i in range(1, 7)})
-    bags = match_expansion(g, TEMPLATES["G2"])
+    bags = match_expansion(g, TEMPLATES["G2"], maximal_modules(g))
     assert bags is not None
     assert not check_bag_partition(g, TEMPLATES["G2"], bags)
     # same partition up to template automorphism: compare as set of frozensets
@@ -105,14 +106,8 @@ def test_match_recovers_g2_bags():
 
 
 def test_p5_matches_nothing():
-    assert match_expansion(path_graph(5), TEMPLATES["G1"]) is None
-
-
-def test_match_rejects_disconnected():
-    from pentagem.graph import disjoint_union
-    with pytest.raises(PreconditionError):
-        match_expansion(disjoint_union(cycle_graph(5), complete_graph(1)),
-                        TEMPLATES["G1"])
+    p5 = path_graph(5)
+    assert match_expansion(p5, TEMPLATES["G1"], maximal_modules(p5)) is None
 
 
 @given(st.integers(2, 7), st.lists(st.booleans(), min_size=21, max_size=21))
@@ -204,7 +199,7 @@ def test_module_matcher_agrees_with_the_clique_level_matcher():
     for g in _matcher_inputs():
         modules = maximal_modules(g)
         for cid, t in TEMPLATES.items():
-            got = _outcome(match_expansion, g, t)
+            got = match_expansion(g, t, modules)
             assert got == _outcome(reference_match_expansion, g, t), (cid, g.n, g.adj)
             pairs += 1
             if cid == "H" and isinstance(got, dict):
@@ -223,6 +218,47 @@ def test_ground_truth_bags_pass_checker_for_h():
     g, bags = expansion("H", {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 2, "A6": 2},
                         a7=(2, 3))
     assert not check_bag_partition(g, TEMPLATES["H"], bags)
+
+
+def test_checker_words_an_overlap_and_a_gap_in_the_bags():
+    c5 = cycle_graph(5)
+    bags = {"Q1": (0,), "Q2": (0, 1), "Q3": (2,), "Q4": (3,), "Q5": (4,)}
+    assert check_bag_partition(c5, TEMPLATES["G1"], bags) == ["bag Q2 overlaps another bag"]
+    # a sixth vertex hangs off Q5, and no bag holds it
+    g = build_graph(6, sorted(c5.edges()) + [(4, 5)])
+    bags = {f"Q{i + 1}": (i,) for i in range(5)}
+    assert check_bag_partition(g, TEMPLATES["G1"], bags) == ["bags do not cover the vertex set"]
+
+
+def _h_expansion():
+    """An H member with A7 components of 1 and 3 vertices, each complete
+    to A6, and those components."""
+    g, bags = expansion("H", {"A1": 1, "A2": 2, "A3": 1, "A4": 1, "A5": 2, "A6": 2},
+                        a7=(1, 3))
+    comps = [tuple(bits(c)) for c in component_masks(g.adj, mask_of(bags["A7"]))]
+    assert sorted(map(len, comps)) == [1, 3]
+    assert all(g.has_edge(x, y) for x in bags["A6"] for c in comps for y in c)
+    return g, bags, comps
+
+
+def test_checker_words_a_pendant_component_that_is_not_homogeneous():
+    g, bags, comps = _h_expansion()
+    comp = max(comps, key=len)
+    cut = (bags["A6"][0], comp[0])
+    g = build_graph(g.n, [e for e in g.edges() if e != cut])
+    assert check_bag_partition(g, TEMPLATES["H"], bags) == [
+        f"A7 component {comp} is not homogeneous"]
+
+
+def test_checker_words_a_pendant_edge_that_leaves_toward_the_solid_bags():
+    # a single A7 vertex joined to A1: its component stays homogeneous,
+    # and the edge breaks the A1-A7 relation as well
+    g, bags, comps = _h_expansion()
+    (y,) = min(comps, key=len)
+    z = bags["A1"][0]
+    g = build_graph(g.n, sorted(set(g.edges()) | {(min(y, z), max(y, z))}))
+    assert check_bag_partition(g, TEMPLATES["H"], bags) == [
+        f"[A1,A7] not anticomplete (vertex {z})", "edges leave A7 toward non-A6 vertices"]
 
 
 def _c5_expansion(q1_edges, q1_size, seed):

@@ -3,8 +3,8 @@
 Every trace step colors the graph it is handed through the mask of its
 vertices, and degree reduction and the base case work on host masks too.
 An induced copy is left only where a caller is handed a ``Graph`` and its
-ids: the copycat and catalog rules and the core of ``_color8``, H's
-recursion callback, and ``delta_reduce``'s base-case callback.  A call
+ids: the copycat and catalog rules and the core of ``_color8``, and H's
+recursion callback.  A call
 counts for the innermost named function around it (a lambda's call counts
 for the function that holds the lambda).
 """
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pentagem
 
-ADMITTED = {"solver._color8", "strategies._color_without", "reductions.delta_reduce"}
+ADMITTED = {"solver._color8", "strategies._color_without"}
 
 
 def _callers(tree: ast.Module, module: str) -> set[str]:
