@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (ForbiddenPatternError, InternalInconsistencyError,
                      PreconditionError)
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, true_twin_classes
 from .patterns import find_induced, is_p5_gem_free
 from .structure import CLASS_ORDER, TEMPLATES, match_expansion, maximal_modules
 
@@ -38,8 +38,27 @@ def classify(g: Graph) -> ClassLabel:
     matches nothing contradicts the structure theorem, so that outcome is
     raised as an internal inconsistency instead of being returned.
 
-    The freeness walks and the module search each run on one vertex per
-    class of true twins, and the modules are found once for all templates.
+    The freeness walks run on one vertex per class of true twins.  The
+    templates without spare nodes are first tried on the twin classes
+    themselves, in the order ``maximal_modules`` lists modules; only when
+    none of them matches are the modules found and every template tried
+    on them.  The label is the one the full search returns:
+
+    - A match to a spare-free template T makes each bag exactly one twin
+      class, and ``check_bag_partition`` has verified that every pair of
+      bags is complete or anticomplete as T requires.  So the twin
+      quotient is T's graph, which is prime (asserted at import in
+      ``structure``).
+    - When the twin quotient is prime, a proper module that meets two
+      classes would meet all of them, and a vertex outside it would be
+      universal in the quotient, which a prime graph cannot have.  So the
+      twin classes are the maximal proper modules, and ``maximal_modules``
+      would list these same sets in this same order.
+    - The earlier templates were tried on that same list, so the label
+      and bags are the ones the full search returns.
+    - A C5-containing graph that passes the freeness walk has no
+      universal vertex, which ``maximal_modules`` treats specially.
+      Anything not certified this way falls back to the module search.
     """
     if not is_connected(g):
         raise PreconditionError("classification expects a connected graph")
@@ -49,6 +68,13 @@ def classify(g: Graph) -> ClassLabel:
             f"graph contains an induced {witness.pattern}", witness)
     if find_induced(g, "C5") is None:
         return ClassLabel("Perfect")
+    twins = [tuple(c) for c in sorted(true_twin_classes(g.adj, range(g.n)),
+                                      key=lambda c: (-len(c), c[0]))]
+    for cid in CLASS_ORDER:
+        if TEMPLATES[cid].spare:
+            break
+        if (bags := match_expansion(g, TEMPLATES[cid], twins)) is not None:
+            return ClassLabel(cid, bags)
     modules = maximal_modules(g)
     for cid in CLASS_ORDER:
         bags = match_expansion(g, TEMPLATES[cid], modules)

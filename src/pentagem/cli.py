@@ -118,20 +118,21 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph, args.format)
-    colors: dict[int, int] = {}
-    k = None
+    colors: dict = {}  # vertex -> color, and "palette" -> k
     for raw in _read_text(args.coloring).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
             key, value = line.split()
-            if key == "palette":
-                k = int(value)
-            else:
-                colors[int(key)] = int(value)
+            key, value = key if key == "palette" else int(key), int(value)
         except ValueError:
             raise GraphFormatError(f"bad coloring line: {line!r}") from None
+        if key in colors:
+            what = "the palette" if key == "palette" else f"vertex {key}"
+            raise GraphFormatError(f"coloring line {line!r} repeats {what}")
+        colors[key] = value
+    k = colors.pop("palette", None)
     if k is None:
         k = max(colors.values(), default=0)
     ok = verify_coloring(g, Coloring(colors, k))

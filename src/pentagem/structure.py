@@ -9,8 +9,10 @@ edges all land in A6.
 Matching assigns the graph's maximal proper modules (vertex sets that each
 outside vertex sees all or none of) to template nodes, since every bag is a
 union of them, and ``check_bag_partition`` verifies the result.
-``maximal_modules`` finds the modules once per graph, and
-``match_expansion`` is handed them for each template it tries.
+``match_expansion`` is handed the modules for each template it tries.
+``classify`` first hands it the twin classes, which are the modules of
+every graph a spare-free template matches, and calls ``maximal_modules``
+only when none of those templates matches them.
 
 The clique-expansion reduction keeps the lex-least maximum clique of each
 reducible bag, preserving both the clique number and the chromatic number;

@@ -47,7 +47,10 @@ matched on quotients: both P4 walks on the whole graph, and a search for
 every template with as many modules as nodes.
 ``reference_maximal_modules`` (with ``_reference_closure``) finds the
 maximal proper modules as it did before it grew closures over one vertex
-per class of true twins: from every vertex.  ``benchmark_inputs`` loads
+per class of true twins: from every vertex.  ``reference_classify`` is
+``classify`` as it was before it tried the templates on the twin classes
+first: it finds the maximal proper modules of every graph with a C5 and
+tries every template on them.  ``benchmark_inputs`` loads
 a benchmark workload's inputs, ``core9`` those that reach classification,
 and ``core9_cores`` the cores that ``solve`` classifies on them.
 ``reference_is_cograph`` (with its ``CotreeNode`` tree and
@@ -78,22 +81,24 @@ from itertools import combinations, permutations
 from math import isqrt
 from pathlib import Path
 
-from pentagem.errors import (GraphFormatError, InternalInconsistencyError, PentagemError,
-                             PreconditionError)
+from pentagem.classify import ClassLabel
+from pentagem.errors import (ForbiddenPatternError, GraphFormatError,
+                             InternalInconsistencyError, PentagemError, PreconditionError)
 from pentagem.coloring import Coloring, color_with_independent_sets
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
                             join, mask_of, max_degree_in, path_graph, true_twin_classes)
 from pentagem.patterns import (PatternWitness, _colors_at_least, clique_number, find_induced,
-                               has_clique, induced_p4)
+                               has_clique, induced_p4, is_p5_gem_free)
 from pentagem.oracle import colorable_with
 from pentagem.reductions import (_connected_without, _order_toward_root, extend_list_coloring,
                                  is_k3_join_3k2, is_k4_join_two_nonedges)
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
-from pentagem.structure import ANTI, COMPLETE, FREE, Template, check_bag_partition
+from pentagem.structure import (ANTI, CLASS_ORDER, COMPLETE, FREE, TEMPLATES, Template,
+                                check_bag_partition, match_expansion, maximal_modules)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -286,7 +291,6 @@ def palette_corpus() -> list[tuple[Graph, list[int], dict[int, int]]]:
 def criterion5_members() -> list[tuple[Graph, Template, dict[str, tuple[int, ...]]]]:
     """The 120 cograph expansions (n <= 18) that acceptance criterion 5
     reduces and lifts, in its order, with their templates and bags."""
-    from pentagem.structure import TEMPLATES
     members = []
     for seed in range(90):
         for cid in ("G1", "G2", "G3", "H"):
@@ -1369,6 +1373,27 @@ def reference_maximal_modules(g: Graph) -> list[tuple[int, ...]]:
     pieces = sorted(true_twin_classes(g.adj, range(g.n)), key=lambda p: (-len(p), p[0]))
     rank = {v: i for i, p in enumerate(pieces) for v in p}
     return [tuple(bits(m)) for m in sorted(found, key=lambda m: min(map(rank.get, bits(m))))]
+
+
+def reference_classify(g: Graph) -> ClassLabel:
+    """``classify`` before it matched the spare-free templates on the twin
+    classes, kept verbatim: the modules are found for every graph with a
+    C5, and every template is tried on them."""
+    if not is_connected(g):
+        raise PreconditionError("classification expects a connected graph")
+    free, witness = is_p5_gem_free(g)
+    if not free:
+        raise ForbiddenPatternError(
+            f"graph contains an induced {witness.pattern}", witness)
+    if find_induced(g, "C5") is None:
+        return ClassLabel("Perfect")
+    modules = maximal_modules(g)
+    for cid in CLASS_ORDER:
+        bags = match_expansion(g, TEMPLATES[cid], modules)
+        if bags is not None:
+            return ClassLabel(cid, bags)
+    raise InternalInconsistencyError(
+        "connected C5-containing (P5, gem)-free graph matched no template")
 
 
 def reference_match_expansion(g: Graph, template: Template

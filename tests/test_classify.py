@@ -1,18 +1,21 @@
 import hashlib
 import importlib
+import random
 from collections import Counter
 
 import pytest
 
 from pentagem.classify import classify
-from pentagem.errors import ForbiddenPatternError, PreconditionError
-from pentagem.graph import complete_graph, cycle_graph, disjoint_union, path_graph
+from pentagem.errors import ForbiddenPatternError, PentagemError, PreconditionError
+from pentagem.graph import (build_graph, complete_graph, cycle_graph, disjoint_union,
+                            is_connected, path_graph)
 from pentagem.instances import GenSpec, gallery_g1, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number
 from pentagem.structure import CLASS_ORDER, TEMPLATES, check_bag_partition
 
-from helpers import core9_cores, delta9_members, reference_match_modules
+from helpers import (c5_blowup, core9_cores, cycle_blowup, delta9_members, random_graph,
+                     reference_classify, reference_match_modules)
 
 CLASSIFY = importlib.import_module("pentagem.classify")
 
@@ -87,10 +90,6 @@ def test_labels_match_the_matcher_that_searches_every_template(monkeypatch):
 
 def test_perfect_label_means_chi_equals_omega():
     # spot-check of the structure-theorem license on small instances
-    import random
-
-    from helpers import random_graph
-    from pentagem.graph import is_connected
     from pentagem.patterns import find_induced, is_p5_gem_free
     checked = 0
     for seed in range(400):
@@ -107,17 +106,12 @@ def test_perfect_label_means_chi_equals_omega():
     assert checked >= 40
 
 
-def test_classify_is_robust_under_edge_perturbation():
-    # flipping one random pair either reclassifies cleanly or reports the
-    # forbidden induced pattern; bags, when returned, always check out
-    import random as rnd
-
-    from pentagem.graph import build_graph, is_connected
-    ok = 0
+def perturbed_g6_members():
+    """G6 members with one random pair flipped, those left connected."""
     for seed in range(60):
         spec = gen_target_delta("G6", 9, seed=seed + 1)
         g, _ = gen_class_instance(spec)
-        rng = rnd.Random(seed)
+        rng = random.Random(seed)
         u = rng.randrange(g.n)
         v = rng.randrange(g.n)
         if u == v:
@@ -126,8 +120,15 @@ def test_classify_is_robust_under_edge_perturbation():
         pair = tuple(sorted((u, v)))
         edges = edges - {pair} if pair in edges else edges | {pair}
         h = build_graph(g.n, sorted(edges))
-        if not is_connected(h):
-            continue
+        if is_connected(h):
+            yield h
+
+
+def test_classify_is_robust_under_edge_perturbation():
+    # flipping one random pair either reclassifies cleanly or reports the
+    # forbidden induced pattern; bags, when returned, always check out
+    ok = 0
+    for h in perturbed_g6_members():
         try:
             label = classify(h)
         except ForbiddenPatternError as err:
@@ -138,6 +139,45 @@ def test_classify_is_robust_under_edge_perturbation():
             assert not check_bag_partition(h, TEMPLATES[label.kind], label.bags)
         ok += 1
     assert ok >= 50
+
+
+def outcome(classify_fn, g):
+    """The label's kind and bags in order, or the error's type, message and
+    witness."""
+    try:
+        label = classify_fn(g)
+    except PentagemError as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return label.kind, label.bags and list(label.bags.items())
+
+
+def test_classify_equals_the_search_over_maximal_modules():
+    members = [gen_class_instance(gen_target_delta(cid, target, seed=seed, mode=mode))[0]
+               for cid in TEMPLATES for target in (9, 10) for mode in ("clique", "cograph")
+               for seed in range(6)]
+    g8 = [gen_class_instance(gen_target_delta("G8", 9, seed=seed, mode=mode))[0]
+          for seed in range(10) for mode in ("clique", "cograph")]
+    blowups = [c5_blowup(a) for a in (1, 2, 3, 50)] + [cycle_blowup(7, a) for a in (1, 2, 3)]
+    randoms = [g for seed in range(300)
+               if is_connected(g := random_graph(random.Random(seed).randint(4, 12), 0.55, seed))]
+    corpus = (delta9_members(506) + g8 + core9_cores(7) + core9_cores(11) + members
+              + blowups + list(perturbed_g6_members()) + randoms)
+    kinds = Counter()
+    for g in corpus:
+        got = outcome(classify, g)
+        assert got == outcome(reference_classify, g), g.adj
+        kinds[got[0]] += 1
+    assert set(CLASS_ORDER) | {"Perfect", ForbiddenPatternError} <= set(kinds), kinds
+
+
+def test_only_cograph_bags_and_h_reach_the_module_search(monkeypatch):
+    calls = []
+    real = CLASSIFY.maximal_modules
+    monkeypatch.setattr(CLASSIFY, "maximal_modules", lambda g: calls.append(g) or real(g))
+    assert len(core9_cores(7)) == 44 and not calls
+    for cid, mode in (("G1", "cograph"), ("H", "clique")):
+        g = gen_class_instance(gen_target_delta(cid, 9, seed=0, mode=mode))[0]
+        assert classify(g).kind == cid and calls[-1] is g
 
 
 # sha256 over classify's kind and sorted bags for generated members of every

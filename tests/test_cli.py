@@ -275,6 +275,19 @@ def test_a_coloring_line_that_is_not_two_integers_is_a_parse_error(tmp_path, cap
     assert repr(line) in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("palette 2\n0 2\n1 2\n0 1\n2 1\n", "0 1"),  # the second line would recolor 0 properly
+    ("palette 1\n0 1\n1 2\n2 1\npalette 2\n", "palette 2"),
+], ids=["vertex", "palette"])
+def test_a_repeated_coloring_line_is_a_parse_error(tmp_path, capsys, text, line):
+    path = write(tmp_path, "p3.el", "3 2\n0 1\n1 2\n")
+    colors = write(tmp_path, "p3.colors", text)
+    assert main(["verify", path, colors]) == 2
+    assert repr(line) in one_error_line(capsys)
+    assert main(["verify", path, write(tmp_path, "once.colors", "palette 2\n0 1\n1 2\n2 1\n")]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 @pytest.mark.parametrize("argv", [["gen", "G1", "--sizes", "1,x,1,1,1"],
                                   ["gen", "H", "--sizes", "1,1,1,1,1,1", "--a7", "2,y"]])
 def test_a_non_integer_gen_list_is_a_usage_error(tmp_path, capsys, argv):

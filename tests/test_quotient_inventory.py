@@ -6,7 +6,9 @@ the template search runs only for a template whose graph has the
 degree sequence of the core's module quotient, and each closure that finds
 the modules walks one vertex per class of true twins.  All three are
 counted, not timed, on every core ``solve`` classifies in the ``core9``
-inputs, and the closures also on clique blow-ups of C5.
+inputs, and the closures also on clique blow-ups of C5.  ``classify``
+matches those cores on their twin classes and makes no closure at all,
+so the closures are counted on ``maximal_modules`` called directly.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def test_classify_walks_and_searches_only_on_quotients(monkeypatch):
 
 
 def test_module_closures_walk_one_vertex_per_twin_class(monkeypatch):
-    walked: list[int] = []  # the mask each closure walked, inside classify
+    walked: list[int] = []  # the mask each closure walked
     real = structure._closure
 
     def closure(*args):
@@ -94,6 +96,8 @@ def test_module_closures_walk_one_vertex_per_twin_class(monkeypatch):
         reps = mask_of(c[0] for c in classes)
         walked.clear()
         classify(g)
+        assert not walked  # matched on its twin classes
+        maximal_modules(g)
         assert walked and all(not m & ~reps for m in walked), g.adj
         assert max(m.bit_count() for m in walked) <= len(classes) < g.n
         sizes.add(len(classes))
@@ -101,4 +105,6 @@ def test_module_closures_walk_one_vertex_per_twin_class(monkeypatch):
     for a in (50, 100, 200):
         walked.clear()
         assert classify(c5_blowup(a)).kind == "G1"
+        assert not walked
+        maximal_modules(c5_blowup(a))
         assert walked and max(m.bit_count() for m in walked) <= 5
