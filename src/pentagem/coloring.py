@@ -89,18 +89,37 @@ def first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
     """Give each vertex of ``order`` in turn the smallest color in 1..k that
     none of its neighbors already holds in ``colors``, writing into it;
     ``adj`` is a per-vertex list of neighborhood masks, a graph's ``adj``.
-    ``order`` is read twice when ``colors`` is not empty.
+    ``order`` is a sequence; it is read twice when it has more than one
+    vertex and ``colors`` is not empty.
 
-    Colors are probed as class masks: a vertex takes the first color c
-    whose class, the mask of the vertices holding c, misses its
-    neighborhood, and a recolored vertex leaves its old class.  The classes
-    start from the colors the neighbors of ``order`` hold in ``colors``,
-    read in one walk (none when it is empty).  A vertex with d neighbors
-    gets at most d + 1, so only colors up to the size of that walk plus
-    one, or up to the order of ``adj`` on an empty board, get a class, and
-    a huge color or k costs nothing.
+    A single vertex takes the lowest color missing from a mask of the
+    colors its neighbors hold.  Longer orders probe colors as class masks:
+    a vertex takes the first color c whose class, the mask of the vertices
+    holding c, misses its neighborhood, and a recolored vertex leaves its
+    old class.  The classes start from the colors the neighbors of
+    ``order`` hold in ``colors``, read in one walk (none when it is empty).
+    A vertex with d neighbors gets at most d + 1, so only colors up to k
+    are recorded, and up to d + 1 for a single vertex, or up to the size of
+    the class walk plus one (the order of ``adj`` on an empty board) for a
+    longer order: a huge color or k costs nothing.
     """
     get = colors.get
+    if len(order) == 1:
+        v = order[0]
+        a = adj[v]
+        top = min(k, a.bit_count() + 1)
+        used = 1  # bit c for each color c a neighbor holds; bit 0 is no color
+        while a:
+            low = a & -a
+            c = get(low.bit_length() - 1, 0)
+            if 0 < c <= top:
+                used |= 1 << c
+            a ^= low
+        c = (~used & used + 1).bit_length() - 1
+        if c > k:
+            raise PreconditionError(f"greedy needs more than {k} colors at vertex {v}")
+        colors[v] = c
+        return
     near = 0
     if colors:
         for v in order:

@@ -283,16 +283,40 @@ def seeded_component_masks(adj, mask: int, seeds: int) -> list[int]:
     holds a vertex of ``seeds``, as after removing a piece from a connected
     graph with ``seeds`` the piece's neighbors.
 
-    One seed means one component, found with no search.  Otherwise a search
-    grows from each seed, one level a round; searches that meet merge, one
-    whose frontier empties is a component, and once a single search is left
-    open, its component is all of ``mask`` the others did not take, so the
-    largest component is never walked to its end.
+    One seed means one component, found with no search.  A seed with no
+    neighbor in ``mask`` is a component alone, and no other seed's
+    component can reach it, so it is set aside before any search; the
+    lowest seed's row is read only when another seed has a neighbor.  When
+    at most one seed is left, its component is all of ``mask`` the
+    isolated seeds do not take, as every component holds a seed.
+    Otherwise a search grows from each remaining seed, one level a round;
+    searches that meet merge, one whose frontier empties is a component,
+    and once a single search is left open, its component is all of
+    ``mask`` the others did not take, so the largest component is never
+    walked to its end.  Components are unique, so the list is the same
+    whichever way each is found.
     """
     if not seeds & (seeds - 1):
         return [mask] if mask else []
-    open_ = [(s, s) for s in (1 << v for v in bits(seeds))]  # (reached, frontier)
-    done: list[int] = []
+    first = seeds & -seeds
+    alone, done, live = 0, [], []
+    for v in bits(seeds ^ first):
+        if adj[v] & mask:
+            live.append(1 << v)
+        else:
+            alone |= 1 << v
+            done.append(1 << v)
+    if live:
+        if adj[first.bit_length() - 1] & mask:
+            live.insert(0, first)
+        else:
+            alone |= first
+            done.insert(0, first)
+    if len(live) <= 1:  # the one seed left takes the rest, placed by its lowest vertex
+        rest = mask & ~alone
+        done.insert((alone & (rest & -rest) - 1).bit_count(), rest)
+        return done
+    open_ = [(s, s) for s in live]  # (reached, frontier)
     while len(open_) > 1:
         merged: list[tuple[int, int]] = []
         for reached, frontier in open_:

@@ -7,7 +7,6 @@ upper-triangle encoding, one graph per line.
 
 from __future__ import annotations
 
-import re
 from binascii import a2b_base64
 
 from .errors import GraphFormatError
@@ -27,10 +26,10 @@ __all__ = [
 
 FORMATS = ("dimacs", "edgelist", "graph6")
 
-_G6_OUT_OF_RANGE = re.compile(r"[^?-~]")  # graph6 uses chr(63) to chr(126)
+_G6_VALID = bytes(range(63, 127))  # graph6 uses chr(63) to chr(126)
 _G6_CHARS = bytes((63 + d) % 256 for d in range(256))  # a six-bit value's character
 _G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same value
-    bytes(range(63, 127)),
+    _G6_VALID,
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _MAX_ORDER = 2 ** 18 - 1  # graph6's limit, kept by every reader
@@ -109,7 +108,8 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    if _G6_OUT_OF_RANGE.search(s):
+    # deleting every valid byte in C leaves exactly the bad ones
+    if not s.isascii() or s.encode("ascii").translate(None, _G6_VALID):
         raise GraphFormatError("graph6 characters out of range")
     head = [ord(ch) - 63 for ch in s[:4]]
     if head[0] < 63:

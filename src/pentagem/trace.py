@@ -38,8 +38,10 @@ __all__ = ["TraceEvent", "ReductionTrace", "STEPS", "ORACLE_CAP", "check_oracle_
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One line of a trace: its kind and its fields.  Immutable, and a
+    ``(kind, data)`` tuple, so it unpacks as one and compares equal to one."""
+
     kind: str
     data: dict
 

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -67,11 +69,12 @@ def test_verify_agrees_with_the_edge_walk():
 
 def test_first_fit_agrees_with_the_set_of_neighbor_colors():
     # pre-placed colors inside and outside the palette, vertices colored
-    # twice, orders that list a vertex more than once, boards that color
-    # vertices no vertex of the order sees (some of them not in the graph),
-    # palettes too small, and k of 0, below 0 or huge: the same colors in
-    # the same insertion order, or the same error after the same partial
-    # writes
+    # twice, orders that list a vertex more than once or only once (the
+    # used-color walk), boards that color vertices no vertex of the order
+    # sees (some of them not in the graph), palettes too small, and k of 0,
+    # below 0 or huge: the same colors in the same insertion order, or the
+    # same error after the same partial writes; a color of 10**12 on the
+    # board allocates nothing
     outcomes = Counter()
     for seed in range(800):
         rng = random.Random(seed)
@@ -89,19 +92,54 @@ def test_first_fit_agrees_with_the_set_of_neighbor_colors():
         try:
             reference_first_fit(g.adj, order, k, ref)
         except PreconditionError as exc:
-            with pytest.raises(PreconditionError) as info:
+            with pytest.raises(PreconditionError) as info, _small_peak():
                 first_fit(g.adj, order, k, mine)
             assert str(info.value) == str(exc), seed
             outcomes["error"] += 1
         else:
-            first_fit(g.adj, order, k, mine)
+            with _small_peak():
+                first_fit(g.adj, order, k, mine)
             outcomes["colored"] += 1
         assert list(mine.items()) == list(ref.items()), seed
         outcomes["repeats"] += len(set(order)) < len(order)
+        outcomes["one vertex"] += len(order) == 1
         outcomes["huge k"] += k == 10**12
         outcomes["k below 1"] += k < 1
         outcomes["outside"] += any(v >= n for v in placed)
+        outcomes["huge color"] += 10**12 in placed.values()
     assert min(outcomes.values()) > 40, outcomes
+
+
+@contextmanager
+def _small_peak():
+    """Fail if the block's allocations ever reach 64 KiB."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:  # checked on the error path too
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
+
+@pytest.mark.parametrize("k, want", [(10**12, 2), (3, 2), (1, None), (0, None), (-3, None)])
+def test_first_fit_of_one_vertex_skips_colors_above_its_palette(k, want):
+    # vertex 1 of the path 0-1-2 sees 10**12 and 1: it takes 2, or fails
+    # as the reference does, without building a mask up to 10**12
+    g = path_graph(3)
+    mine, ref = {0: 10**12, 2: 1}, {0: 10**12, 2: 1}
+    if want is None:
+        with pytest.raises(PreconditionError) as want_info:
+            reference_first_fit(g.adj, [1], k, ref)
+        with pytest.raises(PreconditionError) as info, _small_peak():
+            first_fit(g.adj, [1], k, mine)
+        assert str(info.value) == str(want_info.value)
+    else:
+        reference_first_fit(g.adj, [1], k, ref)
+        with _small_peak():
+            first_fit(g.adj, (1,), k, mine)
+        assert mine[1] == want
+    assert mine == ref
 
 
 def test_back_degree_complete():

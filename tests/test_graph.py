@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,9 @@ from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph
                             is_connected, join, mask_of, path_graph,
                             seeded_component_masks, _mirrored_from_below)
 from pentagem.instances import gallery_g1, gallery_g2
+from pentagem.solver import solve
 
-from helpers import random_graph, reference_adjacency_fault
+from helpers import caterpillar, random_graph, reference_adjacency_fault
 
 
 def test_build_cycle_degrees():
@@ -192,3 +194,78 @@ def test_seeded_split_of_a_path_around_a_middle_vertex():
     assert seeded_component_masks(g.adj, rest, 1 << 3 | 1 << 5) == [0b1111, 0b111100000]
     assert seeded_component_masks(g.adj, g.full_mask() & ~1, 1 << 1) == [g.full_mask() & ~1]
     assert seeded_component_masks(g.adj, 0, 0) == []
+
+
+def _star(leaves: int) -> Graph:
+    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+_LEAVES_OF_0 = 0b1111111 << 6  # in caterpillar(6), spine vertex i's leaves are 6 + 7i..12 + 7i
+
+
+@pytest.mark.parametrize("g, gone, piece", [
+    # spine vertex 1 of a caterpillar, once spine vertex 0, its leaves and
+    # 1's first leaf are gone: 1's 6 other leaves are isolated seeds and
+    # spine vertex 2 is the live one
+    (caterpillar(6), 1 | _LEAVES_OF_0, 1 << 1 | 1 << 13),
+    (caterpillar(6), 0, 1 | 1 << 6),  # the spine's end: 6 leaves and spine vertex 1
+    (_star(7), 0, 1),  # a star's centre: every seed is isolated
+    # a middle spine vertex with all its leaves: two live seeds and 7 isolated ones
+    (caterpillar(6), 0, 1 << 3),
+    (caterpillar(6), 0, 1 << 3 | 1 << 4),  # two live seeds, 14 isolated
+    (caterpillar(6), 0, 1 << 1 | 1 << 13),  # two live seeds, 6 isolated
+    # the lowest seed (vertex 1) isolated, one live seed above it
+    (build_graph(6, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)]), 0, 1),
+    # the lowest seed isolated, two live seeds above it
+    (build_graph(6, [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5)]), 0, 1),
+], ids=["spine", "spine-end", "star", "mid-spine", "two-spine", "second-spine",
+        "low-isolated", "low-isolated-two-live"])
+def test_seeded_split_sets_isolated_seeds_aside(g, gone, piece):
+    rest = g.full_mask() & ~gone & ~piece
+    seeds = 0
+    for v in bits(piece):
+        seeds |= g.adj[v]
+    seeds &= rest
+    assert seeds & (seeds - 1)  # more than one seed, so the split is not trivial
+    assert seeded_component_masks(g.adj, rest, seeds) == component_masks(g.adj, rest)
+
+
+class _CountedRows(list):
+    """An adjacency list that counts how often each row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = Counter()
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return super().__getitem__(v)
+
+
+def test_a_spine_peel_reads_only_its_isolated_seeds(monkeypatch):
+    # each spine vertex of caterpillar(200) comes off with its 6 remaining
+    # leaves and the next spine vertex as seeds: the split reads each leaf's
+    # row once, and neither the live seed's row nor any other, so no search
+    # round runs
+    import pentagem.solver as solver
+
+    calls = []
+
+    def record(adj, mask, seeds):
+        calls.append((mask, seeds))
+        return seeded_component_masks(adj, mask, seeds)
+
+    g = caterpillar(200)
+    monkeypatch.setattr(solver, "seeded_component_masks", record)
+    solve(g)
+    peels = 0
+    for mask, seeds in calls:
+        live = [v for v in bits(seeds) if g.adj[v] & mask]
+        if len(live) != 1 or seeds.bit_count() != 7:
+            continue
+        adj = _CountedRows(g.adj)
+        got = seeded_component_masks(adj, mask, seeds)
+        assert got == component_masks(g.adj, mask)
+        assert adj.reads == Counter(v for v in bits(seeds) if v not in live)
+        peels += 1
+    assert peels == 198, peels

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -153,6 +154,24 @@ def test_graph6_errors_keep_their_messages(text, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph6(text)
     assert str(info.value) == message
+
+
+def test_graph6_range_check_agrees_with_the_regex_scan():
+    # each code point up to U+00FF, an astral one and a lone surrogate as the
+    # middle character of a 6-vertex body: rejected exactly when the old
+    # scan finds it, with its message, and never by a UnicodeEncodeError
+    scan = re.compile(r"[^?-~]")
+    rejected = 0
+    for ch in [chr(c) for c in range(256)] + ["\U0001F600", "\ud800"]:
+        text = "E?" + ch + "?"
+        if scan.search(text):
+            with pytest.raises(GraphFormatError) as info:
+                parse_graph6(text)
+            assert str(info.value) == "graph6 characters out of range", repr(ch)
+            rejected += 1
+        else:
+            assert parse_graph6(text).n == 6
+    assert rejected == 256 - 64 + 2
 
 
 def _graph6_by_every_bit(n: int, body: str) -> set[tuple[int, int]]:

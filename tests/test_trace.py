@@ -63,6 +63,18 @@ def test_the_golden_text_loads_every_kind_back():
     assert back == GOLDEN_TRACE
 
 
+def test_a_trace_event_is_an_immutable_kind_data_pair():
+    e = TraceEvent("low_degree", {"v": 9, "k": 8})
+    with pytest.raises(AttributeError):
+        e.kind = "greedy"
+    with pytest.raises(AttributeError):
+        e.data = {}
+    kind, data = e
+    assert (kind, data) == ("low_degree", {"v": 9, "k": 8}) == e
+    assert e == TraceEvent(kind=kind, data=data)
+    assert repr(e) == "TraceEvent(kind='low_degree', data={'v': 9, 'k': 8})"
+
+
 def test_a_lift_with_no_units_round_trips():
     trace = ReductionTrace([TraceEvent("lift", {"units": ()})], 8, 0, 0, ())
     text = dumps_trace(trace)
