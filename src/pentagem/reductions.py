@@ -115,29 +115,34 @@ def copycat_extend(g: Graph, a: tuple[int, ...], b: tuple[int, ...],
 
 # -- d1-choosable catalog rule ------------------------------------------------
 
+def _catalog_hubs(g: Graph, vs: tuple[int, ...]) -> int:
+    """The hubs of ``vs``, its vertices adjacent to all the others, as a mask
+    when ``vs`` induces a catalog shape, else 0: a triangle joined to three
+    disjoint edges, or K4 joined to a 4-set with two disjoint non-edges."""
+    size, adj = len(vs), g.adj
+    m = mask_of(vs) if size in (8, 9) and all(0 <= v < g.n for v in vs) else 0
+    if m.bit_count() != size:
+        return 0
+    hubs = mask_of(v for v in vs if (adj[v] & m).bit_count() == size - 1)
+    rest = m & ~hubs
+    if size == 9:  # a non-hub has degree 4 exactly when it has one neighbor among the six
+        return hubs if rest.bit_count() == 6 and all(
+            (adj[v] & rest).bit_count() == 1 for v in bits(rest)) else 0
+    if rest.bit_count() != 4:
+        return 0
+    a, b, c, d = bits(rest)
+    return hubs if any(not adj[p] >> q & 1 and not adj[r] >> s & 1
+                       for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c))) else 0
+
+
 def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
-    m = mask_of(vs) if len(vs) == 9 and all(0 <= v < g.n for v in vs) else 0
-    if m.bit_count() != 9:
-        return False
-    # the hubs see all 8 others, so each other vertex has degree 4 exactly
-    # when it has one neighbor among the six non-hubs
-    rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 8)
-    return rest.bit_count() == 6 and all((g.adj[v] & rest).bit_count() == 1
-                                         for v in bits(rest))
+    return len(vs) == 9 and _catalog_hubs(g, vs) > 0
 
 
 def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
     """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
-    m = mask_of(vs) if len(vs) == 8 and all(0 <= v < g.n for v in vs) else 0
-    if m.bit_count() != 8:
-        return False
-    rest = m & ~mask_of(v for v in vs if (g.adj[v] & m).bit_count() == 7)
-    if rest.bit_count() != 4:
-        return False
-    a, b, c, d = bits(rest)
-    return any(not g.has_edge(p, q) and not g.has_edge(r, s)
-               for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c)))
+    return len(vs) == 8 and _catalog_hubs(g, vs) > 0
 
 
 def _anchors(adj, n: int, need: int):
@@ -204,7 +209,8 @@ def extend_list_coloring(g: Graph, lists: dict[int, int]) -> dict[int, int]:
     """Color the catalog graph ``g`` induces on the keys of ``lists`` from
     those lists, bitmasks of colors: ``list_color``'s first assignment, in
     the order it was made, in ``g``'s vertex ids, cut on the shape's
-    maximal cliques, its hubs joined to each maximal clique of the rest.
+    maximal cliques: its hubs joined to each edge and each isolated vertex
+    of the rest, which is triangle-free.
 
     Requires |L(v)| >= d(v)-1 and the keys to induce one of the catalog
     shapes, for which a coloring is guaranteed to exist; exhausting the
@@ -212,13 +218,16 @@ def extend_list_coloring(g: Graph, lists: dict[int, int]) -> dict[int, int]:
     assignment.
     """
     vs = tuple(sorted(lists))
-    if not (is_k3_join_3k2(g, vs) or is_k4_join_two_nonedges(g, vs)):
+    if not (hubs := _catalog_hubs(g, vs)):
         raise PreconditionError("graph is not one of the catalog shapes")
-    mask = mask_of(vs)
+    adj, mask = g.adj, mask_of(vs)
     for v in vs:
-        if lists[v].bit_count() < (g.adj[v] & mask).bit_count() - 1:
+        if lists[v].bit_count() < (adj[v] & mask).bit_count() - 1:
             raise PreconditionError(f"list of vertex {v} below d(v)-1")
-    assigned = list_color(g.adj, mask, lists, {}, list(_maximal_cliques(g.adj, mask, 1)))
+    rest = mask & ~hubs
+    # an edge from both ends, an isolated vertex as an edge to itself
+    cliques = {hubs | 1 << a | 1 << b for a in bits(rest) for b in list(bits(adj[a] & rest)) or [a]}
+    assigned = list_color(adj, mask, lists, {}, cliques)
     if assigned is None:
         raise InternalInconsistencyError("catalog graph refused a d1-style list assignment")
     return assigned
@@ -308,34 +317,30 @@ def _hitting_component(adj, comp: int, targets: list[int]) -> int:
 
 
 def _connected_without(adj, mask: int, removed: int) -> bool:
-    return len(component_masks(adj, mask & ~removed)) <= 1
+    rest = mask & ~removed
+    return not rest or _order_toward_root(adj, rest, (rest & -rest).bit_length() - 1)[1] == rest
 
 
-def _order_toward_root(adj, mask: int, root: int) -> list[int]:
+def _order_toward_root(adj, mask: int, root: int) -> tuple[list[int], int]:
     """The vertices of ``mask`` reached from ``root`` inside it, by decreasing
-    BFS distance (ties to the lower id, root last); every non-root vertex
-    keeps one neighbor later on."""
+    BFS distance (ties to the lower id, root last), and their mask, the
+    component of ``root``; every non-root vertex keeps one neighbor later."""
     layers = []
     seen = frontier = 1 << root
     while frontier:
-        layers.append(frontier)
+        layers.append(layer := list(bits(frontier)))
         nxt = 0
-        for v in bits(frontier):
+        for v in layer:
             nxt |= adj[v]
         frontier = nxt & mask & ~seen
         seen |= frontier
-    return [v for layer in reversed(layers) for v in bits(layer)]
+    return [v for layer in reversed(layers) for v in layer], seen
 
 
-def _brooks_component(adj, comp: int, delta: int, deg: dict[int, int]) -> dict[int, int]:
-    """Color the connected subgraph ``adj`` induces on ``comp`` with at most
-    ``delta`` colors; ``deg`` holds each vertex's degree inside it."""
+def _brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+    """Color the connected delta-regular subgraph ``adj`` induces on
+    ``comp``, which is not complete, with at most ``delta`` >= 3 colors."""
     colors: dict[int, int] = {}
-    low = next((v for v in bits(comp) if deg[v] < delta), None)
-    if low is not None:
-        first_fit(adj, _order_toward_root(adj, comp, low), delta, colors)
-        return colors
-    # delta-regular from here on, and delta >= 3 (``brooks_mask`` checks)
     cut = next((v for v in bits(comp) if not _connected_without(adj, comp, 1 << v)), None)
     if cut is not None:
         # color each side with the cut, then swap two colors on later sides
@@ -343,7 +348,7 @@ def _brooks_component(adj, comp: int, delta: int, deg: dict[int, int]) -> dict[i
         for side in component_masks(adj, comp & ~(1 << cut)):
             part = side | 1 << cut
             local: dict[int, int] = {}
-            first_fit(adj, _order_toward_root(adj, part, cut), delta, local)
+            first_fit(adj, _order_toward_root(adj, part, cut)[0], delta, local)
             have = local[cut]
             want = colors.get(cut, have)
             swap = {have: want, want: have}
@@ -352,22 +357,27 @@ def _brooks_component(adj, comp: int, delta: int, deg: dict[int, int]) -> dict[i
         return colors
     # 2-connected, regular, not complete: classic two-neighbor trick
     for x in bits(comp):
-        nbrs = tuple(bits(adj[x] & comp))
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1:]:
-                pair = 1 << u | 1 << w
-                if adj[u] & pair or not _connected_without(adj, comp, pair):
-                    continue
-                colors = {u: 1, w: 1}
-                first_fit(adj, _order_toward_root(adj, comp & ~pair, x), delta, colors)
-                return colors
+        for u, w in combinations(bits(adj[x] & comp), 2):
+            pair = 1 << u | 1 << w
+            if adj[u] & pair or not _connected_without(adj, comp, pair):
+                continue
+            colors = {u: 1, w: 1}
+            first_fit(adj, _order_toward_root(adj, comp & ~pair, x)[0], delta, colors)
+            return colors
     raise InternalInconsistencyError("Brooks case analysis fell through")
 
 
-def _degrees_in(adj, mask: int) -> dict[int, int]:
-    """Each vertex of ``mask`` -> its degree in the subgraph ``adj`` induces
-    on ``mask``."""
-    return {v: (adj[v] & mask).bit_count() for v in bits(mask)}
+def _delta_and_low(adj, mask: int) -> tuple[int, int]:
+    """The maximum degree of the subgraph ``adj`` induces on ``mask``, and
+    the mask of its vertices of lower degree, from one walk over ``mask``."""
+    delta = low = 0
+    for v in bits(mask):
+        d = (adj[v] & mask).bit_count()
+        if d > delta:
+            delta, low = d, mask & ~(~0 << v)  # every vertex before v is lower
+        elif d < delta:
+            low |= 1 << v
+    return delta, low
 
 
 def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
@@ -380,25 +390,32 @@ def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
     delta-regular component, side by side around its first cut vertex;
     else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
     so the coloring of a copy numbered in the same order is the same.
-    One pass over ``mask`` counts the degrees that delta, the complete
-    component check and the search for a low root all read.
     """
-    deg = _degrees_in(adj, mask)
-    delta = max(deg.values(), default=0)
-    return _brooks_by_degree(adj, mask, deg, delta), delta
+    delta, low = _delta_and_low(adj, mask)
+    colors: dict[int, int] = {}
+    _brooks_by_degree(adj, mask, delta, low, colors)
+    return colors, delta
 
 
-def _brooks_by_degree(adj, mask: int, deg: dict[int, int], delta: int) -> dict[int, int]:
-    """``brooks_mask``'s coloring, given ``deg = _degrees_in(adj, mask)`` and
-    its maximum ``delta``."""
+def _brooks_by_degree(adj, mask: int, delta: int, low: int, colors: dict[int, int]) -> None:
+    """Write ``brooks_mask``'s coloring into ``colors``, given
+    ``_delta_and_low(adj, mask)``.  The walk from the lowest low vertex no
+    earlier walk reached finds its component and orders it for first-fit;
+    only the rest, the delta-regular components, is split into components.
+    The parts merge in order of their lowest vertex."""
     if delta < 3:
         raise PreconditionError("Brooks coloring requires maximum degree >= 3")
-    colors: dict[int, int] = {}
-    for comp in component_masks(adj, mask):
-        if comp.bit_count() == delta + 1 and all(deg[v] == delta for v in bits(comp)):
+    parts, rest = {}, mask
+    while low:
+        order, comp = _order_toward_root(adj, mask, (low & -low).bit_length() - 1)
+        first_fit(adj, order, delta, parts.setdefault(comp & -comp, {}))
+        rest, low = rest & ~comp, low & ~comp
+    for comp in component_masks(adj, rest) if rest else ():
+        if comp.bit_count() == delta + 1:
             raise PreconditionError("component is the complete graph on Delta+1 vertices")
-        colors.update(_brooks_component(adj, comp, delta, deg))
-    return colors
+        parts[comp & -comp] = _brooks_component(adj, comp, delta)
+    for first in sorted(parts):
+        colors.update(parts[first])
 
 
 def brooks_color(g: Graph) -> Coloring:
@@ -437,8 +454,8 @@ def delta_reduce(host: Graph, mask: int, delta: int, color_base, trace: list | N
     # the degrees in mask, bit-sliced: bit v of planes[j] is bit j of v's
     # degree, so peeling p takes one from all its neighbors at once
     planes = [0] * delta.bit_length()
-    for v, d in _degrees_in(adj, mask).items():
-        for j in bits(d):
+    for v in bits(mask):
+        for j in bits((adj[v] & mask).bit_count()):
             planes[j] |= 1 << v
     levels: list[tuple[int, int]] = []
     colors: dict[int, int] = {}

@@ -28,7 +28,7 @@ from .coloring import color_with_independent_sets, first_fit, greedy_color
 from .errors import GraphFormatError, InternalInconsistencyError
 from .graph import Graph, bits, mask_of
 from .oracle import colorable_with
-from .reductions import (_brooks_by_degree, _degrees_in, bacso_tuza_bound, copy_colors,
+from .reductions import (_brooks_by_degree, _delta_and_low, bacso_tuza_bound, copy_colors,
                          extend_list_coloring)
 from .structure import CliqueReduction, lift_coloring
 
@@ -74,6 +74,19 @@ def _parse_vs(tok: str) -> tuple[int, ...]:
     return () if tok == "-" else tuple(map(int, tok.split(",")))
 
 
+def _count(tok: str) -> int:
+    if not tok.isdecimal():
+        raise ValueError(f"{tok!r} is not a count")
+    return int(tok)
+
+
+def _parse_hist(tok: str) -> tuple[tuple[int, int], ...]:
+    hist = () if tok == "-" else tuple(tuple(map(_count, p.split(":"))) for p in tok.split(","))
+    if len(dict(hist)) < len(hist):  # dict() also refuses anything but a pair
+        raise ValueError(f"a degree repeats in {tok}")
+    return hist
+
+
 class Codec(NamedTuple):
     """How a field is written and read.  ``remap(value, f)`` rebuilds the
     value with ``f`` applied to each vertex id; None for fields without."""
@@ -95,9 +108,8 @@ UNITS = Codec(lambda us: "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in us),
 INT = Codec(str, int)
 BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(int(tok)))
 STR = Codec(str, str)
-HIST = Codec(lambda h: ",".join(f"{d}:{c}" for d, c in h) or "-",
-             lambda tok: () if tok == "-" else tuple(
-                 tuple(map(int, p.split(":"))) for p in tok.split(",")))
+COUNT = Codec(str, _count)
+HIST = Codec(lambda h: ",".join(f"{d}:{c}" for d, c in h) or "-", _parse_hist)
 
 _REQUIRED = object()
 
@@ -184,12 +196,11 @@ def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
 def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:
     """Brooks-color ``vs`` with ``delta`` colors, its maximum degree."""
     mask = _mask(g, d["vs"])
-    deg = _degrees_in(g.adj, mask)
-    delta = max(deg.values(), default=0)
+    delta, low = _delta_and_low(g.adj, mask)
     if delta != d["delta"]:
         raise GraphFormatError(f"brooks line says delta={d['delta']}, but its "
                                f"vertices have maximum degree {delta}")
-    colors.update(_brooks_by_degree(g.adj, mask, deg, delta))
+    _brooks_by_degree(g.adj, mask, delta, low, colors)
 
 
 ORACLE_CAP = bacso_tuza_bound(9)
@@ -268,7 +279,7 @@ STEPS: dict[str, Step] = {
 }
 
 # the header line is written and read like an event, with no apply
-_GRAPH = Step("graph", (Field("n", INT), Field("m", INT), Field("degrees", HIST, ())))
+_GRAPH = Step("graph", (Field("n", COUNT), Field("m", COUNT), Field("degrees", HIST, ())))
 
 
 def run_step(kind: str, data: dict, g: Graph, colors: dict[int, int],

@@ -27,6 +27,10 @@ probed color-class masks), ``reference_brooks_mask`` (with
 ``_reference_brooks_component``) Brooks coloring as it was before one
 pass over the mask counted the degrees that all its checks read, word for
 word except that it first-fits with ``reference_first_fit``, and
+``reference_brooks_by_degree`` (with ``_reference_brooks_component_by_degree``,
+``reference_order_toward_root`` and ``reference_connected_without``) that
+coloring as it was before the walk from each component's low root became
+the search that finds the component, kept verbatim but for the names, and
 ``reference_clique_number`` and ``reference_has_clique`` the recursive
 branch and bound (with a greedy-coloring bound) and fixed-size test that
 an iterative ``patterns`` clique search replaced, ``reference_lex_cliques``
@@ -84,7 +88,7 @@ from pathlib import Path
 from pentagem.classify import ClassLabel
 from pentagem.errors import (ForbiddenPatternError, GraphFormatError,
                              InternalInconsistencyError, PentagemError, PreconditionError)
-from pentagem.coloring import Coloring, color_with_independent_sets
+from pentagem.coloring import Coloring, color_with_independent_sets, first_fit
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
@@ -92,8 +96,7 @@ from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph
 from pentagem.patterns import (PatternWitness, _colors_at_least, clique_number, find_induced,
                                has_clique, induced_p4, is_p5_gem_free)
 from pentagem.oracle import colorable_with
-from pentagem.reductions import (_connected_without, _order_toward_root, extend_list_coloring,
-                                 is_k3_join_3k2, is_k4_join_two_nonedges)
+from pentagem.reductions import extend_list_coloring, is_k3_join_3k2, is_k4_join_two_nonedges
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
@@ -831,23 +834,45 @@ def reference_first_fit(adj, order, k: int, colors: dict[int, int]) -> None:
         colors[v] = c
 
 
-def _reference_brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+def reference_connected_without(adj, mask: int, removed: int) -> bool:
+    return len(component_masks(adj, mask & ~removed)) <= 1
+
+
+def reference_order_toward_root(adj, mask: int, root: int) -> list[int]:
+    """The vertices of ``mask`` reached from ``root`` inside it, by decreasing
+    BFS distance (ties to the lower id, root last); every non-root vertex
+    keeps one neighbor later on."""
+    layers = []
+    seen = frontier = 1 << root
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return [v for layer in reversed(layers) for v in bits(layer)]
+
+
+def _reference_brooks_component_by_degree(adj, comp: int, delta: int,
+                                          deg: dict[int, int]) -> dict[int, int]:
     """Color the connected subgraph ``adj`` induces on ``comp`` with at most
-    ``delta`` colors."""
+    ``delta`` colors; ``deg`` holds each vertex's degree inside it."""
     colors: dict[int, int] = {}
-    low = next((v for v in bits(comp) if (adj[v] & comp).bit_count() < delta), None)
+    low = next((v for v in bits(comp) if deg[v] < delta), None)
     if low is not None:
-        reference_first_fit(adj, _order_toward_root(adj, comp, low), delta, colors)
+        first_fit(adj, reference_order_toward_root(adj, comp, low), delta, colors)
         return colors
     # delta-regular from here on, and delta >= 3 (``brooks_mask`` checks)
-    cut = next((v for v in bits(comp) if not _connected_without(adj, comp, 1 << v)), None)
+    cut = next((v for v in bits(comp) if not reference_connected_without(adj, comp, 1 << v)),
+               None)
     if cut is not None:
         # color each side with the cut, then swap two colors on later sides
         # so the cut keeps the color the first side gave it
         for side in component_masks(adj, comp & ~(1 << cut)):
             part = side | 1 << cut
             local: dict[int, int] = {}
-            reference_first_fit(adj, _order_toward_root(adj, part, cut), delta, local)
+            first_fit(adj, reference_order_toward_root(adj, part, cut), delta, local)
             have = local[cut]
             want = colors.get(cut, have)
             swap = {have: want, want: have}
@@ -860,10 +885,61 @@ def _reference_brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1:]:
                 pair = 1 << u | 1 << w
-                if adj[u] & pair or not _connected_without(adj, comp, pair):
+                if adj[u] & pair or not reference_connected_without(adj, comp, pair):
                     continue
                 colors = {u: 1, w: 1}
-                reference_first_fit(adj, _order_toward_root(adj, comp & ~pair, x), delta,
+                first_fit(adj, reference_order_toward_root(adj, comp & ~pair, x), delta, colors)
+                return colors
+    raise InternalInconsistencyError("Brooks case analysis fell through")
+
+
+def reference_brooks_by_degree(adj, mask: int, deg: dict[int, int], delta: int
+                               ) -> dict[int, int]:
+    """``brooks_mask``'s coloring, given ``deg = _degrees_in(adj, mask)`` and
+    its maximum ``delta``."""
+    if delta < 3:
+        raise PreconditionError("Brooks coloring requires maximum degree >= 3")
+    colors: dict[int, int] = {}
+    for comp in component_masks(adj, mask):
+        if comp.bit_count() == delta + 1 and all(deg[v] == delta for v in bits(comp)):
+            raise PreconditionError("component is the complete graph on Delta+1 vertices")
+        colors.update(_reference_brooks_component_by_degree(adj, comp, delta, deg))
+    return colors
+
+
+def _reference_brooks_component(adj, comp: int, delta: int) -> dict[int, int]:
+    """Color the connected subgraph ``adj`` induces on ``comp`` with at most
+    ``delta`` colors."""
+    colors: dict[int, int] = {}
+    low = next((v for v in bits(comp) if (adj[v] & comp).bit_count() < delta), None)
+    if low is not None:
+        reference_first_fit(adj, reference_order_toward_root(adj, comp, low), delta, colors)
+        return colors
+    # delta-regular from here on, and delta >= 3 (``brooks_mask`` checks)
+    cut = next((v for v in bits(comp) if not reference_connected_without(adj, comp, 1 << v)), None)
+    if cut is not None:
+        # color each side with the cut, then swap two colors on later sides
+        # so the cut keeps the color the first side gave it
+        for side in component_masks(adj, comp & ~(1 << cut)):
+            part = side | 1 << cut
+            local: dict[int, int] = {}
+            reference_first_fit(adj, reference_order_toward_root(adj, part, cut), delta, local)
+            have = local[cut]
+            want = colors.get(cut, have)
+            swap = {have: want, want: have}
+            for v, c in local.items():
+                colors[v] = swap.get(c, c)
+        return colors
+    # 2-connected, regular, not complete: classic two-neighbor trick
+    for x in bits(comp):
+        nbrs = tuple(bits(adj[x] & comp))
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                pair = 1 << u | 1 << w
+                if adj[u] & pair or not reference_connected_without(adj, comp, pair):
+                    continue
+                colors = {u: 1, w: 1}
+                reference_first_fit(adj, reference_order_toward_root(adj, comp & ~pair, x), delta,
                                     colors)
                 return colors
     raise InternalInconsistencyError("Brooks case analysis fell through")

@@ -573,6 +573,33 @@ def test_replay_rejects_a_color_outside_the_palette(tmp_path, capsys, lines):
     assert one_error_line(capsys) == "error: trace gives a color outside its palette 1..2\n"
 
 
+@pytest.mark.parametrize("graph_line", [
+    "graph n=-1 m=2 degrees=1:2,2:1",
+    "graph n=3 m=-4 degrees=1:2,2:1",
+    "graph n=3 m=2 degrees=3:53:5",
+    "graph n=3 m=2 degrees=-1",
+    "graph n=3 m=2 degrees=1:2,1:2",
+])
+def test_replay_rejects_a_malformed_graph_line_with_exit_2(tmp_path, capsys, graph_line):
+    # a negative count, a degree token that is not d:c, or a degree given
+    # twice once read as a fingerprint that merely differed, exit 1
+    path = write(tmp_path, "p3.el", write_edgelist(path_graph(3)))
+    trace = write(tmp_path, "t.txt", f"pentagem-trace 1\n{graph_line}\npalette 2\nend\n")
+    assert main(["replay", path, trace]) == 2
+    assert one_error_line(capsys) == f"error: malformed trace line: {graph_line!r}\n"
+
+
+@pytest.mark.parametrize("graph_line", ["graph n=4 m=2 degrees=1:2,2:1",
+                                        "graph n=3 m=2 degrees=2:1,1:2",
+                                        "graph n=3 m=2 degrees=1:2,2:1,5:0"])
+def test_replay_exits_1_on_a_well_formed_graph_line_that_does_not_match(
+        tmp_path, capsys, graph_line):
+    path = write(tmp_path, "p3.el", write_edgelist(path_graph(3)))
+    trace = write(tmp_path, "t.txt", f"pentagem-trace 1\n{graph_line}\npalette 2\nend\n")
+    assert main(["replay", path, trace]) == 1
+    assert one_error_line(capsys) == "error: trace fingerprint does not match the graph\n"
+
+
 def test_replay_lifts_a_900_vertex_threshold_graph(tmp_path, capsys):
     # odd vertices see all earlier ones, so the unit splits 899 levels deep:
     # a walker with a frame per level once exhausted the recursion limit

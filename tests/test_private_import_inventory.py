@@ -21,7 +21,7 @@ ADMITTED = {
     ("reductions", "patterns", "_maximal_cliques"),
     ("structure", "patterns", "_twin_quotient"),
     ("trace", "reductions", "_brooks_by_degree"),
-    ("trace", "reductions", "_degrees_in"),
+    ("trace", "reductions", "_delta_and_low"),
 }
 
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from pentagem import coloring, reductions, solver
 from pentagem.coloring import Coloring, verify_coloring
 from pentagem.errors import InternalInconsistencyError, PentagemError, PreconditionError
-from pentagem.graph import (Graph, bits, build_graph, complete_graph, connected_components,
-                            cycle_graph, disjoint_union, induced_subgraph, is_connected,
-                            join, mask_of, path_graph)
+from pentagem.graph import (Graph, bits, build_graph, complete_graph, component_masks,
+                            connected_components, cycle_graph, disjoint_union,
+                            induced_subgraph, is_connected, join, mask_of, path_graph)
 from pentagem.graphio import parse_graph
 from pentagem.trace import dumps_trace, loads_trace
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
@@ -26,9 +26,9 @@ from pentagem.reductions import (_hitting_component, bacso_tuza_bound,
 
 from helpers import (_reference_triangles, benchmark_inputs, brute_cliques,
                      brute_d1_catalog_present, caterpillar, catalog_shapes, k9_with_ears,
-                     random_cograph, random_graph, reference_brooks_mask,
-                     reference_extend_list_coloring, reference_find_d1_catalog,
-                     reference_hitting_mis,
+                     random_cograph, random_graph, reference_brooks_by_degree,
+                     reference_brooks_mask, reference_extend_list_coloring,
+                     reference_find_d1_catalog, reference_hitting_mis,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
                      reference_maximal_cliques, reference_maximum_independent_set)
 
@@ -807,6 +807,66 @@ def test_brooks_matches_the_reference_on_masks():
                          "Brooks coloring requires maximum degree >= 3",
                          "component is the complete graph on Delta+1 vertices"}, seen
     assert min(seen.values()) >= 8, seen
+
+
+def regular_before_low_unions():
+    """(host, mask) pairs: shuffled unions of a delta-regular graph (a
+    circulant, or a hub glued to blocks) with one to three delta-regular
+    graphs less an edge, relabelled so that the regular component holds
+    vertex 0 and so lies below every low component; and K_{delta+1}
+    beside a regular graph and a graph of maximum degree 2 or less."""
+    rng = random.Random(2041)
+    regulars = [circulant(n, jumps) for n in range(7, 13) for jumps in ((1, 2), (1, 3), (1, 2, 4))]
+    regulars.append(glued_blocks([circulant(6, (1, 2)), circulant(7, (1, 2))]))
+    pairs = []
+    for reg in regulars * 3:
+        parts = [reg]
+        for _ in range(rng.randint(1, 3)):
+            other = rng.choice([r for r in regulars if r.max_degree() == reg.max_degree()])
+            parts.append(build_graph(other.n, list(other.edges())[1:]))
+        rng.shuffle(parts)
+        union = parts[0]
+        for part in parts[1:]:
+            union = disjoint_union(union, part)
+        first = sum(p.n for p in parts[:next(i for i, p in enumerate(parts) if p is reg)])
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        zero = perm.index(0)
+        perm[zero], perm[first] = perm[first], perm[zero]
+        host = build_graph(union.n, [(perm[u], perm[v]) for u, v in union.edges()])
+        pairs.append((host, host.full_mask()))
+    for d, other in ((3, circulant(8, (1, 4))), (4, circulant(9, (1, 2))),
+                     (6, circulant(9, (1, 2, 3)))):
+        for low in (cycle_graph(7), path_graph(5)):
+            g = disjoint_union(disjoint_union(other, low), complete_graph(d + 1))
+            pairs += [(g, g.full_mask()), (relabelled(g, rng), g.full_mask())]
+    return pairs
+
+
+def test_brooks_matches_its_frozen_copy():
+    # the same colors in the same insertion order as the Brooks coloring
+    # that searched for the components first, kept verbatim, or the same
+    # PreconditionError with the same message
+    seen = Counter()
+    for host, mask in brooks_masks() + regular_before_low_unions():
+        deg = {v: (host.adj[v] & mask).bit_count() for v in bits(mask)}
+        try:
+            want = reference_brooks_by_degree(host.adj, mask, deg, max(deg.values(), default=0))
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError) as info:
+                brooks_mask(host.adj, mask)
+            assert str(info.value) == str(exc)
+            seen[str(exc)] += 1
+            continue
+        colors, delta = brooks_mask(host.adj, mask)
+        assert list(colors.items()) == list(want.items())
+        comps = component_masks(host.adj, mask)
+        regular = [c for c in comps if all(deg[v] == delta for v in bits(c))]
+        seen["regular below low"] += any(r & -r < c & -c for r in regular
+                                         for c in comps if c not in regular)
+    assert seen["regular below low"] >= 40, seen
+    assert seen["Brooks coloring requires maximum degree >= 3"] >= 8, seen
+    assert seen["component is the complete graph on Delta+1 vertices"] >= 8, seen
 
 
 # -- degree reduction -----------------------------------------------------------------

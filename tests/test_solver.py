@@ -15,7 +15,7 @@ from pentagem.errors import (CliqueBoundError, DegreeRangeError,
                              PreconditionError)
 from pentagem.graph import (build_graph, complete_graph, component_masks, cycle_graph,
                             disjoint_union, empty_graph, join, mask_of, path_graph)
-from pentagem.graphio import parse_edgelist, write_edgelist
+from pentagem.graphio import parse_edgelist, parse_graph, write_edgelist
 from pentagem.instances import (GenSpec, gallery_g1, gallery_g2,
                                 gen_class_instance, gen_target_delta)
 from pentagem.patterns import PatternWitness, clique_number, find_induced
@@ -24,8 +24,8 @@ from pentagem.solver import color8, replay_trace, solve
 from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
-from helpers import (c5_blowup, caterpillar, cocktail_party, delta9_members, delta_family,
-                     gate_pins, k9_with_ears, non_clique_core, prism_cores,
+from helpers import (benchmark_inputs, c5_blowup, caterpillar, cocktail_party, delta9_members,
+                     delta_family, gate_pins, k9_with_ears, non_clique_core, prism_cores,
                      reference_delta_reduce)
 from irreducible_enum import _members
 
@@ -430,6 +430,32 @@ def test_terminal_traces_are_pinned():
         digest.update(repr(list(col.colors.items())).encode())
     assert kinds["greedy"] and kinds["brooks"] and kinds["low_degree"]
     assert digest.hexdigest() == TERMINAL_TRACES_SHA256
+
+
+# sha256 per benchmark workload and seed: for each input in workload order,
+# parsed from its graph6 text, the solve's trace text and then the repr of
+# its colors in the order solve assigned them, both as UTF-8.  Recorded
+# while each Brooks apply still split its whole mask into components
+WORKLOAD_OUTPUTS_SHA256 = {
+    ("sweep9", 7): "6858b559c376fc3a0e444bac75ec34812fb47e2ebd2544890d0ed79a63fd59b7",
+    ("core9", 7): "1f983de7f1e8685d0175c7e6b20b281d5a0c9043de1b71544022f619602400e8",
+    ("delta", 7): "0a1a3fc74cf780d295a067f71500def333047c186ae8e33f32848f2cfa390a50",
+    ("scale", 7): "c10a5df33affb576b24f2dc0967a75bf20805369e07bd1691bd41d804ef31b31",
+    ("sweep9", 11): "038f2bd9a732d23b77b96ed5e07a7b4eff29d36046e5e7871d2b1e140a401547",
+    ("core9", 11): "32f07d2b2821ea34f035a9cd67784c863c283fa8eaa21858aaafa98c74fd96b6",
+    ("delta", 11): "f3db9c6854d4771a4b5d243ab2c1c81651fe38faa28397f922ab4d4accd2658c",
+    ("scale", 11): "1dcb67805b728394bf02c55da1fa94e5bbef4f9dd77117b38e1a351022cb4a1b",
+}
+
+
+@pytest.mark.parametrize("workload, seed", list(WORKLOAD_OUTPUTS_SHA256))
+def test_benchmark_workload_outputs_are_pinned(workload, seed):
+    digest = hashlib.sha256()
+    for inp in benchmark_inputs(workload, seed):
+        col, trace = solve(parse_graph(inp.g6, "graph6"))
+        digest.update(dumps_trace(trace).encode())
+        digest.update(repr(list(col.colors.items())).encode())
+    assert digest.hexdigest() == WORKLOAD_OUTPUTS_SHA256[workload, seed]
 
 
 def test_a_25600_vertex_caterpillar_peels_within_the_default_recursion_limit():

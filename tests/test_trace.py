@@ -7,7 +7,7 @@ from pentagem import graph as graph_module
 from pentagem.cli import main
 from pentagem.coloring import verify_coloring
 from pentagem.errors import GraphFormatError
-from pentagem.graph import complete_graph, cycle_graph, join
+from pentagem.graph import build_graph, complete_graph, cycle_graph, disjoint_union, join
 from pentagem.graphio import write_edgelist
 from pentagem.solver import replay_trace
 from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, fingerprint, loads_trace
@@ -166,9 +166,12 @@ def test_replay_cli_names_a_negative_vertex_at_its_line(tmp_path, capsys):
 
 
 def test_a_brooks_line_counts_the_degrees_once(monkeypatch):
-    # one pass over the mask gives delta, the complete-component check and
-    # the low root; a wheel's rim is below the hub's degree, so no component
-    # search beyond the split into components runs
+    # one pass over the mask gives delta and the vertices below it; the walk
+    # from each component's low root is the search that finds the component,
+    # so only the delta-regular components are split into components, once.
+    # Two wheels have their rims below the hubs' degree 6; a circulant on 9
+    # vertices with jumps 1, 2 and 3 is 6-regular and 2-connected, and its
+    # cut-vertex checks walk from one vertex rather than split
     calls = Counter()
     for fn in (graph_module.max_degree_in, graph_module.component_masks):
         def spy(*args, fn=fn):
@@ -177,13 +180,17 @@ def test_a_brooks_line_counts_the_degrees_once(monkeypatch):
         for name, mod in list(sys.modules.items()):
             if name.partition(".")[0] == "pentagem" and getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, spy)
-    g = join(complete_graph(1), cycle_graph(6))
-    n, m, hist = fingerprint(g)
-    trace = ReductionTrace([TraceEvent("brooks", {"vs": tuple(range(7)), "delta": 6})],
-                           6, n, m, hist)
-    replayed = replay_trace(g, loads_trace(dumps_trace(trace)))
-    assert verify_coloring(g, replayed)
-    assert (calls["max_degree_in"], calls["component_masks"]) == (0, 1)
+    wheel = join(complete_graph(1), cycle_graph(6))
+    wheels = disjoint_union(wheel, wheel)
+    circulant = build_graph(9, [(i, (i + j) % 9) for i in range(9) for j in (1, 2, 3)])
+    for g, searches in ((wheels, 0), (disjoint_union(wheels, circulant), 1)):
+        calls.clear()
+        n, m, hist = fingerprint(g)
+        trace = ReductionTrace([TraceEvent("brooks", {"vs": tuple(range(g.n)), "delta": 6})],
+                               6, n, m, hist)
+        replayed = replay_trace(g, loads_trace(dumps_trace(trace)))
+        assert verify_coloring(g, replayed)
+        assert (calls["max_degree_in"], calls["component_masks"]) == (0, searches)
 
 
 @pytest.mark.parametrize("g, delta", [(cycle_graph(10), 3), (complete_graph(4), 4)])
