@@ -31,7 +31,6 @@ __all__ = [
     "bits",
     "mask_of",
     "true_twin_classes",
-    "max_degree_in",
     "component_masks",
     "seeded_component_masks",
     "connected_components",
@@ -117,9 +116,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -220,7 +216,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Complement graph; needed only by generators and tests."""
+    """Complement graph, for ``maximum_independent_set``, generators and tests."""
     full = g.full_mask()
     return Graph(g.n, [(full & ~m) & ~(1 << v) for v, m in enumerate(g.adj)])
 
@@ -252,11 +248,6 @@ def true_twin_classes(adj, vertices: Iterable[int]) -> list[list[int]]:
     for v in vertices:
         groups.setdefault(adj[v] | 1 << v, []).append(v)
     return list(groups.values())
-
-
-def max_degree_in(adj, mask: int) -> int:
-    """Maximum degree of the graph ``adj`` induces on ``mask`` (0 if empty)."""
-    return max(((adj[v] & mask).bit_count() for v in bits(mask)), default=0)
 
 
 def component_masks(adj, mask: int) -> list[int]:

@@ -12,11 +12,10 @@ twins, and the lex-least witness lies among those vertices.
 Cliques come from one search, ``_maximal_cliques``, a Bron-Kerbosch
 without a pivot that yields the maximal cliques of a given size or more
 inside a mask in lexicographic order: ``has_clique`` takes its first
-answer, ``find_clique`` that answer's lowest vertices, ``clique_number``
-its last answer once it raises the size past each one, and degree
-reduction the whole list.
-Maximum independent sets come from ``mis_mask``, a branch and bound on an
-explicit stack over a host's adjacency masks; no engine path runs it.
+answer, ``clique_number`` its last answer once it raises the size past
+each one, and degree reduction the whole list.  A maximum independent set
+is a maximum clique of the complement, so the same search answers that
+too; no engine path asks for one.
 """
 
 from __future__ import annotations
@@ -25,17 +24,15 @@ from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of, true_twin_classes
+from .graph import Graph, bits, complement, mask_of, true_twin_classes
 
 __all__ = [
     "PatternWitness",
     "induced_p4",
     "find_induced",
     "is_p5_gem_free",
-    "find_clique",
     "has_clique",
     "clique_number",
-    "mis_mask",
     "maximum_independent_set",
 ]
 
@@ -233,15 +230,6 @@ def _maximal_cliques(adj, mask: int, least: int) -> Iterator[int]:
         stack.append((size + 1, r | b, p & a, x & a))
 
 
-def find_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
-    """The lexicographically least clique of ``size`` vertices inside
-    ``mask``, None if there is none: the ``size`` lowest vertices of the
-    first maximal clique that large.  A maximal clique holding the least
-    clique begins with it, and no earlier one begins lower."""
-    first = next(_maximal_cliques(g.adj, mask, size), None)
-    return None if first is None else tuple(bits(first))[:size]
-
-
 def has_clique(g: Graph, mask: int, size: int) -> bool:
     """True iff the subgraph induced on ``mask`` has a clique of ``size``
     vertices."""
@@ -261,75 +249,8 @@ def clique_number(g: Graph, mask: int | None = None) -> tuple[int, tuple[int, ..
     return best.bit_count(), tuple(bits(best))
 
 
-def _clique_cover_exceeds(adj, avail: int, limit: int) -> bool:
-    """True iff a greedy partition of ``avail`` into cliques (each grown
-    from the lowest vertex left, adding the lowest common neighbor) takes
-    more than ``limit`` parts.  An independent set meets each part at most
-    once, so otherwise ``limit`` bounds it."""
-    count = 0
-    while avail:
-        if count >= limit:
-            return True
-        b = avail & -avail
-        cand = adj[b.bit_length() - 1] & avail
-        avail ^= b
-        while cand:
-            b = cand & -cand
-            cand &= adj[b.bit_length() - 1]
-            avail ^= b
-        count += 1
-    return False
-
-
-def mis_mask(adj, mask: int) -> int:
-    """A maximum independent set of the subgraph ``adj`` induces on
-    ``mask``, as a bitmask, by deterministic branch and bound on an
-    explicit stack.
-
-    Each node branches on the vertex of highest degree inside its available
-    set, ties to the higher id: first included, with its closed
-    neighborhood discarded, then excluded.  The answer is the first largest
-    leaf in that order, and a node is cut only when no leaf below it beats
-    the best so far, so the cuts never drop that leaf.  A node whose
-    available vertices are pairwise non-adjacent ends at once with all of
-    them, the first and the only largest leaf below it.
-
-    Once the include branch of v is done, a leaf that holds a true twin u
-    of v (same closed neighborhood in the available set) is no larger than
-    the best so far: swapping u for v gives a set the include branch
-    covered.  Such twins are kept as ``spent`` below the exclude branch,
-    and the cut bounds the rest of the available set by a greedy clique
-    partition.  On a clique blow-up this ends the search at its first
-    leaf, where a bound that counted the twins would walk every bag.
-    """
-    best = best_size = 0
-    stack = [(0, 0, mask, 0)]  # (chosen, its size, available, spent) per node
-    while stack:
-        chosen, size, avail, spent = stack.pop()
-        top = v = -1
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            d = (adj[u] & avail).bit_count()
-            if d >= top:
-                top, v = d, u
-        if top <= 0:
-            if size + avail.bit_count() > best_size:
-                best, best_size = chosen | avail, size + avail.bit_count()
-            continue
-        if not _clique_cover_exceeds(adj, avail & ~spent, best_size - size):
-            continue
-        b = 1 << v
-        near = (adj[v] | b) & avail
-        twins = mask_of(u for u in bits(near) if (adj[u] | 1 << u) & avail == near)
-        stack.append((chosen, size, avail ^ b, spent | twins))
-        stack.append((chosen | b, size + 1, avail & ~near, spent))
-    return best
-
-
 def maximum_independent_set(g: Graph) -> tuple[int, ...]:
-    """A maximum independent set in increasing order: ``mis_mask`` on the
-    whole graph."""
-    return tuple(bits(mis_mask(g.adj, g.full_mask())))
+    """The lexicographically least maximum independent set, in increasing
+    order: the least maximum clique of the complement, from the one clique
+    search.  No engine path asks for one."""
+    return clique_number(complement(g))[1]

@@ -5,11 +5,11 @@ piece, color the rest (recursively, by the caller), then extend the coloring
 back deterministically.  Also hosts the constructive Brooks coloring, the
 hitting independent set (``hitting_mis``), and the reduction from large
 maximum degree down to the base case of 9 (``delta_reduce``), the two that
-``solve`` runs at Delta >= 10.  Brooks, the hitting set and the reduction
-work on the subgraph a host's adjacency masks induce on a vertex mask,
-with no induced copy, so the ``brooks`` trace step runs on the host graph
-directly; the last two are handed that subgraph's maximum degree.  The
-cliques a hitting set must meet come from
+``solve`` runs at Delta >= 10.  Brooks (``_brooks_by_degree``), the
+hitting set and the reduction work on the subgraph a host's adjacency
+masks induce on a vertex mask, with no induced copy, so the ``brooks``
+trace step runs on the host graph directly; the last two are handed that
+subgraph's maximum degree.  The cliques a hitting set must meet come from
 ``patterns._maximal_cliques``, the search behind every clique question.
 """
 
@@ -29,12 +29,9 @@ __all__ = [
     "copy_colors",
     "copycat_extend",
     "find_d1_catalog",
-    "is_k3_join_3k2",
-    "is_k4_join_two_nonedges",
     "extend_list_coloring",
     "bacso_tuza_bound",
     "hitting_mis",
-    "brooks_mask",
     "brooks_color",
     "delta_reduce",
 ]
@@ -135,16 +132,6 @@ def _catalog_hubs(g: Graph, vs: tuple[int, ...]) -> int:
                        for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, d, b, c))) else 0
 
 
-def is_k3_join_3k2(g: Graph, vs: tuple[int, ...]) -> bool:
-    """Do the 9 vertices induce the join of a triangle with a perfect matching?"""
-    return len(vs) == 9 and _catalog_hubs(g, vs) > 0
-
-
-def is_k4_join_two_nonedges(g: Graph, vs: tuple[int, ...]) -> bool:
-    """Do the 8 vertices induce K4 joined to a 4-set with 2 disjoint non-edges?"""
-    return len(vs) == 8 and _catalog_hubs(g, vs) > 0
-
-
 def _anchors(adj, n: int, need: int):
     """Triangles u < v < w in lexicographic order whose common neighborhood
     holds ``need`` or more vertices, each with that neighborhood's mask.
@@ -182,7 +169,7 @@ def find_d1_catalog(g: Graph) -> tuple[int, ...] | None:
     |common| - 5 common neighbors is dropped first, and the edges are
     walked depth first, each past those before it and missing their closed
     neighborhoods.  On such candidates these tests agree with
-    ``is_k3_join_3k2`` and ``is_k4_join_two_nonedges``.
+    ``_catalog_hubs``.
     """
     adj = g.adj
     for u, v, w, common in _anchors(adj, g.n, 6):
@@ -380,29 +367,13 @@ def _delta_and_low(adj, mask: int) -> tuple[int, int]:
     return delta, low
 
 
-def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
-    """Color the subgraph ``adj`` induces on ``mask`` with colors 1..delta,
-    keyed by the ids of ``adj``, where delta is its maximum degree; return
-    the coloring and delta.
-
-    Each component is colored on its own, always with the whole subgraph's
-    delta: first-fit toward a root of degree below delta; else, in a
-    delta-regular component, side by side around its first cut vertex;
-    else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
-    so the coloring of a copy numbered in the same order is the same.
-    """
-    delta, low = _delta_and_low(adj, mask)
-    colors: dict[int, int] = {}
-    _brooks_by_degree(adj, mask, delta, low, colors)
-    return colors, delta
-
-
 def _brooks_by_degree(adj, mask: int, delta: int, low: int, colors: dict[int, int]) -> None:
-    """Write ``brooks_mask``'s coloring into ``colors``, given
-    ``_delta_and_low(adj, mask)``.  The walk from the lowest low vertex no
-    earlier walk reached finds its component and orders it for first-fit;
-    only the rest, the delta-regular components, is split into components.
-    The parts merge in order of their lowest vertex."""
+    """Write ``brooks_color``'s coloring of the subgraph ``adj`` induces on
+    ``mask`` into ``colors``, given ``_delta_and_low(adj, mask)``.  The
+    walk from the lowest low vertex no earlier walk reached finds its
+    component and orders it for first-fit; only the rest, the delta-regular
+    components, is split into components.  The parts merge in order of
+    their lowest vertex."""
     if delta < 3:
         raise PreconditionError("Brooks coloring requires maximum degree >= 3")
     parts, rest = {}, mask
@@ -419,8 +390,19 @@ def _brooks_by_degree(adj, mask: int, delta: int, low: int, colors: dict[int, in
 
 
 def brooks_color(g: Graph) -> Coloring:
-    """Proper coloring with at most Delta colors (Delta >= 3, no K_{Delta+1})."""
-    return Coloring(*brooks_mask(g.adj, g.full_mask()))
+    """Proper coloring with colors 1..Delta (Delta >= 3, no K_{Delta+1}).
+
+    Each component is colored on its own, always with the whole graph's
+    Delta: first-fit toward a root of degree below Delta; else, in a
+    Delta-regular component, side by side around its first cut vertex;
+    else by the two-neighbor trick (Lovász 1975).  Ids are only compared,
+    so the coloring of a copy numbered in the same order is the same.
+    """
+    full = g.full_mask()
+    delta, low = _delta_and_low(g.adj, full)
+    colors: dict[int, int] = {}
+    _brooks_by_degree(g.adj, full, delta, low, colors)
+    return Coloring(colors, delta)
 
 
 # -- reduction to maximum degree 9 --------------------------------------------

@@ -70,18 +70,30 @@ def _fmt_vs(vs) -> str:
     return ",".join(map(str, vs)) if vs else "-"
 
 
+def _checked(tok: str, chars: str = "-0123456789,") -> str:
+    """``tok``, which must be made of ``chars`` alone, so that int() reads
+    each part of it only as ASCII digits, after one ``-`` if ``chars`` has
+    it; int() alone would also read "+3", "1_0" and other scripts' digits."""
+    if tok.strip(chars):
+        raise ValueError(f"{tok!r} is not written in ASCII digits")
+    return tok
+
+
 def _parse_vs(tok: str) -> tuple[int, ...]:
-    return () if tok == "-" else tuple(map(int, tok.split(",")))
+    return () if tok == "-" else tuple(map(int, _checked(tok).split(",")))
+
+
+def _int(tok: str) -> int:
+    return int(_checked(tok))
 
 
 def _count(tok: str) -> int:
-    if not tok.isdecimal():
-        raise ValueError(f"{tok!r} is not a count")
-    return int(tok)
+    return int(_checked(tok, "0123456789"))
 
 
 def _parse_hist(tok: str) -> tuple[tuple[int, int], ...]:
-    hist = () if tok == "-" else tuple(tuple(map(_count, p.split(":"))) for p in tok.split(","))
+    hist = () if tok == "-" else tuple(tuple(map(int, p.split(":")))
+                                       for p in _checked(tok, "0123456789,:").split(","))
     if len(dict(hist)) < len(hist):  # dict() also refuses anything but a pair
         raise ValueError(f"a degree repeats in {tok}")
     return hist
@@ -96,7 +108,7 @@ class Codec(NamedTuple):
     remap: Callable | None = None
 
 
-VERTEX = Codec(str, int, lambda v, f: f(v))
+VERTEX = Codec(str, _int, lambda v, f: f(v))
 VERTICES = Codec(_fmt_vs, _parse_vs, lambda vs, f: tuple(map(f, vs)))
 SETS = Codec(lambda ss: ";".join(map(_fmt_vs, ss)) if ss else "-",
              lambda tok: () if tok == "-" else tuple(map(_parse_vs, tok.split(";"))),
@@ -105,8 +117,8 @@ UNITS = Codec(lambda us: "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in us),
               lambda tok: tuple(tuple(map(_parse_vs, p.split(">"))) for p in tok.split("|"))
               if tok else (),
               lambda us, f: tuple(tuple(tuple(map(f, h)) for h in u) for u in us))
-INT = Codec(str, int)
-BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(int(tok)))
+INT = Codec(str, _int)
+BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(("0", "1").index(tok)))
 STR = Codec(str, str)
 COUNT = Codec(str, _count)
 HIST = Codec(lambda h: ",".join(f"{d}:{c}" for d, c in h) or "-", _parse_hist)
@@ -325,7 +337,7 @@ def loads_trace(text: str) -> ReductionTrace:
         raise GraphFormatError("truncated trace document")
     graph = _GRAPH.load(lines[1], lines[1].split()[1:])
     try:
-        palette = int(lines[2].split()[1])
+        palette = _int(lines[2].split()[1])
     except (IndexError, ValueError):
         raise GraphFormatError(f"malformed trace line: {lines[2]!r}") from None
     events = [_load_event(ln) for ln in lines[3:-1]]

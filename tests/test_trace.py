@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from pentagem import graph as graph_module
+from pentagem import reductions
 from pentagem.cli import main
 from pentagem.coloring import verify_coloring
 from pentagem.errors import GraphFormatError
@@ -173,7 +174,7 @@ def test_a_brooks_line_counts_the_degrees_once(monkeypatch):
     # vertices with jumps 1, 2 and 3 is 6-regular and 2-connected, and its
     # cut-vertex checks walk from one vertex rather than split
     calls = Counter()
-    for fn in (graph_module.max_degree_in, graph_module.component_masks):
+    for fn in (reductions._delta_and_low, graph_module.component_masks):
         def spy(*args, fn=fn):
             calls[fn.__name__] += 1
             return fn(*args)
@@ -190,7 +191,7 @@ def test_a_brooks_line_counts_the_degrees_once(monkeypatch):
                                6, n, m, hist)
         replayed = replay_trace(g, loads_trace(dumps_trace(trace)))
         assert verify_coloring(g, replayed)
-        assert (calls["max_degree_in"], calls["component_masks"]) == (0, searches)
+        assert (calls["_delta_and_low"], calls["component_masks"]) == (1, searches)
 
 
 @pytest.mark.parametrize("g, delta", [(cycle_graph(10), 3), (complete_graph(4), 4)])
