@@ -20,10 +20,9 @@ from . import __version__
 from .classify import classify
 from .coloring import Coloring, verify_coloring
 from .errors import (CliqueBoundError, DegreeRangeError, ForbiddenPatternError,
-                     GraphFormatError, InternalInconsistencyError,
-                     OracleCapExceeded, PentagemError)
+                     GraphFormatError, InternalInconsistencyError, PentagemError)
 from .graph import Graph
-from .graphio import FORMATS, parse_graph, write_graph
+from .graphio import FORMATS, ascii_digits, parse_graph, write_graph
 from .instances import GenSpec, gallery_g1, gallery_g2, gen_class_instance
 from .oracle import DEFAULT_ORACLE_CAP, exact_chromatic
 from .patterns import find_induced
@@ -63,11 +62,24 @@ def _read_graph(path: str, fmt: str | None) -> Graph:
     return parse_graph(_read_text(path), fmt)
 
 
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise PentagemError(f"{what} expects integers, got {text!r}") from None
+def _int(text: str) -> int:
+    """``text`` as an integer, in ASCII digits after at most one ``-``: how
+    every integer flag and each integer of a coloring file is read."""
+    return int(ascii_digits(text))
+
+
+_int.__name__ = "int"  # argparse's usage error names a flag's type: "invalid int value"
+
+
+def _ints(text: str | None, what: str) -> list[int]:
+    """A comma-separated list flag's integers; a bad one is a usage error."""
+    out = []
+    for item in text.split(",") if text else ():
+        try:
+            out.append(_int(item))
+        except ValueError:
+            raise PentagemError(f"{what} expects integers, got {item!r}") from None
+    return out
 
 
 def _print_coloring(coloring: Coloring) -> None:
@@ -100,10 +112,8 @@ def cmd_detect(args) -> int:
 def cmd_classify(args) -> int:
     g = _read_graph(args.graph, args.format)
     label = classify(g)
-    if label.bags is None:
-        print(label.kind)
-    else:
-        print(label.kind)
+    print(label.kind)
+    if label.bags is not None:
         for name in TEMPLATES[label.kind].nodes:
             print(f"{name}: " + " ".join(str(v) for v in label.bags[name]))
     return EXIT_OK
@@ -125,7 +135,7 @@ def cmd_verify(args) -> int:
             continue
         try:
             key, value = line.split()
-            key, value = key if key == "palette" else int(key), int(value)
+            key, value = key if key == "palette" else _int(key), _int(value)
         except ValueError:
             raise GraphFormatError(f"bad coloring line: {line!r}") from None
         if key in colors:
@@ -146,13 +156,13 @@ def cmd_gen(args) -> int:
     elif args.cls == "gallery-g2":
         g, bags = gallery_g2(args.t), None
     else:
-        sizes_list = [_int(x, "--sizes") for x in args.sizes.split(",")] if args.sizes else []
+        sizes_list = _ints(args.sizes, "--sizes")
         t = TEMPLATES[args.cls]
         body = [n for n in t.nodes if n != t.pendant]
         if len(sizes_list) != len(body):
             raise PentagemError(
                 f"class {args.cls} needs {len(body)} bag sizes, got {len(sizes_list)}")
-        a7 = tuple(_int(x, "--a7") for x in args.a7.split(",")) if args.a7 else ()
+        a7 = tuple(_ints(args.a7, "--a7"))
         spec = GenSpec(args.cls, dict(zip(body, sizes_list)), a7, args.mode, args.seed)
         g, bags = gen_class_instance(spec)
     text = write_graph(g, args.format or "edgelist")
@@ -197,58 +207,37 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="input format (default: sniff)")
+    def command(name: str, fn, help: str, *positionals: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        for arg in positionals:
+            p.add_argument(arg)
+        return p
 
-    p = sub.add_parser("color", help="run the solver on a graph file")
-    p.add_argument("graph")
+    p = command("color", cmd_color, "run the solver on a graph file", "graph")
     p.add_argument("--trace", help="write the reduction trace here")
-    common(p)
-    p.set_defaults(fn=cmd_color)
-
-    p = sub.add_parser("detect", help="find induced P5 / gem / C5 witnesses")
-    p.add_argument("graph")
+    p = command("detect", cmd_detect, "find induced P5 / gem / C5 witnesses", "graph")
     p.add_argument("--pattern", choices=("p5", "gem", "c5", "all"), default="all")
-    common(p)
-    p.set_defaults(fn=cmd_detect)
-
-    p = sub.add_parser("classify", help="structure class of a connected graph")
-    p.add_argument("graph")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("oracle", help="exact chromatic number (desk scale)")
-    p.add_argument("graph")
-    p.add_argument("--max-oracle-n", type=int, default=DEFAULT_ORACLE_CAP,
+    command("classify", cmd_classify, "structure class of a connected graph", "graph")
+    p = command("oracle", cmd_oracle, "exact chromatic number (desk scale)", "graph")
+    p.add_argument("--max-oracle-n", type=_int, default=DEFAULT_ORACLE_CAP,
                    help=f"size cap (default {DEFAULT_ORACLE_CAP})")
-    common(p)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("verify", help="check a coloring file against a graph file")
-    p.add_argument("graph")
-    p.add_argument("coloring")
-    common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("gen", help="generate a class member or gallery graph")
+    command("verify", cmd_verify, "check a coloring file against a graph file",
+            "graph", "coloring")
+    p = command("gen", cmd_gen, "generate a class member or gallery graph")
     p.add_argument("cls", metavar="class",
                    choices=sorted(TEMPLATES) + ["gallery-g1", "gallery-g2"])
     p.add_argument("--sizes", help="comma-separated bag sizes in template order")
     p.add_argument("--a7", help="comma-separated pendant component sizes (class H)")
     p.add_argument("--mode", choices=("clique", "cograph"), default="clique")
-    p.add_argument("--t", type=int, default=9, help="parameter for gallery-g2")
+    p.add_argument("--t", type=_int, default=9, help="parameter for gallery-g2")
     p.add_argument("--out", help="write the graph here (default stdout)")
     p.add_argument("--bags-out", help="write the ground-truth bags here")
-    p.add_argument("--seed", type=int, default=0, help="seed for cograph bags")
-    common(p)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("replay", help="re-execute a trace and verify it")
-    p.add_argument("graph")
-    p.add_argument("trace")
-    common(p)
-    p.set_defaults(fn=cmd_replay)
+    p.add_argument("--seed", type=_int, default=0, help="seed for cograph bags")
+    command("replay", cmd_replay, "re-execute a trace and verify it", "graph", "trace")
+    for p in sub.choices.values():  # added last, so it stays last in each usage line
+        p.add_argument("--format", choices=FORMATS, default=None,
+                       help="input format (default: sniff)")
     return ap
 
 
@@ -278,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("internal inconsistency: recursion limit exceeded", file=sys.stderr)
         return EXIT_INTERNAL
-    except (PentagemError, OracleCapExceeded) as exc:
+    except PentagemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

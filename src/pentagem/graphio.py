@@ -13,6 +13,7 @@ from .errors import GraphFormatError
 from .graph import Graph, build_graph
 
 __all__ = [
+    "ascii_digits",
     "parse_dimacs",
     "parse_edgelist",
     "parse_graph6",
@@ -24,8 +25,6 @@ __all__ = [
     "FORMATS",
 ]
 
-FORMATS = ("dimacs", "edgelist", "graph6")
-
 _G6_VALID = bytes(range(63, 127))  # graph6 uses chr(63) to chr(126)
 _G6_CHARS = bytes((63 + d) % 256 for d in range(256))  # a six-bit value's character
 _G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same value
@@ -33,6 +32,15 @@ _G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same v
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _MAX_ORDER = 2 ** 18 - 1  # graph6's limit, kept by every reader
+
+
+def ascii_digits(tok: str, chars: str = "-0123456789") -> str:
+    """``tok``, which must be made of ``chars`` alone, so that int() reads
+    each part of it only as ASCII digits, after one ``-`` if ``chars`` has
+    it; int() alone would also read "+3", "1_0" and other scripts' digits."""
+    if tok.strip(chars):
+        raise ValueError(f"{tok!r} is not written in ASCII digits")
+    return tok
 
 
 def _check_order(n: int) -> int:
@@ -53,13 +61,13 @@ def parse_dimacs(text: str) -> Graph:
             if toks[0] == "p":
                 if len(toks) != 4 or toks[1].lower() not in ("edge", "edges", "col"):
                     raise GraphFormatError(f"bad problem line: {line!r}")
-                n = _check_order(int(toks[2]))
+                n = _check_order(int(ascii_digits(toks[2])))
             elif toks[0] == "e":
                 if n is None:
                     raise GraphFormatError("edge line before the problem line")
                 if len(toks) != 3:
                     raise GraphFormatError(f"bad edge line: {line!r}")
-                edges.append((int(toks[1]) - 1, int(toks[2]) - 1))
+                edges.append((int(ascii_digits(toks[1])) - 1, int(ascii_digits(toks[2])) - 1))
             else:
                 raise GraphFormatError(f"unknown DIMACS line: {line!r}")
         except ValueError:
@@ -83,7 +91,7 @@ def parse_edgelist(text: str) -> Graph:
     if len(toks) < 2:
         raise GraphFormatError("edge list needs an 'n m' header")
     try:
-        nums = [int(t) for t in toks]
+        nums = [int(ascii_digits(t)) for t in toks]
     except ValueError as exc:
         raise GraphFormatError(f"non-integer token in edge list: {exc}") from exc
     n, m = _check_order(nums[0]), nums[1]
@@ -164,37 +172,32 @@ def write_graph6(g: Graph) -> str:
 
 
 def sniff_format(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        first = line.split()[0]
-        if first in ("c", "p"):
-            return "dimacs"
-        try:
-            int(first)
-            return "edgelist"
-        except ValueError:
-            return "graph6"
-    raise GraphFormatError("empty graph file")
+    """The format of ``text``, from its first token alone."""
+    first = text.split(None, 1)[:1]
+    if not first:
+        raise GraphFormatError("empty graph file")
+    if first[0] in ("c", "p"):
+        return "dimacs"
+    try:
+        int(ascii_digits(first[0]))
+        return "edgelist"
+    except ValueError:
+        return "graph6"
+
+
+class _Codecs(dict):
+    def __missing__(self, fmt):
+        raise GraphFormatError(f"unknown format {fmt!r}")
+
+
+_CODECS = _Codecs(dimacs=(parse_dimacs, write_dimacs), edgelist=(parse_edgelist, write_edgelist),
+                  graph6=(parse_graph6, write_graph6))
+FORMATS = tuple(_CODECS)
 
 
 def parse_graph(text: str, fmt: str | None = None) -> Graph:
-    fmt = fmt or sniff_format(text)
-    if fmt == "dimacs":
-        return parse_dimacs(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    if fmt == "graph6":
-        return parse_graph6(text)
-    raise GraphFormatError(f"unknown format {fmt!r}")
+    return _CODECS[fmt or sniff_format(text)][0](text)
 
 
 def write_graph(g: Graph, fmt: str) -> str:
-    if fmt == "dimacs":
-        return write_dimacs(g)
-    if fmt == "edgelist":
-        return write_edgelist(g)
-    if fmt == "graph6":
-        return write_graph6(g)
-    raise GraphFormatError(f"unknown format {fmt!r}")
+    return _CODECS[fmt][1](g)

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 MAX_COGRAPH_BAG = 5
+_MAX_RESTARTS = 80  # gen_target_delta's restarts before it gives up
+_MAX_VERTICES = 40  # and the most vertices a member it returns may have
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,7 @@ def gen_class_instance(spec: GenSpec) -> tuple[Graph, dict[str, tuple[int, ...]]
 
 
 def gen_target_delta(class_id: str, target_delta: int, seed: int,
-                     mode: str = "clique", max_restarts: int = 80,
-                     max_vertices: int = 40) -> GenSpec:
+                     mode: str = "clique") -> GenSpec:
     """Search bag-size vectors until the built member hits the target degree.
 
     Randomized hill-climbing: start from small random sizes and bump random
@@ -157,7 +158,7 @@ def gen_target_delta(class_id: str, target_delta: int, seed: int,
         g, _ = gen_class_instance(spec)
         return spec, g
 
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         sizes = {name: rng.randint(1, 2) for name in body}
         a7 = (tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
               if t.pendant is not None else ())
@@ -165,11 +166,11 @@ def gen_target_delta(class_id: str, target_delta: int, seed: int,
         for _ in range(12 * len(body)):
             spec, g = build(sizes, a7, gseed)
             delta = g.max_degree()
-            if delta == target_delta and g.n <= max_vertices:
+            if delta == target_delta and g.n <= _MAX_VERTICES:
                 if not has_clique(g, g.full_mask(), target_delta):
                     return spec
                 break
-            if delta > target_delta or g.n > max_vertices:
+            if delta > target_delta or g.n > _MAX_VERTICES:
                 break
             slots = list(body) + [("a7", i) for i in range(len(a7))]
             pick = rng.choice(slots)
@@ -185,8 +186,8 @@ def gen_target_delta(class_id: str, target_delta: int, seed: int,
                 trial_sizes = {**sizes, pick: sizes[pick] + 1}
                 trial_a7 = a7
             _, g2 = build(trial_sizes, trial_a7, gseed)
-            if g2.max_degree() <= target_delta and g2.n <= max_vertices:
+            if g2.max_degree() <= target_delta and g2.n <= _MAX_VERTICES:
                 sizes, a7 = trial_sizes, trial_a7
     raise PentagemError(
         f"no {class_id} member with maximum degree {target_delta} found "
-        f"in {max_restarts} restarts")
+        f"in {_MAX_RESTARTS} restarts")

@@ -27,15 +27,16 @@ from typing import Callable, NamedTuple
 from .coloring import color_with_independent_sets, first_fit, greedy_color
 from .errors import GraphFormatError, InternalInconsistencyError
 from .graph import Graph, bits, mask_of
+from .graphio import ascii_digits
 from .oracle import colorable_with
 from .reductions import (_brooks_by_degree, _delta_and_low, bacso_tuza_bound, copy_colors,
                          extend_list_coloring)
-from .structure import CliqueReduction, lift_coloring
 
 __all__ = ["TraceEvent", "ReductionTrace", "STEPS", "ORACLE_CAP", "check_oracle_core",
            "fingerprint", "run_step", "dumps_trace", "loads_trace"]
 
 SCHEMA_VERSION = 1
+_HEAD = f"pentagem-trace {SCHEMA_VERSION}"  # a trace's first line, exactly
 
 
 class TraceEvent(NamedTuple):
@@ -70,30 +71,21 @@ def _fmt_vs(vs) -> str:
     return ",".join(map(str, vs)) if vs else "-"
 
 
-def _checked(tok: str, chars: str = "-0123456789,") -> str:
-    """``tok``, which must be made of ``chars`` alone, so that int() reads
-    each part of it only as ASCII digits, after one ``-`` if ``chars`` has
-    it; int() alone would also read "+3", "1_0" and other scripts' digits."""
-    if tok.strip(chars):
-        raise ValueError(f"{tok!r} is not written in ASCII digits")
-    return tok
-
-
 def _parse_vs(tok: str) -> tuple[int, ...]:
-    return () if tok == "-" else tuple(map(int, _checked(tok).split(",")))
+    return () if tok == "-" else tuple(map(int, ascii_digits(tok, "-0123456789,").split(",")))
 
 
 def _int(tok: str) -> int:
-    return int(_checked(tok))
+    return int(ascii_digits(tok))
 
 
 def _count(tok: str) -> int:
-    return int(_checked(tok, "0123456789"))
+    return int(ascii_digits(tok, "0123456789"))
 
 
 def _parse_hist(tok: str) -> tuple[tuple[int, int], ...]:
     hist = () if tok == "-" else tuple(tuple(map(int, p.split(":")))
-                                       for p in _checked(tok, "0123456789,:").split(","))
+                                       for p in ascii_digits(tok, "0123456789,:").split(","))
     if len(dict(hist)) < len(hist):  # dict() also refuses anything but a pair
         raise ValueError(f"a degree repeats in {tok}")
     return hist
@@ -113,10 +105,6 @@ VERTICES = Codec(_fmt_vs, _parse_vs, lambda vs, f: tuple(map(f, vs)))
 SETS = Codec(lambda ss: ";".join(map(_fmt_vs, ss)) if ss else "-",
              lambda tok: () if tok == "-" else tuple(map(_parse_vs, tok.split(";"))),
              lambda ss, f: tuple(tuple(map(f, s)) for s in ss))
-UNITS = Codec(lambda us: "|".join(f"{_fmt_vs(u)}>{_fmt_vs(k)}" for u, k in us),
-              lambda tok: tuple(tuple(map(_parse_vs, p.split(">"))) for p in tok.split("|"))
-              if tok else (),
-              lambda us, f: tuple(tuple(tuple(map(f, h)) for h in u) for u in us))
 INT = Codec(str, _int)
 BOOL = Codec(lambda b: str(int(b)), lambda tok: bool(("0", "1").index(tok)))
 STR = Codec(str, str)
@@ -135,6 +123,10 @@ class Field(NamedTuple):
     codec: Codec
     default: object = _REQUIRED
     tag: str = ""  # the name on the line, when it is not ``key``
+
+
+def _malformed(line: str) -> GraphFormatError:
+    return GraphFormatError(f"malformed trace line: {line!r}")
 
 
 class Step:
@@ -175,7 +167,7 @@ class Step:
                     if f.default is not None:
                         data[f.key] = f.default
         except ValueError as exc:
-            raise GraphFormatError(f"malformed trace line: {line!r}") from exc
+            raise _malformed(line) from exc
         return data
 
     def map_ids(self, data: dict, f) -> dict:
@@ -286,8 +278,6 @@ STEPS: dict[str, Step] = {
     "delta_set": Step("step", (Field("i_set", VERTICES, tag="i"), Field("color", INT)),
                       lambda g, d, colors: colors.update(
                           dict.fromkeys(d["i_set"], d["color"]))),
-    "lift": Step("step", (Field("units", UNITS),), lambda g, d, colors: colors.update(
-        lift_coloring(g, CliqueReduction((), {}, d["units"]), colors))),
 }
 
 # the header line is written and read like an event, with no apply
@@ -306,7 +296,7 @@ def run_step(kind: str, data: dict, g: Graph, colors: dict[int, int],
 
 def dumps_trace(trace: ReductionTrace) -> str:
     lines = [
-        f"pentagem-trace {SCHEMA_VERSION}",
+        _HEAD,
         _GRAPH.dump("graph", {"n": trace.n, "m": trace.m, "degrees": trace.degree_histogram}),
         f"palette {trace.palette}",
     ]
@@ -335,10 +325,15 @@ def loads_trace(text: str) -> ReductionTrace:
         raise GraphFormatError(f"unsupported trace schema version: {lines[0]!r}")
     if len(lines) < 4 or lines[-1] != "end":
         raise GraphFormatError("truncated trace document")
-    graph = _GRAPH.load(lines[1], lines[1].split()[1:])
+    toks = lines[1].split()
+    if lines[0] != _HEAD:
+        raise _malformed(lines[0])
+    if toks[0] != _GRAPH.verb:
+        raise _malformed(lines[1])
+    graph = _GRAPH.load(lines[1], toks[1:])
     try:
-        palette = _int(lines[2].split()[1])
-    except (IndexError, ValueError):
-        raise GraphFormatError(f"malformed trace line: {lines[2]!r}") from None
+        palette = _int(lines[2].removeprefix("palette "))
+    except ValueError:
+        raise _malformed(lines[2]) from None
     events = [_load_event(ln) for ln in lines[3:-1]]
     return ReductionTrace(events, palette, graph["n"], graph["m"], graph["degrees"])

@@ -9,11 +9,11 @@ from pentagem.graph import (complete_graph, cycle_graph, disjoint_union, empty_g
                             join, path_graph)
 from pentagem.graphio import parse_graph, write_edgelist, write_graph6
 from pentagem.instances import gallery_g1, gallery_g2
-from pentagem.patterns import PatternWitness, clique_number
+from pentagem.patterns import PatternWitness
 from pentagem.trace import ReductionTrace, TraceEvent, dumps_trace, fingerprint
 
 from helpers import (benchmark_inputs, caterpillar, gate_pins, k9_with_ears, non_clique_core,
-                     prism_cores, random_graph, threshold_graph)
+                     prism_cores, random_graph)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -603,7 +603,6 @@ def test_replay_rejects_a_malformed_graph_line_with_exit_2(tmp_path, capsys, gra
     "color lemma1 vs=0,1 sets=+0 order=1 k=8",
     "color lemma1 vs=0,1 sets=0 order=1 k=8 fallback=2",
     "color lemma1 vs=0,1 sets=0 order=1 k=8 fallback=\u0661",
-    "step lift units=0,+1>0",
     "step d1_extend w=\u0662,3 k=8",
     "palette +8",
 ])
@@ -631,40 +630,73 @@ def test_replay_exits_1_on_a_well_formed_graph_line_that_does_not_match(
     assert one_error_line(capsys) == "error: trace fingerprint does not match the graph\n"
 
 
-def test_replay_lifts_a_900_vertex_threshold_graph(tmp_path, capsys):
-    # odd vertices see all earlier ones, so the unit splits 899 levels deep:
-    # a walker with a frame per level once exhausted the recursion limit
-    g = threshold_graph(900)
-    omega, kept = clique_number(g)
-    path = write(tmp_path, "g.el", write_edgelist(g))
-    events = [TraceEvent("greedy", {"vs": kept, "k": omega}),
-              TraceEvent("lift", {"units": ((tuple(range(g.n)), kept),)})]
-    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace(events, omega, *fingerprint(g))))
-    assert main(["replay", path, trace]) == 0  # replay verifies before it prints
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "palette 451" and len(out) == 1 + g.n
+# ten, in four spellings that int() reads and no reader of pentagem's takes
+TEN = {"plus": "+10", "underscore": "1_0", "arabic-indic": "\u0661\u0660",
+       "fullwidth": "\uff11\uff10"}
+
+# each reader of an integer, as a command line around one spelled ten, and
+# its exit code: a file's bad integer is a parse error, a flag's a usage error
+READERS = {
+    "edgelist": (lambda w, x: ["detect", w("g.el", f"11 1\n0 {x}\n"), "--format", "edgelist"], 2),
+    "sniffed-edgelist": (lambda w, x: ["detect", w("g.el", f"{x} 0\n")], 2),
+    "dimacs": (lambda w, x: ["detect", w("g.col", f"p edge 11 1\ne 1 {x}\n")], 2),
+    "coloring": (lambda w, x: ["verify", w("p3.el", "3 2\n0 1\n1 2\n"),
+                               w("p3.colors", f"palette 10\n0 1\n1 {x}\n2 1\n")], 2),
+    "--sizes": (lambda w, x: ["gen", "G2", "--sizes", f"1,1,{x},1,1,1"], 1),
+    "--a7": (lambda w, x: ["gen", "H", "--sizes", "1,1,1,1,1,2", "--a7", x], 1),
+    "--t": (lambda w, x: ["gen", "gallery-g2", "--t", x], 1),
+    "--seed": (lambda w, x: ["gen", "G1", "--sizes", "3,2,2,1,1", "--mode", "cograph",
+                             "--seed", x], 1),
+    "--max-oracle-n": (lambda w, x: ["oracle", w("p3.el", "3 2\n0 1\n1 2\n"),
+                                     "--max-oracle-n", x], 1),
+}
 
 
-def test_replay_rejects_a_lift_whose_kept_vertices_are_not_a_clique(tmp_path, capsys):
-    # the path 0-1-2 lifted from its non-edge 0, 2: once "does not fit the graph"
-    g = path_graph(3)
-    path = write(tmp_path, "g.el", write_edgelist(g))
-    lines = ["color greedy vs=0 k=1", "step delta_set i=2 color=2", "step lift units=0,1,2>0,2"]
-    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, *fingerprint(g))).replace(
-        "end\n", "\n".join(lines) + "\nend\n"))
-    assert main(["replay", path, trace]) == 2
-    assert "retained vertices are not a clique of their unit" in one_error_line(capsys)
+@pytest.mark.parametrize("spelling", TEN.values(), ids=TEN)
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_takes_integers_only_in_ascii_digits(tmp_path, capsys, reader, spelling):
+    # int() alone read each of these as 10, and every command below then ran
+    argv, code = READERS[reader]
+    argv = argv(lambda name, text: write(tmp_path, name, text), spelling)
+    if argv[0] == "gen":
+        argv += ["--out", str(tmp_path / "out.el")]
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:  # argparse's own usage error
+        assert exc.code == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def test_replay_lifts_an_empty_unit_to_nothing(tmp_path, capsys):
-    # the cotree walker took the maximum of no clique numbers: a traceback
-    g = path_graph(3)
-    path = write(tmp_path, "g.el", write_edgelist(g))
-    lines = ["color greedy vs=0,1,2 k=2", "step lift units=->-"]
-    trace = write(tmp_path, "t.txt", dumps_trace(ReductionTrace([], 2, *fingerprint(g))).replace(
-        "end\n", "\n".join(lines) + "\nend\n"))
-    assert main(["replay", path, trace]) == 0
-    assert capsys.readouterr().out == "palette 2\n0 1\n1 2\n2 1\n"
+P4_TRACE = """pentagem-trace 1
+graph n=4 m=3 degrees=1:2,2:2
+palette 2
+color greedy vs=0,1,2,3 k=2
+end
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("graph n=4 m=3 degrees=1:2,2:2", "banana n=4 m=3 degrees=1:2,2:2"),
+    ("palette 2", "banana 2"),
+    ("palette 2", "palette 2 7"),
+    ("pentagem-trace 1", "pentagem-trace 1 extra"),
+])
+def test_replay_checks_the_verb_and_tokens_of_each_header_line(tmp_path, capsys, old, new):
+    # each of these once replayed as the header it replaced, with exit 0
+    path = write(tmp_path, "p4.el", write_edgelist(path_graph(4)))
+    assert main(["replay", path, write(tmp_path, "ok.txt", P4_TRACE)]) == 0
+    capsys.readouterr()
+    assert main(["replay", path, write(tmp_path, "t.txt", P4_TRACE.replace(old, new))]) == 2
+    assert one_error_line(capsys) == f"error: malformed trace line: {new!r}\n"
+
+
+def test_replay_rejects_a_lift_line(tmp_path, capsys):
+    # no code writes lift lines, and replay no longer reads them
+    path = write(tmp_path, "p3.el", write_edgelist(path_graph(3)))
+    text = P4_TRACE.replace("n=4 m=3 degrees=1:2,2:2", "n=3 m=2 degrees=1:2,2:1").replace(
+        "vs=0,1,2,3", "vs=0,1,2").replace("end\n", "step lift units=->-\nend\n")
+    assert main(["replay", path, write(tmp_path, "t.txt", text)]) == 2
+    assert one_error_line(capsys) == "error: unknown trace event: 'step lift units=->-'\n"
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--out", "--bags-out"])

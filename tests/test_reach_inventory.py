@@ -4,7 +4,8 @@ One pass under ``sys.setprofile`` runs parse, solve, dump, load and replay
 over one vertex order of each graph of the four benchmark workloads at
 seed 7, then solve, dump, load and replay over ``prism_cores`` (the
 inputs that reach the Perfect branch and the oracle), then each CLI
-subcommand once through ``cli.main``.  Every ``def`` in the package that
+subcommand once through ``cli.main``, with ``gen`` writing each format
+and ``detect`` reading DIMACS.  Every ``def`` in the package that
 the pass never calls is listed in ``UNCALLED`` with the reason it stays,
 which begins with one of ``KINDS``.  The test fails when a function stops
 being called without being listed, and when a listed one is called or
@@ -57,9 +58,7 @@ UNCALLED = {
     "graph.empty_graph": LIBRARY,
     "graph.cycle_graph": LIBRARY,
     "graph.path_graph": LIBRARY,
-    "graphio.parse_dimacs": f"{LIBRARY}: also the CLI's DIMACS input",
-    "graphio.write_dimacs": f"{LIBRARY}: also the CLI's DIMACS output",
-    "graphio.write_graph6": f"{LIBRARY}: also the CLI's graph6 output",
+    "graphio._Codecs.__missing__": f"{ERROR}: a format name that is not in the table",
     "instances.gallery_g1": f"{LIBRARY}: also pentagem gen gallery-g1",
     "instances.gallery_g2": f"{LIBRARY}: also pentagem gen gallery-g2",
     "instances._random_cograph_edges": f"{LIBRARY}: cograph bags, also pentagem gen --mode cograph",
@@ -82,6 +81,7 @@ UNCALLED = {
     "structure.clique_reduce": LAYERS,
     "structure.lift_coloring": LAYERS,
     "trace.Step.__init__": IMPORT,
+    "trace._malformed": f"{ERROR}: a trace line that does not parse",
 }
 
 
@@ -116,11 +116,15 @@ def _reached(tmp_path, capsys) -> set[str]:
              for inp in benchmark_inputs(name, 7)
              if "#" not in inp.name or inp.name.endswith("#0")]
     cores = prism_cores()
-    g2, c5, h = (str(tmp_path / name) for name in ("g2.el", "c5.el", "h.el"))
+    g2, c5, h, g2_col = (str(tmp_path / name) for name in ("g2.el", "c5.el", "h.el", "g2.col"))
     Path(g2).write_text(write_edgelist(gallery_g2(9)))
     Path(c5).write_text(write_edgelist(cycle_graph(5)))
     trace, colors = str(tmp_path / "g2.trace"), str(tmp_path / "g2.colors")
     commands = [["detect", g2],
+                ["gen", "G2", "--sizes", "1,1,1,1,1,1", "--format", "dimacs", "--out", g2_col],
+                ["detect", g2_col, "--format", "dimacs"],
+                ["gen", "G1", "--sizes", "1,1,1,1,1", "--format", "graph6",
+                 "--out", str(tmp_path / "g1.g6")],
                 ["gen", "H", "--sizes", "1,1,1,1,1,2", "--a7", "1", "--out", h,
                  "--bags-out", str(tmp_path / "h.bags")],
                 ["classify", h], ["oracle", c5], ["verify", g2, colors], ["replay", g2, trace]]

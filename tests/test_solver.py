@@ -590,28 +590,6 @@ def test_solve_mixed_modes_many_seeds():
                 assert rep.colors == col.colors
 
 
-def test_replay_handles_lift_events():
-    # end-to-end runs reduce non-clique bags away before classification, so
-    # build a lift-bearing trace by hand: color the reduced core exactly,
-    # then lift back over the cograph bags
-    from pentagem.graph import induced_subgraph
-    from pentagem.oracle import exact_chromatic
-    from pentagem.structure import TEMPLATES, clique_reduce
-    from pentagem.trace import ReductionTrace, TraceEvent, fingerprint
-
-    g, bags = gen_class_instance(GenSpec("G2", {"Q1": 3, "Q2": 2, "Q3": 1,
-                                                "Q4": 1, "Q5": 2, "Q6": 1},
-                                         (), "cograph", 1))
-    red = clique_reduce(g, TEMPLATES["G2"], bags)
-    assert len(red.kept) < g.n, "seed must produce at least one union bag"
-    chi, _ = exact_chromatic(g)
-    events = [TraceEvent("oracle", {"vs": red.kept, "k": chi}),
-              TraceEvent("lift", {"units": red.units})]
-    n, m, hist = fingerprint(g)
-    rep = replay_trace(g, ReductionTrace(events, 8, n, m, hist))
-    assert verify_coloring(g, rep)
-
-
 def test_the_greedy_and_brooks_steps_copy_no_subgraph(monkeypatch):
     # tally every induced_subgraph call by its caller and by the greedy or
     # brooks step being applied when it was made, in solve and in replay

@@ -544,6 +544,19 @@ def test_a_lift_names_the_p4_of_a_unit_that_is_not_a_cograph():
         lift_coloring(g, red, {1: 1, 2: 2})
 
 
+def test_a_lift_rejects_kept_vertices_that_are_not_a_clique():
+    # the path 0-1-2 lifted from its non-edge 0, 2: once "does not fit the graph"
+    red = CliqueReduction((0, 2), {}, (((0, 1, 2), (0, 2)),))
+    with pytest.raises(PreconditionError, match="retained vertices are not a clique of their unit"):
+        lift_coloring(path_graph(3), red, {0: 1, 2: 2})
+
+
+def test_a_lift_of_an_empty_unit_colors_nothing():
+    # the cotree walker took the maximum of no clique numbers: a traceback
+    colors = {0: 1, 1: 2, 2: 1}
+    assert lift_coloring(path_graph(3), CliqueReduction((), {}, (((), ()),)), colors) == colors
+
+
 def test_reduce_shrinks_k2_k1_bag_to_its_edge():
     # second-class member whose first bag is K2 + K1: the reduction keeps
     # the edge and the oracle confirms the chromatic number is unchanged

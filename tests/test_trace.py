@@ -29,7 +29,6 @@ GOLDEN_EVENTS = [
     TraceEvent("clique_copy", {"removed": (15,), "donor": (2, 3)}),
     TraceEvent("a7_peel", {"removed": (12, 14), "k": 8}),
     TraceEvent("delta_set", {"i_set": (1, 9, 15), "color": 9}),
-    TraceEvent("lift", {"units": (((0, 1, 2), (0, 2)), ((5,), (5,)), ((6, 7), (7,)))}),
 ]
 GOLDEN_TRACE = ReductionTrace(GOLDEN_EVENTS, 9, 16, 30, ((3, 8), (4, 6), (5, 2)))
 
@@ -50,7 +49,6 @@ step d1_extend w=0,1,2,3,4,5,6,7 k=8
 step clique_copy removed=15 donor=2,3
 step a7_peel removed=12,14 k=8
 step delta_set i=1,9,15 color=9
-step lift units=0,1,2>0,2|5>5|6,7>7
 end
 """
 
@@ -74,14 +72,6 @@ def test_a_trace_event_is_an_immutable_kind_data_pair():
     assert (kind, data) == ("low_degree", {"v": 9, "k": 8}) == e
     assert e == TraceEvent(kind=kind, data=data)
     assert repr(e) == "TraceEvent(kind='low_degree', data={'v': 9, 'k': 8})"
-
-
-def test_a_lift_with_no_units_round_trips():
-    trace = ReductionTrace([TraceEvent("lift", {"units": ()})], 8, 0, 0, ())
-    text = dumps_trace(trace)
-    assert "step lift units=\n" in text
-    assert loads_trace(text) == trace
-    assert dumps_trace(loads_trace(text)) == text
 
 
 def test_lemma1_fills_in_its_defaults_on_load():
@@ -130,7 +120,6 @@ def test_malformed_documents_are_format_errors(text):
     # in range, but read before they have a color or outside the subgraph
     "step copycat a=0 b=1",
     "color lemma1 vs=0,1,2 sets=5 order=1,2 k=8",
-    "step lift units=0>1",
 ])
 def test_replay_rejects_steps_that_do_not_fit_the_graph(line):
     trace = loads_trace("pentagem-trace 1\n" + C10_HEADER + line + "\nend\n")
