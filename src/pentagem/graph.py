@@ -280,12 +280,12 @@ def seeded_component_masks(adj, mask: int, seeds: int) -> list[int]:
     lowest seed's row is read only when another seed has a neighbor.  When
     at most one seed is left, its component is all of ``mask`` the
     isolated seeds do not take, as every component holds a seed.
-    Otherwise a search grows from each remaining seed, one level a round;
-    searches that meet merge, one whose frontier empties is a component,
-    and once a single search is left open, its component is all of
-    ``mask`` the others did not take, so the largest component is never
-    walked to its end.  Components are unique, so the list is the same
-    whichever way each is found.
+    Otherwise one walk grows from the lowest live seed, one level at a
+    time.  Once it has reached every live seed, the rest of ``mask`` is its
+    component, so the largest component is never walked to its end; if its
+    frontier empties first, what it reached is a component, and a new walk
+    starts from the lowest live seed left.  Components are unique, so the
+    list is the same whichever way each is found.
     """
     if not seeds & (seeds - 1):
         return [mask] if mask else []
@@ -307,30 +307,21 @@ def seeded_component_masks(adj, mask: int, seeds: int) -> list[int]:
         rest = mask & ~alone
         done.insert((alone & (rest & -rest) - 1).bit_count(), rest)
         return done
-    open_ = [(s, s) for s in live]  # (reached, frontier)
-    while len(open_) > 1:
-        merged: list[tuple[int, int]] = []
-        for reached, frontier in open_:
+    left, rest = sum(live), mask & ~alone  # live seeds not yet reached, mask not yet split
+    while True:
+        reached = frontier = left & -left
+        while frontier and left & ~reached:
             nxt = 0
             for v in bits(frontier):
                 nxt |= adj[v]
-            frontier = nxt & mask & ~reached
+            frontier = nxt & rest & ~reached
             reached |= frontier
-            keep = []
-            for r, f in merged:
-                if r & reached:
-                    reached |= r
-                    frontier |= f
-                else:
-                    keep.append((r, f))
-            keep.append((reached, frontier))
-            merged = keep
-        open_ = [(r, f) for r, f in merged if f]
-        done += [r for r, f in merged if not f]
-    if open_:
-        for c in done:
-            mask &= ~c
-        done.append(mask)
+        left &= ~reached
+        if not left:  # every live seed reached: what is left is one component
+            done.append(rest)
+            break
+        done.append(reached)
+        rest &= ~reached
     return sorted(done, key=lambda c: c & -c)
 
 

@@ -31,7 +31,7 @@ _G6_BASE64 = bytes.maketrans(  # a graph6 character's base64 digit of the same v
     _G6_VALID,
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/")
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_MAX_ORDER = 2 ** 18 - 1  # graph6's limit, kept by every reader
+_MAX_ORDER = 2 ** 18 - 1  # kept by every reader; graph6's own header stops at 258047
 
 
 def ascii_digits(tok: str, chars: str = "-0123456789") -> str:
@@ -126,7 +126,7 @@ def parse_graph6(text: str) -> Graph:
         n = (head[1] << 12) | (head[2] << 6) | head[3]
         start = 4
     else:
-        raise GraphFormatError("graph6 orders above 2^18 are not supported")
+        raise GraphFormatError("graph6 orders above 258047 are not supported")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(s) - start != need:
         raise GraphFormatError(f"graph6 body length {len(s) - start}, expected {need}")
@@ -161,7 +161,7 @@ def write_graph6(g: Graph) -> str:
     elif n <= 258047:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
-        raise GraphFormatError("graph6 orders above 2^18 are not supported")
+        raise GraphFormatError("graph6 orders above 258047 are not supported")
     # bit k of the body is the pair (u, v) with k = v(v-1)/2 + u, u < v,
     # most significant bit of each six first
     body = bytearray((n * (n - 1) // 2 + 5) // 6)

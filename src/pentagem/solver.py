@@ -57,20 +57,34 @@ def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
     One work-list holds component bitmasks still to color and the extension
     steps still to apply, so a removed piece is extended after everything
     colored in its place, as a recursion would do it.  Degrees within the
-    current component are kept up to date as pieces come off, with masks of
-    the vertices of degree at most 7 and exactly 9: the low-degree rule and
-    the greedy and Brooks terminals are mask tests, and a ``Graph`` of the
-    component is built only for the copycat and catalog rules and the core.
-    All components share one coloring: anything colored before a piece is
-    extended lies in the rest of the piece's component or in a component
-    not adjacent to it, so each apply reads the colors it would read alone.
+    current component are kept as four bit planes ``p0..p3``: bit v of
+    ``pj`` is bit j of v's degree, counted in the pass that refuses a degree
+    above 9 (four planes would read 16 as 0).  A removed piece lowers each
+    neighbor it leaves with one four-step borrow, so the vertices of degree
+    at most 7 are ``~p3`` and those of degree 9 are ``p3 & p0``, and the
+    low-degree rule and the greedy and Brooks terminals are mask tests.  The
+    planes are four names, not a list: a loop over a list of planes, as in
+    ``delta_reduce``, gave back most of their gain over a table of degrees.
+    A ``Graph`` of the component is built only for the copycat and catalog
+    rules and the core.  All components share one coloring: anything
+    colored before a piece is extended lies in the rest of the piece's
+    component or in a component not adjacent to it, so each apply reads the
+    colors it would read alone.
     """
     adj = host.adj
-    deg = {v: (adj[v] & mask).bit_count() for v in bits(mask)}
-    if max(deg.values(), default=0) > 9:
-        raise DegreeRangeError("base-case engine expects maximum degree <= 9")
-    low = mask_of(v for v, d in deg.items() if d <= 7)
-    nine = mask_of(v for v, d in deg.items() if d == 9)
+    p0 = p1 = p2 = p3 = 0
+    for v in bits(mask):
+        d = (adj[v] & mask).bit_count()
+        if d > 9:
+            raise DegreeRangeError("base-case engine expects maximum degree <= 9")
+        if d & 1:
+            p0 |= 1 << v
+        if d & 2:
+            p1 |= 1 << v
+        if d & 4:
+            p2 |= 1 << v
+        if d & 8:
+            p3 |= 1 << v
     full = host.full_mask()
     colors: dict[int, int] = {}
     work: list = component_masks(adj, mask)[::-1]
@@ -79,13 +93,13 @@ def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
         if not isinstance(comp, int):  # a pending (kind, data) extension
             run_step(*comp, host, colors, events)
             continue
-        if not comp & ~low:
+        if not comp & p3:
             run_step("greedy", {"vs": tuple(bits(comp)), "k": 8}, host, colors, events)
             continue
-        if not comp & nine:
+        if not comp & p3 & p0:
             run_step("brooks", {"vs": tuple(bits(comp)), "delta": 8}, host, colors, events)
             continue
-        lows = comp & low
+        lows = comp & ~p3
         if lows:
             piece = lows & -lows
             step = ("low_degree", {"v": piece.bit_length() - 1, "k": 8})
@@ -103,15 +117,14 @@ def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
         rest = comp & ~piece
         seeds = 0
         for v in bits(piece):
-            for u in bits(adj[v] & rest):
-                deg[u] -= 1
-                if deg[u] == 8:
-                    nine &= ~(1 << u)
-                elif deg[u] == 7:
-                    low |= 1 << u
-            seeds |= adj[v]
+            borrow = adj[v] & rest  # v's neighbors left behind each lose 1
+            seeds |= borrow
+            p0, borrow = p0 ^ borrow, borrow & ~p0
+            p1, borrow = p1 ^ borrow, borrow & ~p1
+            p2, borrow = p2 ^ borrow, borrow & ~p2
+            p3 ^= borrow
         work.append(step)
-        work.extend(reversed(seeded_component_masks(adj, rest, seeds & rest)))
+        work.extend(reversed(seeded_component_masks(adj, rest, seeds)))
     return colors
 
 

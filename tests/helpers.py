@@ -809,7 +809,7 @@ def reference_parse_graph6(text: str) -> Graph:
         n = (head[1] << 12) | (head[2] << 6) | head[3]
         body = s[4:]
     else:
-        raise GraphFormatError("graph6 orders above 2^18 are not supported")
+        raise GraphFormatError("graph6 orders above 258047 are not supported")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:

@@ -269,3 +269,80 @@ def test_a_spine_peel_reads_only_its_isolated_seeds(monkeypatch):
         assert adj.reads == Counter(v for v in bits(seeds) if v not in live)
         peels += 1
     assert peels == 198, peels
+
+
+def _peel(g: Graph, comp: int, piece: int) -> tuple[int, int]:
+    """``comp`` less ``piece``, and the piece's neighbors there as seeds."""
+    rest = comp & ~piece
+    seeds = 0
+    for v in bits(piece):
+        seeds |= g.adj[v]
+    return rest, seeds & rest
+
+
+def _live(adj, rest: int, seeds: int) -> int:
+    return sum(1 for v in bits(seeds) if adj[v] & rest)
+
+
+def test_seeded_split_equals_component_masks_on_random_peels():
+    # 600 fixed draws: a graph on at most 40 vertices, and from each of its
+    # components a piece of 1 to 4 vertices
+    rng = random.Random(20200604)
+    several_live = three_parts = 0
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.choice((0.04, 0.08, 0.15, 0.3)), rng.randrange(10**9))
+        for comp in component_masks(g.adj, g.full_mask()):
+            vs = list(bits(comp))
+            rest, seeds = _peel(g, comp, mask_of(rng.sample(vs, min(len(vs), rng.randint(1, 4)))))
+            want = component_masks(g.adj, rest)
+            assert seeded_component_masks(g.adj, rest, seeds) == want
+            several_live += _live(g.adj, rest, seeds) >= 2
+            three_parts += len(want) >= 3 and _live(g.adj, rest, seeds) >= 3
+    assert several_live >= 300 and three_parts >= 40, (several_live, three_parts)
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """A centre 0 joined to one end of each of ``legs`` paths on ``length``
+    vertices; leg i is 1 + length*i .. length*(i+1), its end next to 0 first."""
+    edges = []
+    for i in range(legs):
+        first = 1 + length * i
+        edges.append((0, first))
+        edges += [(first + j, first + j + 1) for j in range(length - 1)]
+    return build_graph(1 + legs * length, edges)
+
+
+@pytest.mark.parametrize("g, piece, parts, live", [
+    # a walk from vertex 19 runs out at vertex 0 before it reaches 21
+    (path_graph(41), 1 << 20, 2, 2),
+    # spine vertex 10 of a caterpillar: the walk from spine vertex 9 covers
+    # the left half, then 7 isolated leaves, and 11 takes the right half
+    (caterpillar(20), 1 << 10, 9, 2),
+    (_spider(3, 12), 1, 3, 3),  # three legs, each a component
+    (_spider(5, 4), 1, 5, 5),
+    # the centre and the second vertex of leg 0: its first vertex is
+    # isolated, and five live seeds remain
+    (_spider(5, 4), 1 | 1 << 2, 6, 5),
+    # two seeds in the first part, one each in two more
+    (build_graph(12, [(0, 1), (0, 2), (0, 6), (0, 9), (1, 3), (2, 3), (3, 4), (4, 5),
+                      (6, 7), (7, 8), (9, 10), (10, 11)]), 1, 3, 4),
+    (path_graph(5), 0b1010, 3, 0),  # vertices 1 and 3: seeds 0, 2 and 4, all isolated
+    (path_graph(9), 0b1010, 3, 1),  # 0 and 2 isolated, 4 takes the rest
+], ids=["path", "caterpillar", "three-legs", "five-legs", "isolated-and-live-legs", "two-in-one",
+        "isolated-on-a-path", "isolated-then-one-live"])
+def test_seeded_split_restarts_after_each_component_it_walks(g, piece, parts, live):
+    rest, seeds = _peel(g, g.full_mask(), piece)
+    want = component_masks(g.adj, rest)
+    assert (len(want), _live(g.adj, rest, seeds)) == (parts, live)
+    assert seeded_component_masks(g.adj, rest, seeds) == want
+
+
+def test_a_walk_that_reaches_every_live_seed_leaves_the_rest_unread():
+    # vertex 0 is joined to 1 and 2, and 2 starts the path 2..40: the walk
+    # from 1 reaches 2 in one level, so no row of the path past 2 is read
+    g = build_graph(41, [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(2, 40)])
+    rest, seeds = _peel(g, g.full_mask(), 1)
+    adj = _CountedRows(g.adj)
+    assert seeded_component_masks(adj, rest, seeds) == [rest]
+    assert set(adj.reads) == {1, 2}

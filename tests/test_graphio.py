@@ -144,8 +144,8 @@ def test_graph6_ignores_padding_bits(text, graph):
     ("B\x7f", "graph6 characters out of range"),
     ("B w", "graph6 characters out of range"),
     ("Bw\nBw", "graph6 characters out of range"),
-    ("~~??????", "graph6 orders above 2^18 are not supported"),
-    ("~??", "graph6 orders above 2^18 are not supported"),
+    ("~~??????", "graph6 orders above 258047 are not supported"),
+    ("~??", "graph6 orders above 258047 are not supported"),
     ("Bww", "graph6 body length 2, expected 1"),
     ("D", "graph6 body length 0, expected 2"),
     ("~??~" + "?" * 10, "graph6 body length 10, expected 326"),
@@ -154,6 +154,21 @@ def test_graph6_errors_keep_their_messages(text, message):
     with pytest.raises(GraphFormatError) as info:
         parse_graph6(text)
     assert str(info.value) == message
+
+
+def test_graph6_writes_no_order_its_header_cannot_hold(monkeypatch):
+    # 258,047 is the largest order of the 4-byte header; the body of one
+    # more vertex would take about 5.5 GB, so the refusal comes first
+    from pentagem import graphio
+
+    def no_body(*args):
+        raise AssertionError("a body was allocated")
+
+    monkeypatch.setattr(graphio, "bytearray", no_body, raising=False)
+    with pytest.raises(GraphFormatError, match="^graph6 orders above 258047 are not supported$"):
+        write_graph6(empty_graph(258048))
+    with pytest.raises(AssertionError, match="a body was allocated"):
+        write_graph6(empty_graph(3))  # an order the header holds does reach the stub
 
 
 def test_graph6_range_check_agrees_with_the_regex_scan():

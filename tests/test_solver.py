@@ -55,6 +55,20 @@ def test_color8_rejects_degree_10():
         color8(join(complete_graph(7), empty_graph(4)))
 
 
+@pytest.mark.parametrize("leaves", [10, 16])
+def test_the_base_case_refuses_a_degree_its_planes_do_not_hold(leaves):
+    # the centre of a 20-leaf star keeps `leaves` of them in the mask; four
+    # bit planes would read degree 16 as 0, a vertex the greedy rule takes
+    star = join(empty_graph(1), empty_graph(20))
+    with pytest.raises(DegreeRangeError, match="base-case engine expects maximum degree <= 9"):
+        solver._color8(star, (1 << leaves + 1) - 1, [])
+    events = []
+    # with 9 leaves kept, leaf 1 is peeled and the centre's degree falls to 8,
+    # so the Brooks terminal colors the rest before leaf 1 is extended
+    assert len(solver._color8(star, (1 << 10) - 1, events)) == 10
+    assert [e.kind for e in events] == ["brooks", "low_degree"]
+
+
 def test_solve_gallery_family():
     for t in (9, 11):
         g = gallery_g2(t)
