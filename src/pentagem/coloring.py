@@ -244,10 +244,9 @@ def _state(left: int, free) -> tuple[int, ...]:
     return (left, *(f for u, f in free.items() if left >> u & 1))
 
 
-def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int,
-                 initial: dict[int, int] | None = None) -> dict[int, int]:
+def greedy_color(g: Graph, order: list[int] | tuple[int, ...], k: int) -> dict[int, int]:
     """Greedy coloring along ``order`` using the smallest free color <= k."""
-    colors = dict(initial) if initial else {}
+    colors: dict[int, int] = {}
     first_fit(g.adj, order, k, colors)
     return colors
 

@@ -94,7 +94,8 @@ def _color8(host: Graph, mask: int, events: list) -> dict[int, int]:
             run_step(*comp, host, colors, events)
             continue
         if not comp & p3:
-            run_step("greedy", {"vs": tuple(bits(comp)), "k": 8}, host, colors, events)
+            vs = tuple(bits(comp)) if comp & comp - 1 else (comp.bit_length() - 1,)
+            run_step("greedy", {"vs": vs, "k": 8}, host, colors, events)
             continue
         if not comp & p3 & p0:
             run_step("brooks", {"vs": tuple(bits(comp)), "delta": 8}, host, colors, events)

@@ -193,8 +193,13 @@ def _mask(g: Graph, vs) -> int:
 
 
 def _greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
-    """First-fit over ``vs`` in increasing order, seeing only ``vs``."""
-    colors.update(greedy_color(g, sorted(set(_vertices(g, d["vs"]))), d["k"]))
+    """First-fit over ``vs`` in increasing order, seeing only ``vs``: one
+    vertex sees only itself, so with a k of 1 or more it takes color 1."""
+    vs = _vertices(g, d["vs"])
+    if len(vs) == 1 and d["k"] >= 1:
+        colors[vs[0]] = 1
+    else:
+        colors.update(greedy_color(g, sorted(set(vs)), d["k"]))
 
 
 def _brooks(g: Graph, d: dict, colors: dict[int, int]) -> None:

@@ -71,7 +71,10 @@ maximum cliques defeat a clique search without a coloring bound,
 ``threshold_graph`` the cographs whose decomposition runs deepest, with
 ``palette_corpus`` the palette colorings drawn on both, and
 ``c5_blowup`` the in-class graphs of large degree whose levels run deep,
-``cycle_blowup`` the same blow-up of any cycle.
+``cycle_blowup`` the same blow-up of any cycle.  ``padded_member`` is a
+class member with 300 isolated vertices before, between and after its ids,
+and ``reference_greedy`` the ``greedy`` trace apply as it was before a
+one-vertex line took color 1 without a first-fit.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from pathlib import Path
 from pentagem.classify import ClassLabel
 from pentagem.errors import (ForbiddenPatternError, GraphFormatError,
                              InternalInconsistencyError, PentagemError, PreconditionError)
-from pentagem.coloring import Coloring, color_with_independent_sets, first_fit
+from pentagem.coloring import Coloring, color_with_independent_sets, first_fit, greedy_color
 from pentagem.graph import (Graph, bits, build_graph, complement, complete_graph,
                             component_masks, connected_components, cycle_graph,
                             disjoint_union, empty_graph, induced_subgraph, is_connected,
@@ -100,7 +103,7 @@ from pentagem.patterns import (PatternWitness, _colors_at_least, _maximal_clique
                                is_p5_gem_free)
 from pentagem.oracle import colorable_with
 from pentagem.reductions import extend_list_coloring
-from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, run_step
+from pentagem.trace import ORACLE_CAP, _fmt_vs, _mask, _vertices, run_step
 from pentagem.instances import (GenSpec, gallery_g2, gen_class_instance,
                                 gen_target_delta)
 from pentagem.structure import (ANTI, CLASS_ORDER, COMPLETE, FREE, TEMPLATES, Template,
@@ -188,6 +191,17 @@ def caterpillar(spine: int, leaves: int = 7) -> Graph:
     edges = [(i, i + 1) for i in range(spine - 1)]
     edges += [(i, spine + leaves * i + j) for i in range(spine) for j in range(leaves)]
     return build_graph((leaves + 1) * spine, edges)
+
+
+def padded_member() -> Graph:
+    """The first criterion-2 graph (14 vertices, Delta 9) with 300 isolated
+    vertices: ids 0..99 and the last 100 are isolated, and the other 100
+    fall between the member's ids, the lowest and highest of which bound
+    the window 100..213 they share."""
+    g = delta9_members(1)[0]
+    inner = sorted(random.Random(5).sample(range(101, 100 + g.n + 99), g.n - 2))
+    ids = [100, *inner, 100 + g.n + 99]
+    return build_graph(g.n + 300, [(ids[u], ids[v]) for u, v in g.edges()])
 
 
 def cycle_blowup(length: int, a: int) -> Graph:
@@ -1603,6 +1617,11 @@ def reference_d1_extend(g: Graph, d: dict, colors: dict[int, int]) -> None:
              for i, u in enumerate(ids)}
     for i, c in extend_list_coloring(sub, lists).items():
         colors[ids[i]] = c
+
+
+def reference_greedy(g: Graph, d: dict, colors: dict[int, int]) -> None:
+    """First-fit over ``vs`` in increasing order, seeing only ``vs``."""
+    colors.update(greedy_color(g, sorted(set(_vertices(g, d["vs"]))), d["k"]))
 
 
 REFERENCE_APPLIES = {"oracle": reference_on_subgraph(reference_oracle),

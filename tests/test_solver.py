@@ -25,8 +25,8 @@ from pentagem.structure import TEMPLATES
 from pentagem.trace import ReductionTrace, dumps_trace, fingerprint, loads_trace
 
 from helpers import (benchmark_inputs, c5_blowup, caterpillar, cocktail_party, delta9_members,
-                     delta_family, gate_pins, k9_with_ears, non_clique_core, prism_cores,
-                     reference_delta_reduce)
+                     delta_family, gate_pins, k9_with_ears, non_clique_core, padded_member,
+                     prism_cores, reference_delta_reduce)
 from irreducible_enum import _members
 
 
@@ -470,6 +470,27 @@ def test_benchmark_workload_outputs_are_pinned(workload, seed):
         digest.update(dumps_trace(trace).encode())
         digest.update(repr(list(col.colors.items())).encode())
     assert digest.hexdigest() == WORKLOAD_OUTPUTS_SHA256[workload, seed]
+
+
+# sha256 over the solve trace of padded_member() and then the repr of its
+# colors in the order solve assigned them, recorded while each one-vertex
+# greedy line still ran the general first-fit
+PADDED_MEMBER_SHA256 = "004cbc679416687c28cbac76107392203d4199c8bfa6a3b898281040188971fa"
+
+
+def test_each_isolated_vertex_takes_color_1_from_its_own_greedy_line():
+    g = padded_member()
+    col, trace = solve(g)
+    text = dumps_trace(trace)
+    assert list(replay_trace(g, loads_trace(text)).colors.items()) == list(col.colors.items())
+    isolated = [v for v in range(g.n) if not g.adj[v]]
+    assert len(isolated) == 300 and isolated[0] == 0 and isolated[-1] == g.n - 1
+    greedy = [e.data["vs"] for e in trace.events if e.kind == "greedy"]
+    for v in isolated:
+        assert [vs for vs in greedy if v in vs] == [(v,)] and col.colors[v] == 1
+    digest = hashlib.sha256(text.encode())
+    digest.update(repr(list(col.colors.items())).encode())
+    assert digest.hexdigest() == PADDED_MEMBER_SHA256
 
 
 def test_a_25600_vertex_caterpillar_peels_within_the_default_recursion_limit():

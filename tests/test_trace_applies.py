@@ -20,7 +20,8 @@ from pentagem.patterns import clique_number
 from pentagem.solver import solve
 from pentagem.trace import STEPS, ReductionTrace, dumps_trace, fingerprint, loads_trace
 
-from helpers import REFERENCE_APPLIES, catalog_shapes, core9, prism_cores, random_graph
+from helpers import (REFERENCE_APPLIES, catalog_shapes, core9, prism_cores, random_graph,
+                     reference_greedy)
 
 def outcome(apply, g: Graph, data: dict, colors: dict[int, int]):
     """The colors after ``apply``, as (vertex, color) pairs in insertion
@@ -150,3 +151,31 @@ def test_oracle_matches_on_cores_inside_large_hosts():
         for k in (omega - 1, omega, omega + 1):
             check_step("oracle", relabeled(h, ids), {"vs": tuple(ids), "k": k}, {})
 
+
+
+def board_or_error(apply, g: Graph, data: dict, colors: dict[int, int]):
+    """``outcome``, with the error's message beside its class."""
+    out = dict(colors)
+    try:
+        apply(g, data, out)
+    except PentagemError as exc:
+        return type(exc), str(exc)
+    return list(out.items())
+
+
+def test_one_vertex_greedy_lines_match_the_general_first_fit():
+    # a one-vertex line takes color 1 after its checks; the general path
+    # must give the same board, in the same insertion order, or the same
+    # error, on boards that already color the vertex, its neighbors or
+    # vertices outside the graph.  vs=3,3 still takes the general path.
+    rng = random.Random(2006)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        ids = rng.sample(range(-2, n + 2), rng.randint(0, n + 4))
+        board = {v: rng.randint(-1, 10) for v in ids}
+        for vs in [(-1,), (0,), (n - 1,), (n,), (rng.randrange(n),), (3, 3)]:
+            for k in (-2, 0, 1, 8):
+                data = {"vs": vs, "k": k}
+                assert (board_or_error(STEPS["greedy"].apply, g, data, board)
+                        == board_or_error(reference_greedy, g, data, board)), (n, vs, k, board)
